@@ -31,7 +31,6 @@ from .green import (
     a_integral,
     green_gradient,
     gstar_matrix,
-    regular_part,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -127,13 +126,10 @@ class BlowupConfiguration:
         return bool(np.max(np.abs(self.frak.values - 4.0)) <= 4.0 * rtol)
 
     def gstar_gradient(self, t: int) -> np.ndarray:
-        """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal uses grad gamma."""
+        """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
         total = np.zeros(2)
-        _, grad_diag = regular_part(self.geometry, self.points[t])
         for l in range(self.n_points):
-            if l == t:
-                total += self.mus[l] * grad_diag
-            else:
+            if l != t:
                 total += self.mus[l] * green_gradient(
                     self.geometry, self.points[t], self.points[l]
                 )

@@ -21,6 +21,17 @@ The remaining series converges like e^(-2 pi beta k) uniformly in position,
 so the mode cutoff n_modes is far beyond double precision already at ~10.
 The log singularity -(1/2 pi) log|d| sits entirely in the first GF term.
 
+Letting d -> 0 in the expansion gives the diagonal regular part
+gamma = lim (G(d) + (1/2 pi) log|d|) in closed form, with q_k = e^(-2 pi k beta):
+
+    gamma = Lx^2/12 - (1/2 pi) log(2 pi / Ly) - (1/2 pi) log(1 - q_1)
+            + sum_{k>=1} q_k (1 + q_k) / (2 pi k (1 - q_k)).
+
+This is Kronecker's limit formula (Lin & Wang, Ann. of Math. 172 (2010)):
+gamma = -(1/2 pi) log(2 pi Lx |eta(i beta)|^2) with the Dedekind eta
+eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau). Since G is
+even in d, the gradient of gamma on the diagonal is exactly zero.
+
 The domain integral a_integral accumulates, over a Voronoi cell minus a
 small ball, the weighted coefficient-field/Green-function integrand whose
 radial power |x - p_t|^((2-m) mu_t - 2) is absorbed analytically by a power
@@ -29,7 +40,6 @@ substitution; the angular direction is split at the cell's corner angles.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,8 +68,8 @@ class TorusGreen:
         area = abs(p[0][0] * p[1][1])
         if abs(area - 1.0) > 1e-12:
             raise InputError(f"torus area must be 1, got {area}")
-        if self.n_modes < 1:
-            raise InputError("n_modes must be at least 1")
+        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 1:
+            raise InputError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
         object.__setattr__(
             self, "periods", ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
         )
@@ -108,6 +118,8 @@ def _core_value(geom: TorusGreen, d1, d2):
     val = val + _gf(beta * u, b) + _gf(beta * (1.0 - u), b)
     for k in range(1, geom.n_modes + 1):
         qk = math.exp(-_TWO_PI * k * beta)
+        if qk == 0.0:  # both image terms are at most qk, as are all later ones
+            break
         ek = np.exp(-_TWO_PI * k * beta * u)
         val = val + (
             np.cos(_TWO_PI * k * b)
@@ -129,6 +141,8 @@ def _core_gradient(geom: TorusGreen, d1, d2):
     g2 = (1.0 / ly) * (-r_lo.imag - r_hi.imag)
     for k in range(1, geom.n_modes + 1):
         qk = math.exp(-_TWO_PI * k * beta)
+        if qk == 0.0:
+            break
         ek = np.exp(-_TWO_PI * k * beta * u)
         common = qk / (1.0 - qk)
         g1 = g1 - (beta / lx) * np.cos(_TWO_PI * k * b) * common * (ek - qk / ek)
@@ -161,72 +175,31 @@ def green_gradient(geom: TorusGreen, x, p):
     return np.stack([g1, g2], axis=-1)
 
 
-def _richardson_limit(values, ratio: float, target: float):
-    """Limit of a sequence with even-power error at fixed step ratio.
-
-    values[j] corresponds to step h0 / ratio**j; errors go like h^2, h^4...
-    Returns (limit, achieved difference) or None when not converged.
-    """
-    table = [list(values)]
-    best_prev = values[-1]
-    for level in range(1, len(values)):
-        fac = ratio ** (2 * level)
-        prev = table[-1]
-        table.append(
-            [
-                (fac * prev[j + 1] - prev[j]) / (fac - 1.0)
-                for j in range(len(prev) - 1)
-            ]
-        )
-        best = table[-1][-1]
-        if abs(best - best_prev) < target:
-            return best, abs(best - best_prev)
-        best_prev = best
-    return None
+def _diagonal_gamma(geom: TorusGreen) -> float:
+    """gamma(p, p), the same for every p on the torus (closed form above)."""
+    beta = geom.lx / geom.ly
+    value = (
+        geom.lx * geom.lx / 12.0
+        - math.log(_TWO_PI / geom.ly) / _TWO_PI
+        - math.log1p(-math.exp(-_TWO_PI * beta)) / _TWO_PI
+    )
+    for k in range(1, geom.n_modes + 1):
+        qk = math.exp(-_TWO_PI * k * beta)
+        value += qk * (1.0 + qk) / (_TWO_PI * k * (1.0 - qk))
+    return float(value)
 
 
-def regular_part(geom: TorusGreen, p, h0: float = 0.04, levels: int = 7):
+def regular_part(geom: TorusGreen, p):
     """Diagonal regular part gamma(p, p) and its first-argument gradient.
 
-    gamma(x, p) = G(x, p) + (1/2 pi) log|x - p| extended to the diagonal by
-    extrapolation over shrinking symmetric offsets (the odd terms cancel in
-    the 4-direction average, leaving an even-power error).
+    gamma(x, p) = G(x, p) + (1/2 pi) log|x - p| extended to the diagonal.
+    Both are exact: the value is the closed form in the module docstring,
+    and the gradient is zero because G is even.
     """
     p = np.asarray(p, dtype=float)
-    dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-
-    def gamma_avg(h):
-        pts = p[None, :] + h * dirs
-        vals = green_eval(geom, pts, p) + math.log(h) / _TWO_PI
-        return float(np.mean(vals))
-
-    def grad_avg(h):
-        pts = p[None, :] + h * dirs
-        grads = green_gradient(geom, pts, p) + dirs / (_TWO_PI * h)
-        return np.mean(grads, axis=0)
-
-    hs = [h0 / 2.0**j for j in range(levels)]
-    value = _richardson_limit([gamma_avg(h) for h in hs], 2.0, 1e-11)
-    if value is None:
-        raise GeometryError("regular-part extrapolation did not converge")
-    grad_seq_x = []
-    grad_seq_y = []
-    for h in hs:
-        g = grad_avg(h)
-        grad_seq_x.append(float(g[0]))
-        grad_seq_y.append(float(g[1]))
-    gx = _richardson_limit(grad_seq_x, 2.0, 1e-10)
-    gy = _richardson_limit(grad_seq_y, 2.0, 1e-10)
-    if gx is None or gy is None:
-        raise GeometryError("regular-part gradient extrapolation did not converge")
-    return value[0], np.array([gx[0], gy[0]])
-
-
-@functools.lru_cache(maxsize=16)
-def _diagonal_regular(geom: TorusGreen) -> float:
-    """gamma(p, p) is p-independent on the torus; cache it per geometry."""
-    value, _ = regular_part(geom, np.zeros(2))
-    return value
+    if p.shape != (2,) or not np.all(np.isfinite(p)):
+        raise InputError(f"p must be a finite 2-vector, got {p!r}")
+    return _diagonal_gamma(geom), np.zeros(2)
 
 
 @dataclass(frozen=True)
@@ -244,7 +217,7 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
     n_pts = pts.shape[0]
     values = np.empty((n_pts, n_pts))
-    diag = _diagonal_regular(geom)
+    diag = _diagonal_gamma(geom)
     for t in range(n_pts):
         values[t, t] = diag
         for s in range(t + 1, n_pts):
@@ -347,29 +320,23 @@ def _cell_radius(dists, phis, theta):
 
 
 def _cell_corner_angles(dists, phis):
-    """Angles where the active boundary constraint changes (polygon corners)."""
-    thetas = np.linspace(0.0, _TWO_PI, 1441)
-    cosines = np.cos(np.subtract.outer(thetas, phis))
-    with np.errstate(divide="ignore"):
-        candidates = np.where(cosines > 1e-12, dists / cosines, np.inf)
-    active = np.argmin(candidates, axis=-1)
-    corners = []
-    for j in range(len(thetas) - 1):
-        if active[j] == active[j + 1]:
-            continue
-        lo, hi = thetas[j], thetas[j + 1]
-        a_lo = active[j]
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            cos_mid = np.cos(mid - phis)
-            with np.errstate(divide="ignore"):
-                cand = np.where(cos_mid > 1e-12, dists / cos_mid, np.inf)
-            if np.argmin(cand) == a_lo:
-                lo = mid
-            else:
-                hi = mid
-        corners.append(0.5 * (lo + hi))
-    return corners
+    """Polar angles of the cell's vertices, sorted and distinct.
+
+    The vertices are the pairwise intersections of the bisector lines
+    x . (cos phi, sin phi) = dist that satisfy every half-plane.
+    """
+    normals = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
+    i, j = np.triu_indices(len(dists), k=1)
+    det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
+    crossing = np.abs(det) > 1e-12
+    i, j, det = i[crossing], j[crossing], det[crossing]
+    x = (dists[i] * normals[j, 1] - dists[j] * normals[i, 1]) / det
+    y = (dists[j] * normals[i, 0] - dists[i] * normals[j, 0]) / det
+    inside = np.all(normals @ np.stack([x, y]) <= dists[:, None] + 1e-12, axis=0)
+    angles = np.sort(np.mod(np.arctan2(y[inside], x[inside]), _TWO_PI))
+    # several bisectors can meet in one vertex; keep one angle per vertex
+    gaps = np.diff(angles, append=angles[0] + _TWO_PI)
+    return angles[gaps > 1e-12].tolist()
 
 
 def a_integral(
@@ -392,7 +359,8 @@ def a_integral(
     where m is the minimal normalized mass of the configuration and the
     log singularity of G(x, p_t) has been absorbed into the radial power.
     The radial integrals use the exact power substitution; the angular
-    integral is split at the cell corner angles.
+    integral is split at the cell corner angles. ``geom`` is the
+    configuration's geometry: the Gstar values come from ``config.gstar``.
     """
     points = np.asarray(config.points, dtype=float)
     mus = np.array([s.mu for s in config.strengths])
@@ -408,8 +376,7 @@ def a_integral(
                 f"(inradius {float(d_s.min()):.6f})"
             )
 
-    gstar = gstar_matrix(geom, points)
-    gstar_t = float(mus @ gstar.values[t])
+    gstar_t = float(mus @ config.gstar.values[t])
     field = config.h_fields[i]
     h_ref = float(field.value(points[t]))
     p_t = points[t]

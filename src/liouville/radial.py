@@ -187,8 +187,8 @@ def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> Radi
     IntegrationError
         On step-size underflow; carries the last good radius.
     """
-    if r_max < 10.0:
-        raise InputError(f"r_max must be at least 10, got {r_max}")
+    if not (math.isfinite(r_max) and r_max >= 10.0):
+        raise InputError(f"r_max must be finite and at least 10, got {r_max}")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
 

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the pass/fail lines.
 Criterion 4 has a sub-case that cannot pass as stated (window too early for
-the slow fixture); it is kept as a strict expected failure with the analysis
-in notes/decisions.md and in the test docstring.
+the slow fixture); it is kept as a strict expected failure, with the analysis
+in its xfail reason.
 """
 
 import math
@@ -96,15 +96,15 @@ def test_criterion_04_tail_law(f1_summary, f2_summary, f3_summary):
         ok &= bool(np.max(np.abs(slopes - target)) < 0.05)
         details.append(f"{name} {slopes[0]:+.3f}")
     f2_slope = _tail_slope(f2_summary, radii)[0]
-    details.append(f"F2 {f2_slope:+.3f} sub-case FAILS as stated (defect, see ledger)")
+    details.append(f"F2 {f2_slope:+.3f} sub-case FAILS as stated (window defect, see the F2 xfail)")
     report(4, "truncated-mass tail slope, F1/F3", ok, "; ".join(details))
 
 
 @pytest.mark.xfail(
     strict=True,
     reason="spec defect: the F2 remainder 4/(2+R) has slope -0.932 over "
-    "[10, 100]; the 0.05 band around -1 is unattainable on this window "
-    "(see notes/decisions.md)",
+    "[10, 100]; the 0.05 band around -1 is unattainable on this window, "
+    "which ends before the remainder reaches its -1 asymptote",
 )
 def test_criterion_04_f2_subcase(f2_summary):
     slopes = _tail_slope(f2_summary, np.geomspace(10.0, 100.0, 8))
@@ -155,7 +155,7 @@ def test_criterion_08_scaling_identities(f2_summary):
     resid2 = lv.d_relation_residual(f2_summary, 1.0, 3.7, 11.3)
     checks.append(float(np.max(np.abs(resid - resid2))) < 1e-9)
     # initial-gap preservation through the chain ("exact" = one common float
-    # shift per stage; allow a few ulp of rounding, see ledger)
+    # shift per stage, so only a few ulp of rounding remain)
     spec = lv.ProblemSpec(
         f2_summary.profile.spec.matrix,
         lv.SingularityProfile(-0.5),

@@ -70,6 +70,17 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf])
+    def test_non_finite_r_max(self, tmp_path, capsys, r_max):
+        # json writes and reads these as the bare words NaN and Infinity
+        code, _ = run(
+            tmp_path,
+            "solve",
+            {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [0.0], "r_max": r_max},
+        )
+        assert code == 2
+        assert "r_max" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(
             tmp_path,
@@ -317,3 +328,22 @@ class TestGreen:
             if line and not line.startswith("#")
         ]
         assert gstar_rows[0] == "p1,p2"
+
+    @pytest.mark.parametrize("n_modes", [2.5, math.nan])
+    def test_non_integer_modes(self, tmp_path, capsys, n_modes):
+        code, _ = run(tmp_path, "green", {"green": {"n_modes": n_modes}})
+        assert code == 2
+        assert "n_modes" in capsys.readouterr().err
+
+    def test_many_modes(self, tmp_path):
+        # past k ~ 119 the mode weights underflow; the sum must stay finite
+        code, out = run(
+            tmp_path,
+            "green",
+            {"green": {"n_modes": 200, "pairs": [[[0.5, 0.5], [0.0, 0.0]]]}},
+        )
+        assert code == 0
+        payload = read_json(out, "green.json")
+        assert payload["grad_gamma_diagonal"] == [0.0, 0.0]
+        assert payload["gamma_diagonal"] == pytest.approx(-0.2085777932, abs=1e-9)
+        assert payload["values"][0]["G"] == pytest.approx(-0.0551589000, abs=1e-9)

@@ -110,7 +110,7 @@ class TestPohozaev:
         reason="the exact remainder 4/(2+R) has log-log slope -0.932 over "
         "[10, 100]: the subleading O(1/R) correction shifts the finite-window "
         "slope outside the 0.05 band whenever the mass gap is 1; the window "
-        "is too early for this fixture (see notes/decisions.md)",
+        "is too early for this fixture",
     )
     def test_tail_slope_f2_window_too_early(self, f2_summary):
         profile = f2_summary.profile

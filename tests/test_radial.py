@@ -87,6 +87,12 @@ class TestIntegrate:
         with pytest.raises(InputError):
             lv.integrate(spec, tol=1e-3)
 
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf])
+    def test_non_finite_r_max_rejected(self, matrix1, r_max):
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        with pytest.raises(InputError, match="r_max"):
+            lv.integrate(spec, r_max=r_max)
+
     def test_overflow_guard(self, matrix1):
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([60.0]))
         with pytest.raises(BlowupError):

@@ -6,11 +6,13 @@ from scipy.special import gamma as gamma_fn
 
 import liouville as lv
 from liouville.errors import GeometryError, InputError, SingularityError
+from liouville.green import _cell_corner_angles, _cell_geometry
 
 # Frozen after mode-doubling stabilized below 1e-10 (n_modes 12 vs 24).
 G_HALF_HALF = -0.05515890003816293
-# Frozen after offset extrapolation stabilized below 1e-11; independently
-# equal to -(1/2 pi) log(2 pi eta(i)^2) with eta(i) = Gamma(1/4)/(2 pi^(3/4)).
+# Frozen from an offset extrapolation that stabilized below 1e-11; the exact
+# closed form in green.py agrees to 1e-12, and so does the independent value
+# -(1/2 pi) log(2 pi eta(i)^2) with eta(i) = Gamma(1/4)/(2 pi^(3/4)).
 GAMMA_DIAG = -0.20857779324374073
 
 
@@ -139,6 +141,31 @@ class TestRegularPart:
         _, grad = lv.regular_part(geometry, np.array([0.62, 0.17]))
         assert np.max(np.abs(grad)) < 1e-8
 
+    @pytest.mark.parametrize("lx", [0.5, 0.8, 2.0])
+    def test_dedekind_eta_oracle(self, lx):
+        # Kronecker's limit formula: gamma = -(1/2 pi) log(2 pi Lx |eta(i beta)|^2)
+        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)), n_modes=24)
+        q = math.exp(-2.0 * math.pi * lx * lx)  # beta = Lx / Ly = Lx^2
+        eta = q ** (1.0 / 24.0) * math.prod(1.0 - q**n for n in range(1, 200))
+        oracle = -math.log(2.0 * math.pi * lx * eta**2) / (2.0 * math.pi)
+        val, _ = lv.regular_part(geom, np.array([0.1, 0.2]))
+        assert val == pytest.approx(oracle, abs=1e-12)
+
+    def test_offset_average(self, geometry):
+        # the 4-direction average cancels the odd terms; the rest is O(h^2)
+        p, h = np.array([0.3, 0.6]), 1e-3
+        dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        avg = float(np.mean(lv.green_eval(geometry, p + h * dirs, p)))
+        avg += math.log(h) / (2.0 * math.pi)
+        assert abs(avg - lv.regular_part(geometry, p)[0]) < 1e-5
+
+    @pytest.mark.parametrize(
+        "p", [[0.1], [0.1, 0.2, 0.3], [math.nan, 0.2], [0.1, math.inf]]
+    )
+    def test_rejects_bad_point(self, geometry, p):
+        with pytest.raises(InputError):
+            lv.regular_part(geometry, np.array(p))
+
 
 class TestGeometryValidation:
     def test_rectangle_supported(self):
@@ -164,6 +191,24 @@ class TestGeometryValidation:
             lv.TorusGreen(periods=((2.0, 0.0), (0.0, 1.0)))
         with pytest.raises(InputError):
             lv.TorusGreen(n_modes=0)
+        with pytest.raises(InputError):
+            lv.TorusGreen(n_modes=2.5)
+
+    @pytest.mark.parametrize("lx", [1.0, 3.0])
+    def test_underflowing_modes(self, lx):
+        # past k beta ~ 119 the mode weights underflow to 0; the sum must
+        # neither turn NaN nor change
+        periods = ((lx, 0.0), (0.0, 1.0 / lx))
+        many = lv.TorusGreen(periods=periods, n_modes=200)
+        ref = lv.TorusGreen(periods=periods, n_modes=24)
+        rng = np.random.default_rng(17)
+        x = rng.random((50, 2)) * [lx, 1.0 / lx]
+        p = np.array([0.05, 0.03])
+        values = lv.green_eval(many, x, p)
+        grads = lv.green_gradient(many, x, p)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+        np.testing.assert_array_equal(values, lv.green_eval(ref, x, p))
+        np.testing.assert_array_equal(grads, lv.green_gradient(ref, x, p))
 
 
 class TestGStarMatrix:
@@ -288,6 +333,28 @@ class TestAIntegral:
         assert np.all(diffs < 0.35)  # continuous in the mass parameter
         ball_term = 0.05 ** (0.5 * (2.0 - 2.02)) / 0.5
         assert ball_term == pytest.approx(2.0, rel=0.05)
+
+
+def test_cell_corners_catch_short_edges(geometry):
+    # the shortest edge of this cell subtends 1.4e-3 rad, less than one step
+    # of a 1440-step angular scan; 2e6-angle sampling confirms 8 corners
+    points = np.array(
+        [
+            [0.49742269548761897, 0.5293121601967704],
+            [0.7857857007138075, 0.4146558493556708],
+            [0.7344835717887294, 0.7111428779897498],
+        ]
+    )
+    corners = _cell_corner_angles(*_cell_geometry(geometry, points, 0))
+    assert len(corners) == 8
+    assert np.all(np.diff(corners) > 1e-6)
+
+
+def test_square_cell_corners(geometry):
+    # one point: the cell is the unit square, and three bisectors meet in
+    # each corner
+    corners = _cell_corner_angles(*_cell_geometry(geometry, np.array([[0.3, 0.4]]), 0))
+    np.testing.assert_allclose(corners, [math.pi / 4 * k for k in (1, 3, 5, 7)], atol=1e-14)
 
 
 def test_two_point_cell_integral_smoke(geometry, matrix1):
