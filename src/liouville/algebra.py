@@ -22,6 +22,9 @@ from .errors import (
     LinearSolveError,
     NoRealRootError,
     UndefinedRegionError,
+    as_array,
+    as_count,
+    as_number,
 )
 
 # Relative tolerance used for minimizer ties and critical-value dedup
@@ -87,11 +90,9 @@ def validate_structure(entries) -> StructureReport:
         If the input is not a finite square matrix (no clause can be
         evaluated in that case).
     """
-    a = np.asarray(entries, dtype=float)
+    a = as_array(entries, "interaction matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InputError(f"interaction matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("interaction matrix has non-finite entries")
 
     clauses = []
     sym = bool(np.allclose(a, a.T, rtol=0.0, atol=0.0))
@@ -152,12 +153,11 @@ class CoefficientMatrix:
 
     @classmethod
     def from_entries(cls, entries) -> "CoefficientMatrix":
-        a = np.asarray(entries, dtype=float)
-        report = validate_structure(a)
+        report = validate_structure(entries)
         if not report.h1_ok:
             names = ", ".join(c.name for c in report.failed() if c.hypothesis == "H1")
             raise InputError(f"interaction matrix fails structural checks: {names}")
-        a = a.copy()
+        a = np.array(entries, dtype=float)
         a.setflags(write=False)
         inv = np.linalg.inv(a)
         inv.setflags(write=False)
@@ -182,10 +182,10 @@ class SingularityProfile:
     gamma: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or not (-1.0 < self.gamma <= 0.0):
-            raise InputError(
-                f"singularity exponent must lie in (-1, 0], got {self.gamma}"
-            )
+        gamma = as_number(self.gamma, "gamma")
+        if not -1.0 < gamma <= 0.0:
+            raise InputError(f"gamma must lie in (-1, 0], got {gamma}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def mu(self) -> float:
@@ -198,12 +198,20 @@ class SingularityProfile:
 
 def as_rho(values) -> np.ndarray:
     """Validate a parameter vector: finite, nonnegative entries."""
-    rho = np.asarray(values, dtype=float)
+    rho = as_array(values, "rho")
     if rho.ndim != 1:
         raise InputError(f"rho must be a vector, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
-        raise InputError("rho entries must be finite and nonnegative")
+    if np.any(rho < 0.0):
+        raise InputError("rho entries must be nonnegative")
     return rho
+
+
+def as_level(n_L) -> float:
+    """Validate a critical level: a finite positive number."""
+    n_L = as_number(n_L, "n_L")
+    if n_L <= 0.0:
+        raise InputError(f"n_L must be positive, got {n_L}")
+    return n_L
 
 
 @dataclass(frozen=True)
@@ -245,8 +253,7 @@ def critical_values(
 
     Sorted ascending, deduplicated to relative tolerance 1e-12.
     """
-    if m_max < 0:
-        raise InputError("m_max must be nonnegative")
+    m_max = as_count(m_max, "m_max", 0)
     mus = [s.mu for s in strengths]
     if len(mus) > 20:
         raise InputError("too many singular points for subset enumeration")
@@ -269,17 +276,13 @@ def critical_values(
 
 def lambda_L(rho, A: CoefficientMatrix, n_L: float) -> float:
     """Quadratic gap whose zero set is the L-th critical surface."""
-    if n_L <= 0.0:
-        raise InputError("n_L must be positive")
-    x = as_rho(rho) / (2.0 * np.pi * n_L)
+    x = as_rho(rho) / (2.0 * np.pi * as_level(n_L))
     return float(4.0 * x.sum() - x @ A.entries @ x)
 
 
 def frak_m(rho, A: CoefficientMatrix, n_L: float) -> FrakM:
     """Normalized masses, minimum, and minimizer set (ties to 1e-12 rel)."""
-    if n_L <= 0.0:
-        raise InputError("n_L must be positive")
-    values = A.entries @ (as_rho(rho) / (2.0 * np.pi * n_L))
+    values = A.entries @ (as_rho(rho) / (2.0 * np.pi * as_level(n_L)))
     minimum = float(values.min())
     band = TIE_RTOL * max(abs(minimum), 1.0)
     minimizers = frozenset(
@@ -291,8 +294,7 @@ def frak_m(rho, A: CoefficientMatrix, n_L: float) -> FrakM:
 
 def q_point(A: CoefficientMatrix, n_L: float) -> np.ndarray:
     """The point where every normalized mass equals 4: A Q = 8 pi n_L."""
-    if n_L <= 0.0:
-        raise InputError("n_L must be positive")
+    n_L = as_level(n_L)
     b = np.full(A.n, EIGHT_PI * n_L)
     try:
         q = np.linalg.solve(A.entries, b)
@@ -314,7 +316,7 @@ def classify_region(
     that surface.
     """
     rho = as_rho(rho)
-    sigma_values = np.asarray(sigma_values, dtype=float)
+    sigma_values = as_array(sigma_values, "critical values")
     if sigma_values.size == 0:
         raise InputError("critical value list is empty")
     if np.any(np.diff(sigma_values) <= 0.0):

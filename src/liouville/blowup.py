@@ -23,7 +23,14 @@ import numpy as np
 from scipy import optimize
 
 from .algebra import CoefficientMatrix, FrakM, SingularityProfile, frak_m, lambda_L, q_point
-from .errors import DomainError, GeometryError, InputError, WrongRegimeError
+from .errors import (
+    DomainError,
+    GeometryError,
+    InputError,
+    WrongRegimeError,
+    as_array,
+    as_number,
+)
 from .fields import CoefficientField
 from .green import (
     GStarMatrix,
@@ -60,44 +67,28 @@ class BlowupConfiguration:
     gstar: GStarMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] != 2:
+        pts = np.atleast_2d(as_array(self.points, "points"))
+        if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError(f"points must be (N, 2), got {pts.shape}")
-        n_pts = pts.shape[0]
+        n_pts, n = pts.shape[0], self.matrix.n
         if len(self.strengths) != n_pts:
             raise InputError("one strength per point is required")
-        n = self.matrix.n
         if len(self.h_fields) != n:
             raise InputError("one coefficient field per component is required")
-        rho = np.asarray(self.rho, dtype=float)
-        if rho.shape != (n,):
-            raise InputError(f"rho must have length {n}")
-        curv = np.asarray(self.curvature, dtype=float)
-        if curv.shape != (n_pts,):
-            raise InputError(f"curvature must have length {n_pts}")
-        d_vec = np.asarray(self.D, dtype=float)
-        a_vec = np.asarray(self.alpha, dtype=float)
-        if d_vec.shape != (n,) or a_vec.shape != (n,):
-            raise InputError("D and alpha must have one entry per component")
+        object.__setattr__(self, "points", pts)
+        shapes = {"rho": (n,), "curvature": (n_pts,), "D": (n,), "alpha": (n,)}
+        for name, shape in shapes.items():
+            object.__setattr__(self, name, as_array(getattr(self, name), name, shape))
         for i, f in enumerate(self.h_fields):
             for p in pts:
                 if float(f.value(p)) <= 0.0:
                     raise InputError(f"coefficient field {i} is not positive")
-        for arr in (pts, rho, curv, d_vec, a_vec):
-            arr.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "curvature", curv)
-        object.__setattr__(self, "D", d_vec)
-        object.__setattr__(self, "alpha", a_vec)
+        for name in ("points", "rho", "curvature", "D", "alpha"):
+            getattr(self, name).setflags(write=False)
         object.__setattr__(self, "strengths", tuple(self.strengths))
         object.__setattr__(self, "h_fields", tuple(self.h_fields))
-        object.__setattr__(
-            self, "frak", frak_m(rho, self.matrix, self.n_L)
-        )
-        object.__setattr__(
-            self, "gstar", gstar_matrix(self.geometry, pts)
-        )
+        object.__setattr__(self, "frak", frak_m(self.rho, self.matrix, self.n_L))
+        object.__setattr__(self, "gstar", gstar_matrix(self.geometry, pts))
 
     @property
     def n(self) -> int:
@@ -162,7 +153,7 @@ def b_coefficient(
     callers that want to reinterpret it.
     """
     _require_regular(config, t)
-    mass = config.n_L if level_mass is None else float(level_mass)
+    mass = config.n_L if level_mass is None else as_number(level_mass, "level_mass")
     p_t = config.points[t]
     fld = config.h_fields[i]
     grad_term = fld.grad_log(p_t) + 4.0 * _TWO_PI * config.gstar_gradient(t)
@@ -186,11 +177,16 @@ class LeadingTermGeneral:
     cell_terms: tuple  # rows (i, t, B_it, A(delta0), A(delta0/2), extrapolated)
 
 
+def _as_eps(eps_k) -> float:
+    """The blowup scale of a leading-term prediction: a number in (0, 1)."""
+    eps_k = as_number(eps_k, "eps_k")
+    if not 0.0 < eps_k < 1.0:
+        raise InputError(f"eps_k must lie in (0, 1), got {eps_k}")
+    return eps_k
+
+
 def leading_term_general(
-    config: BlowupConfiguration,
-    delta0: float,
-    eps_k: float,
-    quad_epsrel: float = 1e-8,
+    config: BlowupConfiguration, delta0: float, eps_k: float
 ) -> LeadingTermGeneral:
     """Leading coefficient D and the predicted surface gap away from Q.
 
@@ -199,6 +195,7 @@ def leading_term_general(
     evaluating at delta0 and delta0/2 and extrapolating with the known
     leading power. The prediction is D eps_k^(m - 2) / n_L.
     """
+    eps_k = _as_eps(eps_k)
     fm = config.frak.minimum
     if fm <= 2.0:
         raise DomainError(f"minimal normalized mass must exceed 2, got {fm}")
@@ -223,12 +220,8 @@ def leading_term_general(
                 / h_ref
                 * coeff_ref
             )
-            a_full = a_integral(
-                config.geometry, config, i, t, delta0, epsrel=quad_epsrel
-            )
-            a_half = a_integral(
-                config.geometry, config, i, t, delta0 / 2.0, epsrel=quad_epsrel
-            )
+            a_full = a_integral(config, i, t, delta0)
+            a_half = a_integral(config, i, t, delta0 / 2.0)
             decay = mus[t] * (2.0 - fm) + 2.0  # leading delta0 power of the gap
             w = 2.0 ** (-decay)
             a_lim = (a_half - w * a_full) / (1.0 - w)
@@ -258,8 +251,7 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
         raise WrongRegimeError(
             "no regular blowup point: the symmetric-point expansion is empty"
         )
-    if not (0.0 < eps_k < 1.0):
-        raise InputError(f"eps_k must lie in (0, 1), got {eps_k}")
+    eps_k = _as_eps(eps_k)
     total = sum(
         b_coefficient(config, i, t)
         for i in range(config.n)

@@ -5,6 +5,10 @@ the offending path so configs stay in sync with the code. All outputs embed
 the resolved config and the package version, contain no timestamps, and are
 byte-identical across reruns of the same config (diagnostics go to stderr).
 
+Values pass to the package unconverted: the API checks each one once and
+rejects a wrong type, a non-finite or an out-of-range value with an
+InputError that names it, so such a config exits 2 before any solve.
+
 Commands: solve | invert | surface | compare | leading | green.
 Exit codes: 0 ok, 2 config error, 3 solver error, 4 non-convergence.
 """
@@ -22,6 +26,8 @@ from . import __version__
 from .algebra import (
     CoefficientMatrix,
     SingularityProfile,
+    as_level,
+    as_rho,
     classify_region,
     critical_values,
     frak_m,
@@ -35,7 +41,14 @@ from .blowup import (
     leading_term_general,
 )
 from .energy import extract_summary, pohozaev_residual, pohozaev_tail_table
-from .errors import InputError, LiouvilleError, NonConvergenceError
+from .errors import (
+    InputError,
+    LiouvilleError,
+    NonConvergenceError,
+    as_array,
+    as_count,
+    as_number,
+)
 from .fields import field_from_config
 from .green import TorusGreen, green_eval, gstar_matrix, regular_part
 from .radial import ProblemSpec, integrate, profile_to_csv
@@ -61,7 +74,6 @@ _TOP_KEYS = {
     "blowup",
     "green",
     "output",
-    "seed",
 }
 _SURFACE_KEYS = {"rho", "n_L", "m_max", "gammas", "sweep"}
 _SWEEP_KEYS = {"t_min", "t_max", "count"}
@@ -83,6 +95,19 @@ _BLOWUP_KEYS = {
 _GREEN_KEYS = {"n_modes", "points", "pairs"}
 _OUTPUT_KEYS = {"prefix"}
 _FIELD_KEYS = {"type", "value", "amplitude", "frequency", "phase", "base"}
+# where nested objects (with their keys) and lists (None) sit, parents first
+_NESTED = {
+    "surface": _SURFACE_KEYS,
+    "surface.sweep": _SWEEP_KEYS,
+    "surface.gammas": None,
+    "compare": _COMPARE_KEYS,
+    "blowup": _BLOWUP_KEYS,
+    "blowup.gammas": None,
+    "blowup.h_fields": None,
+    "green": _GREEN_KEYS,
+    "green.pairs": None,
+    "output": _OUTPUT_KEYS,
+}
 
 
 def _check_keys(obj: dict, allowed: set, path: str) -> None:
@@ -106,24 +131,21 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "")
-    for section, keys in (
-        ("surface", _SURFACE_KEYS),
-        ("compare", _COMPARE_KEYS),
-        ("blowup", _BLOWUP_KEYS),
-        ("green", _GREEN_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        if section in cfg:
-            if not isinstance(cfg[section], dict):
-                raise ConfigError(f"{section!r} must be an object")
-            _check_keys(cfg[section], keys, section)
-    if "surface" in cfg and "sweep" in cfg["surface"]:
-        _check_keys(cfg["surface"]["sweep"], _SWEEP_KEYS, "surface.sweep")
-    if "blowup" in cfg:
-        for j, fld in enumerate(cfg["blowup"].get("h_fields", [])):
-            if not isinstance(fld, dict):
-                raise ConfigError(f"blowup.h_fields[{j}] must be an object")
-            _check_keys(fld, _FIELD_KEYS, f"blowup.h_fields[{j}]")
+    for path, keys in _NESTED.items():
+        *parents, key = path.split(".")
+        holder = cfg
+        for name in parents:
+            holder = holder.get(name, {})
+        if key not in holder:
+            continue
+        if not isinstance(holder[key], dict if keys else list):
+            raise ConfigError(f"{path!r} must be {'an object' if keys else 'a list'}")
+        if keys:
+            _check_keys(holder[key], keys, path)
+    for j, fld in enumerate(cfg.get("blowup", {}).get("h_fields", [])):
+        if not isinstance(fld, dict):
+            raise ConfigError(f"blowup.h_fields[{j}] must be an object")
+        _check_keys(fld, _FIELD_KEYS, f"blowup.h_fields[{j}]")
     return cfg
 
 
@@ -138,32 +160,26 @@ def _get_matrix(cfg: dict) -> CoefficientMatrix:
 
 
 def _get_gamma(cfg: dict) -> SingularityProfile:
-    gamma = float(_require(cfg, "gamma"))
-    if not (-1.0 < gamma <= 0.0):
-        raise ConfigError(f"gamma = {gamma} is outside the valid range (-1, 0]")
-    return SingularityProfile(gamma)
+    return SingularityProfile(_require(cfg, "gamma"))
 
 
-def _get_solver_params(cfg: dict, tol_override) -> tuple[float, float]:
-    r_max = float(cfg.get("r_max", 1e4))
-    tol = float(tol_override if tol_override is not None else cfg.get("tol", 1e-10))
-    return r_max, tol
+def _solver_params(cfg: dict, tol_override) -> dict:
+    """The r_max and tol the config sets; integrate supplies the defaults."""
+    params = {key: cfg[key] for key in ("r_max", "tol") if key in cfg}
+    if tol_override is not None:
+        params["tol"] = tol_override
+    return params
 
 
-def _alpha0_from(cfg: dict, n: int) -> np.ndarray:
+def _alpha0_from(cfg: dict, n: int):
     if "alpha0" in cfg and "reduced_alpha" in cfg:
         raise ConfigError("give either 'alpha0' or 'reduced_alpha', not both")
     if "alpha0" in cfg:
-        alpha0 = np.asarray(cfg["alpha0"], dtype=float)
-    elif "reduced_alpha" in cfg:
-        alpha0 = np.concatenate([[0.0], np.asarray(cfg["reduced_alpha"], dtype=float)])
-    else:
-        raise ConfigError("missing 'alpha0' (or 'reduced_alpha')")
-    if alpha0.shape != (n,):
-        raise ConfigError(
-            f"initial values have length {alpha0.shape[0]}, matrix needs {n}"
-        )
-    return alpha0
+        return cfg["alpha0"]
+    if "reduced_alpha" in cfg:
+        reduced = as_array(cfg["reduced_alpha"], "reduced_alpha", (n - 1,))
+        return np.concatenate([[0.0], reduced])
+    raise ConfigError("missing 'alpha0' (or 'reduced_alpha')")
 
 
 class _Out:
@@ -189,6 +205,15 @@ class _Out:
         target.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
         return target
 
+    def write_csv(self, name: str, header, rows) -> None:
+        """Comment lines, the header, then rows of numbers to 17 digits."""
+        with open(self.path(name), "w") as stream:
+            for line in self.csv_comments():
+                stream.write(f"# {line}\n")
+            stream.write(",".join(header) + "\n")
+            for row in rows:
+                stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
     def csv_comments(self) -> list[str]:
         return [
             f"artifact_version: {__version__}",
@@ -202,11 +227,8 @@ class _Out:
 
 def cmd_solve(cfg: dict, out: _Out, tol_override=None) -> int:
     matrix = _get_matrix(cfg)
-    sing = _get_gamma(cfg)
-    r_max, tol = _get_solver_params(cfg, tol_override)
-    alpha0 = _alpha0_from(cfg, matrix.n)
-    spec = ProblemSpec(matrix=matrix, singularity=sing, alpha0=alpha0)
-    profile = integrate(spec, r_max=r_max, tol=tol)
+    spec = ProblemSpec(matrix, _get_gamma(cfg), _alpha0_from(cfg, matrix.n))
+    profile = integrate(spec, **_solver_params(cfg, tol_override))
     summary = extract_summary(profile)
     with open(out.path("profile.csv"), "w") as stream:
         profile_to_csv(profile, stream, comments=out.csv_comments())
@@ -214,14 +236,13 @@ def cmd_solve(cfg: dict, out: _Out, tol_override=None) -> int:
         "summary.json",
         {"summary": summary.to_dict(), "h2_ok": matrix.h2_ok},
     )
-    radii = np.geomspace(10.0, min(100.0, r_max), 5)
-    with open(out.path("tail_table.csv"), "w") as stream:
-        for line in out.csv_comments():
-            stream.write(f"# {line}\n")
-        stream.write("R,defect,predicted,ratio\n")
-        for row in pohozaev_tail_table(profile, radii, summary):
-            stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    out.say(f"sigma = {[float(v) for v in summary.sigma]}")
+    radii = np.geomspace(10.0, min(100.0, profile.r_max), 5)
+    out.write_csv(
+        "tail_table.csv",
+        ["R", "defect", "predicted", "ratio"],
+        pohozaev_tail_table(profile, radii, summary),
+    )
+    out.say(f"sigma = {summary.sigma.tolist()}")
     out.say(f"pohozaev residual = {pohozaev_residual(summary):.3e}")
     return 0
 
@@ -229,71 +250,61 @@ def cmd_solve(cfg: dict, out: _Out, tol_override=None) -> int:
 def cmd_invert(cfg: dict, out: _Out, tol_override=None) -> int:
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
-    r_max, tol = _get_solver_params(cfg, tol_override)
-    target = np.asarray(_require(cfg, "target_sigma"), dtype=float)
-    if target.shape != (matrix.n - 1,):
-        raise ConfigError(
-            f"target_sigma must have length n - 1 = {matrix.n - 1}, "
-            f"got {target.shape[0]}"
-        )
-    guess = cfg.get("guess")
+    params = _solver_params(cfg, tol_override)
+    target = _require(cfg, "target_sigma")
     try:
-        alpha = invert_sigma(
-            matrix, sing, target, guess=guess, r_max=r_max, tol=tol
-        )
+        alpha = invert_sigma(matrix, sing, target, guess=cfg.get("guess"), **params)
     except NonConvergenceError as exc:
+        best = None if exc.best is None else exc.best.tolist()
         print(
-            f"inversion did not converge: {exc}\n"
-            f"best iterate: {None if exc.best is None else list(exc.best)}",
+            f"inversion did not converge: {exc}\nbest iterate: {best}",
             file=sys.stderr,
         )
         out.write_json(
             "invert.json",
             {
                 "converged": False,
-                "best_alpha": None if exc.best is None else [float(v) for v in exc.best],
+                "best_alpha": best,
                 "best_residual": exc.best_residual,
             },
         )
         return 4
-    point = alpha_to_sigma(matrix, sing, alpha, r_max=r_max, tol=tol)
+    point = alpha_to_sigma(matrix, sing, alpha, **params)
     out.write_json(
         "invert.json",
         {
             "converged": True,
-            "alpha": [float(v) for v in alpha],
-            "sigma": [float(v) for v in point.full_sigma],
+            "alpha": alpha.tolist(),
+            "sigma": point.full_sigma.tolist(),
             "summary": point.summary.to_dict(),
         },
     )
-    out.say(f"alpha = {[float(v) for v in alpha]}")
+    out.say(f"alpha = {alpha.tolist()}")
     return 0
 
 
 def cmd_surface(cfg: dict, out: _Out, tol_override=None) -> int:
     matrix = _get_matrix(cfg)
     sub = _require(cfg, "surface")
-    gammas = sub.get("gammas", [])
-    strengths = [SingularityProfile(float(g)) for g in gammas]
-    m_max = int(sub.get("m_max", 3))
-    sigma_values = critical_values(strengths, m_max)
-    n_l = float(_require(sub, "n_L"))
+    strengths = [SingularityProfile(g) for g in sub.get("gammas", [])]
+    sigma_values = critical_values(strengths, sub.get("m_max", 3))
+    n_l = as_level(_require(sub, "n_L"))
     q_vec = q_point(matrix, n_l)
     payload: dict = {
-        "critical_values": [float(v) for v in sigma_values],
+        "critical_values": sigma_values.tolist(),
         "n_L": n_l,
-        "Q": [float(v) for v in q_vec],
+        "Q": q_vec.tolist(),
         "h2_ok": matrix.h2_ok,
     }
     if "rho" in sub:
-        rho = np.asarray(sub["rho"], dtype=float)
+        rho = as_rho(sub["rho"])
         fm = frak_m(rho, matrix, n_l)
         region = classify_region(rho, matrix, sigma_values)
         payload.update(
             {
-                "rho": [float(v) for v in rho],
+                "rho": rho.tolist(),
                 "lambda": lambda_L(rho, matrix, n_l),
-                "frak_m": [float(v) for v in fm.values],
+                "frak_m": fm.values.tolist(),
                 "frak_m_min": fm.minimum,
                 "minimizers": sorted(fm.minimizers),
                 "region_level": region.level,
@@ -305,17 +316,15 @@ def cmd_surface(cfg: dict, out: _Out, tol_override=None) -> int:
     if "sweep" in sub:
         sweep = sub["sweep"]
         t_vals = np.linspace(
-            float(sweep.get("t_min", 0.5)),
-            float(sweep.get("t_max", 1.5)),
-            int(sweep.get("count", 21)),
+            as_number(sweep.get("t_min", 0.5), "surface.sweep.t_min"),
+            as_number(sweep.get("t_max", 1.5), "surface.sweep.t_max"),
+            as_count(sweep.get("count", 21), "surface.sweep.count", 0),
         )
-        with open(out.path("sweep.csv"), "w") as stream:
-            for line in out.csv_comments():
-                stream.write(f"# {line}\n")
-            stream.write("t,lambda\n")
-            for t in t_vals:
-                lam = lambda_L(t * q_vec, matrix, n_l)
-                stream.write(f"{t:.17g},{lam:.17g}\n")
+        out.write_csv(
+            "sweep.csv",
+            ["t", "lambda"],
+            ((t, lambda_L(t * q_vec, matrix, n_l)) for t in t_vals),
+        )
     out.write_json("surface.json", payload)
     return 0
 
@@ -323,80 +332,73 @@ def cmd_surface(cfg: dict, out: _Out, tol_override=None) -> int:
 def cmd_compare(cfg: dict, out: _Out, tol_override=None) -> int:
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
-    r_max, tol = _get_solver_params(cfg, tol_override)
     sub = _require(cfg, "compare")
-    mu_p = float(_require(sub, "mu_p"))
-    alpha0 = _alpha0_from(cfg, matrix.n)
-    spec = ProblemSpec(matrix=matrix, singularity=sing, alpha0=alpha0)
-    profile_q = integrate(spec, r_max=r_max, tol=tol)
+    heights = height_match(
+        sub.get("M_p", 10.0), sub.get("M_q", 10.0), _require(sub, "mu_p"), sing.mu
+    )
+    spec = ProblemSpec(matrix, sing, _alpha0_from(cfg, matrix.n))
+    profile_q = integrate(spec, **_solver_params(cfg, tol_override))
     summary_q = extract_summary(profile_q)
-    transformed = mu_transform(profile_q, mu_p)
-    summary_p = extract_summary(transformed)
-    m_p = float(sub.get("M_p", 10.0))
-    m_q = float(sub.get("M_q", 10.0))
-    heights = height_match(m_p, m_q, mu_p, summary_q.mu)
+    summary_p = extract_summary(mu_transform(profile_q, heights.mu_p))
     comparison = bubble_distance(summary_p, summary_q, heights)
-    residual = d_relation_residual(summary_q, mu_p, m_p, m_q)
-    with open(out.path("compare.csv"), "w") as stream:
-        for line in out.csv_comments():
-            stream.write(f"# {line}\n")
-        stream.write("i,sigma_p_over_mu_p,sigma_q_over_mu_q,distance,reference_scale\n")
-        for i in range(matrix.n):
-            stream.write(
-                f"{i + 1},{summary_p.sigma[i] / summary_p.mu:.17g},"
-                f"{summary_q.sigma[i] / summary_q.mu:.17g},"
-                f"{comparison.distances[i]:.17g},"
-                f"{comparison.reference_scale:.17g}\n"
-            )
+    residual = d_relation_residual(summary_q, heights.mu_p, heights.M_p, heights.M_q)
+    out.write_csv(
+        "compare.csv",
+        ["i", "sigma_p_over_mu_p", "sigma_q_over_mu_q", "distance", "reference_scale"],
+        np.column_stack(
+            [
+                np.arange(1, matrix.n + 1),
+                summary_p.sigma / summary_p.mu,
+                summary_q.sigma / summary_q.mu,
+                comparison.distances,
+                np.full(matrix.n, comparison.reference_scale),
+            ]
+        ),
+    )
     out.write_json(
         "compare.json",
         {
-            "mu_p": mu_p,
+            "mu_p": heights.mu_p,
             "mu_q": summary_q.mu,
             "eta": heights.eta,
             "summary_q": summary_q.to_dict(),
             "summary_p": summary_p.to_dict(),
-            "distances": [float(v) for v in comparison.distances],
-            "d_relation_residual": [float(v) for v in residual],
+            "distances": comparison.distances.tolist(),
+            "d_relation_residual": residual.tolist(),
         },
     )
-    out.say(f"max normalized-energy distance = {float(np.max(comparison.distances)):.3e}")
+    out.say(f"max normalized-energy distance = {np.max(comparison.distances):.3e}")
     return 0
 
 
 def _blowup_from(cfg: dict) -> tuple[BlowupConfiguration, dict]:
     matrix = _get_matrix(cfg)
     sub = _require(cfg, "blowup")
-    gammas = _require(sub, "gammas")
-    strengths = tuple(SingularityProfile(float(g)) for g in gammas)
-    fields = tuple(field_from_config(f) for f in _require(sub, "h_fields"))
-    points = np.asarray(_require(sub, "points"), dtype=float)
-    geometry = TorusGreen(n_modes=sub.get("n_modes", 12))
+    strengths = tuple(SingularityProfile(g) for g in _require(sub, "gammas"))
     config = BlowupConfiguration(
-        points=points,
+        points=_require(sub, "points"),
         strengths=strengths,
         matrix=matrix,
-        rho=np.asarray(_require(sub, "rho"), dtype=float),
-        h_fields=fields,
-        curvature=np.asarray(
-            sub.get("curvature", [0.0] * points.shape[0]), dtype=float
-        ),
-        D=np.asarray(_require(sub, "D"), dtype=float),
-        alpha=np.asarray(_require(sub, "alpha"), dtype=float),
-        geometry=geometry,
+        rho=_require(sub, "rho"),
+        h_fields=tuple(field_from_config(f) for f in _require(sub, "h_fields")),
+        curvature=sub.get("curvature", [0.0] * len(strengths)),
+        D=_require(sub, "D"),
+        alpha=_require(sub, "alpha"),
+        geometry=TorusGreen(n_modes=sub.get("n_modes", 12)),
     )
     return config, sub
 
 
 def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
     config, sub = _blowup_from(cfg)
-    eps_k = float(sub.get("eps_k", 1e-3))
+    # echoed as given: the leading-term functions reject all but floats in (0, 1)
+    eps_k = sub.get("eps_k", 1e-3)
     regime = sub.get("regime", "Q" if config.is_at_q() else "general")
     payload: dict = {
         "regime": regime,
         "eps_k": eps_k,
         "n_L": config.n_L,
-        "frak_m": [float(v) for v in config.frak.values],
+        "frak_m": config.frak.values.tolist(),
         "h2_ok": config.matrix.h2_ok,
     }
     if regime == "Q":
@@ -413,7 +415,8 @@ def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
         payload["b_coefficients"] = b_table
         payload["prediction"] = leading_term_Q(config, eps_k)
     elif regime == "general":
-        delta0 = float(sub.get("delta0", 0.01))
+        # echoed as given too: a_integral rejects all but floats inside the cell
+        delta0 = sub.get("delta0", 0.01)
         result = leading_term_general(config, delta0, eps_k)
         payload["delta0"] = delta0
         payload["D"] = result.D
@@ -442,28 +445,24 @@ def cmd_green(cfg: dict, out: _Out, tol_override=None) -> int:
     gamma_diag, grad_diag = regular_part(geometry, np.zeros(2))
     payload: dict = {
         "gamma_diagonal": gamma_diag,
-        "grad_gamma_diagonal": [float(v) for v in grad_diag],
+        "grad_gamma_diagonal": grad_diag.tolist(),
         "n_modes": geometry.n_modes,
     }
     if "pairs" in sub:
+        pairs = [
+            as_array(pair, f"green.pairs[{j}]", (2, 2))
+            for j, pair in enumerate(sub["pairs"])
+        ]
         payload["values"] = [
-            {
-                "x": [float(v) for v in pair[0]],
-                "p": [float(v) for v in pair[1]],
-                "G": green_eval(geometry, np.asarray(pair[0]), np.asarray(pair[1])),
-            }
-            for pair in sub["pairs"]
+            {"x": x.tolist(), "p": p.tolist(), "G": green_eval(geometry, x, p)}
+            for x, p in pairs
         ]
     if "points" in sub:
-        gstar = gstar_matrix(geometry, np.asarray(sub["points"], dtype=float))
-        with open(out.path("gstar.csv"), "w") as stream:
-            for line in out.csv_comments():
-                stream.write(f"# {line}\n")
-            n_pts = gstar.values.shape[0]
-            stream.write(",".join(f"p{t + 1}" for t in range(n_pts)) + "\n")
-            for row in gstar.values:
-                stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        payload["gstar"] = [[float(v) for v in row] for row in gstar.values]
+        gstar = gstar_matrix(geometry, sub["points"])
+        out.write_csv(
+            "gstar.csv", [f"p{t + 1}" for t in range(len(gstar.values))], gstar.values
+        )
+        payload["gstar"] = gstar.values.tolist()
     out.write_json("green.json", payload)
     return 0
 

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the input checks shared across the package.
+
+Public entry points check their input with ``as_number``, ``as_count`` or
+``as_array``, so a wrong type, a non-finite value or a wrong shape is an
+``InputError`` that names the offending parameter.
+"""
+
+import numpy as np
 
 
 class LiouvilleError(Exception):
@@ -64,3 +71,36 @@ class GeometryError(LiouvilleError):
 
 class WrongRegimeError(LiouvilleError):
     """A leading-term formula was requested outside its parameter regime."""
+
+
+
+def as_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """A float array of the given shape (any shape if None), every entry finite.
+
+    Strings, booleans, None and ragged nesting are rejected, not converted.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InputError(f"{name} must be numeric, got {value!r}")
+    if shape is not None and arr.shape != shape:
+        raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return arr.astype(float, copy=False)
+
+
+def as_number(value, name: str) -> float:
+    """A finite float: ``as_array`` of shape ()."""
+    return float(as_array(value, name, ()))
+
+
+def as_count(value, name: str, lo: int) -> int:
+    """An integer of at least ``lo``; floats such as 2.0 or 2.5 are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise InputError(f"{name} must be at least {lo}, got {value}")
+    return int(value)

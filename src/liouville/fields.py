@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_array, as_number
 
 _TWO_PI = 2.0 * math.pi
 
@@ -33,9 +33,6 @@ class CoefficientField:
     def lap_log(self, x) -> float:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ConstantField(CoefficientField):
@@ -44,8 +41,10 @@ class ConstantField(CoefficientField):
     constant: float = 1.0
 
     def __post_init__(self):
-        if not (self.constant > 0.0 and np.isfinite(self.constant)):
-            raise InputError(f"constant field must be positive, got {self.constant}")
+        constant = as_number(self.constant, "constant field value")
+        if constant <= 0.0:
+            raise InputError(f"constant field value must be positive, got {constant}")
+        object.__setattr__(self, "constant", constant)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -56,9 +55,6 @@ class ConstantField(CoefficientField):
 
     def lap_log(self, x) -> float:
         return 0.0
-
-    def describe(self) -> dict:
-        return {"type": "constant", "value": self.constant}
 
 
 @dataclass(frozen=True)
@@ -71,10 +67,12 @@ class SinusoidalField(CoefficientField):
     base: float = 1.0
 
     def __post_init__(self):
-        k = self.frequency
-        if len(k) != 2 or any(int(c) != c for c in k):
-            raise InputError(f"frequency must be an integer 2-vector, got {k}")
+        k = as_array(self.frequency, "frequency", (2,))
+        if np.any(k != np.round(k)):
+            raise InputError(f"frequency must be integers, got {self.frequency}")
         object.__setattr__(self, "frequency", (int(k[0]), int(k[1])))
+        for name in ("amplitude", "phase", "base"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if self.base - abs(self.amplitude) <= 0.0:
             raise InputError(
                 "sinusoidal field must stay positive: need base > |amplitude|"
@@ -109,15 +107,6 @@ class SinusoidalField(CoefficientField):
         grad_h = self._grad_h(x)
         return lap_h / h - float(grad_h @ grad_h) / h**2
 
-    def describe(self) -> dict:
-        return {
-            "type": "sinusoidal",
-            "amplitude": self.amplitude,
-            "frequency": list(self.frequency),
-            "phase": self.phase,
-            "base": self.base,
-        }
-
 
 def field_from_config(data: dict) -> CoefficientField:
     """Build a field from its CLI description (type + parameters)."""
@@ -125,12 +114,15 @@ def field_from_config(data: dict) -> CoefficientField:
         raise InputError("field description must be an object with a 'type' key")
     kind = data["type"]
     if kind == "constant":
-        return ConstantField(constant=float(data.get("value", 1.0)))
+        return ConstantField(constant=data.get("value", 1.0))
     if kind == "sinusoidal":
+        for key in ("amplitude", "frequency"):
+            if key not in data:
+                raise InputError(f"sinusoidal field needs {key!r}")
         return SinusoidalField(
-            amplitude=float(data["amplitude"]),
-            frequency=tuple(data["frequency"]),
-            phase=float(data.get("phase", 0.0)),
-            base=float(data.get("base", 1.0)),
+            amplitude=data["amplitude"],
+            frequency=data["frequency"],
+            phase=data.get("phase", 0.0),
+            base=data.get("base", 1.0),
         )
     raise InputError(f"unknown field type {kind!r}")

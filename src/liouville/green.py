@@ -45,7 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InputError, SingularityError
+from .errors import (
+    GeometryError,
+    InputError,
+    SingularityError,
+    as_array,
+    as_count,
+    as_number,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -58,9 +65,7 @@ class TorusGreen:
     n_modes: int = 12
 
     def __post_init__(self):
-        p = np.asarray(self.periods, dtype=float)
-        if p.shape != (2, 2) or not np.all(np.isfinite(p)):
-            raise InputError("periods must be two finite 2-vectors")
+        p = as_array(self.periods, "periods", (2, 2))
         if abs(float(p[0] @ p[1])) > 1e-14:
             raise InputError("only rectangular (orthogonal) lattices are supported")
         if not (p[0][1] == 0.0 and p[1][0] == 0.0):
@@ -68,8 +73,7 @@ class TorusGreen:
         area = abs(p[0][0] * p[1][1])
         if abs(area - 1.0) > 1e-12:
             raise InputError(f"torus area must be 1, got {area}")
-        if not isinstance(self.n_modes, (int, np.integer)) or self.n_modes < 1:
-            raise InputError(f"n_modes must be an integer >= 1, got {self.n_modes!r}")
+        object.__setattr__(self, "n_modes", as_count(self.n_modes, "n_modes", 1))
         object.__setattr__(
             self, "periods", ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
         )
@@ -196,9 +200,7 @@ def regular_part(geom: TorusGreen, p):
     Both are exact: the value is the closed form in the module docstring,
     and the gradient is zero because G is even.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
-        raise InputError(f"p must be a finite 2-vector, got {p!r}")
+    as_array(p, "p", (2,))
     return _diagonal_gamma(geom), np.zeros(2)
 
 
@@ -212,7 +214,7 @@ class GStarMatrix:
 
 def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     """Fill G(p_t, p_s) off the diagonal and gamma(p_t, p_t) on it."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(as_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
     n_pts = pts.shape[0]
@@ -340,7 +342,6 @@ def _cell_corner_angles(dists, phis):
 
 
 def a_integral(
-    geom: TorusGreen,
     config,
     i: int,
     t: int,
@@ -359,10 +360,13 @@ def a_integral(
     where m is the minimal normalized mass of the configuration and the
     log singularity of G(x, p_t) has been absorbed into the radial power.
     The radial integrals use the exact power substitution; the angular
-    integral is split at the cell corner angles. ``geom`` is the
-    configuration's geometry: the Gstar values come from ``config.gstar``.
+    integral is split at the cell corner angles.
     """
-    points = np.asarray(config.points, dtype=float)
+    delta0 = as_number(delta0, "delta0")
+    if delta0 <= 0.0:
+        raise InputError(f"delta0 must be positive, got {delta0}")
+    geom = config.geometry
+    points = config.points
     mus = np.array([s.mu for s in config.strengths])
     fm = config.frak.minimum
     mu_t = float(mus[t])

@@ -33,6 +33,8 @@ from .errors import (
     InputError,
     IntegrationError,
     OutOfRangeError,
+    as_array,
+    as_number,
 )
 
 # Radius below which the origin series supplies values; integration starts here.
@@ -52,25 +54,13 @@ class ProblemSpec:
     alpha0: np.ndarray
 
     def __post_init__(self):
-        a0 = np.asarray(self.alpha0, dtype=float)
-        if a0.shape != (self.matrix.n,):
-            raise InputError(
-                f"alpha0 must have length {self.matrix.n}, got shape {a0.shape}"
-            )
-        if not np.all(np.isfinite(a0)):
-            raise InputError("alpha0 must be finite")
-        a0 = a0.copy()
+        a0 = as_array(self.alpha0, "alpha0", (self.matrix.n,)).copy()
         a0.setflags(write=False)
         object.__setattr__(self, "alpha0", a0)
 
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @property
-    def max_normalized(self) -> bool:
-        """Whether the convention max_i U_i(0) = 0 holds for this data."""
-        return abs(float(np.max(self.alpha0))) == 0.0
 
 
 @dataclass(frozen=True)
@@ -187,8 +177,10 @@ def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> Radi
     IntegrationError
         On step-size underflow; carries the last good radius.
     """
-    if not (math.isfinite(r_max) and r_max >= 10.0):
-        raise InputError(f"r_max must be finite and at least 10, got {r_max}")
+    r_max = as_number(r_max, "r_max")
+    if r_max < 10.0:
+        raise InputError(f"r_max must be at least 10, got {r_max}")
+    tol = as_number(tol, "tol")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
 
@@ -332,17 +324,6 @@ def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
         return _series_energy_seeds(profile.spec, r)[0] if r > 0.0 else np.zeros(profile.n)
     s = math.log(min(r, profile.r_max))
     return _hermite(profile.grid, profile.mass, profile.wnode, s)
-
-
-def interp_logmass(profile: RadialProfile, r: float) -> np.ndarray:
-    """Running log-weighted mass integrals at radius r."""
-    if r < 0.0 or r > profile.r_max * (1.0 + 1e-12):
-        raise OutOfRangeError(f"r = {r} outside [0, {profile.r_max}]")
-    if r < profile.r_first:
-        return _series_energy_seeds(profile.spec, r)[1] if r > 0.0 else np.zeros(profile.n)
-    s = math.log(min(r, profile.r_max))
-    slogw = profile.grid[:, None] * profile.wnode
-    return _hermite(profile.grid, profile.logmass, slogw, s)
 
 
 def profile_to_csv(profile: RadialProfile, stream, comments=()) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, as_number
 from .radial import ProblemSpec, RadialProfile
 
 
@@ -49,11 +49,11 @@ class ScalingHeights:
 
 def height_match(M_p: float, M_q: float, mu_p: float, mu_q: float) -> ScalingHeights:
     """Dilation eta with 2 mu_p log eta = mu_p M_p - mu_q M_q - 2 log(mu_p/mu_q)."""
+    M_p, M_q = as_number(M_p, "M_p"), as_number(M_q, "M_q")
+    mu_p, mu_q = as_number(mu_p, "mu_p"), as_number(mu_q, "mu_q")
     for name, mu in (("mu_p", mu_p), ("mu_q", mu_q)):
         if not (0.0 < mu <= 1.0):
             raise InputError(f"{name} must lie in (0, 1], got {mu}")
-    if not (np.isfinite(M_p) and np.isfinite(M_q)):
-        raise InputError("heights must be finite")
     log_eta = (
         mu_p * M_p - mu_q * M_q - 2.0 * math.log(mu_p / mu_q)
     ) / (2.0 * mu_p)
@@ -68,6 +68,7 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     scaled by c, masses scaled by c and log-masses unchanged. Every grid node
     maps exactly, so no resampling error is introduced.
     """
+    mu_p = as_number(mu_p, "mu_p")
     if not (0.0 < mu_p <= 1.0):
         raise DomainError(f"target strength must lie in (0, 1], got {mu_p}")
     mu_q = profile.spec.singularity.mu
@@ -98,8 +99,9 @@ def eta_rescale(profile: RadialProfile, eta: float) -> RadialProfile:
     Preserves the weighted measure: node masses are unchanged and
     log-masses pick up -log(eta) * mass.
     """
-    if eta <= 0.0 or not np.isfinite(eta):
-        raise InputError(f"eta must be a positive finite number, got {eta}")
+    eta = as_number(eta, "eta")
+    if eta <= 0.0:
+        raise InputError(f"eta must be positive, got {eta}")
     mu = profile.spec.singularity.mu
     log_eta = math.log(eta)
     shift = 2.0 * mu * log_eta

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import InputError, NonConvergenceError
+from .errors import InputError, NonConvergenceError, as_array
 from .radial import ProblemSpec, integrate
 
 _ALPHA_BOUND = 30.0
@@ -37,17 +37,6 @@ class ShootingPoint:
     summary: SolutionSummary = field(repr=False)
 
 
-def _as_reduced(values, n_minus_one: int | None = None) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if arr.ndim != 1:
-        raise InputError(f"expected a vector, got shape {arr.shape}")
-    if n_minus_one is not None and arr.shape[0] != n_minus_one:
-        raise InputError(
-            f"expected length {n_minus_one}, got {arr.shape[0]}"
-        )
-    return arr
-
-
 def alpha_to_sigma(
     matrix: CoefficientMatrix,
     singularity: SingularityProfile,
@@ -56,7 +45,7 @@ def alpha_to_sigma(
     tol: float = 1e-10,
 ) -> ShootingPoint:
     """Integrate with initial values (0, alpha_2, ..., alpha_n), return sigma."""
-    reduced = _as_reduced(reduced_alpha, matrix.n - 1)
+    reduced = as_array(reduced_alpha, "reduced_alpha", (matrix.n - 1,))
     if reduced.size and float(np.max(np.abs(reduced))) > _ALPHA_BOUND:
         raise InputError(
             f"reduced initial values must lie in [-{_ALPHA_BOUND}, {_ALPHA_BOUND}]"
@@ -85,7 +74,7 @@ def shooting_jacobian(
     """Centered-difference Jacobian d reduced_sigma / d reduced_alpha."""
     if not (1e-6 <= h <= 1e-2):
         raise InputError(f"finite-difference step must lie in [1e-6, 1e-2], got {h}")
-    reduced = _as_reduced(reduced_alpha, matrix.n - 1)
+    reduced = as_array(reduced_alpha, "reduced_alpha", (matrix.n - 1,))
     dim = reduced.shape[0]
     jac = np.empty((dim, dim))
     for j in range(dim):
@@ -119,15 +108,11 @@ def invert_sigma(
         After 50 steps, or when no descent direction works; carries the
         best iterate and its residual norm.
     """
-    target = _as_reduced(target_reduced_sigma, matrix.n - 1)
+    target = as_array(target_reduced_sigma, "target_sigma", (matrix.n - 1,))
     dim = target.shape[0]
     if dim == 0:
         return np.zeros(0)
-    alpha = (
-        np.zeros(dim) if guess is None else _as_reduced(guess, dim).copy()
-    )
-    if not np.all(np.isfinite(alpha)):
-        raise InputError("guess must be finite")
+    alpha = np.zeros(dim) if guess is None else as_array(guess, "guess", (dim,)).copy()
 
     point = alpha_to_sigma(matrix, singularity, alpha, r_max, tol)
     resid = point.reduced_sigma - target

@@ -229,7 +229,7 @@ def test_criterion_09_torus_green(geometry):
 def test_criterion_10_cell_integral_cauchy(singular_point_config):
     cfg = singular_point_config
     deltas = [0.005, 0.0025, 0.00125, 0.000625]
-    vals = [lv.a_integral(cfg.geometry, cfg, 0, 0, d) for d in deltas]
+    vals = [lv.a_integral(cfg, 0, 0, d) for d in deltas]
     gaps = np.abs(np.diff(vals))
     ok = bool(gaps[0] > gaps[1] > gaps[2] and gaps[2] < 1e-4)
     report(10, "cell-integral Cauchy behavior", ok, f"gaps {gaps[0]:.1e} > {gaps[1]:.1e} > {gaps[2]:.1e}")

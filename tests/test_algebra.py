@@ -41,6 +41,8 @@ class TestValidateStructure:
             lv.validate_structure([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(InputError):
             lv.validate_structure([[np.nan]])
+        with pytest.raises(InputError, match="matrix"):
+            lv.CoefficientMatrix.from_entries([[1.0], [1.0, 2.0]])
 
     def test_h1_failures(self):
         assert not lv.validate_structure([[1, 2], [3, 1]]).h1_ok  # asymmetric
@@ -90,6 +92,11 @@ class TestCriticalValues:
         for v in vals:
             assert np.min(np.abs(extended - (v + 8 * PI))) < 1e-9
 
+    @pytest.mark.parametrize("m_max", [2.7, math.nan, -1, True, "2"])
+    def test_rejects_bad_m_max(self, m_max):
+        with pytest.raises(InputError, match="m_max"):
+            lv.critical_values([], m_max)
+
 
 class TestLambdaAndQ:
     def test_direct_value(self, matrix12):
@@ -123,6 +130,17 @@ class TestLambdaAndQ:
             assert lv.lambda_L(t * q, matrix12, 1.0) > 0
         for t in (1.01, 1.5, 1.9):
             assert lv.lambda_L(t * q, matrix12, 1.0) < 0
+
+    @pytest.mark.parametrize("n_L", [math.nan, math.inf, 0.0, -1.0, "1"])
+    def test_rejects_bad_level(self, matrix12, n_L):
+        rho = [2 * PI, 2 * PI]
+        for call in (
+            lambda: lv.q_point(matrix12, n_L),
+            lambda: lv.frak_m(rho, matrix12, n_L),
+            lambda: lv.lambda_L(rho, matrix12, n_L),
+        ):
+            with pytest.raises(InputError, match="n_L"):
+                call()
 
 
 class TestFrakM:

@@ -40,6 +40,10 @@ class TestConfiguration:
             make_config(h_fields=())
         with pytest.raises(InputError):
             make_config(rho=[1.0, 2.0])
+        with pytest.raises(InputError, match="D must"):
+            make_config(D=[math.nan])
+        with pytest.raises(InputError, match="points"):
+            make_config(points=[[0.5, math.nan]])
 
 
 class TestBCoefficient:
@@ -183,9 +187,12 @@ class TestLeadingTermGeneral:
         )
         assert a.D == pytest.approx(b.D, rel=1e-7)
 
-    def test_regime_and_domain_errors(self, single_point_config):
+    def test_regime_and_domain_errors(self, single_point_config, singular_point_config):
         with pytest.raises(WrongRegimeError):
             lv.leading_term_general(single_point_config, 0.01, 1e-3)
+        for eps_k in (math.nan, 5.0, 0.0):
+            with pytest.raises(InputError, match="eps_k"):
+                lv.leading_term_general(singular_point_config, 0.01, eps_k)
         low_mass = make_config(
             strengths=(lv.SingularityProfile(-0.5),), rho=[1.8 * math.pi]
         )  # normalized mass 1.8 at level 1/2

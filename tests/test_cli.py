@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -69,17 +70,6 @@ class TestSolve:
             {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [0.0], "tol": 1e-20},
         )
         assert code == 2
-
-    @pytest.mark.parametrize("r_max", [math.nan, math.inf])
-    def test_non_finite_r_max(self, tmp_path, capsys, r_max):
-        # json writes and reads these as the bare words NaN and Infinity
-        code, _ = run(
-            tmp_path,
-            "solve",
-            {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [0.0], "r_max": r_max},
-        )
-        assert code == 2
-        assert "r_max" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(
@@ -347,3 +337,114 @@ class TestGreen:
         assert payload["grad_gamma_diagonal"] == [0.0, 0.0]
         assert payload["gamma_diagonal"] == pytest.approx(-0.2085777932, abs=1e-9)
         assert payload["values"][0]["G"] == pytest.approx(-0.0551589000, abs=1e-9)
+
+
+# Small valid configs, one per command; each probe below breaks one value.
+BASES = {
+    "solve": {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [0.0]},
+    "invert": {
+        "matrix": [[1.0, 2.0], [2.0, 1.0]],
+        "gamma": 0.0,
+        "target_sigma": [4.0 / 3.0],
+        "guess": [0.0],
+    },
+    "surface": {
+        "matrix": [[1.0, 2.0], [2.0, 1.0]],
+        "surface": {
+            "rho": [8 * math.pi / 3, 8 * math.pi / 3],
+            "n_L": 1.0,
+            "m_max": 2,
+            "gammas": [-0.5],
+            "sweep": {"t_min": 0.5, "t_max": 1.5, "count": 21},
+        },
+    },
+    "compare": {
+        "matrix": [[1.0]],
+        "gamma": -0.5,
+        "alpha0": [0.0],
+        "compare": {"mu_p": 0.5, "M_p": 6.0, "M_q": 6.0},
+    },
+    "leading-Q": {
+        "matrix": [[1.0]],
+        "blowup": {
+            "points": [[0.5, 0.5]],
+            "gammas": [0.0],
+            "rho": [8.0 * math.pi],
+            "h_fields": [{"type": "constant", "value": 1.0}],
+            "D": [math.log(64.0)],
+            "alpha": [0.0],
+            "eps_k": 1e-3,
+            "regime": "Q",
+        },
+    },
+    "leading-general": {
+        "matrix": [[1.0, 7.0], [7.0, 1.0]],
+        "blowup": {
+            "points": [[0.31, 0.62]],
+            "gammas": [-0.5],
+            "rho": [1.25 * math.pi, 0.25 * math.pi],
+            "h_fields": [{"type": "constant"}, {"type": "constant"}],
+            "D": [math.log(4.0), math.log(4.0)],
+            "alpha": [0.0, 0.0],
+            "eps_k": 1e-3,
+            "delta0": 0.02,
+            "regime": "general",
+        },
+    },
+    "green": {"green": {"points": [[0.1, 0.2], [0.6, 0.7]]}},
+}
+
+# (case id, base, dotted path to the broken value, the value, key named in the error)
+PROBES = [
+    ("eps_k-nan", "leading-general", "blowup.eps_k", math.nan, "eps_k"),
+    ("eps_k-5", "leading-general", "blowup.eps_k", 5, "eps_k"),
+    ("D-nan", "leading-general", "blowup.D", [math.nan, 0.0], "D must"),
+    ("points-nan", "leading-general", "blowup.points", [[math.nan, 0.62]], "points"),
+    ("green-points-nan", "green", "green.points", [[0.1, math.nan], [0.6, 0.7]], "points"),
+    ("level_mass-nan", "leading-Q", "blowup.level_mass", math.nan, "level_mass"),
+    ("n_L-nan", "surface", "surface.n_L", math.nan, "n_L"),
+    ("m_max-2.7", "surface", "surface.m_max", 2.7, "m_max"),
+    ("m_max-nan", "surface", "surface.m_max", math.nan, "m_max"),
+    ("count-2.5", "surface", "surface.sweep.count", 2.5, "count"),
+    ("count-neg", "surface", "surface.sweep.count", -3, "count"),
+    ("sweep-number", "surface", "surface.sweep", 3, "sweep"),
+    ("pairs-short-point", "green", "green.pairs", [[[0.5], [0.0, 0.0]]], "pairs"),
+    ("delta0-nan", "leading-general", "blowup.delta0", math.nan, "delta0"),
+    ("delta0-neg", "leading-general", "blowup.delta0", -0.02, "delta0"),
+    ("delta0-0", "leading-general", "blowup.delta0", 0, "delta0"),
+    # json writes and reads NaN and Infinity as bare words
+    ("r_max-nan", "solve", "r_max", math.nan, "r_max"),
+    ("r_max-inf", "solve", "r_max", math.inf, "r_max"),
+    ("r_max-string", "solve", "r_max", "big", "r_max"),
+    ("gamma-null", "solve", "gamma", None, "gamma"),
+    ("gamma-string", "solve", "gamma", "x", "gamma"),
+    ("matrix-ragged", "solve", "matrix", [[1.0], [1.0, 2.0]], "matrix"),
+    ("alpha0-string", "solve", "alpha0", "x", "alpha0"),
+    ("guess-string", "invert", "guess", "x", "guess"),
+    ("mu_p-string", "compare", "compare.mu_p", "x", "mu_p"),
+    ("h_fields-number", "leading-Q", "blowup.h_fields", 3, "h_fields"),
+    (
+        "field-no-amplitude",
+        "leading-Q",
+        "blowup.h_fields",
+        [{"type": "sinusoidal", "frequency": [1, 0]}],
+        "amplitude",
+    ),
+    ("target_sigma-nan", "invert", "target_sigma", [math.nan], "target_sigma"),
+]
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=[p[0] for p in PROBES])
+def test_bad_value_exits_2(tmp_path, capsys, probe):
+    # a wrong type, a non-finite or an out-of-range value is a config error
+    # that names its key, never a traceback, a NaN artifact or a solver error
+    _, base, path, value, key = probe
+    cfg = copy.deepcopy(BASES[base])
+    *parents, leaf = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    code, _ = run(tmp_path, base.split("-")[0], cfg)
+    assert code == 2
+    assert key in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,11 @@ class TestInvertSigma:
 
     def test_degenerate_dimension(self, matrix1):
         assert lv.invert_sigma(matrix1, GAMMA0, []).shape == (0,)
+
+    def test_rejects_non_finite_target(self, matrix12):
+        # named as the target, not as a NaN Newton iterate further down
+        with pytest.raises(InputError, match="target_sigma"):
+            lv.invert_sigma(matrix12, GAMMA0, [math.nan], guess=[0.0])
 
 
 class TestSwapEquivariance:

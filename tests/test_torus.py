@@ -241,7 +241,7 @@ class TestAIntegral:
 
     def test_frozen_regression(self, singular_point_config):
         cfg = singular_point_config
-        val = lv.a_integral(cfg.geometry, cfg, 0, 0, 0.05)
+        val = lv.a_integral(cfg, 0, 0, 0.05)
         assert val == pytest.approx(self.FIXTURE_A_005, abs=1e-5)
 
     def test_independent_quadrature_oracle(self, singular_point_config):
@@ -271,18 +271,18 @@ class TestAIntegral:
         oracle = delta0 ** (mu_t * (2.0 - fm)) / mu_t - (fm - 2.0) / (
             2.0 * np.pi
         ) * total
-        production = lv.a_integral(geom, cfg, 0, 0, delta0)
+        production = lv.a_integral(cfg, 0, 0, delta0)
         assert production == pytest.approx(oracle, abs=5e-4)
 
     def test_quadrature_refinement_stable(self, singular_point_config):
         cfg = singular_point_config
-        coarse = lv.a_integral(cfg.geometry, cfg, 0, 0, 0.05, epsrel=1e-6)
-        fine = lv.a_integral(cfg.geometry, cfg, 0, 0, 0.05, epsrel=1e-9)
+        coarse = lv.a_integral(cfg, 0, 0, 0.05, epsrel=1e-6)
+        fine = lv.a_integral(cfg, 0, 0, 0.05, epsrel=1e-9)
         assert abs(coarse - fine) < 1e-5
 
     def test_cauchy_behavior(self, singular_point_config):
         cfg = singular_point_config
-        vals = [lv.a_integral(cfg.geometry, cfg, 0, 0, d) for d in (0.02, 0.01, 0.005)]
+        vals = [lv.a_integral(cfg, 0, 0, d) for d in (0.02, 0.01, 0.005)]
         gaps = np.abs(np.diff(vals))
         assert gaps[1] < gaps[0]
         # gap law ~ delta0^(mu_t (2 - m) + 2) = delta0^1.5 here
@@ -301,14 +301,17 @@ class TestAIntegral:
             alpha=cfg.alpha,
             geometry=cfg.geometry,
         )
-        a = lv.a_integral(cfg.geometry, cfg, 0, 0, 0.04)
-        b = lv.a_integral(cfg.geometry, shifted, 0, 0, 0.04)
+        a = lv.a_integral(cfg, 0, 0, 0.04)
+        b = lv.a_integral(shifted, 0, 0, 0.04)
         assert abs(a - b) < 1e-8
 
     def test_oversized_ball_rejected(self, singular_point_config):
         cfg = singular_point_config
         with pytest.raises(GeometryError):
-            lv.a_integral(cfg.geometry, cfg, 0, 0, 0.6)
+            lv.a_integral(cfg, 0, 0, 0.6)
+        for delta0 in (0.0, -0.02, math.nan):
+            with pytest.raises(InputError, match="delta0"):
+                lv.a_integral(cfg, 0, 0, delta0)
 
     def test_continuity_near_mass_two(self, matrix1):
         # near m = 2 the ball term approaches 1/mu_t and the integral is small
@@ -328,7 +331,7 @@ class TestAIntegral:
         for fm in (2.02, 2.05, 2.1):
             cfg = config_with_mass(fm)
             assert cfg.frak.minimum == pytest.approx(fm, rel=1e-12)
-            vals.append(lv.a_integral(cfg.geometry, cfg, 0, 0, 0.05))
+            vals.append(lv.a_integral(cfg, 0, 0, 0.05))
         diffs = np.abs(np.diff(vals))
         assert np.all(diffs < 0.35)  # continuous in the mass parameter
         ball_term = 0.05 ** (0.5 * (2.0 - 2.02)) / 0.5
@@ -370,8 +373,8 @@ def test_two_point_cell_integral_smoke(geometry, matrix1):
         D=[0.0],
         alpha=[0.0],
     )
-    val = lv.a_integral(cfg.geometry, cfg, 0, 0, 0.05)
-    half = lv.a_integral(cfg.geometry, cfg, 0, 1, 0.05)
+    val = lv.a_integral(cfg, 0, 0, 0.05)
+    half = lv.a_integral(cfg, 0, 1, 0.05)
     assert np.isfinite(val)
     # symmetric configuration: both cells give the same value
     assert val == pytest.approx(half, rel=1e-7)
