@@ -90,9 +90,8 @@ _BLOWUP_KEYS = {
     "delta0",
     "regime",
     "level_mass",
-    "n_modes",
 }
-_GREEN_KEYS = {"n_modes", "points", "pairs"}
+_GREEN_KEYS = {"points", "pairs"}
 _OUTPUT_KEYS = {"prefix"}
 _FIELD_KEYS = {"type", "value", "amplitude", "frequency", "phase", "base"}
 # where nested objects (with their keys) and lists (None) sit, parents first
@@ -384,7 +383,6 @@ def _blowup_from(cfg: dict) -> tuple[BlowupConfiguration, dict]:
         curvature=sub.get("curvature", [0.0] * len(strengths)),
         D=_require(sub, "D"),
         alpha=_require(sub, "alpha"),
-        geometry=TorusGreen(n_modes=sub.get("n_modes", 12)),
     )
     return config, sub
 
@@ -441,12 +439,11 @@ def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
 
 def cmd_green(cfg: dict, out: _Out, tol_override=None) -> int:
     sub = _require(cfg, "green")
-    geometry = TorusGreen(n_modes=sub.get("n_modes", 12))
+    geometry = TorusGreen()
     gamma_diag, grad_diag = regular_part(geometry, np.zeros(2))
     payload: dict = {
         "gamma_diagonal": gamma_diag,
         "grad_gamma_diagonal": grad_diag.tolist(),
-        "n_modes": geometry.n_modes,
     }
     if "pairs" in sub:
         pairs = [

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtractionError, InputError
+from .errors import ExtractionError, InputError, as_number
 from .radial import RadialProfile, evaluate, interp_mass
 
 # Fixed-point iteration control for the tail closure.
@@ -198,6 +198,7 @@ def asymptotic_fit_error(profile: RadialProfile, summary: SolutionSummary, r: fl
     / (m_j - 2 mu)^2 * r^(2 mu - m_j). The result decays one order faster
     than the retained correction.
     """
+    r = as_number(r, "r")
     if r < 5.0:
         raise InputError(f"fit error is only meaningful for r >= 5, got {r}")
     mu = summary.mu

@@ -5,30 +5,33 @@ the (positive) Laplacian with unit mean subtracted,
 
     -Delta G(x, p) = delta_p - 1,   integral G = 0,
 
-is the spectral sum sum_{k != 0} e^(2 pi i k.(x-p)) / (4 pi^2 |k|^2). The sum
-over the first lattice index is carried out in closed form, and the dominant
-image terms of the remaining geometric series are extracted as explicit
-logarithms. With u = frac(d1/Lx), b = d2/Ly and beta = Lx/Ly:
+is the spectral sum sum_{k != 0} e^(2 pi i k.(x-p)) / (4 pi^2 |k|^2). The
+coordinates are taken with the long side first: L1 = max(Lx, Ly),
+L2 = min(Lx, Ly), beta = L1 / L2 >= 1, and (d1, d2) the wrapped displacement
+along L1 and L2. Summing over the lattice index along L2 in closed form
+leaves one sum over the images of the source along L1. With u = d1/L1 and
+b = d2/L2 in [-1/2, 1/2]:
 
-    G(d) = (Lx^2/2) (u^2 - u + 1/6) + GF(beta u, b) + GF(beta (1-u), b)
-           + sum_{k>=1} cos(2 pi k b)
-             (e^(-2 pi k beta (u+1)) + e^(-2 pi k beta (2-u)))
-             / (2 pi k (1 - e^(-2 pi k beta))),
+    G(d) = (L1^2/2) (u^2 - |u| + 1/6) + sum_m K(-2 pi beta |u + m|, b),
 
-    GF(a, b) = -(1/2 pi) log|1 - e^(-2 pi a + 2 pi i b)|.
+    K(x, b) = -(1/4 pi) log|1 - e^(x + 2 pi i b)|^2
+            = -(1/4 pi) log(expm1(x)^2 + 4 e^x sin^2(pi b)).
 
-The remaining series converges like e^(-2 pi beta k) uniformly in position,
-so the mode cutoff n_modes is far beyond double precision already at ~10.
-The log singularity -(1/2 pi) log|d| sits entirely in the first GF term.
+Image m decays like e^(-2 pi beta |m|) = e^(-2 pi max(Lx/Ly, Ly/Lx) |m|)
+(at most e^(-2 pi beta (|m| - 1/2)), since |u| <= 1/2), so about a dozen
+images reach double precision on every rectangular torus, and their number
+follows from beta alone. The expm1 form keeps the log singularity
+-(1/2 pi) log|d|, which sits in the m = 0 image, free of cancellation.
 
-Letting d -> 0 in the expansion gives the diagonal regular part
-gamma = lim (G(d) + (1/2 pi) log|d|) in closed form, with q_k = e^(-2 pi k beta):
+Letting d -> 0 gives the diagonal regular part
+gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
 
-    gamma = Lx^2/12 - (1/2 pi) log(2 pi / Ly) - (1/2 pi) log(1 - q_1)
-            + sum_{k>=1} q_k (1 + q_k) / (2 pi k (1 - q_k)).
+    gamma = L1^2/12 - (1/2 pi) log(2 pi / L2) + sum_{m != 0} K(-2 pi beta |m|, 0)
+          = L1^2/12 - (1/2 pi) log(2 pi / L2)
+            - (1/pi) sum_{k>=1} log(1 - e^(-2 pi beta k)).
 
 This is Kronecker's limit formula (Lin & Wang, Ann. of Math. 172 (2010)):
-gamma = -(1/2 pi) log(2 pi Lx |eta(i beta)|^2) with the Dedekind eta
+gamma = -(1/2 pi) log(2 pi Lx |eta(i Lx/Ly)|^2) with the Dedekind eta
 eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau). Since G is
 even in d, the gradient of gamma on the diagonal is exactly zero.
 
@@ -50,7 +53,6 @@ from .errors import (
     InputError,
     SingularityError,
     as_array,
-    as_count,
     as_number,
 )
 
@@ -59,10 +61,9 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TorusGreen:
-    """Flat rectangular torus of unit area with a spectral mode cutoff."""
+    """Flat rectangular torus of unit area."""
 
     periods: tuple = ((1.0, 0.0), (0.0, 1.0))
-    n_modes: int = 12
 
     def __post_init__(self):
         p = as_array(self.periods, "periods", (2, 2))
@@ -73,7 +74,6 @@ class TorusGreen:
         area = abs(p[0][0] * p[1][1])
         if abs(area - 1.0) > 1e-12:
             raise InputError(f"torus area must be 1, got {area}")
-        object.__setattr__(self, "n_modes", as_count(self.n_modes, "n_modes", 1))
         object.__setattr__(
             self, "periods", ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
         )
@@ -89,10 +89,9 @@ class TorusGreen:
 
 def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
     """Shortest representative of a displacement, coordinates in (-L/2, L/2]."""
+    periods = np.array([geom.lx, geom.ly])
     d = np.asarray(d, dtype=float)
-    w1 = d[..., 0] - geom.lx * np.round(d[..., 0] / geom.lx)
-    w2 = d[..., 1] - geom.ly * np.round(d[..., 1] / geom.ly)
-    return np.stack([w1, w2], axis=-1)
+    return d - periods * np.round(d / periods)
 
 
 def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
@@ -100,58 +99,70 @@ def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
     return np.hypot(w[..., 0], w[..., 1])
 
 
-def _gf(a, b):
-    """-(1/2 pi) log|1 - e^(-2 pi a + 2 pi i b)|, elementwise."""
-    q = np.exp(-_TWO_PI * a)
-    arg = 1.0 - 2.0 * q * np.cos(_TWO_PI * b) + q * q
-    return -np.log(arg) / (2.0 * _TWO_PI)
+def _sides(geom: TorusGreen):
+    """Long period, short period, and whether the long side is the y side."""
+    if geom.lx >= geom.ly:
+        return geom.lx, geom.ly, False
+    return geom.ly, geom.lx, True
 
 
-def _gf_ratio(a, b):
-    """w / (1 - w) with w = e^(-2 pi a + 2 pi i b); drives the GF gradient."""
-    w = np.exp(-_TWO_PI * a + 2j * math.pi * b)
-    return w / (1.0 - w)
+def _images(beta: float) -> np.ndarray:
+    """Image offsets -M..M; past M the images weigh below e^(-40) ~ 4e-18."""
+    reach = max(0, math.ceil(40.0 / (_TWO_PI * beta) - 0.5))
+    return np.arange(-reach, reach + 1.0)
 
 
-def _core_value(geom: TorusGreen, d1, d2):
-    lx, ly = geom.lx, geom.ly
-    beta = lx / ly
-    u = np.mod(np.asarray(d1, dtype=float) / lx, 1.0)
-    b = np.asarray(d2, dtype=float) / ly
-    val = (lx * lx / 2.0) * (u * u - u + 1.0 / 6.0)
-    val = val + _gf(beta * u, b) + _gf(beta * (1.0 - u), b)
-    for k in range(1, geom.n_modes + 1):
-        qk = math.exp(-_TWO_PI * k * beta)
-        if qk == 0.0:  # both image terms are at most qk, as are all later ones
-            break
-        ek = np.exp(-_TWO_PI * k * beta * u)
-        val = val + (
-            np.cos(_TWO_PI * k * b)
-            * qk
-            * (ek + qk / ek)
-            / (_TWO_PI * k * (1.0 - qk))
-        )
-    return val
+def _image_terms(x, s2):
+    """e^x, expm1(x) and |1 - e^(x + 2 pi i b)|^2 with s2 = sin^2(pi b)."""
+    ex, em1 = np.exp(x), np.expm1(x)
+    return ex, em1, em1 * em1 + ex * (4.0 * s2)
 
 
-def _core_gradient(geom: TorusGreen, d1, d2):
-    lx, ly = geom.lx, geom.ly
-    beta = lx / ly
-    u = np.mod(np.asarray(d1, dtype=float) / lx, 1.0)
-    b = np.asarray(d2, dtype=float) / ly
-    r_lo = _gf_ratio(beta * u, b)
-    r_hi = _gf_ratio(beta * (1.0 - u), b)
-    g1 = (lx / 2.0) * (2.0 * u - 1.0) + (beta / lx) * (-r_lo.real + r_hi.real)
-    g2 = (1.0 / ly) * (-r_lo.imag - r_hi.imag)
-    for k in range(1, geom.n_modes + 1):
-        qk = math.exp(-_TWO_PI * k * beta)
-        if qk == 0.0:
-            break
-        ek = np.exp(-_TWO_PI * k * beta * u)
-        common = qk / (1.0 - qk)
-        g1 = g1 - (beta / lx) * np.cos(_TWO_PI * k * b) * common * (ek - qk / ek)
-        g2 = g2 - (1.0 / ly) * np.sin(_TWO_PI * k * b) * common * (ek + qk / ek)
-    return g1, g2
+# Points per broadcast over the images: enough for numpy to do the work,
+# few enough to keep the (points x images) temporaries small.
+_BLOCK = 2048
+
+
+def _green(geom: TorusGreen, d, gradient: bool = False) -> np.ndarray:
+    """G at displacements d (last axis 2), or its gradient on a last axis."""
+    l1, l2, swap = _sides(geom)
+    beta = l1 / l2
+    m = _images(beta)
+    w = wrap_displacement(geom, d)
+    shape = w.shape[:-1]
+    w = w.reshape(-1, 2)[:, ::-1] if swap else w.reshape(-1, 2)
+    out = np.empty((len(w), 2 if gradient else 1))
+    for lo in range(0, len(w), _BLOCK):
+        u, b = (w[lo : lo + _BLOCK] / (l1, l2)).T[..., None]
+        um = u + m
+        s2 = np.sin(math.pi * b) ** 2
+        ex, em1, f = _image_terms(-_TWO_PI * beta * np.abs(um), s2)
+        if gradient:
+            g1 = l1 * (u - 0.5 * np.sign(u)) + np.sum(
+                np.sign(um) * ex * (em1 + 2.0 * s2) / f, axis=1, keepdims=True
+            ) / l2
+            g2 = -np.sin(_TWO_PI * b) * np.sum(ex / f, axis=1, keepdims=True) / l2
+            out[lo : lo + _BLOCK] = np.hstack([g1, g2])
+        else:
+            out[lo : lo + _BLOCK] = (l1 * l1 / 2.0) * (
+                u * u - np.abs(u) + 1.0 / 6.0
+            ) - np.log(np.prod(f, axis=1, keepdims=True)) / (2.0 * _TWO_PI)
+    if gradient and swap:
+        out = out[:, ::-1]
+    return out.reshape(shape + (2,) if gradient else shape)
+
+
+def _displacement(geom: TorusGreen, x, p) -> np.ndarray:
+    """x - p for points with a last axis of 2, off the diagonal."""
+    x, p = as_array(x, "x"), as_array(p, "p")
+    for name, arr in (("x", x), ("p", p)):
+        if arr.shape[-1:] != (2,):
+            raise InputError(
+                f"{name} must have a last axis of length 2, got shape {arr.shape}"
+            )
+    if np.any(torus_distance(geom, x, p) < 1e-8):
+        raise SingularityError("Green function evaluated on the diagonal")
+    return x - p
 
 
 def green_eval(geom: TorusGreen, x, p):
@@ -159,38 +170,26 @@ def green_eval(geom: TorusGreen, x, p):
 
     Raises SingularityError when any pair is closer than 1e-8 on the torus.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = x - p
-    if np.any(torus_distance(geom, x, p) < 1e-8):
-        raise SingularityError("Green function evaluated on the diagonal")
-    out = _core_value(geom, d[..., 0], d[..., 1])
+    out = _green(geom, _displacement(geom, x, p))
     return float(out) if out.ndim == 0 else out
 
 
 def green_gradient(geom: TorusGreen, x, p):
     """Gradient of G in the first argument; broadcasts like green_eval."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = x - p
-    if np.any(torus_distance(geom, x, p) < 1e-8):
-        raise SingularityError("Green gradient evaluated on the diagonal")
-    g1, g2 = _core_gradient(geom, d[..., 0], d[..., 1])
-    return np.stack([g1, g2], axis=-1)
+    return _green(geom, _displacement(geom, x, p), gradient=True)
 
 
 def _diagonal_gamma(geom: TorusGreen) -> float:
     """gamma(p, p), the same for every p on the torus (closed form above)."""
-    beta = geom.lx / geom.ly
-    value = (
-        geom.lx * geom.lx / 12.0
-        - math.log(_TWO_PI / geom.ly) / _TWO_PI
-        - math.log1p(-math.exp(-_TWO_PI * beta)) / _TWO_PI
+    l1, l2, _ = _sides(geom)
+    beta = l1 / l2
+    m = _images(beta)
+    _, _, f = _image_terms(-_TWO_PI * beta * np.abs(m[m != 0]), 0.0)
+    return float(
+        l1 * l1 / 12.0
+        - math.log(_TWO_PI / l2) / _TWO_PI
+        - np.log(np.prod(f)) / (2.0 * _TWO_PI)
     )
-    for k in range(1, geom.n_modes + 1):
-        qk = math.exp(-_TWO_PI * k * beta)
-        value += qk * (1.0 + qk) / (_TWO_PI * k * (1.0 - qk))
-    return float(value)
 
 
 def regular_part(geom: TorusGreen, p):
@@ -371,14 +370,11 @@ def a_integral(
     fm = config.frak.minimum
     mu_t = float(mus[t])
     dists, phis = _cell_geometry(geom, points, t)
-
-    for s in range(points.shape[0]):
-        d_s, _ = _cell_geometry(geom, points, s)
-        if delta0 >= float(d_s.min()):
-            raise GeometryError(
-                f"delta0 = {delta0} does not fit inside the cell of point {s} "
-                f"(inradius {float(d_s.min()):.6f})"
-            )
+    if delta0 >= float(dists.min()):
+        raise GeometryError(
+            f"delta0 = {delta0} does not fit inside the cell of point {t} "
+            f"(inradius {float(dists.min()):.6f})"
+        )
 
     gstar_t = float(mus @ config.gstar.values[t])
     field = config.h_fields[i]
@@ -390,19 +386,13 @@ def a_integral(
         cos_t, sin_t = math.cos(theta), math.sin(theta)
 
         def integrand_of_r(r):
-            x = np.stack([p_t[0] + r * cos_t, p_t[1] + r * sin_t], axis=-1)
-            # regular part of G(x, p_t) along the ray: within the cell the
-            # wrapped distance to p_t is r itself
-            acc = mu_t * (
-                _core_value(geom, x[..., 0] - p_t[0], x[..., 1] - p_t[1])
-                + np.log(r) / _TWO_PI
+            x = p_t + r[:, None] * (cos_t, sin_t)
+            # all sources at once; within the cell the wrapped distance to
+            # p_t is r itself, so the log term leaves the regular part there
+            acc = (
+                _green(geom, x[..., None, :] - points) @ mus
+                + mu_t * np.log(r) / _TWO_PI
             )
-            for l in range(points.shape[0]):
-                if l == t:
-                    continue
-                acc = acc + mus[l] * _core_value(
-                    geom, x[..., 0] - points[l][0], x[..., 1] - points[l][1]
-                )
             ratio = np.asarray(field.value(x), dtype=float) / h_ref
             return ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
 

@@ -300,14 +300,21 @@ def _hermite(grid, y, dy, s):
     )
 
 
+def _radius(profile: RadialProfile, r) -> float:
+    """r as a float in [0, r_max]; NaN is an InputError, not a NaN result."""
+    r = as_number(r, "r")
+    if not 0.0 <= r <= profile.r_max * (1.0 + 1e-12):
+        raise OutOfRangeError(f"r = {r} outside [0, {profile.r_max}]")
+    return r
+
+
 def evaluate(profile: RadialProfile, r: float):
     """Values U_i(r) and radial derivatives U_i'(r) anywhere in [0, r_max].
 
     Below the first grid node the origin series is used; elsewhere cubic
     Hermite interpolation on the log-radius grid.
     """
-    if r < 0.0 or r > profile.r_max * (1.0 + 1e-12):
-        raise OutOfRangeError(f"r = {r} outside [0, {profile.r_max}]")
+    r = _radius(profile, r)
     if r < profile.r_first:
         return origin_series(profile.spec, r)
     s = math.log(min(r, profile.r_max))
@@ -318,8 +325,7 @@ def evaluate(profile: RadialProfile, r: float):
 
 def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
     """Running mass integrals int_0^r t^(2 gamma + 1) e^(U_i) dt."""
-    if r < 0.0 or r > profile.r_max * (1.0 + 1e-12):
-        raise OutOfRangeError(f"r = {r} outside [0, {profile.r_max}]")
+    r = _radius(profile, r)
     if r < profile.r_first:
         return _series_energy_seeds(profile.spec, r)[0] if r > 0.0 else np.zeros(profile.n)
     s = math.log(min(r, profile.r_max))

@@ -70,6 +70,42 @@ def geometry():
     return lv.TorusGreen()
 
 
+def _fourier_green(lx, d, n_modes=400):
+    """G and grad G on the torus (lx, 1/lx) by the Fourier-mode series.
+
+    An independent form of G: two images in closed form along x plus
+    n_modes Fourier modes along y, each mode a geometric series over the
+    remaining images. Slow to converge when lx is small, hence 400 modes.
+    """
+    two_pi = 2.0 * math.pi
+    ly, beta = 1.0 / lx, lx * lx
+    d = np.asarray(d, dtype=float)
+    u, b = np.mod(d[..., 0] / lx, 1.0), d[..., 1] / ly
+    w_lo = np.exp(-two_pi * beta * u + 1j * two_pi * b)
+    w_hi = np.exp(-two_pi * beta * (1.0 - u) + 1j * two_pi * b)
+    value = (lx * lx / 2.0) * (u * u - u + 1.0 / 6.0) - (
+        np.log(np.abs(1.0 - w_lo)) + np.log(np.abs(1.0 - w_hi))
+    ) / two_pi
+    r_lo, r_hi = w_lo / (1.0 - w_lo), w_hi / (1.0 - w_hi)
+    g1 = (lx / 2.0) * (2.0 * u - 1.0) + (beta / lx) * (r_hi.real - r_lo.real)
+    g2 = -(r_lo.imag + r_hi.imag) / ly
+    for k in range(1, n_modes + 1):
+        qk = math.exp(-two_pi * k * beta)
+        if qk == 0.0:  # this mode and all later ones are below double precision
+            break
+        ek = np.exp(-two_pi * k * beta * u)
+        weight = qk / (1.0 - qk)
+        value = value + np.cos(two_pi * k * b) * weight * (ek + qk / ek) / (two_pi * k)
+        g1 = g1 - (beta / lx) * np.cos(two_pi * k * b) * weight * (ek - qk / ek)
+        g2 = g2 - np.sin(two_pi * k * b) * weight * (ek + qk / ek) / ly
+    return value, np.stack([g1, g2], axis=-1)
+
+
+@pytest.fixture(scope="session")
+def fourier_green():
+    return _fourier_green
+
+
 @pytest.fixture(scope="session")
 def single_point_config(matrix1):
     """One regular blowup point at the symmetric point of the scalar system."""

@@ -301,7 +301,6 @@ class TestGreen:
             "green",
             {
                 "green": {
-                    "n_modes": 12,
                     "points": [[0.1, 0.2], [0.6, 0.7]],
                     "pairs": [[[0.5, 0.5], [0.0, 0.0]]],
                 }
@@ -321,22 +320,10 @@ class TestGreen:
 
     @pytest.mark.parametrize("n_modes", [2.5, math.nan])
     def test_non_integer_modes(self, tmp_path, capsys, n_modes):
+        # the image count follows from the torus: n_modes is no key at all
         code, _ = run(tmp_path, "green", {"green": {"n_modes": n_modes}})
         assert code == 2
-        assert "n_modes" in capsys.readouterr().err
-
-    def test_many_modes(self, tmp_path):
-        # past k ~ 119 the mode weights underflow; the sum must stay finite
-        code, out = run(
-            tmp_path,
-            "green",
-            {"green": {"n_modes": 200, "pairs": [[[0.5, 0.5], [0.0, 0.0]]]}},
-        )
-        assert code == 0
-        payload = read_json(out, "green.json")
-        assert payload["grad_gamma_diagonal"] == [0.0, 0.0]
-        assert payload["gamma_diagonal"] == pytest.approx(-0.2085777932, abs=1e-9)
-        assert payload["values"][0]["G"] == pytest.approx(-0.0551589000, abs=1e-9)
+        assert "unknown key 'n_modes'" in capsys.readouterr().err
 
 
 # Small valid configs, one per command; each probe below breaks one value.
@@ -412,6 +399,8 @@ PROBES = [
     ("delta0-nan", "leading-general", "blowup.delta0", math.nan, "delta0"),
     ("delta0-neg", "leading-general", "blowup.delta0", -0.02, "delta0"),
     ("delta0-0", "leading-general", "blowup.delta0", 0, "delta0"),
+    # n_modes is not a key: the Green function sets its own image count
+    ("n_modes-12", "leading-general", "blowup.n_modes", 12, "unknown key 'n_modes'"),
     # json writes and reads NaN and Infinity as bare words
     ("r_max-nan", "solve", "r_max", math.nan, "r_max"),
     ("r_max-inf", "solve", "r_max", math.inf, "r_max"),

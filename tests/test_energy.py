@@ -30,6 +30,8 @@ class TestTruncatedSigma:
     def test_out_of_range(self, f1_profile):
         with pytest.raises(OutOfRangeError):
             lv.truncated_sigma(f1_profile, 2e4)
+        with pytest.raises(InputError, match="r must be finite"):
+            lv.truncated_sigma(f1_profile, math.nan)
 
 
 class TestExtractSummary:
@@ -182,6 +184,8 @@ class TestAsymptoticFit:
     def test_radius_validation(self, f1_profile, f1_summary):
         with pytest.raises(InputError):
             lv.asymptotic_fit_error(f1_profile, f1_summary, 2.0)
+        with pytest.raises(InputError, match="r must be finite"):
+            lv.asymptotic_fit_error(f1_profile, f1_summary, math.nan)
 
 
 class TestSummaryExport:

@@ -198,6 +198,8 @@ class TestEvaluate:
             lv.evaluate(f1_profile, 2e4)
         with pytest.raises(OutOfRangeError):
             lv.evaluate(f1_profile, -1.0)
+        with pytest.raises(InputError, match="r must be finite"):
+            lv.evaluate(f1_profile, math.nan)
 
 
 class TestCsvExport:

@@ -8,7 +8,8 @@ import liouville as lv
 from liouville.errors import GeometryError, InputError, SingularityError
 from liouville.green import _cell_corner_angles, _cell_geometry
 
-# Frozen after mode-doubling stabilized below 1e-10 (n_modes 12 vs 24).
+# Frozen from the earlier Fourier-mode form once doubling its mode count moved
+# it by less than 1e-10; the image sum in green.py agrees to 1e-16.
 G_HALF_HALF = -0.05515890003816293
 # Frozen from an offset extrapolation that stabilized below 1e-11; the exact
 # closed form in green.py agrees to 1e-12, and so does the independent value
@@ -32,19 +33,50 @@ class TestGreenEval:
         val = lv.green_eval(geometry, np.array([0.5, 0.5]), np.zeros(2))
         assert val == pytest.approx(G_HALF_HALF, abs=1e-10)
 
-    def test_mode_doubling(self, geometry):
-        doubled = lv.TorusGreen(n_modes=2 * geometry.n_modes)
-        small, small2 = lv.TorusGreen(n_modes=3), lv.TorusGreen(n_modes=6)
+    @pytest.mark.parametrize("lx", [0.3, 0.5, 1.0, 2.0, 3.0])
+    def test_matches_fourier_series(self, lx, fourier_green):
+        # the image sum against the 400-mode Fourier series, away from the pole
+        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            x, p = rng.random(2), rng.random(2)
-            if float(lv.torus_distance(geometry, x, p)) < 0.1:
-                continue
-            a = lv.green_eval(geometry, x, p)
-            assert abs(a - lv.green_eval(doubled, x, p)) < 1e-8
-            assert abs(
-                lv.green_eval(small, x, p) - lv.green_eval(small2, x, p)
-            ) < 1e-8
+        x = rng.random((400, 2)) * [lx, 1.0 / lx]
+        p = rng.random(2) * [lx, 1.0 / lx]
+        x = x[lv.torus_distance(geom, x, p) >= 0.05]
+        value, grad = fourier_green(lx, x - p)
+        assert np.max(np.abs(lv.green_eval(geom, x, p) - value)) < 1e-12
+        assert np.max(np.abs(lv.green_gradient(geom, x, p) - grad)) < 1e-11
+
+    @pytest.mark.parametrize("lx", [0.3, 1.0, 3.0])
+    def test_regular_part_at_the_pole(self, lx):
+        # G + log|d|/2 pi - gamma is O(|d|^2); at |d| = 1e-6 nothing cancels
+        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
+        gamma = lv.regular_part(geom, np.zeros(2))[0]
+        p = np.array([0.31 * lx, 0.62 / lx])
+        for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+            x = p + 1e-6 * np.array([math.cos(angle), math.sin(angle)])
+            d = x - p
+            reg = lv.green_eval(geom, x, p) + math.log(math.hypot(*d)) / (2.0 * math.pi)
+            assert abs(reg - gamma) < 1e-11
+
+    @pytest.mark.parametrize("a", [0.3, 2.0])
+    def test_orientation(self, a):
+        # the torus (a, 1/a) is the torus (1/a, a) with the axes exchanged
+        wide = lv.TorusGreen(periods=((a, 0.0), (0.0, 1.0 / a)))
+        tall = lv.TorusGreen(periods=((1.0 / a, 0.0), (0.0, a)))
+        rng = np.random.default_rng(19)
+        x = rng.random((50, 2)) * [a, 1.0 / a]
+        p = np.array([0.05, 0.03])
+        np.testing.assert_allclose(
+            lv.green_eval(wide, x, p),
+            lv.green_eval(tall, x[:, ::-1], p[::-1]),
+            rtol=0.0,
+            atol=1e-14,
+        )
+        np.testing.assert_allclose(
+            lv.green_gradient(wide, x, p),
+            lv.green_gradient(tall, x[:, ::-1], p[::-1])[:, ::-1],
+            rtol=0.0,
+            atol=1e-13,
+        )
 
     def test_mean_zero(self, geometry):
         n_grid = 512
@@ -141,10 +173,10 @@ class TestRegularPart:
         _, grad = lv.regular_part(geometry, np.array([0.62, 0.17]))
         assert np.max(np.abs(grad)) < 1e-8
 
-    @pytest.mark.parametrize("lx", [0.5, 0.8, 2.0])
+    @pytest.mark.parametrize("lx", [0.3, 0.5, 0.8, 2.0])
     def test_dedekind_eta_oracle(self, lx):
         # Kronecker's limit formula: gamma = -(1/2 pi) log(2 pi Lx |eta(i beta)|^2)
-        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)), n_modes=24)
+        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
         q = math.exp(-2.0 * math.pi * lx * lx)  # beta = Lx / Ly = Lx^2
         eta = q ** (1.0 / 24.0) * math.prod(1.0 - q**n for n in range(1, 200))
         oracle = -math.log(2.0 * math.pi * lx * eta**2) / (2.0 * math.pi)
@@ -165,6 +197,12 @@ class TestRegularPart:
     def test_rejects_bad_point(self, geometry, p):
         with pytest.raises(InputError):
             lv.regular_part(geometry, np.array(p))
+        # the Green entry points take either argument with a last axis of 2
+        other = np.full(len(p), 0.5)
+        for fn in (lv.green_eval, lv.green_gradient):
+            for x, q in ((p, other), (other, p)):
+                with pytest.raises(InputError):
+                    fn(geometry, x, q)
 
 
 class TestGeometryValidation:
@@ -189,26 +227,6 @@ class TestGeometryValidation:
             lv.TorusGreen(periods=((1.0, 0.1), (0.0, 1.0)))
         with pytest.raises(InputError):
             lv.TorusGreen(periods=((2.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(InputError):
-            lv.TorusGreen(n_modes=0)
-        with pytest.raises(InputError):
-            lv.TorusGreen(n_modes=2.5)
-
-    @pytest.mark.parametrize("lx", [1.0, 3.0])
-    def test_underflowing_modes(self, lx):
-        # past k beta ~ 119 the mode weights underflow to 0; the sum must
-        # neither turn NaN nor change
-        periods = ((lx, 0.0), (0.0, 1.0 / lx))
-        many = lv.TorusGreen(periods=periods, n_modes=200)
-        ref = lv.TorusGreen(periods=periods, n_modes=24)
-        rng = np.random.default_rng(17)
-        x = rng.random((50, 2)) * [lx, 1.0 / lx]
-        p = np.array([0.05, 0.03])
-        values = lv.green_eval(many, x, p)
-        grads = lv.green_gradient(many, x, p)
-        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
-        np.testing.assert_array_equal(values, lv.green_eval(ref, x, p))
-        np.testing.assert_array_equal(grads, lv.green_gradient(ref, x, p))
 
 
 class TestGStarMatrix:
