@@ -51,6 +51,8 @@ class SolutionSummary:
     m_min: float
     near_boundary: bool
     profile: RadialProfile = field(repr=False)
+    # d sigma / d alpha0, (n, n), when the profile carries sensitivities
+    dsigma: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -82,7 +84,9 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
 
     Starts from the flux -r U_i'(r_max) and the truncated log-weighted
     integrals, then alternates tail corrections until sigma moves less than
-    1e-11 between sweeps.
+    1e-11 between sweeps. When the profile carries sensitivities, the fixed
+    point z = (m, D) is differentiated implicitly, (I - dF/dz) dz = dF/dp dp,
+    which gives ``dsigma`` = d sigma / d alpha0 from one 2n x 2n solve.
 
     Raises
     ------
@@ -144,8 +148,12 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
             stacklevel=2,
         )
 
-    for arr in (sigma, m, d_vec, alpha):
-        arr.setflags(write=False)
+    dsigma = None if profile.sensitivity is None else _tail_sensitivity(
+        profile, m, d_vec, alpha
+    )
+    for arr in (sigma, m, d_vec, alpha, dsigma):
+        if arr is not None:
+            arr.setflags(write=False)
     return SolutionSummary(
         sigma=sigma,
         m=m,
@@ -155,7 +163,37 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         m_min=m_min,
         near_boundary=near_boundary,
         profile=profile,
+        dsigma=dsigma,
     )
+
+
+def _tail_sensitivity(profile, m, d_vec, alpha) -> np.ndarray:
+    """d sigma / d alpha0 through the converged tail closure.
+
+    sigma = sigma_R + t/g and D = A (logw_R + t (L/g + 1/g^2)) with
+    t = exp(D - alpha - g L), g = m - 2 mu, L = log r_max and m = A sigma;
+    sigma_R, logw_R move with alpha0 through the profile's sensitivities and
+    alpha = -alpha0.
+    """
+    n = profile.n
+    a_mat = profile.spec.matrix.entries
+    log_r = math.log(profile.r_max)
+    gap = m - 2.0 * profile.spec.singularity.mu
+    tail = np.exp(d_vec - alpha - gap * log_r)
+    lw_tail = tail * (log_r / gap + 1.0 / gap**2)
+    # partials of sigma and of the log-weighted tail in m and in D
+    sig_m = -lw_tail
+    lw_m = -log_r * lw_tail - tail * (log_r / gap**2 + 2.0 / gap**3)
+    jac_z = np.block([
+        [a_mat * sig_m, a_mat * (tail / gap)],
+        [a_mat * lw_m, a_mat * lw_tail],
+    ])
+    sens = profile.sensitivity
+    # alpha0 enters t as e^(alpha0), so d/d alpha0 of t-terms is the term
+    dsig_p = sens[2 * n : 3 * n] + np.diag(tail / gap)
+    dlw_p = sens[3 * n :] + np.diag(lw_tail)
+    dz = np.linalg.solve(np.eye(2 * n) - jac_z, np.vstack([a_mat @ dsig_p, a_mat @ dlw_p]))
+    return sig_m[:, None] * dz[:n] + (tail / gap)[:, None] * dz[n:] + dsig_p
 
 
 def pohozaev_residual(summary: SolutionSummary) -> float:

@@ -94,9 +94,33 @@ def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
     return d - periods * np.round(d / periods)
 
 
-def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
-    w = wrap_displacement(geom, np.asarray(x, dtype=float) - np.asarray(p, dtype=float))
+def _points(x, p):
+    """x and p as finite arrays with a last axis of 2 that broadcast."""
+    x, p = as_array(x, "x"), as_array(p, "p")
+    for name, arr in (("x", x), ("p", p)):
+        if arr.shape[-1:] != (2,):
+            raise InputError(
+                f"{name} must have a last axis of length 2, got shape {arr.shape}"
+            )
+    try:
+        np.broadcast_shapes(x.shape, p.shape)
+    except ValueError:
+        raise InputError(
+            f"x of shape {x.shape} and p of shape {p.shape} do not broadcast"
+        ) from None
+    return x, p
+
+
+def _distance(geom: TorusGreen, d) -> np.ndarray:
+    """Length on the torus of displacements d (last axis 2), unchecked."""
+    w = wrap_displacement(geom, d)
     return np.hypot(w[..., 0], w[..., 1])
+
+
+def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
+    """Distance from x to p on the torus; broadcasts like green_eval."""
+    x, p = _points(x, p)
+    return _distance(geom, x - p)
 
 
 def _sides(geom: TorusGreen):
@@ -153,16 +177,12 @@ def _green(geom: TorusGreen, d, gradient: bool = False) -> np.ndarray:
 
 
 def _displacement(geom: TorusGreen, x, p) -> np.ndarray:
-    """x - p for points with a last axis of 2, off the diagonal."""
-    x, p = as_array(x, "x"), as_array(p, "p")
-    for name, arr in (("x", x), ("p", p)):
-        if arr.shape[-1:] != (2,):
-            raise InputError(
-                f"{name} must have a last axis of length 2, got shape {arr.shape}"
-            )
-    if np.any(torus_distance(geom, x, p) < 1e-8):
+    """x - p for checked points (see ``_points``), off the diagonal."""
+    x, p = _points(x, p)
+    d = x - p
+    if np.any(_distance(geom, d) < 1e-8):
         raise SingularityError("Green function evaluated on the diagonal")
-    return x - p
+    return d
 
 
 def green_eval(geom: TorusGreen, x, p):
@@ -222,7 +242,7 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     for t in range(n_pts):
         values[t, t] = diag
         for s in range(t + 1, n_pts):
-            if torus_distance(geom, pts[t], pts[s]) < 1e-4:
+            if _distance(geom, pts[t] - pts[s]) < 1e-4:
                 raise GeometryError(
                     f"points {t} and {s} are closer than 1e-4 on the torus"
                 )

@@ -16,7 +16,18 @@ log-weighted counterpart, so downstream energy quadratures inherit the
 adaptive step control of the solver and stay bitwise deterministic.
 
 The stepper is the Dormand-Prince 5(4) embedded pair with a PI step-size
-controller and FSAL reuse.
+controller and FSAL reuse. Its seven stages are the rows of one (7, N) array
+and every stage value is one product with the Butcher matrix. On request it
+also carries the forward sensitivities S = dY/d alpha0: the state becomes a
+(4n, 1 + n) block whose column 0 is the state and whose other columns obey
+the variational equations
+
+    S_U' = S_V,  S_V' = -A diag(w) S_U,  S_mass' = diag(w) S_U,
+    S_logmass' = s diag(w) S_U,  w = exp(2 mu s + U),
+
+seeded by the alpha0-derivative of the origin series. Error control, the
+overflow guard and the recorded nodes read column 0 only, so the
+sensitivities never steer the step size.
 """
 
 from __future__ import annotations
@@ -41,6 +52,9 @@ from .errors import (
 R_SERIES = 1e-6
 # Abort threshold for any solution component (e^U overflows long after this).
 U_OVERFLOW = 50.0
+
+# Attempted steps (accepted or rejected) one integration may take.
+MAX_STEPS = 100_000
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-4
 
@@ -71,6 +85,8 @@ class RadialProfile:
     is its node derivative (the ODE right-hand side); ``mass`` and
     ``logmass`` are the running energy integrals described in the module
     docstring, with node derivatives ``wnode`` and s*``wnode``.
+    ``sensitivity`` is None unless requested from ``integrate``; then it is
+    d(state at r_max)/d alpha0, shape (4n, n), rows U, dU/ds, mass, logmass.
     """
 
     spec: ProblemSpec
@@ -82,6 +98,7 @@ class RadialProfile:
     logmass: np.ndarray
     wnode: np.ndarray
     r_max: float
+    sensitivity: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -141,41 +158,59 @@ def _series_energy_seeds(spec: ProblemSpec, r0: float):
     return mass0, logmass0
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+# Dormand-Prince 5(4) tableau; row i of _DP_A gives stage i's value, and
+# row 6 is the 5th-order solution (FSAL).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 # Difference between 5th- and 4th-order weights (local error estimate).
-_DP_E = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
 
-def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> RadialProfile:
+def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
+    """d(series state at the fixed radius r0)/d alpha0, shape (4n, n)."""
+    mu = spec.singularity.mu
+    e0 = np.exp(spec.alpha0)
+    ds = spec.matrix.entries * e0  # d S_i / d alpha0_j
+    b2, b4 = 2.0 * mu, 4.0 * mu
+    mass0, logmass0 = _series_energy_seeds(spec, r0)
+    c_mass = e0 * r0**b4 / (b2**2 * b4)
+    c_log = e0 * r0**b4 * (math.log(r0) / b4 - 1.0 / b4**2) / b2**2
+    return np.vstack([
+        np.eye(spec.n) - ds * r0**b2 / b2**2,
+        -ds * r0**b2 / b2,
+        np.diag(mass0) - c_mass[:, None] * ds,
+        np.diag(logmass0) - c_log[:, None] * ds,
+    ])
+
+
+def integrate(
+    spec: ProblemSpec,
+    r_max: float = 1e4,
+    tol: float = 1e-10,
+    sensitivity: bool = False,
+) -> RadialProfile:
     """Integrate the system from the origin series out to r_max.
 
     ``tol`` controls the local error per step (mixed absolute/relative,
-    absolute floor tol * 1e-3).
+    absolute floor tol * 1e-3). With ``sensitivity`` the profile also
+    carries d(state at r_max)/d alpha0; step control still reads the state
+    alone, so the grid has the same nodes up to rounding.
 
     Raises
     ------
     BlowupError
         When a component exceeds the overflow guard.
     IntegrationError
-        On step-size underflow; carries the last good radius.
+        On step-size underflow or after MAX_STEPS attempted steps; carries
+        the last good radius.
     """
     r_max = as_number(r_max, "r_max")
     if r_max < 10.0:
@@ -205,52 +240,67 @@ def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> Radi
     s0, s_end = math.log(r_start), math.log(r_max)
     u0, du_dr0 = origin_series(spec, r_start)
     mass0, logmass0 = _series_energy_seeds(spec, r_start)
-    y = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])
+    block = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])[:, None]
+    if sensitivity:
+        block = np.hstack([block, _series_sensitivity(spec, r_start)])
+    # the (4n, q) block is flattened row by row, so the state is y[::q]
+    q = block.shape[1]
+    y = block.ravel()
 
-    def rhs(s, y):
-        w = np.exp(2.0 * mu * s + y[:n])
-        out = np.empty(4 * n)
-        out[:n] = y[n : 2 * n]
-        out[n : 2 * n] = -(a_mat @ w)
-        out[2 * n : 3 * n] = w
-        out[3 * n :] = s * w
-        return out
+    neg_a = -a_mat
+
+    def rhs(s, y, out):
+        """Write Y' into the (4n, q) block out; one pass for state and S."""
+        blk = y.reshape(4 * n, q)
+        w = np.exp(2.0 * mu * s + blk[:n, 0])
+        wm = w[:, None] * blk[:n]  # [w | diag(w) dU]
+        wm[:, 0] = w
+        out[:n] = blk[n : 2 * n]
+        np.matmul(neg_a, wm, out=out[n : 2 * n])
+        out[2 * n : 3 * n] = wm
+        np.multiply(s, wm, out=out[3 * n :])
 
     atol = tol * 1e-3
     s = s0
     h = 1e-2
     err_prev = 1.0
-    k1 = rhs(s, y)
+    stages = np.empty((7, y.size))
+    blocks = stages.reshape(7, 4 * n, q)  # the same memory, one block per stage
+    rhs(s, y, blocks[0])
     nodes = [s]
-    states = [y]
-    k_stages = [None] * 7
+    states = [y[::q]]
     max_h = 1.0
+    attempts = 0
 
     # tolerance-based endpoint: the last accepted step may land one ulp short
     while s_end - s > 1e-13 * max(1.0, abs(s_end)):
+        if attempts == MAX_STEPS:
+            raise IntegrationError(
+                f"no arrival at r_max after {MAX_STEPS} steps (s = {s:.6f})",
+                last_radius=math.exp(s),
+            )
+        attempts += 1
         h = min(h, s_end - s, max_h)
         if h < 1e-14 * max(1.0, abs(s)):
             raise IntegrationError(
                 f"step size underflow at s = {s:.6f}", last_radius=math.exp(s)
             )
-        k_stages[0] = k1
         for i in range(1, 7):
-            yi = y + h * sum(
-                aij * k_stages[j] for j, aij in enumerate(_DP_A[i]) if aij != 0.0
-            )
-            k_stages[i] = rhs(s + _DP_C[i] * h, yi)
-        y_new = yi  # 7th stage is evaluated at the 5th-order solution (FSAL)
-        err_vec = h * sum(e * k_stages[i] for i, e in enumerate(_DP_E) if e != 0.0)
-        scale = atol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            y_new = y + h * (_DP_A[i, :i] @ stages[:i])
+            rhs(s + _DP_C[i] * h, y_new, blocks[i])
+        # y_new is the 5th-order solution, at which stage 6 was evaluated
+        err_vec = h * (_DP_E @ stages[:, ::q])
+        scale = atol + tol * np.maximum(np.abs(y[::q]), np.abs(y_new[::q]))
+        ratio = err_vec / scale
+        err = math.sqrt(float(ratio @ ratio) / ratio.size)
 
         if err <= 1.0:
             s += h
             y = y_new
-            k1 = k_stages[6]
+            stages[0] = stages[6]
             nodes.append(s)
-            states.append(y)
-            if float(np.max(y[:n])) > U_OVERFLOW:
+            states.append(y[::q])
+            if float(y[: n * q : q].max()) > U_OVERFLOW:
                 raise BlowupError(
                     f"solution component exceeded {U_OVERFLOW} at r = "
                     f"{math.exp(s):.3e}",
@@ -270,8 +320,10 @@ def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> Radi
     logmass = state[:, 3 * n :]
     wnode = np.exp(2.0 * mu * grid[:, None] + values)
     d2values = -(wnode @ a_mat.T)
-    for arr in (grid, values, dvalues, d2values, mass, logmass, wnode):
-        arr.setflags(write=False)
+    sens = y.reshape(4 * n, q)[:, 1:].copy() if sensitivity else None
+    for arr in (grid, values, dvalues, d2values, mass, logmass, wnode, sens):
+        if arr is not None:
+            arr.setflags(write=False)
     return RadialProfile(
         spec=spec,
         grid=grid,
@@ -282,6 +334,7 @@ def integrate(spec: ProblemSpec, r_max: float = 1e4, tol: float = 1e-10) -> Radi
         logmass=logmass,
         wnode=wnode,
         r_max=float(math.exp(grid[-1])),
+        sensitivity=sens,
     )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import liouville as lv
+from liouville import radial, shooting
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,20 +126,36 @@ def test_criterion_06_identity_tail_ratio(f1_profile, f1_summary):
     report(6, "finite-radius identity defect ratio at R=100", abs(ratio - 1.0) < 0.02, f"{ratio:.5f}")
 
 
-def test_criterion_07_round_trips(matrix12):
+def test_criterion_07_round_trips(matrix12, monkeypatch):
     matrix3 = lv.CoefficientMatrix.from_entries(
         [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
     )
     sing = lv.SingularityProfile(0.0)
     rng = np.random.default_rng(99)
     worst = 0.0
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return radial.integrate(*args, **kwargs)
+
     for matrix in (matrix12, matrix3):
         for _ in range(20):
             alpha = rng.uniform(-3.0, 0.0, size=matrix.n - 1)
             target = lv.alpha_to_sigma(matrix, sing, alpha).reduced_sigma
-            recovered = lv.invert_sigma(matrix, sing, target)
+            with monkeypatch.context() as patch:
+                patch.setattr(shooting, "integrate", counting)
+                recovered = lv.invert_sigma(matrix, sing, target)
             worst = max(worst, float(np.max(np.abs(recovered - alpha))))
-    report(7, "shooting-map round trips (20 per dimension)", worst < 1e-8, f"worst {worst:.2e}")
+    report(
+        7,
+        "shooting-map round trips (20 per dimension)",
+        worst < 1e-8,
+        f"worst {worst:.2e}, {len(calls)} integrations",
+    )
+    # one integration per Newton trial, Jacobian included; centred
+    # differences spent 836 on these inversions, and 836 / 2.5 = 334
+    assert len(calls) <= 334
 
 
 def test_criterion_08_scaling_identities(f2_summary):

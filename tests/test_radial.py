@@ -3,14 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import liouville as lv
+from liouville import radial
 from liouville.errors import (
     BlowupError,
     DomainError,
     InputError,
+    IntegrationError,
     OutOfRangeError,
 )
+
+
+MATRICES = {
+    1: [[1.0]],
+    2: [[1.0, 2.0], [2.0, 1.0]],
+    3: [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]],
+}
 
 
 def f1_exact(r):
@@ -123,6 +133,87 @@ class TestIntegrate:
         np.testing.assert_array_equal(a.grid, b.grid)
         np.testing.assert_array_equal(a.values, b.values)
         np.testing.assert_array_equal(a.mass, b.mass)
+
+    def test_step_bound(self, matrix12, monkeypatch):
+        spec = lv.ProblemSpec(
+            matrix12, lv.SingularityProfile(0.0), np.array([0.0, -0.5])
+        )
+        monkeypatch.setattr(radial, "MAX_STEPS", 40)
+        with pytest.raises(IntegrationError, match="40 steps") as info:
+            lv.integrate(spec, 1e4, 1e-10)
+        assert 0.0 < info.value.last_radius < 1e4
+
+    @pytest.mark.parametrize(
+        "gamma, alpha0", [(0.0, [0.0]), (-0.5, [0.0]), (0.0, [0.0, 0.0])]
+    )
+    def test_sensitivity_keeps_the_grid(self, gamma, alpha0):
+        # error control reads the state column only
+        matrix = lv.CoefficientMatrix.from_entries(MATRICES[len(alpha0)])
+        spec = lv.ProblemSpec(matrix, lv.SingularityProfile(gamma), np.array(alpha0))
+        plain = lv.integrate(spec, 1e4, 1e-10)
+        carried = lv.integrate(spec, 1e4, 1e-10, sensitivity=True)
+        assert plain.sensitivity is None
+        assert carried.sensitivity.shape == (4 * spec.n, spec.n)
+        assert len(carried.grid) == len(plain.grid)
+        np.testing.assert_allclose(carried.mass[-1], plain.mass[-1], rtol=1e-12)
+
+
+def _dop853_final_state(spec, r0, r_max):
+    """(U, dU/ds, mass, logmass) at r_max from scipy's DOP853 at rtol 1e-13,
+    started from the origin series at r0."""
+    n, mu, a_mat = spec.n, spec.singularity.mu, spec.matrix.entries
+    u0, du0 = lv.origin_series(spec, r0)
+    y0 = np.concatenate([u0, du0 * r0, *radial._series_energy_seeds(spec, r0)])
+
+    def rhs(s, y):
+        w = np.exp(2.0 * mu * s + y[:n])
+        return np.concatenate([y[n : 2 * n], -(a_mat @ w), w, s * w])
+
+    sol = solve_ivp(
+        rhs, (math.log(r0), math.log(r_max)), y0, method="DOP853", rtol=1e-13, atol=1e-15
+    )
+    assert sol.success
+    return sol.y[:, -1]
+
+
+class TestIndependentSolver:
+    """The in-house DP5(4) stepper against scipy's DOP853 from the same start."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, -0.25, -0.5])
+    def test_final_state(self, n, gamma):
+        rng = np.random.default_rng(100 * n + int(-4 * gamma))
+        alpha0 = rng.uniform(-2.0, 0.0, size=n)
+        alpha0 -= alpha0.max()
+        spec = lv.ProblemSpec(
+            lv.CoefficientMatrix.from_entries(MATRICES[n]),
+            lv.SingularityProfile(gamma),
+            alpha0,
+        )
+        profile = lv.integrate(spec, 1e4, 1e-10, sensitivity=True)
+        ours = np.concatenate(
+            [profile.values[-1], profile.dvalues[-1], profile.mass[-1], profile.logmass[-1]]
+        )
+        ref = _dop853_final_state(spec, profile.r_first, profile.r_max)
+        np.testing.assert_allclose(ours, ref, rtol=1e-9, atol=1e-9)
+        # sensitivities: centred differences of the oracle in each alpha0_j,
+        # from the series at the same fixed start radius
+        h = 1e-5
+        for j in range(n):
+            bump = np.zeros(n)
+            bump[j] = h
+            ends = [
+                _dop853_final_state(
+                    lv.ProblemSpec(spec.matrix, spec.singularity, alpha0 + sign * bump),
+                    profile.r_first,
+                    profile.r_max,
+                )
+                for sign in (1.0, -1.0)
+            ]
+            fd = (ends[0] - ends[1]) / (2.0 * h)
+            np.testing.assert_allclose(
+                profile.sensitivity[:, j], fd, rtol=1e-6, atol=1e-6
+            )
 
 
 def interpolated_ode_residual(profile, s_lo, s_hi, h):

@@ -35,10 +35,29 @@ class TestJacobian:
         jac = lv.shooting_jacobian(matrix12, GAMMA0, [0.0])
         assert jac.shape == (1, 1) and jac[0, 0] > 0
 
-    def test_step_consistency(self, matrix12):
-        j1 = lv.shooting_jacobian(matrix12, GAMMA0, [-0.5], h=1e-3)
-        j2 = lv.shooting_jacobian(matrix12, GAMMA0, [-0.5], h=5e-4)
-        assert abs(j1[0, 0] - j2[0, 0]) < 1e-5
+    @pytest.mark.parametrize(
+        "entries, gamma, alpha",
+        [
+            ([[1.0, 2.0], [2.0, 1.0]], 0.0, [-0.5]),
+            ([[1.0, 2.0], [2.0, 1.0]], -0.3, [-1.7]),
+            ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]], 0.0, [-0.4, -1.1]),
+            ([[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]], -0.45, [-2.0, -0.3]),
+        ],
+    )
+    def test_matches_centred_difference(self, entries, gamma, alpha):
+        # independent oracle: centred differences of the map itself
+        matrix = lv.CoefficientMatrix.from_entries(entries)
+        sing = lv.SingularityProfile(gamma)
+        alpha = np.array(alpha)
+        jac = lv.shooting_jacobian(matrix, sing, alpha)
+        h = 1e-4
+        for j in range(alpha.size):
+            bump = np.zeros(alpha.size)
+            bump[j] = h
+            plus = lv.alpha_to_sigma(matrix, sing, alpha + bump, tol=1e-10)
+            minus = lv.alpha_to_sigma(matrix, sing, alpha - bump, tol=1e-10)
+            fd = (plus.reduced_sigma - minus.reduced_sigma) / (2.0 * h)
+            np.testing.assert_allclose(jac[:, j], fd, rtol=0.0, atol=1e-6)
 
     def test_nonsingular_on_samples(self, matrix12):
         rng = np.random.default_rng(7)
@@ -47,9 +66,11 @@ class TestJacobian:
             jac = lv.shooting_jacobian(matrix12, GAMMA0, alpha, tol=1e-8)
             assert abs(jac[0, 0]) > 1e-3
 
-    def test_step_validation(self, matrix12):
+    def test_input_validation(self, matrix12):
         with pytest.raises(InputError):
-            lv.shooting_jacobian(matrix12, GAMMA0, [0.0], h=1.0)
+            lv.shooting_jacobian(matrix12, GAMMA0, [40.0])
+        with pytest.raises(InputError):
+            lv.shooting_jacobian(matrix12, GAMMA0, [0.0, 0.0])
 
 
 class TestInvertSigma:
@@ -71,6 +92,18 @@ class TestInvertSigma:
         target = lv.alpha_to_sigma(matrix, sing, alpha).reduced_sigma
         recovered = lv.invert_sigma(matrix, sing, target)
         assert np.max(np.abs(recovered - alpha)) < 1e-8
+
+    def test_round_trip_past_the_residual_tolerance(self):
+        # the least singular value of the Jacobian here is 0.075, so the last
+        # iterate (residual 9.4e-10 < 1e-9) is still 1.1e-8 off in alpha;
+        # the final Newton step removes that
+        matrix = lv.CoefficientMatrix.from_entries(
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
+        )
+        alpha = np.array([-0.56312202, -2.89657839])
+        target = lv.alpha_to_sigma(matrix, GAMMA0, alpha).reduced_sigma
+        recovered = lv.invert_sigma(matrix, GAMMA0, target)
+        assert np.max(np.abs(recovered - alpha)) < 1e-10
 
     def test_unreachable_target(self, matrix12):
         # energies are positive, so a negative target cannot be hit

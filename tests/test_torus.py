@@ -199,10 +199,17 @@ class TestRegularPart:
             lv.regular_part(geometry, np.array(p))
         # the Green entry points take either argument with a last axis of 2
         other = np.full(len(p), 0.5)
-        for fn in (lv.green_eval, lv.green_gradient):
+        for fn in (lv.green_eval, lv.green_gradient, lv.torus_distance):
             for x, q in ((p, other), (other, p)):
                 with pytest.raises(InputError):
                     fn(geometry, x, q)
+
+    def test_rejects_unbroadcastable_points(self, geometry):
+        rng = np.random.default_rng(3)
+        x, p = rng.random((3, 2)), rng.random((4, 2))
+        for fn in (lv.green_eval, lv.green_gradient, lv.torus_distance):
+            with pytest.raises(InputError, match=r"\(3, 2\).*\(4, 2\)"):
+                fn(geometry, x, p)
 
 
 class TestGeometryValidation:
