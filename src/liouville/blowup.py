@@ -35,8 +35,9 @@ from .fields import CoefficientField
 from .green import (
     GStarMatrix,
     TorusGreen,
+    _green,
     a_integral,
-    green_gradient,
+    cell_fit,
     gstar_matrix,
 )
 
@@ -67,9 +68,8 @@ class BlowupConfiguration:
     gstar: GStarMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(as_array(self.points, "points"))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InputError(f"points must be (N, 2), got {pts.shape}")
+        gstar = gstar_matrix(self.geometry, self.points)
+        pts = gstar.points
         n_pts, n = pts.shape[0], self.matrix.n
         if len(self.strengths) != n_pts:
             raise InputError("one strength per point is required")
@@ -83,12 +83,12 @@ class BlowupConfiguration:
             for p in pts:
                 if float(f.value(p)) <= 0.0:
                     raise InputError(f"coefficient field {i} is not positive")
-        for name in ("points", "rho", "curvature", "D", "alpha"):
+        for name in ("rho", "curvature", "D", "alpha"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "strengths", tuple(self.strengths))
         object.__setattr__(self, "h_fields", tuple(self.h_fields))
         object.__setattr__(self, "frak", frak_m(self.rho, self.matrix, self.n_L))
-        object.__setattr__(self, "gstar", gstar_matrix(self.geometry, pts))
+        object.__setattr__(self, "gstar", gstar)
 
     @property
     def n(self) -> int:
@@ -118,13 +118,9 @@ class BlowupConfiguration:
 
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
-        total = np.zeros(2)
-        for l in range(self.n_points):
-            if l != t:
-                total += self.mus[l] * green_gradient(
-                    self.geometry, self.points[t], self.points[l]
-                )
-        return total
+        others = np.arange(self.n_points) != t
+        grads = _green(self.geometry, self.points[t] - self.points[others], gradient=True)
+        return (self.mus[others, None] * grads).sum(axis=0)
 
 
 def _require_regular(config: BlowupConfiguration, t: int) -> None:
@@ -205,6 +201,8 @@ def leading_term_general(
             "rho is at the symmetric point with regular blowup points; "
             "use leading_term_Q"
         )
+    for t in range(config.n_points):
+        cell_fit(config, t, delta0)
     mus = config.mus
     gstar_rows = config.gstar.values @ mus
     rows = []

@@ -36,9 +36,11 @@ eta(tau) = q^(1/24) prod_{n>=1} (1 - q^n), q = e^(2 pi i tau). Since G is
 even in d, the gradient of gamma on the diagonal is exactly zero.
 
 The domain integral a_integral accumulates, over a Voronoi cell minus a
-small ball, the weighted coefficient-field/Green-function integrand whose
-radial power |x - p_t|^((2-m) mu_t - 2) is absorbed analytically by a power
-substitution; the angular direction is split at the cell's corner angles.
+small ball, the weighted coefficient-field/Green-function integrand. Each
+sector between the cell's corner angles is a rectangle in (theta, tau), where
+v = r^P / P, linear in tau, absorbs the radial power r^(P - 2). One adaptive
+product Gauss-Kronrod cubature per sector evaluates G at all nodes of a panel
+and all sources in one batch.
 """
 
 from __future__ import annotations
@@ -236,17 +238,14 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     pts = np.atleast_2d(as_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
-    n_pts = pts.shape[0]
-    values = np.empty((n_pts, n_pts))
-    diag = _diagonal_gamma(geom)
-    for t in range(n_pts):
-        values[t, t] = diag
-        for s in range(t + 1, n_pts):
-            if _distance(geom, pts[t] - pts[s]) < 1e-4:
-                raise GeometryError(
-                    f"points {t} and {s} are closer than 1e-4 on the torus"
-                )
-            values[t, s] = values[s, t] = green_eval(geom, pts[t], pts[s])
+    t, s = np.triu_indices(pts.shape[0], k=1)
+    d = pts[t] - pts[s]
+    close = _distance(geom, d) < 1e-4
+    if close.any():
+        k = np.argmax(close)
+        raise GeometryError(f"points {t[k]} and {s[k]} are closer than 1e-4 on the torus")
+    values = np.full((pts.shape[0],) * 2, _diagonal_gamma(geom))
+    values[t, s] = values[s, t] = _green(geom, d)
     pts = pts.copy()
     for arr in (pts, values):
         arr.setflags(write=False)
@@ -281,38 +280,52 @@ _WGK = np.array(
 _WG = np.array(
     [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
 )
+# All 15 nodes on [-1, 1]; the Gauss weights are zero on the Kronrod-only ones.
+_NODES = np.concatenate([-_XGK, _XGK[6::-1]])
+_KRONROD = np.concatenate([_WGK, _WGK[6::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_WG, _WG[2::-1]])
+
+MAX_PANELS = 600
 
 
-def _gk_panel(f, a, b):
-    """Kronrod estimate, error proxy, on one panel; f is vectorized."""
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = np.concatenate([mid - half * _XGK[:7], [mid], mid + half * _XGK[6::-1]])
-    vals = f(nodes)
-    left, center, right = vals[:7], vals[7], vals[8:][::-1]
-    kron = half * (float(_WGK[:7] @ (left + right)) + _WGK[7] * center)
-    gauss = half * (
-        float(_WG[:3] @ (left[1::2] + right[1::2])) + _WG[3] * center
+def _panel(f, box):
+    """K x K value of f on box, its error and worse axis; f maps nodes to a grid.
+
+    An axis's error is the value minus the rule with Gauss weights on it.
+    """
+    (a, b), (c, d) = box
+    vals = (0.25 * (b - a) * (d - c)) * f(
+        0.5 * (a + b + (b - a) * _NODES), 0.5 * (c + d + (d - c) * _NODES)
     )
-    return kron, abs(kron - gauss)
+    rows, cols = vals @ _KRONROD, _KRONROD @ vals
+    value = float(_KRONROD @ rows)
+    errs = abs(value - float(_GAUSS @ rows)), abs(value - float(cols @ _GAUSS))
+    return value, errs[0] + errs[1], int(errs[1] > errs[0]), box
 
 
-def adaptive_quadrature(f, a, b, epsabs=1e-12, epsrel=1e-9, limit=600):
-    """Globally adaptive Gauss-Kronrod integration of a vectorized integrand."""
-    panels = [(_gk_panel(f, a, b), a, b)]
+def _cubature(f, box, epsrel):
+    """Globally adaptive product Gauss-Kronrod cubature over a rectangle.
+
+    Bisects the panel with the largest error along its worse axis until the
+    summed error meets max(1e-13, epsrel |total|).
+    """
+    panels = [_panel(f, box)]
     while True:
-        total = sum(p[0][0] for p in panels)
-        err = sum(p[0][1] for p in panels)
-        if err <= max(epsabs, epsrel * abs(total)):
-            return total, err
-        if len(panels) >= limit:
+        total = sum(p[0] for p in panels)
+        err = sum(p[1] for p in panels)
+        if err <= max(1e-13, epsrel * abs(total)):
+            return total
+        if len(panels) >= MAX_PANELS:
             raise GeometryError(
-                f"quadrature did not converge: error {err:.3e} with {limit} panels"
+                f"quadrature did not converge: error {err:.3e} "
+                f"with {MAX_PANELS} panels"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][0][1])
-        (_, _), lo, hi = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        panels.append((_gk_panel(f, lo, mid), lo, mid))
-        panels.append((_gk_panel(f, mid, hi), mid, hi))
+        worst = max(range(len(panels)), key=lambda k: panels[k][1])
+        _, _, axis, box = panels.pop(worst)
+        lo, hi = box[axis]
+        for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
+            panels.append(_panel(f, (half, box[1]) if axis == 0 else (box[0], half)))
 
 
 def _cell_geometry(geom: TorusGreen, points: np.ndarray, t: int):
@@ -360,6 +373,20 @@ def _cell_corner_angles(dists, phis):
     return angles[gaps > 1e-12].tolist()
 
 
+def cell_fit(config, t: int, delta0):
+    """delta0, checked to fit in the cell of point t, and that cell's half-planes."""
+    delta0 = as_number(delta0, "delta0")
+    if delta0 <= 0.0:
+        raise InputError(f"delta0 must be positive, got {delta0}")
+    dists, phis = _cell_geometry(config.geometry, config.points, t)
+    if delta0 >= float(dists.min()):
+        raise GeometryError(
+            f"delta0 = {delta0} does not fit inside the cell of point {t} "
+            f"(inradius {float(dists.min()):.6f})"
+        )
+    return delta0, dists, phis
+
+
 def a_integral(
     config,
     i: int,
@@ -378,77 +405,43 @@ def a_integral(
 
     where m is the minimal normalized mass of the configuration and the
     log singularity of G(x, p_t) has been absorbed into the radial power.
-    The radial integrals use the exact power substitution; the angular
-    integral is split at the cell corner angles.
+    Each sector between corner angles is the box [lo, hi] x [0, 1] in
+    (theta, tau), with v = r^P / P (P = (2 - m) mu_t) linear in tau from
+    delta0^P / P to R(theta)^P / P at the cell boundary. At m = 2 the
+    integral has weight zero and A is 1 / mu_t.
     """
-    delta0 = as_number(delta0, "delta0")
-    if delta0 <= 0.0:
-        raise InputError(f"delta0 must be positive, got {delta0}")
+    delta0, dists, phis = cell_fit(config, t, delta0)
     geom = config.geometry
     points = config.points
-    mus = np.array([s.mu for s in config.strengths])
+    mus = config.mus
     fm = config.frak.minimum
     mu_t = float(mus[t])
-    dists, phis = _cell_geometry(geom, points, t)
-    if delta0 >= float(dists.min()):
-        raise GeometryError(
-            f"delta0 = {delta0} does not fit inside the cell of point {t} "
-            f"(inradius {float(dists.min()):.6f})"
-        )
+    power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
+    if power == 0.0:
+        return 1.0 / mu_t
 
     gstar_t = float(mus @ config.gstar.values[t])
     field = config.h_fields[i]
-    h_ref = float(field.value(points[t]))
     p_t = points[t]
-    power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
+    h_ref = float(field.value(p_t))
+    v_lo = delta0**power / power
 
-    def along_ray(theta):
-        cos_t, sin_t = math.cos(theta), math.sin(theta)
+    def integrand(theta, tau):
+        v_span = _cell_radius(dists, phis, theta) ** power / power - v_lo
+        r = (power * (v_lo + np.outer(v_span, tau))) ** (1.0 / power)
+        ray = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        x = p_t + r[..., None] * ray[:, None]
+        # all nodes and sources at once; within the cell the wrapped distance
+        # to p_t is r itself, so the log term leaves the regular part there
+        acc = _green(geom, x[..., None, :] - points) @ mus
+        acc += mu_t * np.log(r) / _TWO_PI
+        ratio = np.asarray(field.value(x), dtype=float) / h_ref
+        return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
 
-        def integrand_of_r(r):
-            x = p_t + r[:, None] * (cos_t, sin_t)
-            # all sources at once; within the cell the wrapped distance to
-            # p_t is r itself, so the log term leaves the regular part there
-            acc = (
-                _green(geom, x[..., None, :] - points) @ mus
-                + mu_t * np.log(r) / _TWO_PI
-            )
-            ratio = np.asarray(field.value(x), dtype=float) / h_ref
-            return ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
-
-        r_out = float(_cell_radius(dists, phis, np.array([theta]))[0])
-        if power != 0.0:
-            t_lo = delta0**power / power
-            t_hi = r_out**power / power
-
-            def f_sub(tt):
-                r = (power * tt) ** (1.0 / power)
-                return integrand_of_r(r)
-
-        else:
-            t_lo, t_hi = math.log(delta0), math.log(r_out)
-
-            def f_sub(tt):
-                return integrand_of_r(np.exp(tt))
-
-        val, _ = adaptive_quadrature(
-            f_sub, t_lo, t_hi, epsabs=1e-14, epsrel=epsrel / 20.0
-        )
-        return val
-
-    corners = _cell_corner_angles(dists, phis)
-    breaks = sorted({0.0, _TWO_PI, *corners})
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi - lo < 1e-13:
-            continue
-        val, _ = adaptive_quadrature(
-            lambda th: np.array([along_ray(x) for x in np.atleast_1d(th)]),
-            lo,
-            hi,
-            epsabs=1e-13,
-            epsrel=epsrel,
-        )
-        total += val
-
-    return delta0 ** (mu_t * (2.0 - fm)) / mu_t - (fm - 2.0) / _TWO_PI * total
+    breaks = sorted({0.0, _TWO_PI, *_cell_corner_angles(dists, phis)})
+    total = sum(
+        _cubature(integrand, ((lo, hi), (0.0, 1.0)), epsrel)
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+        if hi - lo >= 1e-13
+    )
+    return delta0**power / mu_t - (fm - 2.0) / _TWO_PI * total

@@ -43,6 +43,14 @@ class ShootingPoint:
     jacobian: np.ndarray | None = field(default=None, repr=False)
 
 
+def _reduced_alpha(values, name: str, dim: int) -> np.ndarray:
+    """values as reduced initial values: finite, of length dim, within the bound."""
+    reduced = as_array(values, name, (dim,))
+    if reduced.size and float(np.max(np.abs(reduced))) > _ALPHA_BOUND:
+        raise InputError(f"{name} must lie in [-{_ALPHA_BOUND}, {_ALPHA_BOUND}]")
+    return reduced
+
+
 def alpha_to_sigma(
     matrix: CoefficientMatrix,
     singularity: SingularityProfile,
@@ -55,11 +63,7 @@ def alpha_to_sigma(
 
     With ``jacobian`` the same integration also yields the point's Jacobian.
     """
-    reduced = as_array(reduced_alpha, "reduced_alpha", (matrix.n - 1,))
-    if reduced.size and float(np.max(np.abs(reduced))) > _ALPHA_BOUND:
-        raise InputError(
-            f"reduced initial values must lie in [-{_ALPHA_BOUND}, {_ALPHA_BOUND}]"
-        )
+    reduced = _reduced_alpha(reduced_alpha, "reduced_alpha", matrix.n - 1)
     alpha0 = np.concatenate([[0.0], reduced])
     spec = ProblemSpec(matrix=matrix, singularity=singularity, alpha0=alpha0)
     summary = extract_summary(
@@ -118,7 +122,7 @@ def invert_sigma(
     dim = target.shape[0]
     if dim == 0:
         return np.zeros(0)
-    alpha = np.zeros(dim) if guess is None else as_array(guess, "guess", (dim,)).copy()
+    alpha = np.zeros(dim) if guess is None else _reduced_alpha(guess, "guess", dim).copy()
 
     point = alpha_to_sigma(matrix, singularity, alpha, r_max, tol, jacobian=True)
     resid = point.reduced_sigma - target

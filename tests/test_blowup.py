@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import liouville as lv
-from liouville.errors import DomainError, InputError, WrongRegimeError
+from liouville import blowup
+from liouville.errors import DomainError, GeometryError, InputError, WrongRegimeError
 
 TWO_PI = 2.0 * math.pi
 
@@ -186,6 +187,30 @@ class TestLeadingTermGeneral:
             1e-3,
         )
         assert a.D == pytest.approx(b.D, rel=1e-7)
+
+    def test_every_cell_fit_checked_before_integrating(self, monkeypatch):
+        # delta0 = 0.1 fits the cell of point 0 (inradius 0.28) but not that
+        # of point 1 (inradius 0.056); no cell is integrated before the error
+        cfg = lv.BlowupConfiguration(
+            points=[[0.1, 0.1], [0.5, 0.5], [0.6, 0.55]],
+            strengths=(lv.SingularityProfile(-2.0 / 3.0),) * 3,
+            matrix=lv.CoefficientMatrix.from_entries([[1.0, 7.0], [7.0, 1.0]]),
+            rho=TWO_PI * np.array([1.25, 0.25]),
+            h_fields=(lv.ConstantField(1.0), lv.ConstantField(1.0)),
+            curvature=[0.0, 0.0, 0.0],
+            D=[0.0, 0.0],
+            alpha=[0.0, 0.0],
+        )
+        calls = []
+        integral = blowup.a_integral
+        monkeypatch.setattr(
+            blowup, "a_integral", lambda *a, **k: calls.append(a) or integral(*a, **k)
+        )
+        with pytest.raises(GeometryError, match="cell of point 1 "):
+            lv.leading_term_general(cfg, 0.1, 1e-3)
+        assert calls == []
+        lv.leading_term_general(cfg, 0.02, 1e-3)
+        assert len(calls) == 6  # delta0 and delta0/2 for each of three cells
 
     def test_regime_and_domain_errors(self, single_point_config, singular_point_config):
         with pytest.raises(WrongRegimeError):

@@ -26,7 +26,7 @@ class TestAlphaToSigma:
         assert point.full_sigma[0] == pytest.approx(2.0, rel=1e-6)
 
     def test_bound_validation(self, matrix12):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="reduced_alpha"):
             lv.alpha_to_sigma(matrix12, GAMMA0, [40.0])
 
 
@@ -114,6 +114,11 @@ class TestInvertSigma:
 
     def test_degenerate_dimension(self, matrix1):
         assert lv.invert_sigma(matrix1, GAMMA0, []).shape == (0,)
+
+    def test_rejects_out_of_bound_guess(self, matrix12):
+        # named as the guess at the boundary, not as an iterate of the map
+        with pytest.raises(InputError, match="guess"):
+            lv.invert_sigma(matrix12, GAMMA0, [1.0], guess=[40.0])
 
     def test_rejects_non_finite_target(self, matrix12):
         # named as the target, not as a NaN Newton iterate further down
