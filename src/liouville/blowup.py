@@ -10,25 +10,27 @@ of the limiting radial profile. From these the module assembles:
   symmetric point Q (regular blowup points only),
 * the leading-term coefficient D away from Q, combining the cell-domain
   integrals with the pairwise Green-function weights B_it,
-* the gradient conditions locating regular blowup points, and
+* the gradient conditions locating regular blowup points, with a Newton
+  search for their zeros on the exact Hessians, and
 * the pairwise compatibility residuals of the coefficient fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from .algebra import CoefficientMatrix, FrakM, SingularityProfile, frak_m, lambda_L, q_point
 from .errors import (
     DomainError,
     GeometryError,
     InputError,
+    NonConvergenceError,
     WrongRegimeError,
     as_array,
+    as_fraction,
     as_number,
 )
 from .fields import CoefficientField
@@ -44,6 +46,8 @@ from .green import (
 _TWO_PI = 2.0 * math.pi
 _Q_RTOL = 1e-8
 _SURFACE_RTOL = 1e-8
+_MAX_NEWTON_STEPS = 50
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,16 @@ class BlowupConfiguration:
 
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
+        return self._gstar_derivative(t, 1)
+
+    def gstar_hessian(self, t: int) -> np.ndarray:
+        """sum_l mu_l Hess_1 Gstar(p_t, p_l); grad gamma(p, p) = 0 adds nothing."""
+        return self._gstar_derivative(t, 2)
+
+    def _gstar_derivative(self, t: int, order: int) -> np.ndarray:
         others = np.arange(self.n_points) != t
-        grads = _green(self.geometry, self.points[t] - self.points[others], gradient=True)
-        return (self.mus[others, None] * grads).sum(axis=0)
+        terms = _green(self.geometry, self.points[t] - self.points[others], order=order)
+        return (self.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
 
 
 def _require_regular(config: BlowupConfiguration, t: int) -> None:
@@ -173,14 +184,6 @@ class LeadingTermGeneral:
     cell_terms: tuple  # rows (i, t, B_it, A(delta0), A(delta0/2), extrapolated)
 
 
-def _as_eps(eps_k) -> float:
-    """The blowup scale of a leading-term prediction: a number in (0, 1)."""
-    eps_k = as_number(eps_k, "eps_k")
-    if not 0.0 < eps_k < 1.0:
-        raise InputError(f"eps_k must lie in (0, 1), got {eps_k}")
-    return eps_k
-
-
 def leading_term_general(
     config: BlowupConfiguration, delta0: float, eps_k: float
 ) -> LeadingTermGeneral:
@@ -191,7 +194,7 @@ def leading_term_general(
     evaluating at delta0 and delta0/2 and extrapolating with the known
     leading power. The prediction is D eps_k^(m - 2) / n_L.
     """
-    eps_k = _as_eps(eps_k)
+    eps_k = as_fraction(eps_k, "eps_k")
     fm = config.frak.minimum
     if fm <= 2.0:
         raise DomainError(f"minimal normalized mass must exceed 2, got {fm}")
@@ -249,13 +252,23 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
         raise WrongRegimeError(
             "no regular blowup point: the symmetric-point expansion is empty"
         )
-    eps_k = _as_eps(eps_k)
+    eps_k = as_fraction(eps_k, "eps_k")
     total = sum(
         b_coefficient(config, i, t)
         for i in range(config.n)
         for t in config.regular_set
     )
     return -4.0 * total * eps_k**2 * math.log(1.0 / eps_k)
+
+
+def _location_weights(config: BlowupConfiguration, t: int, regime: str):
+    """Component weights and Green coupling of the gradient condition."""
+    _require_regular(config, t)
+    if regime == "general":
+        return config.rho, _TWO_PI * config.frak.minimum
+    if regime == "Q":
+        return q_point(config.matrix, config.n_L), 4.0 * _TWO_PI
+    raise InputError(f"regime must be 'general' or 'Q', got {regime!r}")
 
 
 def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:
@@ -267,63 +280,88 @@ def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.nd
         coupling 8 pi instead of 2 pi m. Small residuals characterize true
         blowup locations.
     """
-    _require_regular(config, t)
-    green_term = config.gstar_gradient(t)
-    if regime == "general":
-        weights = config.rho
-        coupling = _TWO_PI * config.frak.minimum
-    elif regime == "Q":
-        weights = q_point(config.matrix, config.n_L)
-        coupling = 4.0 * _TWO_PI
-    else:
-        raise InputError(f"regime must be 'general' or 'Q', got {regime!r}")
-    total = np.zeros(2)
-    for i in range(config.n):
-        total += weights[i] * (
-            config.h_fields[i].grad_log(config.points[t]) + coupling * green_term
-        )
-    return total
+    weights, coupling = _location_weights(config, t, regime)
+    green_term = coupling * config.gstar_gradient(t)
+    p_t = config.points[t]
+    return sum(
+        w * (h.grad_log(p_t) + green_term) for w, h in zip(weights, config.h_fields)
+    )
+
+
+def _location_jacobian(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:
+    """Exact Jacobian of location_residual in p_t: the same sum of Hessians."""
+    weights, coupling = _location_weights(config, t, regime)
+    green_term = coupling * config.gstar_hessian(t)
+    p_t = config.points[t]
+    return sum(
+        w * (h.hess_log(p_t) + green_term) for w, h in zip(weights, config.h_fields)
+    )
 
 
 def location_search(
     config: BlowupConfiguration, t: int, regime: str, tol: float = 1e-10
 ):
-    """Move point t to locally minimize the squared location residual.
+    """Move point t to a zero of its location residual; the others stay fixed.
 
-    Returns (optimized point, residual there). The other points stay fixed.
+    Damped Newton on location_residual(p_t) = 0 with the exact Jacobian
+    (Hessians of log h_i and of the Green function). The step solves
+    J s = -r in the least-squares sense, so a Jacobian that is singular
+    along a symmetry of the data (say a field constant in y) still moves
+    p_t onto the zero set. Each step is halved, at most 30 times, until
+    |r|^2 decreases; a trial closer than 1e-4 to another point is rejected
+    like one that does not decrease. Iterates are wrapped into the
+    periods. Once the full step's sup norm is at most ``tol`` (in (0, 1)),
+    that step is taken and the search ends. At most 50 steps.
+
+    Returns (point, residual there).
+
+    Raises
+    ------
+    NonConvergenceError
+        After 50 steps, when no halving decreases |r|^2, or when J is
+        singular and the residual has a part above ``tol`` that J cannot
+        remove; carries the best point and its sup-norm residual.
     """
-    _require_regular(config, t)
+    tol = as_fraction(tol, "tol")
+    periods = np.array([config.geometry.lx, config.geometry.ly])
 
-    def moved(p):
+    def at(p):
         pts = config.points.copy()
-        pts[t] = p
-        return BlowupConfiguration(
-            points=pts,
-            strengths=config.strengths,
-            matrix=config.matrix,
-            rho=config.rho,
-            h_fields=config.h_fields,
-            curvature=config.curvature,
-            D=config.D,
-            alpha=config.alpha,
-            geometry=config.geometry,
+        pts[t] = np.mod(p, periods)
+        moved = replace(config, points=pts)
+        return moved, location_residual(moved, t, regime)
+
+    def failure(message):
+        return NonConvergenceError(
+            f"location search for point {t}: {message}",
+            best=current.points[t].copy(),
+            best_residual=float(np.max(np.abs(resid))),
         )
 
-    def objective(p):
-        try:
-            r = location_residual(moved(p), t, regime)
-        except GeometryError:
-            return 1e6
-        return float(r @ r)
-
-    result = optimize.minimize(
-        objective,
-        config.points[t],
-        method="Nelder-Mead",
-        options={"xatol": tol, "fatol": tol**2, "maxiter": 400},
-    )
-    best = np.mod(result.x, [config.geometry.lx, config.geometry.ly])
-    return best, location_residual(moved(best), t, regime)
+    current, resid = config, location_residual(config, t, regime)
+    for _ in range(_MAX_NEWTON_STEPS):
+        jac = _location_jacobian(current, t, regime)
+        step, _, rank, _ = np.linalg.lstsq(jac, -resid, rcond=None)
+        if rank < 2 and np.max(np.abs(resid + jac @ step)) > tol:
+            raise failure("singular Jacobian with the residual above tol")
+        p = current.points[t]
+        if np.max(np.abs(step)) <= tol:
+            moved, moved_resid = at(p + step)
+            return moved.points[t].copy(), moved_resid
+        merit, lam = float(resid @ resid), 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            try:
+                trial, trial_resid = at(p + lam * step)
+            except GeometryError:  # too close to another point
+                lam *= 0.5
+                continue
+            if float(trial_resid @ trial_resid) < merit:
+                break
+            lam *= 0.5
+        else:
+            raise failure(f"no decrease of |r|^2 in {_MAX_HALVINGS} halvings")
+        current, resid = trial, trial_resid
+    raise failure(f"no convergence in {_MAX_NEWTON_STEPS} steps")
 
 
 def h_relation_residual(

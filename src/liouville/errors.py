@@ -1,8 +1,8 @@
 """Exception types and the input checks shared across the package.
 
-Public entry points check their input with ``as_number``, ``as_count`` or
-``as_array``, so a wrong type, a non-finite value or a wrong shape is an
-``InputError`` that names the offending parameter.
+Public entry points check their input with ``as_number``, ``as_fraction``,
+``as_count`` or ``as_array``, so a wrong type, a non-finite value or a wrong
+shape is an ``InputError`` that names the offending parameter.
 """
 
 import numpy as np
@@ -95,6 +95,14 @@ def as_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
 def as_number(value, name: str) -> float:
     """A finite float: ``as_array`` of shape ()."""
     return float(as_array(value, name, ()))
+
+
+def as_fraction(value, name: str) -> float:
+    """A number strictly between 0 and 1, such as a scale or a tolerance."""
+    value = as_number(value, name)
+    if not 0.0 < value < 1.0:
+        raise InputError(f"{name} must lie in (0, 1), got {value}")
+    return value
 
 
 def as_count(value, name: str, lo: int) -> int:

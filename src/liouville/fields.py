@@ -1,8 +1,9 @@
 """Symbolic coefficient-field presets with exact derivatives.
 
 The leading-term formulas need values, log-gradients and log-Laplacians of
-the positive coefficient functions h_i at the blowup points, and the cell
-quadrature needs values at arbitrary points. Restricting h to named presets
+the positive coefficient functions h_i at the blowup points, the location
+search needs log-Hessians there (the log-Laplacian is their trace), and the
+cell quadrature needs values at arbitrary points. Restricting h to named presets
 keeps the derivative data exact instead of numerically differentiated.
 Frequencies are integer vectors so the fields are periodic on the unit
 torus. ``value`` broadcasts over leading axes of x; the derivative methods
@@ -30,8 +31,11 @@ class CoefficientField:
     def grad_log(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def lap_log(self, x) -> float:
+    def hess_log(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def lap_log(self, x) -> float:
+        return float(np.trace(self.hess_log(x)))
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,8 @@ class ConstantField(CoefficientField):
     def grad_log(self, x) -> np.ndarray:
         return np.zeros(2)
 
-    def lap_log(self, x) -> float:
-        return 0.0
+    def hess_log(self, x) -> np.ndarray:
+        return np.zeros((2, 2))
 
 
 @dataclass(frozen=True)
@@ -100,12 +104,13 @@ class SinusoidalField(CoefficientField):
     def grad_log(self, x) -> np.ndarray:
         return self._grad_h(x) / float(self.value(x))
 
-    def lap_log(self, x) -> float:
-        k2 = float(self.frequency[0] ** 2 + self.frequency[1] ** 2)
+    def hess_log(self, x) -> np.ndarray:
+        k = np.array(self.frequency, dtype=float)
         h = float(self.value(x))
-        lap_h = -(_TWO_PI**2) * k2 * self.amplitude * math.sin(float(self._angle(x)))
+        curvature = -(_TWO_PI**2) * self.amplitude * math.sin(float(self._angle(x)))
+        hess_h = curvature * np.outer(k, k)
         grad_h = self._grad_h(x)
-        return lap_h / h - float(grad_h @ grad_h) / h**2
+        return hess_h / h - np.outer(grad_h, grad_h) / h**2
 
 
 def field_from_config(data: dict) -> CoefficientField:

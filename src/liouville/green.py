@@ -22,6 +22,7 @@ Image m decays like e^(-2 pi beta |m|) = e^(-2 pi max(Lx/Ly, Ly/Lx) |m|)
 images reach double precision on every rectangular torus, and their number
 follows from beta alone. The expm1 form keeps the log singularity
 -(1/2 pi) log|d|, which sits in the m = 0 image, free of cancellation.
+The gradient and the Hessian of G come from the same image sum.
 
 Letting d -> 0 gives the diagonal regular part
 gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
@@ -55,6 +56,7 @@ from .errors import (
     InputError,
     SingularityError,
     as_array,
+    as_fraction,
     as_number,
 )
 
@@ -149,21 +151,37 @@ def _image_terms(x, s2):
 _BLOCK = 2048
 
 
-def _green(geom: TorusGreen, d, gradient: bool = False) -> np.ndarray:
-    """G at displacements d (last axis 2), or its gradient on a last axis."""
+def _green(geom: TorusGreen, d, order: int = 0) -> np.ndarray:
+    """G at displacements d (last axis 2), or its derivatives of one order.
+
+    Order 0 gives G, order 1 the gradient on a last axis of 2, order 2 the
+    Hessian on two last axes of 2. Each image term is Re F with
+    F(z) = -(1/2 pi) log(1 - e^z), z = x + 2 pi i b, holomorphic, and z is d
+    scaled by 2 pi / L2 (up to the sign along L1). So the image terms add
+    (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the Hessian,
+    with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to the
+    long-side entry: off the pole the trace is exactly 1.
+    """
     l1, l2, swap = _sides(geom)
     beta = l1 / l2
     m = _images(beta)
     w = wrap_displacement(geom, d)
     shape = w.shape[:-1]
     w = w.reshape(-1, 2)[:, ::-1] if swap else w.reshape(-1, 2)
-    out = np.empty((len(w), 2 if gradient else 1))
+    out = np.empty((len(w), 2**order))
     for lo in range(0, len(w), _BLOCK):
         u, b = (w[lo : lo + _BLOCK] / (l1, l2)).T[..., None]
         um = u + m
         s2 = np.sin(math.pi * b) ** 2
         ex, em1, f = _image_terms(-_TWO_PI * beta * np.abs(um), s2)
-        if gradient:
+        if order == 2:
+            # 1 - e^z = (2 e^x s2 - expm1(x)) - i e^x sin(2 pi b): no cancellation
+            one_minus = (2.0 * ex * s2 - em1) - 1j * ex * np.sin(_TWO_PI * b)
+            q = (_TWO_PI / (l2 * l2)) * ex * np.exp(1j * _TWO_PI * b) / one_minus**2
+            h11 = np.sum(q.real, axis=1, keepdims=True)
+            h12 = np.sum(np.sign(um) * q.imag, axis=1, keepdims=True)
+            out[lo : lo + _BLOCK] = np.hstack([1.0 + h11, h12, h12, -h11])
+        elif order == 1:
             g1 = l1 * (u - 0.5 * np.sign(u)) + np.sum(
                 np.sign(um) * ex * (em1 + 2.0 * s2) / f, axis=1, keepdims=True
             ) / l2
@@ -173,9 +191,10 @@ def _green(geom: TorusGreen, d, gradient: bool = False) -> np.ndarray:
             out[lo : lo + _BLOCK] = (l1 * l1 / 2.0) * (
                 u * u - np.abs(u) + 1.0 / 6.0
             ) - np.log(np.prod(f, axis=1, keepdims=True)) / (2.0 * _TWO_PI)
-    if gradient and swap:
-        out = out[:, ::-1]
-    return out.reshape(shape + (2,) if gradient else shape)
+    out = out.reshape((-1,) + (2,) * order)
+    if swap:  # every derivative axis back from (long, short) to (x, y)
+        out = out[(slice(None),) + (slice(None, None, -1),) * order]
+    return out.reshape(shape + (2,) * order)
 
 
 def _displacement(geom: TorusGreen, x, p) -> np.ndarray:
@@ -198,7 +217,7 @@ def green_eval(geom: TorusGreen, x, p):
 
 def green_gradient(geom: TorusGreen, x, p):
     """Gradient of G in the first argument; broadcasts like green_eval."""
-    return _green(geom, _displacement(geom, x, p), gradient=True)
+    return _green(geom, _displacement(geom, x, p), order=1)
 
 
 def _diagonal_gamma(geom: TorusGreen) -> float:
@@ -408,8 +427,10 @@ def a_integral(
     Each sector between corner angles is the box [lo, hi] x [0, 1] in
     (theta, tau), with v = r^P / P (P = (2 - m) mu_t) linear in tau from
     delta0^P / P to R(theta)^P / P at the cell boundary. At m = 2 the
-    integral has weight zero and A is 1 / mu_t.
+    integral has weight zero and A is 1 / mu_t. ``epsrel``, in (0, 1), is
+    the relative error the cubature aims at.
     """
+    epsrel = as_fraction(epsrel, "epsrel")
     delta0, dists, phis = cell_fit(config, t, delta0)
     geom = config.geometry
     points = config.points

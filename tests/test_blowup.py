@@ -1,11 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville import blowup
-from liouville.errors import DomainError, GeometryError, InputError, WrongRegimeError
+from liouville.errors import (
+    DomainError,
+    GeometryError,
+    InputError,
+    NonConvergenceError,
+    WrongRegimeError,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,6 +54,32 @@ class TestConfiguration:
             make_config(D=[math.nan])
         with pytest.raises(InputError, match="points"):
             make_config(points=[[0.5, math.nan]])
+
+
+class TestFieldDerivatives:
+    @pytest.mark.parametrize(
+        "frequency, phase",
+        [((1, 0), 0.0), ((1, 2), 0.7), ((-2, 1), 2.1), ((0, 3), -1.3)],
+    )
+    def test_hess_log_matches_central_difference(self, frequency, phase):
+        field = lv.SinusoidalField(amplitude=0.4, frequency=frequency, phase=phase)
+        eps = 1e-6
+        for x in ([0.13, 0.71], [0.5, 0.5], [0.92, 0.04]):
+            x = np.array(x)
+            fd = np.array(
+                [
+                    (field.grad_log(x + eps * e) - field.grad_log(x - eps * e)) / (2 * eps)
+                    for e in np.eye(2)
+                ]
+            )
+            hess = field.hess_log(x)
+            np.testing.assert_allclose(hess, fd, rtol=0, atol=1e-6 * np.abs(hess).max())
+            assert field.lap_log(x) == np.trace(hess)
+
+    def test_constant_field_is_flat(self):
+        field = lv.ConstantField(2.5)
+        np.testing.assert_array_equal(field.hess_log([0.3, 0.4]), np.zeros((2, 2)))
+        assert field.lap_log([0.3, 0.4]) == 0.0
 
 
 class TestBCoefficient:
@@ -279,23 +314,41 @@ class TestLocationResidual:
         with pytest.raises(DomainError):
             lv.location_residual(singular_point_config, 0, "Q")
 
-    def test_translation_equivariance(self):
+    @given(
+        shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+        start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        freq=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+        phase=st.floats(0.0, TWO_PI),
+        regime=st.sampled_from(["general", "Q"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_translation_equivariance(self, shift, start, freq, phase, regime):
         # translate the whole configuration: points and the field together
-        shift = np.array([0.41, 0.17])
-        freq = (1, 2)
-        field = lv.SinusoidalField(amplitude=0.1, frequency=freq)
-        moved_field = lv.SinusoidalField(
-            amplitude=0.1,
-            frequency=freq,
-            phase=-2.0 * math.pi * (freq[0] * shift[0] + freq[1] * shift[1]),
-        )
-        cfg = make_config(points=[[0.3, 0.62]], h_fields=(field,))
-        moved = make_config(
-            points=[np.array([0.3, 0.62]) + shift], h_fields=(moved_field,)
-        )
-        a = lv.location_residual(cfg, 0, "general")
-        b = lv.location_residual(moved, 0, "general")
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        shift = np.array(shift)
+
+        def translated(points, by):
+            n = len(points)
+            field = lv.SinusoidalField(
+                amplitude=0.3, frequency=freq, phase=phase - TWO_PI * np.dot(freq, by)
+            )
+            return make_config(
+                points=np.mod(np.add(points, by), 1.0),
+                strengths=(lv.SingularityProfile(0.0),) * n,
+                curvature=[0.0] * n,
+                h_fields=(field,),
+            )
+
+        pair = [start, np.add(start, 0.5)]
+        a = lv.location_residual(translated(pair, np.zeros(2)), 0, regime)
+        b = lv.location_residual(translated(pair, shift), 0, regime)
+        assert np.max(np.abs(a - b)) <= 1e-9
+        # one point: the search is a Newton iteration along the frequency,
+        # stable under rounding; with more points a damped path can pass a
+        # near-singular Jacobian, where rounding picks the root
+        best, _ = lv.location_search(translated([start], np.zeros(2)), 0, regime)
+        moved, _ = lv.location_search(translated([start], shift), 0, regime)
+        gap = best + shift - moved
+        assert np.max(np.abs(gap - np.round(gap))) <= 1e-9
 
     def test_search_finds_gradient_zero(self):
         field = lv.SinusoidalField(amplitude=0.1, frequency=(1, 0))
@@ -303,6 +356,80 @@ class TestLocationResidual:
         best, resid = lv.location_search(cfg, 0, "general")
         assert np.max(np.abs(resid)) < 1e-6
         assert min(abs(best[0] - 0.25), abs(best[0] - 0.75)) < 1e-4
+
+
+def two_point_config():
+    """Two regular points and a field with a nondegenerate location zero."""
+    return lv.BlowupConfiguration(
+        points=[[0.2, 0.3], [0.75, 0.7]],
+        strengths=(lv.SingularityProfile(0.0),) * 2,
+        matrix=lv.CoefficientMatrix.from_entries([[1.0]]),
+        rho=[16.0 * math.pi],
+        h_fields=(lv.SinusoidalField(amplitude=0.2, frequency=(1, 1), phase=0.3),),
+        curvature=[0.0, 0.0],
+        D=[0.0],
+        alpha=[0.0],
+    )
+
+
+class TestLocationSearch:
+    @pytest.mark.parametrize("regime", ["general", "Q"])
+    def test_jacobian_matches_central_difference(self, regime):
+        cfg = two_point_config()
+        eps = 1e-6
+        columns = []
+        for axis in range(2):
+            sides = []
+            for sign in (1.0, -1.0):
+                pts = cfg.points.copy()
+                pts[0, axis] += sign * eps
+                moved = dataclasses.replace(cfg, points=pts)
+                sides.append(lv.location_residual(moved, 0, regime))
+            columns.append((sides[0] - sides[1]) / (2.0 * eps))
+        jac = blowup._location_jacobian(cfg, 0, regime)
+        np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-6 * np.abs(jac).max())
+
+    def test_two_points_converge_in_six_steps(self, monkeypatch):
+        # one Jacobian per Newton step; quadratic convergence from 100 to 1e-13
+        # in five damped steps, then the step below tol
+        calls = []
+        jacobian = blowup._location_jacobian
+        monkeypatch.setattr(
+            blowup, "_location_jacobian", lambda *a: calls.append(1) or jacobian(*a)
+        )
+        best, resid = lv.location_search(two_point_config(), 0, "general")
+        assert len(calls) == 6
+        assert np.max(np.abs(resid)) <= 1e-10
+        np.testing.assert_allclose(best, [0.32141282, 0.27141282], atol=1e-8)
+
+    def test_step_budget_carries_best_iterate(self, monkeypatch):
+        cfg = two_point_config()
+        start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
+        monkeypatch.setattr(blowup, "_MAX_NEWTON_STEPS", 2)
+        with pytest.raises(NonConvergenceError, match="2 steps") as info:
+            lv.location_search(cfg, 0, "general")
+        pts = cfg.points.copy()
+        pts[0] = info.value.best
+        resid = lv.location_residual(dataclasses.replace(cfg, points=pts), 0, "general")
+        assert info.value.best_residual == np.max(np.abs(resid))
+        assert info.value.best_residual < start
+
+    def test_singular_jacobian_with_residual_raises(self, monkeypatch):
+        cfg = two_point_config()
+        monkeypatch.setattr(blowup, "_location_jacobian", lambda *a: np.zeros((2, 2)))
+        with pytest.raises(NonConvergenceError, match="singular") as info:
+            lv.location_search(cfg, 0, "general")
+        np.testing.assert_array_equal(info.value.best, cfg.points[0])
+
+    def test_zero_residual_with_zero_jacobian_returns(self, single_point_config):
+        best, resid = lv.location_search(single_point_config, 0, "Q")
+        np.testing.assert_array_equal(best, [0.5, 0.5])
+        assert np.max(np.abs(resid)) == 0.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, "1e-10"])
+    def test_rejects_bad_tol(self, single_point_config, tol):
+        with pytest.raises(InputError, match="tol"):
+            lv.location_search(single_point_config, 0, "Q", tol=tol)
 
 
 class TestHRelation:

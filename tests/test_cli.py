@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +441,22 @@ def test_bad_value_exits_2(tmp_path, capsys, probe):
     code, _ = run(tmp_path, base.split("-")[0], cfg)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_cold_start_imports_no_scipy():
+    # scipy is a test dependency only; at run time its import would cost
+    # every command a cold start several times that of numpy
+    code = (
+        "import liouville, liouville.cli, sys; "
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"

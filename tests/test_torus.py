@@ -155,6 +155,64 @@ class TestGreenGradient:
                 assert abs(grad[axis] - fd) < 1e-6
 
 
+def hessian(geom, d):
+    return green._green(geom, np.asarray(d, dtype=float), order=2)
+
+
+# square, narrow (beta = 4) with the long side along x and along y, and beta = 9
+TORI = [1.0, 2.0, 0.5, 3.0]
+
+
+class TestGreenHessian:
+    @pytest.mark.parametrize("lx", TORI)
+    def test_matches_central_difference(self, lx):
+        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        half = np.array([lx, 1.0 / lx]) / 2.0
+        rng = np.random.default_rng(5)
+        # random displacements plus some whose wrapped value sits at +-L/2,
+        # so that the difference stencil straddles the wrap
+        ds = [(rng.random(2) - 0.5) * 2.0 * half for _ in range(12)]
+        ds += [half * s + [0.0, 0.1 / lx] for s in ([1, 0], [-1, 0])]
+        ds += [half * s + [0.1 * lx, 0.0] for s in ([0, 1], [0, -1])]
+        ds += [half * (1.0 - 1e-9), -half]
+        eps = 1e-6
+        for d in ds:
+            if float(lv.torus_distance(geom, d, np.zeros(2))) < 0.1:
+                continue
+            fd = np.array(
+                [
+                    (
+                        lv.green_gradient(geom, d + eps * e, np.zeros(2))
+                        - lv.green_gradient(geom, d - eps * e, np.zeros(2))
+                    )
+                    / (2 * eps)
+                    for e in np.eye(2)
+                ]
+            )
+            hess = hessian(geom, d)
+            np.testing.assert_allclose(
+                hess, fd, rtol=0, atol=1e-6 * max(np.abs(hess).max(), 1.0)
+            )
+
+    @pytest.mark.parametrize("lx", TORI)
+    def test_trace_is_one(self, lx):
+        # -Delta G = delta - 1 on the unit-area torus: off the pole Delta G = 1
+        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        d = (np.random.default_rng(6).random((200, 2)) - 0.5) * [lx, 1.0 / lx]
+        d = d[lv.torus_distance(geom, d, np.zeros(2)) > 0.01]
+        hess = hessian(geom, d)
+        np.testing.assert_allclose(np.trace(hess, axis1=-2, axis2=-1), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("lx", TORI)
+    def test_symmetric_and_even(self, lx):
+        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        d = (np.random.default_rng(7).random((50, 2)) - 0.5) * [lx, 1.0 / lx]
+        d = d[lv.torus_distance(geom, d, np.zeros(2)) > 0.01]
+        hess = hessian(geom, d)
+        np.testing.assert_array_equal(hess, np.swapaxes(hess, -1, -2))
+        np.testing.assert_allclose(hessian(geom, -d), hess, rtol=1e-12, atol=1e-12)
+
+
 class TestRegularPart:
     def test_frozen_value_and_eta_oracle(self, geometry):
         val, _ = lv.regular_part(geometry, np.array([0.3, 0.3]))
@@ -372,6 +430,11 @@ class TestAIntegral:
         for delta0 in (0.0, -0.02, math.nan):
             with pytest.raises(InputError, match="delta0"):
                 lv.a_integral(cfg, 0, 0, delta0)
+
+    @pytest.mark.parametrize("epsrel", [math.nan, math.inf, -1.0, 0.0, 1.0, "1e-8"])
+    def test_rejects_bad_epsrel(self, singular_point_config, epsrel):
+        with pytest.raises(InputError, match="epsrel"):
+            lv.a_integral(singular_point_config, 0, 0, 0.05, epsrel=epsrel)
 
     @pytest.mark.parametrize(
         "field",
