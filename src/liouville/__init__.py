@@ -62,7 +62,6 @@ from .radial import (
     evaluate,
     integrate,
     origin_series,
-    profile_to_csv,
 )
 from .scaling import (
     BubbleComparison,

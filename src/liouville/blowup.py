@@ -30,8 +30,8 @@ from .errors import (
     NonConvergenceError,
     WrongRegimeError,
     as_array,
+    as_count,
     as_fraction,
-    as_number,
 )
 from .fields import CoefficientField
 from .green import (
@@ -116,9 +116,9 @@ class BlowupConfiguration:
         """Indices of regular blowup points (strength 1)."""
         return tuple(t for t, s in enumerate(self.strengths) if s.is_regular)
 
-    def is_at_q(self, rtol: float = _Q_RTOL) -> bool:
+    def is_at_q(self) -> bool:
         """Whether rho sits at the symmetric point (all masses equal 4)."""
-        return bool(np.max(np.abs(self.frak.values - 4.0)) <= 4.0 * rtol)
+        return bool(np.max(np.abs(self.frak.values - 4.0)) <= 4.0 * _Q_RTOL)
 
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
@@ -134,9 +134,12 @@ class BlowupConfiguration:
         return (self.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
 
 
-def _require_regular(config: BlowupConfiguration, t: int) -> None:
+def _regular_index(config: BlowupConfiguration, t) -> int:
+    """t, checked to index a regular point of the configuration."""
+    t = as_count(t, "t", 0, config.n_points - 1)
     if t not in config.regular_set:
         raise DomainError(f"point {t} is a singular source, not a regular point")
+    return t
 
 
 def _require_on_surface(config: BlowupConfiguration) -> None:
@@ -148,26 +151,21 @@ def _require_on_surface(config: BlowupConfiguration) -> None:
         )
 
 
-def b_coefficient(
-    config: BlowupConfiguration, i: int, t: int, level_mass: float | None = None
-) -> float:
+def b_coefficient(config: BlowupConfiguration, i: int, t: int) -> float:
     """Per-point coefficient of the expansion at the symmetric point.
 
     e^(D_i - alpha_i) [ Delta(log h_i)(p_t)/4 - K(p_t)/2 + 2 pi n_L
     + |grad(log h_i)(p_t) + 8 pi sum_l mu_l grad_1 Gstar(p_t, p_l)|^2 / 4 ].
-
-    ``level_mass`` overrides the mass sum n_L in the constant term for
-    callers that want to reinterpret it.
     """
-    _require_regular(config, t)
-    mass = config.n_L if level_mass is None else as_number(level_mass, "level_mass")
+    i = as_count(i, "i", 0, config.n - 1)
+    t = _regular_index(config, t)
     p_t = config.points[t]
     fld = config.h_fields[i]
     grad_term = fld.grad_log(p_t) + 4.0 * _TWO_PI * config.gstar_gradient(t)
     bracket = (
         0.25 * fld.lap_log(p_t)
         - 0.5 * float(config.curvature[t])
-        + _TWO_PI * mass
+        + _TWO_PI * config.n_L
         + 0.25 * float(grad_term @ grad_term)
     )
     return math.exp(float(config.D[i] - config.alpha[i])) * bracket
@@ -263,7 +261,7 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
 
 def _location_weights(config: BlowupConfiguration, t: int, regime: str):
     """Component weights and Green coupling of the gradient condition."""
-    _require_regular(config, t)
+    _regular_index(config, t)
     if regime == "general":
         return config.rho, _TWO_PI * config.frak.minimum
     if regime == "Q":
@@ -374,6 +372,10 @@ def h_relation_residual(
     (H_it - H_is) - (H_jt - H_js). True bubbling data drive this to the
     size of the expansion error.
     """
+    i = as_count(i, "i", 0, config.n - 1)
+    j = as_count(j, "j", 0, config.n - 1)
+    t = as_count(t, "t", 0, config.n_points - 1)
+    s = as_count(s, "s", 0, config.n_points - 1)
     if t == s:
         raise InputError("compatibility residual needs two distinct points")
     mus = config.mus

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fields import field_from_config
 from .green import TorusGreen, green_eval, gstar_matrix, regular_part
-from .radial import ProblemSpec, integrate, profile_to_csv
+from .radial import ProblemSpec, integrate
 from .scaling import bubble_distance, d_relation_residual, height_match, mu_transform
 from .shooting import alpha_to_sigma, invert_sigma
 
@@ -89,7 +89,6 @@ _BLOWUP_KEYS = {
     "eps_k",
     "delta0",
     "regime",
-    "level_mass",
 }
 _GREEN_KEYS = {"points", "pairs"}
 _OUTPUT_KEYS = {"prefix"}
@@ -162,12 +161,9 @@ def _get_gamma(cfg: dict) -> SingularityProfile:
     return SingularityProfile(_require(cfg, "gamma"))
 
 
-def _solver_params(cfg: dict, tol_override) -> dict:
+def _solver_params(cfg: dict) -> dict:
     """The r_max and tol the config sets; integrate supplies the defaults."""
-    params = {key: cfg[key] for key in ("r_max", "tol") if key in cfg}
-    if tol_override is not None:
-        params["tol"] = tol_override
-    return params
+    return {key: cfg[key] for key in ("r_max", "tol") if key in cfg}
 
 
 def _alpha0_from(cfg: dict, n: int):
@@ -207,30 +203,30 @@ class _Out:
     def write_csv(self, name: str, header, rows) -> None:
         """Comment lines, the header, then rows of numbers to 17 digits."""
         with open(self.path(name), "w") as stream:
-            for line in self.csv_comments():
-                stream.write(f"# {line}\n")
+            stream.write(f"# artifact_version: {__version__}\n")
+            stream.write(f"# config: {json.dumps(self.cfg, sort_keys=True)}\n")
             stream.write(",".join(header) + "\n")
             for row in rows:
                 stream.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def csv_comments(self) -> list[str]:
-        return [
-            f"artifact_version: {__version__}",
-            f"config: {json.dumps(self.cfg, sort_keys=True)}",
-        ]
 
     def say(self, message: str) -> None:
         if not self.quiet:
             print(message)
 
 
-def cmd_solve(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_solve(cfg: dict, out: _Out) -> int:
     matrix = _get_matrix(cfg)
     spec = ProblemSpec(matrix, _get_gamma(cfg), _alpha0_from(cfg, matrix.n))
-    profile = integrate(spec, **_solver_params(cfg, tol_override))
+    profile = integrate(spec, **_solver_params(cfg))
     summary = extract_summary(profile)
-    with open(out.path("profile.csv"), "w") as stream:
-        profile_to_csv(profile, stream, comments=out.csv_comments())
+    # the grid nodes: r, U_i, and dU_i/dr = (dU_i/ds) / r
+    r_nodes = np.exp(profile.grid)
+    components = range(1, matrix.n + 1)
+    out.write_csv(
+        "profile.csv",
+        ["r", *(f"U_{i}" for i in components), *(f"dU_{i}" for i in components)],
+        np.column_stack([r_nodes, profile.values, profile.dvalues / r_nodes[:, None]]),
+    )
     out.write_json(
         "summary.json",
         {"summary": summary.to_dict(), "h2_ok": matrix.h2_ok},
@@ -246,10 +242,10 @@ def cmd_solve(cfg: dict, out: _Out, tol_override=None) -> int:
     return 0
 
 
-def cmd_invert(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_invert(cfg: dict, out: _Out) -> int:
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
-    params = _solver_params(cfg, tol_override)
+    params = _solver_params(cfg)
     target = _require(cfg, "target_sigma")
     try:
         alpha = invert_sigma(matrix, sing, target, guess=cfg.get("guess"), **params)
@@ -282,7 +278,7 @@ def cmd_invert(cfg: dict, out: _Out, tol_override=None) -> int:
     return 0
 
 
-def cmd_surface(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_surface(cfg: dict, out: _Out) -> int:
     matrix = _get_matrix(cfg)
     sub = _require(cfg, "surface")
     strengths = [SingularityProfile(g) for g in sub.get("gammas", [])]
@@ -328,7 +324,7 @@ def cmd_surface(cfg: dict, out: _Out, tol_override=None) -> int:
     return 0
 
 
-def cmd_compare(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_compare(cfg: dict, out: _Out) -> int:
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
     sub = _require(cfg, "compare")
@@ -336,7 +332,7 @@ def cmd_compare(cfg: dict, out: _Out, tol_override=None) -> int:
         sub.get("M_p", 10.0), sub.get("M_q", 10.0), _require(sub, "mu_p"), sing.mu
     )
     spec = ProblemSpec(matrix, sing, _alpha0_from(cfg, matrix.n))
-    profile_q = integrate(spec, **_solver_params(cfg, tol_override))
+    profile_q = integrate(spec, **_solver_params(cfg))
     summary_q = extract_summary(profile_q)
     summary_p = extract_summary(mu_transform(profile_q, heights.mu_p))
     comparison = bubble_distance(summary_p, summary_q, heights)
@@ -387,7 +383,7 @@ def _blowup_from(cfg: dict) -> tuple[BlowupConfiguration, dict]:
     return config, sub
 
 
-def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_leading(cfg: dict, out: _Out) -> int:
     config, sub = _blowup_from(cfg)
     # echoed as given: the leading-term functions reject all but floats in (0, 1)
     eps_k = sub.get("eps_k", 1e-3)
@@ -400,13 +396,8 @@ def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
         "h2_ok": config.matrix.h2_ok,
     }
     if regime == "Q":
-        level_mass = sub.get("level_mass")
         b_table = [
-            {
-                "i": i + 1,
-                "t": t + 1,
-                "b": b_coefficient(config, i, t, level_mass=level_mass),
-            }
+            {"i": i + 1, "t": t + 1, "b": b_coefficient(config, i, t)}
             for i in range(config.n)
             for t in config.regular_set
         ]
@@ -437,7 +428,7 @@ def cmd_leading(cfg: dict, out: _Out, tol_override=None) -> int:
     return 0
 
 
-def cmd_green(cfg: dict, out: _Out, tol_override=None) -> int:
+def cmd_green(cfg: dict, out: _Out) -> int:
     sub = _require(cfg, "green")
     geometry = TorusGreen()
     gamma_diag, grad_diag = regular_part(geometry, np.zeros(2))
@@ -485,14 +476,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
         p.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         out = _Out(args.out, cfg, args.quiet)
-        return _COMMANDS[args.command](cfg, out, tol_override=args.tol)
+        return _COMMANDS[args.command](cfg, out)
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

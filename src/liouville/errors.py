@@ -105,10 +105,14 @@ def as_fraction(value, name: str) -> float:
     return value
 
 
-def as_count(value, name: str, lo: int) -> int:
-    """An integer of at least ``lo``; floats such as 2.0 or 2.5 are rejected."""
+def as_count(value, name: str, lo: int, hi: int | None = None) -> int:
+    """An integer in [lo, hi], or of at least ``lo`` if ``hi`` is None.
+
+    Floats such as 2.0 or 2.5 are rejected, not rounded.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        raise InputError(f"{name} must be at least {lo}, got {value}")
+    if value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InputError(f"{name} must be {bound}, got {value}")
     return int(value)

@@ -1,7 +1,8 @@
 """Green function of the flat unit-area torus and the cell-domain integral.
 
-For a rectangular torus with side lengths Lx * Ly = 1 the Green function of
-the (positive) Laplacian with unit mean subtracted,
+``TorusGreen(lx)`` is the rectangular torus with sides Lx = lx along x and
+Ly = 1/lx along y, so its area is 1. Its Green function of the (positive)
+Laplacian with unit mean subtracted,
 
     -Delta G(x, p) = delta_p - 1,   integral G = 0,
 
@@ -56,6 +57,7 @@ from .errors import (
     InputError,
     SingularityError,
     as_array,
+    as_count,
     as_fraction,
     as_number,
 )
@@ -65,30 +67,19 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class TorusGreen:
-    """Flat rectangular torus of unit area."""
+    """Flat rectangular torus of unit area, sides lx along x and ly = 1/lx."""
 
-    periods: tuple = ((1.0, 0.0), (0.0, 1.0))
+    lx: float = 1.0
 
     def __post_init__(self):
-        p = as_array(self.periods, "periods", (2, 2))
-        if abs(float(p[0] @ p[1])) > 1e-14:
-            raise InputError("only rectangular (orthogonal) lattices are supported")
-        if not (p[0][1] == 0.0 and p[1][0] == 0.0):
-            raise InputError("lattice vectors must be axis-aligned")
-        area = abs(p[0][0] * p[1][1])
-        if abs(area - 1.0) > 1e-12:
-            raise InputError(f"torus area must be 1, got {area}")
-        object.__setattr__(
-            self, "periods", ((p[0][0], p[0][1]), (p[1][0], p[1][1]))
-        )
-
-    @property
-    def lx(self) -> float:
-        return self.periods[0][0]
+        lx = as_number(self.lx, "lx")
+        if lx <= 0.0:
+            raise InputError(f"lx must be positive, got {lx}")
+        object.__setattr__(self, "lx", lx)
 
     @property
     def ly(self) -> float:
-        return self.periods[1][1]
+        return 1.0 / self.lx
 
 
 def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
@@ -430,6 +421,8 @@ def a_integral(
     integral has weight zero and A is 1 / mu_t. ``epsrel``, in (0, 1), is
     the relative error the cubature aims at.
     """
+    i = as_count(i, "i", 0, config.n - 1)
+    t = as_count(t, "t", 0, config.n_points - 1)
     epsrel = as_fraction(epsrel, "epsrel")
     delta0, dists, phis = cell_fit(config, t, delta0)
     geom = config.geometry

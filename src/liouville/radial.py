@@ -384,24 +384,3 @@ def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
     s = math.log(min(r, profile.r_max))
     return _hermite(profile.grid, profile.mass, profile.wnode, s)
 
-
-def profile_to_csv(profile: RadialProfile, stream, comments=()) -> None:
-    """Write the profile grid as CSV: r, U_1..U_n, dU_1..dU_n.
-
-    17 significant digits per field; optional comment lines are prefixed
-    with '#'.
-    """
-    n = profile.n
-    for line in comments:
-        stream.write(f"# {line}\n")
-    header = (
-        ["r"]
-        + [f"U_{i + 1}" for i in range(n)]
-        + [f"dU_{i + 1}" for i in range(n)]
-    )
-    stream.write(",".join(header) + "\n")
-    r_nodes = np.exp(profile.grid)
-    du_dr = profile.dvalues / r_nodes[:, None]
-    for k in range(len(r_nodes)):
-        fields = [r_nodes[k], *profile.values[k], *du_dr[k]]
-        stream.write(",".join(f"{v:.17g}" for v in fields) + "\n")

@@ -228,7 +228,7 @@ def test_criterion_09_torus_green(geometry, fourier_green):
     # on wide and narrow tori alike
     series_gap = 0.0
     for lx in (0.3, 0.5, 1.0, 2.0, 3.0):
-        torus = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
+        torus = lv.TorusGreen(lx)
         x, q = rng.random((40, 2)) * [lx, 1.0 / lx], rng.random(2) * [lx, 1.0 / lx]
         x = x[lv.torus_distance(torus, x, q) >= 0.05]
         series_gap = max(

@@ -116,10 +116,6 @@ class TestBCoefficient:
         b_curved = lv.b_coefficient(make_config(curvature=[0.4]), 0, 0)
         assert b_flat - b_curved == pytest.approx(64.0 * 0.2, rel=1e-10)
 
-    def test_level_mass_override(self, single_point_config):
-        b = lv.b_coefficient(single_point_config, 0, 0, level_mass=2.0)
-        assert b == pytest.approx(64.0 * 2.0 * TWO_PI, rel=1e-9)
-
     def test_singular_point_rejected(self, singular_point_config):
         with pytest.raises(DomainError):
             lv.b_coefficient(singular_point_config, 0, 0)
@@ -148,10 +144,10 @@ class TestLeadingTermQ:
             alpha=[0.0],
         )
         assert two.is_at_q()
-        # symmetric offsets kill the gradient sums: each b equals the
-        # single-point b evaluated at this level's mass
+        # symmetric offsets kill the gradient sums: each b is the single-point
+        # b plus e^(D - alpha) 2 pi (n_L - 1), the constant term at level 2
         b_each = lv.b_coefficient(two, 0, 0)
-        b_ref = lv.b_coefficient(make_config(), 0, 0, level_mass=2.0)
+        b_ref = lv.b_coefficient(make_config(), 0, 0) + 64.0 * TWO_PI * (2.0 - 1.0)
         assert b_each == pytest.approx(b_ref, rel=1e-8)
         pred = lv.leading_term_Q(two, 1e-3)
         single_term = -4.0 * b_each * 1e-6 * math.log(1e3)
@@ -486,3 +482,34 @@ class TestHRelation:
     def test_validation(self, singular_point_config):
         with pytest.raises(InputError):
             lv.h_relation_residual(singular_point_config, 0, 1, 0, 0)
+
+
+# (case id, function, configuration fixture, arguments after the configuration,
+# the index the error names); single_point_config has n = 1 and one point,
+# singular_point_config n = 2 and one point
+INDEX_PROBES = [
+    ("residual-t-float", lv.location_residual, "single_point_config", (0.0, "Q"), "t"),
+    ("residual-t-past", lv.location_residual, "single_point_config", (5, "Q"), "t"),
+    ("residual-t-neg", lv.location_residual, "single_point_config", (-1, "Q"), "t"),
+    ("search-t-past", lv.location_search, "single_point_config", (1, "Q"), "t"),
+    ("b-i-neg", lv.b_coefficient, "single_point_config", (-1, 0), "i"),
+    ("b-i-past", lv.b_coefficient, "single_point_config", (1, 0), "i"),
+    ("b-t-past", lv.b_coefficient, "single_point_config", (0, 1), "t"),
+    ("a-t-neg", lv.a_integral, "singular_point_config", (0, -1, 0.01), "t"),
+    ("a-i-past", lv.a_integral, "singular_point_config", (2, 0, 0.01), "i"),
+    ("a-i-bool", lv.a_integral, "singular_point_config", (True, 0, 0.01), "i"),
+    ("h-i-past", lv.h_relation_residual, "singular_point_config", (2, 0, 0, 0), "i"),
+    ("h-j-neg", lv.h_relation_residual, "singular_point_config", (0, -1, 0, 0), "j"),
+    ("h-t-float", lv.h_relation_residual, "singular_point_config", (0, 1, 0.0, 0), "t"),
+    ("h-s-past", lv.h_relation_residual, "singular_point_config", (0, 0, 0, 3), "s"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, config, args, name", [p[1:] for p in INDEX_PROBES], ids=[p[0] for p in INDEX_PROBES]
+)
+def test_bad_index_rejected(request, fn, config, args, name):
+    # a point or component index is checked once, on entry, and named;
+    # never a bare IndexError, a wrapped-around value or a geometry error
+    with pytest.raises(InputError, match=f"^{name} must"):
+        fn(request.getfixturevalue(config), *args)

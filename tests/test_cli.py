@@ -45,6 +45,43 @@ class TestSolve:
         ][0]
         assert header == "r,U_1,dU_1"
 
+    def test_profile_csv_format(self, tmp_path, f3_profile):
+        # the F3 fixture's grid: comment lines, header, one row per node,
+        # 17 significant digits that read back to the computed floats
+        code, out = run(
+            tmp_path,
+            "solve",
+            {
+                "matrix": [[1.0, 2.0], [2.0, 1.0]],
+                "gamma": 0.0,
+                "alpha0": [0.0, 0.0],
+                "r_max": 1e4,
+                "tol": 1e-10,
+            },
+        )
+        assert code == 0
+        lines = (out / "profile.csv").read_text().splitlines()
+        summary = read_json(out, "summary.json")
+        assert lines[0] == f"# artifact_version: {summary['artifact_version']}"
+        assert json.loads(lines[1].removeprefix("# config: ")) == summary["config"]
+        assert lines[2] == "r,U_1,U_2,dU_1,dU_2"
+        assert len(lines) == 3 + len(f3_profile.grid)
+        assert float(lines[3].split(",")[0]) == pytest.approx(1e-6, rel=1e-12)
+        k = len(f3_profile.grid) // 2
+        row = [float(v) for v in lines[3 + k].split(",")]
+        r = np.exp(f3_profile.grid)[k]
+        assert row[0] == r
+        assert row[1:3] == f3_profile.values[k].tolist()
+        assert row[3:] == (f3_profile.dvalues[k] / r).tolist()
+
+    def test_tol_flag_rejected(self, tmp_path, capsys):
+        # the tolerance comes from the config's "tol" only, so the embedded
+        # config always describes the run
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "solve", BASES["solve"], extra=("--tol", "1e-6"))
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_reduced_alpha_entry(self, tmp_path):
         code, out = run(
             tmp_path,
@@ -392,7 +429,8 @@ PROBES = [
     ("D-nan", "leading-general", "blowup.D", [math.nan, 0.0], "D must"),
     ("points-nan", "leading-general", "blowup.points", [[math.nan, 0.62]], "points"),
     ("green-points-nan", "green", "green.points", [[0.1, math.nan], [0.6, 0.7]], "points"),
-    ("level_mass-nan", "leading-Q", "blowup.level_mass", math.nan, "level_mass"),
+    # level_mass is not a key: the constant term of b uses the level n_L
+    ("level_mass-nan", "leading-Q", "blowup.level_mass", math.nan, "unknown key 'level_mass'"),
     ("n_L-nan", "surface", "surface.n_L", math.nan, "n_L"),
     ("m_max-2.7", "surface", "surface.m_max", 2.7, "m_max"),
     ("m_max-nan", "surface", "surface.m_max", math.nan, "m_max"),

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -292,18 +291,3 @@ class TestEvaluate:
         with pytest.raises(InputError, match="r must be finite"):
             lv.evaluate(f1_profile, math.nan)
 
-
-class TestCsvExport:
-    def test_format(self, f3_profile):
-        stream = io.StringIO()
-        lv.profile_to_csv(f3_profile, stream, comments=["check: 1"])
-        lines = stream.getvalue().splitlines()
-        assert lines[0] == "# check: 1"
-        assert lines[1] == "r,U_1,U_2,dU_1,dU_2"
-        assert len(lines) == 2 + len(f3_profile.grid)
-        first = [float(v) for v in lines[2].split(",")]
-        assert first[0] == pytest.approx(1e-6, rel=1e-12)
-        # 17 significant digits survive a round trip
-        row = lines[len(lines) // 2].split(",")
-        k = len(lines) // 2 - 2
-        assert float(row[1]) == f3_profile.values[k, 0]

@@ -37,7 +37,7 @@ class TestGreenEval:
     @pytest.mark.parametrize("lx", [0.3, 0.5, 1.0, 2.0, 3.0])
     def test_matches_fourier_series(self, lx, fourier_green):
         # the image sum against the 400-mode Fourier series, away from the pole
-        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         rng = np.random.default_rng(5)
         x = rng.random((400, 2)) * [lx, 1.0 / lx]
         p = rng.random(2) * [lx, 1.0 / lx]
@@ -49,7 +49,7 @@ class TestGreenEval:
     @pytest.mark.parametrize("lx", [0.3, 1.0, 3.0])
     def test_regular_part_at_the_pole(self, lx):
         # G + log|d|/2 pi - gamma is O(|d|^2); at |d| = 1e-6 nothing cancels
-        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         gamma = lv.regular_part(geom, np.zeros(2))[0]
         p = np.array([0.31 * lx, 0.62 / lx])
         for angle in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
@@ -61,8 +61,8 @@ class TestGreenEval:
     @pytest.mark.parametrize("a", [0.3, 2.0])
     def test_orientation(self, a):
         # the torus (a, 1/a) is the torus (1/a, a) with the axes exchanged
-        wide = lv.TorusGreen(periods=((a, 0.0), (0.0, 1.0 / a)))
-        tall = lv.TorusGreen(periods=((1.0 / a, 0.0), (0.0, a)))
+        wide = lv.TorusGreen(a)
+        tall = lv.TorusGreen(1.0 / a)
         rng = np.random.default_rng(19)
         x = rng.random((50, 2)) * [a, 1.0 / a]
         p = np.array([0.05, 0.03])
@@ -166,7 +166,7 @@ TORI = [1.0, 2.0, 0.5, 3.0]
 class TestGreenHessian:
     @pytest.mark.parametrize("lx", TORI)
     def test_matches_central_difference(self, lx):
-        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         half = np.array([lx, 1.0 / lx]) / 2.0
         rng = np.random.default_rng(5)
         # random displacements plus some whose wrapped value sits at +-L/2,
@@ -197,7 +197,7 @@ class TestGreenHessian:
     @pytest.mark.parametrize("lx", TORI)
     def test_trace_is_one(self, lx):
         # -Delta G = delta - 1 on the unit-area torus: off the pole Delta G = 1
-        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         d = (np.random.default_rng(6).random((200, 2)) - 0.5) * [lx, 1.0 / lx]
         d = d[lv.torus_distance(geom, d, np.zeros(2)) > 0.01]
         hess = hessian(geom, d)
@@ -205,7 +205,7 @@ class TestGreenHessian:
 
     @pytest.mark.parametrize("lx", TORI)
     def test_symmetric_and_even(self, lx):
-        geom = lv.TorusGreen(((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         d = (np.random.default_rng(7).random((50, 2)) - 0.5) * [lx, 1.0 / lx]
         d = d[lv.torus_distance(geom, d, np.zeros(2)) > 0.01]
         hess = hessian(geom, d)
@@ -235,7 +235,7 @@ class TestRegularPart:
     @pytest.mark.parametrize("lx", [0.3, 0.5, 0.8, 2.0])
     def test_dedekind_eta_oracle(self, lx):
         # Kronecker's limit formula: gamma = -(1/2 pi) log(2 pi Lx |eta(i beta)|^2)
-        geom = lv.TorusGreen(periods=((lx, 0.0), (0.0, 1.0 / lx)))
+        geom = lv.TorusGreen(lx)
         q = math.exp(-2.0 * math.pi * lx * lx)  # beta = Lx / Ly = Lx^2
         eta = q ** (1.0 / 24.0) * math.prod(1.0 - q**n for n in range(1, 200))
         oracle = -math.log(2.0 * math.pi * lx * eta**2) / (2.0 * math.pi)
@@ -273,7 +273,7 @@ class TestRegularPart:
 
 class TestGeometryValidation:
     def test_rectangle_supported(self):
-        geom = lv.TorusGreen(periods=((2.0, 0.0), (0.0, 0.5)))
+        geom = lv.TorusGreen(2.0)
         x, p = np.array([0.7, 0.1]), np.array([1.6, 0.4])
         assert lv.green_eval(geom, x, p) == pytest.approx(
             lv.green_eval(geom, p, x), abs=1e-12
@@ -289,10 +289,10 @@ class TestGeometryValidation:
             assert abs(grad[axis] - fd) < 1e-6
 
     def test_rejects_bad_lattices(self):
-        with pytest.raises(InputError):
-            lv.TorusGreen(periods=((1.0, 0.1), (0.0, 1.0)))
-        with pytest.raises(InputError):
-            lv.TorusGreen(periods=((2.0, 0.0), (0.0, 1.0)))
+        # the one free side: ly = 1/lx keeps the area at 1
+        for lx in (0.0, -1.0, math.nan, "x"):
+            with pytest.raises(InputError, match="lx"):
+                lv.TorusGreen(lx)
 
 
 class TestGStarMatrix:
