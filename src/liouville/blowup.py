@@ -129,6 +129,7 @@ class BlowupConfiguration:
         return self._gstar_derivative(t, 2)
 
     def _gstar_derivative(self, t: int, order: int) -> np.ndarray:
+        t = as_count(t, "t", 0, self.n_points - 1)
         others = np.arange(self.n_points) != t
         terms = _green(self.geometry, self.points[t] - self.points[others], order=order)
         return (self.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)

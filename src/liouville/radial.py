@@ -16,11 +16,9 @@ log-weighted counterpart, so downstream energy quadratures inherit the
 adaptive step control of the solver and stay bitwise deterministic.
 
 The stepper is the Dormand-Prince 5(4) embedded pair with a PI step-size
-controller and FSAL reuse. Its seven stages are the rows of one (7, N) array
-and every stage value is one product with the Butcher matrix. On request it
-also carries the forward sensitivities S = dY/d alpha0: the state becomes a
-(4n, 1 + n) block whose column 0 is the state and whose other columns obey
-the variational equations
+controller and FSAL reuse. On request it also carries the forward
+sensitivities S = dY/d alpha0: the state becomes a (4n, 1 + n) block whose
+column 0 is the state and whose other columns obey the variational equations
 
     S_U' = S_V,  S_V' = -A diag(w) S_U,  S_mass' = diag(w) S_U,
     S_logmass' = s diag(w) S_U,  w = exp(2 mu s + U),
@@ -28,12 +26,20 @@ the variational equations
 seeded by the alpha0-derivative of the origin series. Error control, the
 overflow guard and the recorded nodes read column 0 only, so the
 sensitivities never steer the step size.
+
+Each step works on the weights W = w [1 | S_U], the only nonlinear term
+(U' = V, V' = -A W, mass' = W, logmass' = s W): a stage's U is a fixed
+combination of U, V and the earlier stages' -A W, and one product of the
+seven stages' W and -A W with a matrix in h and h s gives the new V, mass
+and logmass and the error estimate (see ``_step_basis``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -87,6 +93,10 @@ class RadialProfile:
     docstring, with node derivatives ``wnode`` and s*``wnode``.
     ``sensitivity`` is None unless requested from ``integrate``; then it is
     d(state at r_max)/d alpha0, shape (4n, n), rows U, dU/ds, mass, logmass.
+    ``stats`` holds the integration's deterministic counters: ``accepted``
+    and ``rejected`` steps, ``evaluations`` of the weights exp(2 mu s + U),
+    the smallest and largest accepted step in s (``h_min``, ``h_max``) and
+    ``r_start``; it is empty for profiles made by transforming another.
     """
 
     spec: ProblemSpec
@@ -99,6 +109,7 @@ class RadialProfile:
     wnode: np.ndarray
     r_max: float
     sensitivity: np.ndarray | None = None
+    stats: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
 
     @property
     def n(self) -> int:
@@ -174,6 +185,45 @@ _DP_E = np.array(
 )
 
 
+def _step_basis() -> np.ndarray:
+    """Coefficients of 1, h, h^2 and h s in every linear combination of a step.
+
+    Only W_l = w_l [1 | S_U] is nonlinear; with G_l = -A W_l (that is V')
+    at stage l, a step is linear in the rows of the (18, n, q) array
+
+        F = [W_0 .. W_6, U, V, mass, logmass, G_0 .. G_6].
+
+    Since V_l = V + h sum_m a_lm G_m, stage j's U is
+
+        U_j = U + c_j h V + h^2 sum_l (A^2)_jl G_l,
+
+    and U_6 is the new U (FSAL). The new V, mass and logmass are
+    V + h b.G, mass + h b.W and logmass + h s b.W + h^2 (b c).W; the error
+    rows of U, V, mass and logmass are h^2 (E A).G, h E.G, h E.W and
+    h s E.W + h^2 (E c).W (the V term of U's vanishes: sum E = 0).
+    Columns: the (7, 11) stage matrix over F[7:], then the (7, 18) end
+    matrix over F with rows V, mass, logmass and the four error rows.
+    """
+    b, w, g = _DP_A[6], slice(0, 7), slice(11, 18)
+    stage = np.zeros((4, 7, 11))
+    stage[0, :, 0] = 1.0
+    stage[1, :, 1] = _DP_C
+    stage[2, :, 4:] = _DP_A @ _DP_A
+    end = np.zeros((4, 7, 18))
+    end[0, [0, 1, 2], [8, 9, 10]] = 1.0
+    end[1, 0, g] = b
+    end[1, 1, w] = b
+    end[2, 2, w], end[3, 2, w] = b * _DP_C, b
+    end[2, 3, g] = _DP_E @ _DP_A
+    end[1, 4, g] = _DP_E
+    end[1, 5, w] = _DP_E
+    end[2, 6, w], end[3, 6, w] = _DP_E * _DP_C, _DP_E
+    return np.hstack([stage.reshape(4, -1), end.reshape(4, -1)])
+
+
+_STEP_BASIS = _step_basis()
+
+
 def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
     """d(series state at the fixed radius r0)/d alpha0, shape (4n, n)."""
     mu = spec.singularity.mu
@@ -243,32 +293,50 @@ def integrate(
     block = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])[:, None]
     if sensitivity:
         block = np.hstack([block, _series_sensitivity(spec, r_start)])
-    # the (4n, q) block is flattened row by row, so the state is y[::q]
     q = block.shape[1]
-    y = block.ravel()
 
     neg_a = -a_mat
+    mu2 = 2.0 * mu
+    c = _DP_C.tolist()
+    coef = np.empty(_STEP_BASIS.shape[1])
+    end_coef = coef[7 * 11 :].reshape(7, 18)  # after the stage matrix
+    # F of _STEP_BASIS; rows 7-10 hold the state, column 0 of each row
+    # the solution and columns 1.. its sensitivities
+    weights = np.empty((18, n, q))
+    flat = weights.reshape(18, n * q)
+    state = weights[7:11]
+    state[:] = block.reshape(4, n, q)
+    # the step's outcome: U_6, then the end matrix's rows
+    new = np.empty((8, n, q))
+    u_stage = [weights[7], *np.empty((5, n, q)), new[0]]
+    # per stage j, made once: its row of the stage matrix and the rows of F
+    # it reads, U_j flat and as (solution, sensitivities), W_j likewise and
+    # whole, and G_j
+    stages = [
+        (
+            coef[11 * j : 11 * j + 4 + j], flat[7 : 11 + j], u.reshape(-1), u[:, :1],
+            u[:, 1:], weights[j, :, :1], weights[j, :, 1:], weights[j], weights[11 + j],
+        )
+        for j, u in enumerate(u_stage)
+    ]
 
-    def rhs(s, y, out):
-        """Write Y' into the (4n, q) block out; one pass for state and S."""
-        blk = y.reshape(4 * n, q)
-        w = np.exp(2.0 * mu * s + blk[:n, 0])
-        wm = w[:, None] * blk[:n]  # [w | diag(w) dU]
-        wm[:, 0] = w
-        out[:n] = blk[n : 2 * n]
-        np.matmul(neg_a, wm, out=out[n : 2 * n])
-        out[2 * n : 3 * n] = wm
-        np.multiply(s, wm, out=out[3 * n :])
+    def weigh(j, s_j):
+        """W_j = w [1 | S_U] and G_j = -A W_j from U_j, w = exp(2 mu s_j + U)."""
+        _, _, _, u_sol, u_sens, w_sol, w_sens, w_j, g_j = stages[j]
+        np.exp(mu2 * s_j + u_sol, out=w_sol)
+        if sensitivity:
+            np.multiply(u_sens, w_sol, out=w_sens)
+        np.matmul(neg_a, w_j, out=g_j)
 
     atol = tol * 1e-3
     s = s0
     h = 1e-2
     err_prev = 1.0
-    stages = np.empty((7, y.size))
-    blocks = stages.reshape(7, 4 * n, q)  # the same memory, one block per stage
-    rhs(s, y, blocks[0])
+    weigh(0, s)
     nodes = [s]
-    states = [y[::q]]
+    states = [state[:, :, 0].copy()]
+    size = np.abs(states[0])
+    err_vec = new[4:, :, 0]
     max_h = 1.0
     attempts = 0
 
@@ -285,22 +353,25 @@ def integrate(
             raise IntegrationError(
                 f"step size underflow at s = {s:.6f}", last_radius=math.exp(s)
             )
-        for i in range(1, 7):
-            y_new = y + h * (_DP_A[i, :i] @ stages[:i])
-            rhs(s + _DP_C[i] * h, y_new, blocks[i])
-        # y_new is the 5th-order solution, at which stage 6 was evaluated
-        err_vec = h * (_DP_E @ stages[:, ::q])
-        scale = atol + tol * np.maximum(np.abs(y[::q]), np.abs(y_new[::q]))
-        ratio = err_vec / scale
-        err = math.sqrt(float(ratio @ ratio) / ratio.size)
+        np.dot((1.0, h, h * h, h * s), _STEP_BASIS, out=coef)
+        for j in range(1, 7):
+            row, reads, u_j = stages[j][:3]
+            np.matmul(row, reads, out=u_j)
+            weigh(j, s + c[j] * h)
+        np.matmul(end_coef, flat, out=new[1:].reshape(7, n * q))
+        # new[:4] is the 5th-order solution, at whose U stage 6 was evaluated
+        size_new = np.abs(new[:4, :, 0])
+        ratio = err_vec / (atol + tol * np.maximum(size, size_new))
+        err = math.sqrt(float(np.vdot(ratio, ratio)) / ratio.size)
 
         if err <= 1.0:
             s += h
-            y = y_new
-            stages[0] = stages[6]
+            state[:] = new[:4]
+            weights[0::11] = weights[6::11]  # FSAL: W_0, G_0 <- W_6, G_6
+            size = size_new
             nodes.append(s)
-            states.append(y[::q])
-            if float(y[: n * q : q].max()) > U_OVERFLOW:
+            states.append(state[:, :, 0].copy())
+            if float(state[0, :, 0].max()) > U_OVERFLOW:
                 raise BlowupError(
                     f"solution component exceeded {U_OVERFLOW} at r = "
                     f"{math.exp(s):.3e}",
@@ -313,14 +384,19 @@ def integrate(
             h *= max(0.2, 0.9 * err ** (-0.2))
 
     grid = np.array(nodes)
-    state = np.array(states)
-    values = state[:, :n]
-    dvalues = state[:, n : 2 * n]
-    mass = state[:, 2 * n : 3 * n]
-    logmass = state[:, 3 * n :]
+    values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
     wnode = np.exp(2.0 * mu * grid[:, None] + values)
     d2values = -(wnode @ a_mat.T)
-    sens = y.reshape(4 * n, q)[:, 1:].copy() if sensitivity else None
+    sens = state[:, :, 1:].reshape(4 * n, n).copy() if sensitivity else None
+    steps = np.diff(grid)
+    stats = {
+        "accepted": len(steps),
+        "rejected": attempts - len(steps),
+        "evaluations": 1 + 6 * attempts,
+        "h_min": float(steps.min()),
+        "h_max": float(steps.max()),
+        "r_start": r_start,
+    }
     for arr in (grid, values, dvalues, d2values, mass, logmass, wnode, sens):
         if arr is not None:
             arr.setflags(write=False)
@@ -335,6 +411,7 @@ def integrate(
         wnode=wnode,
         r_max=float(math.exp(grid[-1])),
         sensitivity=sens,
+        stats=MappingProxyType(stats),
     )
 
 

@@ -106,6 +106,91 @@ def fourier_green():
     return _fourier_green
 
 
+# Dormand-Prince 5(4) tableau, written out again for the row-form oracle
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def _row_form_integrate(spec, r_max, tol, sensitivity=False):
+    """The DP5(4) loop in row form: every stage is a full right-hand side.
+
+    The same method, start radius, PI controller and error norm as
+    ``liouville.integrate``, with each stage value formed as
+    y + h (A row) @ stages over the whole (7, 4n q) stage array. Returns
+    the grid, the (node, 4n) state and, with ``sensitivity``, d(state at
+    r_max)/d alpha0 as a (4n, n) array.
+    """
+    from liouville import radial
+
+    n, mu, a_mat = spec.n, spec.singularity.mu, spec.matrix.entries
+    s_max_coeff = float(np.max(a_mat @ np.exp(spec.alpha0)))
+    r_start = radial.R_SERIES
+    target = 1e-8 * (2.0 * mu) ** 2 / s_max_coeff
+    if r_start ** (2.0 * mu) > target:
+        r_start = max(target ** (1.0 / (2.0 * mu)), 1e-250)
+    s0, s_end = math.log(r_start), math.log(r_max)
+    u0, du_dr0 = lv.origin_series(spec, r_start)
+    mass0, logmass0 = radial._series_energy_seeds(spec, r_start)
+    block = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])[:, None]
+    if sensitivity:
+        block = np.hstack([block, radial._series_sensitivity(spec, r_start)])
+    q = block.shape[1]
+    y = block.ravel()
+
+    def rhs(s, y, out):
+        blk = y.reshape(4 * n, q)
+        w = np.exp(2.0 * mu * s + blk[:n, 0])
+        wm = w[:, None] * blk[:n]
+        wm[:, 0] = w
+        out[:n] = blk[n : 2 * n]
+        np.matmul(-a_mat, wm, out=out[n : 2 * n])
+        out[2 * n : 3 * n] = wm
+        np.multiply(s, wm, out=out[3 * n :])
+
+    atol = tol * 1e-3
+    s, h, err_prev = s0, 1e-2, 1.0
+    stages = np.empty((7, y.size))
+    blocks = stages.reshape(7, 4 * n, q)
+    rhs(s, y, blocks[0])
+    nodes, states = [s], [y[::q]]
+    while s_end - s > 1e-13 * max(1.0, abs(s_end)):
+        h = min(h, s_end - s, 1.0)
+        for i in range(1, 7):
+            y_new = y + h * (_DP_A[i, :i] @ stages[:i])
+            rhs(s + _DP_C[i] * h, y_new, blocks[i])
+        err_vec = h * (_DP_E @ stages[:, ::q])
+        scale = atol + tol * np.maximum(np.abs(y[::q]), np.abs(y_new[::q]))
+        ratio = err_vec / scale
+        err = math.sqrt(float(ratio @ ratio) / ratio.size)
+        if err <= 1.0:
+            s += h
+            y = y_new
+            stages[0] = stages[6]
+            nodes.append(s)
+            states.append(y[::q])
+            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0.0 else 5.0
+            err_prev = max(err, 1e-10)
+            h *= min(5.0, max(0.2, fac))
+        else:
+            h *= max(0.2, 0.9 * err ** (-0.2))
+    sens = y.reshape(4 * n, q)[:, 1:] if sensitivity else None
+    return np.array(nodes), np.array(states), sens
+
+
+@pytest.fixture(scope="session")
+def row_form_integrate():
+    return _row_form_integrate
+
+
 @pytest.fixture(scope="session")
 def single_point_config(matrix1):
     """One regular blowup point at the symmetric point of the scalar system."""

@@ -513,3 +513,11 @@ def test_bad_index_rejected(request, fn, config, args, name):
     # never a bare IndexError, a wrapped-around value or a geometry error
     with pytest.raises(InputError, match=f"^{name} must"):
         fn(request.getfixturevalue(config), *args)
+
+
+@pytest.mark.parametrize("method", ["gstar_gradient", "gstar_hessian"])
+@pytest.mark.parametrize("t", [-1, 2, 0.0, "a"])
+def test_gstar_derivative_checks_t(method, t):
+    # a negative t would keep the point among the others, 2 is past the end
+    with pytest.raises(InputError, match="^t must"):
+        getattr(two_point_config(), method)(t)

@@ -175,20 +175,24 @@ def _dop853_final_state(spec, r0, r_max):
     return sol.y[:, -1]
 
 
+def _seeded_spec(n, gamma):
+    """A spec with seeded random alpha0 <= 0 whose largest entry is 0."""
+    rng = np.random.default_rng(100 * n + int(-4 * gamma))
+    alpha0 = rng.uniform(-2.0, 0.0, size=n)
+    alpha0 -= alpha0.max()
+    return lv.ProblemSpec(
+        lv.CoefficientMatrix.from_entries(MATRICES[n]), lv.SingularityProfile(gamma), alpha0
+    )
+
+
 class TestIndependentSolver:
     """The in-house DP5(4) stepper against scipy's DOP853 from the same start."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("gamma", [0.0, -0.25, -0.5])
     def test_final_state(self, n, gamma):
-        rng = np.random.default_rng(100 * n + int(-4 * gamma))
-        alpha0 = rng.uniform(-2.0, 0.0, size=n)
-        alpha0 -= alpha0.max()
-        spec = lv.ProblemSpec(
-            lv.CoefficientMatrix.from_entries(MATRICES[n]),
-            lv.SingularityProfile(gamma),
-            alpha0,
-        )
+        spec = _seeded_spec(n, gamma)
+        alpha0 = spec.alpha0
         profile = lv.integrate(spec, 1e4, 1e-10, sensitivity=True)
         ours = np.concatenate(
             [profile.values[-1], profile.dvalues[-1], profile.mass[-1], profile.logmass[-1]]
@@ -213,6 +217,108 @@ class TestIndependentSolver:
             np.testing.assert_allclose(
                 profile.sensitivity[:, j], fd, rtol=1e-6, atol=1e-6
             )
+
+
+# F1-F3 and the nine seeded specs of TestIndependentSolver, as (n, gamma,
+# alpha0); alpha0 None means the seeded one
+ORACLE_SPECS = {
+    "F1": (1, 0.0, [0.0]),
+    "F2": (1, -0.5, [0.0]),
+    "F3": (2, 0.0, [0.0, 0.0]),
+    **{f"n{n}-g{gamma}": (n, gamma, None) for n in (1, 2, 3) for gamma in (0.0, -0.25, -0.5)},
+}
+
+
+def _oracle_spec(name):
+    n, gamma, alpha0 = ORACLE_SPECS[name]
+    if alpha0 is None:
+        return _seeded_spec(n, gamma)
+    matrix = lv.CoefficientMatrix.from_entries(MATRICES[n])
+    return lv.ProblemSpec(matrix, lv.SingularityProfile(gamma), np.array(alpha0))
+
+
+class TestRowFormOracle:
+    """The weight-form step against the row-form DP5(4) loop it replaced.
+
+    Both take the same steps in exact arithmetic; in floating point the
+    error estimates differ by rounding, which moves the nodes by up to a
+    few 1e-6 in s at tol 1e-10. Each node's state is therefore compared
+    after moving it to the oracle's node to first order.
+    """
+
+    @pytest.mark.parametrize("sensitivity", [False, True])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_same_solution(self, row_form_integrate, name, tol, sensitivity):
+        spec = _oracle_spec(name)
+        grid, state, sens = row_form_integrate(spec, 1e4, tol, sensitivity)
+        profile = lv.integrate(spec, 1e4, tol, sensitivity=sensitivity)
+        assert len(profile.grid) == len(grid)
+        shift = profile.grid - grid
+        assert np.max(np.abs(shift)) < 1e-5
+        assert shift[0] == 0.0 and abs(shift[-1]) < 1e-13
+        ours = np.hstack([profile.values, profile.dvalues, profile.mass, profile.logmass])
+        slopes = np.hstack([
+            profile.dvalues,
+            profile.d2values,
+            profile.wnode,
+            profile.grid[:, None] * profile.wnode,
+        ])
+        moved = ours - slopes * shift[:, None]
+        scale = np.max(np.abs(state), axis=0)
+        assert np.max(np.abs(moved - state) / scale) < 1e-12
+        if sensitivity:
+            np.testing.assert_allclose(
+                profile.sensitivity, sens, rtol=0, atol=1e-12 * np.max(np.abs(sens))
+            )
+        else:
+            assert profile.sensitivity is None
+
+
+class TestStats:
+    @pytest.mark.parametrize("fixture", ["f1_profile", "f2_profile", "f3_profile"])
+    def test_counters(self, request, fixture):
+        profile = request.getfixturevalue(fixture)
+        stats = profile.stats
+        steps = np.diff(profile.grid)
+        assert stats["accepted"] == len(profile.grid) - 1
+        assert stats["evaluations"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["h_min"] == steps.min() and stats["h_max"] == steps.max()
+        assert stats["r_start"] == pytest.approx(profile.r_first, rel=1e-12)
+        with pytest.raises(TypeError):
+            stats["accepted"] = 0
+
+    def test_rejected_steps_counted(self, matrix1):
+        # at tol 1e-6 the controller overshoots a few times leaving the core
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        profile = lv.integrate(spec, 1e4, 1e-6)
+        stats = profile.stats
+        assert stats["rejected"] > 0
+        assert stats["accepted"] == len(profile.grid) - 1
+        assert stats["evaluations"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+
+    def test_start_radius_at_small_mu(self, matrix1):
+        # mu = 0.05 starts far inside R_SERIES
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(-0.95), np.array([0.0]))
+        profile = lv.integrate(spec, 1e4, 1e-10)
+        assert profile.stats["r_start"] < radial.R_SERIES
+        assert profile.stats["r_start"] == pytest.approx(profile.r_first, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
+    @pytest.mark.parametrize("r_max", [1e4, 1e8])
+    def test_sensitivity_keeps_the_counters(self, name, r_max):
+        # error control reads the state column only; the step sizes agree
+        # to rounding, which a wider BLAS call may change
+        spec = _oracle_spec(name)
+        plain = lv.integrate(spec, r_max, 1e-10).stats
+        carried = lv.integrate(spec, r_max, 1e-10, sensitivity=True).stats
+        for key in ("accepted", "rejected", "evaluations", "r_start"):
+            assert carried[key] == plain[key]
+        for key in ("h_min", "h_max"):
+            assert carried[key] == pytest.approx(plain[key], rel=1e-6)
+
+    def test_transformed_profile_has_none(self, f1_profile):
+        assert dict(lv.eta_rescale(f1_profile, 2.0).stats) == {}
 
 
 def interpolated_ode_residual(profile, s_lo, s_hi, h):
