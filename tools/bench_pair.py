@@ -4,7 +4,7 @@
         --seeds 1-5 --out BENCH_10.json
 
 Each seed runs ``bench/run.py --trace 0`` once in each checkout, one run at
-a time; the checkout that goes first alternates from seed to seed, so a
+a time and for the ``run_seconds`` that BENCHMARK.json sets; the checkout that goes first alternates from seed to seed, so a
 drift in host speed hits both sides alike. ``--layers`` adds one traced run
 (``--trace 1``) per side and workload for the per-layer metrics. The output
 holds every run's metrics, the per-side medians and quartiles, how many
@@ -96,8 +96,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
-    parser.add_argument("--seconds", type=float,
-                        help="per run; default: run_seconds in BENCHMARK.json")
     parser.add_argument("--layers", action="store_true",
                         help="add one traced run per side and workload")
     parser.add_argument("--out", type=Path, required=True)
@@ -105,7 +103,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     record = {
