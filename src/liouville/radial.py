@@ -15,23 +15,30 @@ running weighted mass integral int_0^r t^(2 gamma + 1) e^(U_i(t)) dt and its
 log-weighted counterpart, so downstream energy quadratures inherit the
 adaptive step control of the solver and stay bitwise deterministic.
 
-The stepper is the Dormand-Prince 5(4) embedded pair with a PI step-size
-controller and FSAL reuse. On request it also carries the forward
-sensitivities S = dY/d alpha0: the state becomes a (4n, 1 + n) block whose
-column 0 is the state and whose other columns obey the variational equations
+The stepper is DOP853, the 8th-order Dormand-Prince pair with 5th- and
+3rd-order error estimates (Hairer, Norsett and Wanner, Solving ODEs I,
+II.10), with a PI step-size controller and FSAL reuse. On request it also
+carries the forward sensitivities S = dY/d alpha0, (4n, n), which obey the
+variational equations
 
     S_U' = S_V,  S_V' = -A diag(w) S_U,  S_mass' = diag(w) S_U,
     S_logmass' = s diag(w) S_U,  w = exp(2 mu s + U),
 
-seeded by the alpha0-derivative of the origin series. Error control, the
-overflow guard and the recorded nodes read column 0 only, so the
-sensitivities never steer the step size.
+seeded by the alpha0-derivative of the origin series. They are held and
+computed apart from the state, and error control, the overflow guard and
+the recorded nodes read the state only, so the sensitivities never steer
+the step size: grid and state are bitwise those of a run without them.
 
 Each step works on the weights W = w [1 | S_U], the only nonlinear term
 (U' = V, V' = -A W, mass' = W, logmass' = s W): a stage's U is a fixed
 combination of U, V and the earlier stages' -A W, and one product of the
-seven stages' W and -A W with a matrix in h and h s gives the new V, mass
-and logmass and the error estimate (see ``_step_basis``).
+thirteen stages' W and -A W with a matrix in h and h s gives the new V,
+mass and logmass and both error estimates (see ``_step_basis``).
+
+Between nodes, ``evaluate`` and ``interp_mass`` take one step of the same
+pair from the node at or below r, so they carry the solver's own accuracy
+and need nothing stored beyond the nodes. The profiles made by ``scaling``
+solve their own transformed spec, so the same step serves them.
 """
 
 from __future__ import annotations
@@ -94,9 +101,10 @@ class RadialProfile:
     ``sensitivity`` is None unless requested from ``integrate``; then it is
     d(state at r_max)/d alpha0, shape (4n, n), rows U, dU/ds, mass, logmass.
     ``stats`` holds the integration's deterministic counters: ``accepted``
-    and ``rejected`` steps, ``evaluations`` of the weights exp(2 mu s + U),
-    the smallest and largest accepted step in s (``h_min``, ``h_max``) and
-    ``r_start``; it is empty for profiles made by transforming another.
+    and ``rejected`` steps, ``evaluations`` of the weights exp(2 mu s + U)
+    (one at the start and twelve per attempted step), the smallest and
+    largest accepted step in s (``h_min``, ``h_max``) and ``r_start``; it
+    is empty for profiles made by transforming another.
     """
 
     spec: ProblemSpec
@@ -169,55 +177,100 @@ def _series_energy_seeds(spec: ProblemSpec, r0: float):
     return mass0, logmass0
 
 
-# Dormand-Prince 5(4) tableau; row i of _DP_A gives stage i's value, and
-# row 6 is the 5th-order solution (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.zeros((7, 7))
-_DP_A[1, :1] = [1 / 5]
-_DP_A[2, :2] = [3 / 40, 9 / 40]
-_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
-_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
-_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
-_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
-# Difference between 5th- and 4th-order weights (local error estimate).
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+# DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as 13 stages,
+# transcribed from scipy's dop853_coefficients: row j of _A gives stage j's
+# value, and stage 12 is the 8th-order solution at the new point (row 12 is
+# b), reused as the next step's stage 0 (FSAL). _E5 and _E3 are the 5th- and
+# 3rd-order error weights.
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0
+])
+_A = np.zeros((13, 13))
+_A[1, :1] = [0.05260015195876773]
+_A[2, :2] = [0.0197250569845379, 0.0591751709536137]
+_A[3, [0, 2]] = [0.02958758547680685, 0.08876275643042054]
+_A[4, [0, 2, 3]] = [0.2413651341592667, -0.8845494793282861, 0.924834003261792]
+_A[5, [0, 3, 4]] = [0.037037037037037035, 0.17082860872947386, 0.12546768756682242]
+_A[6, [0, 3, 4, 5]] = [
+    0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+]
+_A[7, [0, 3, 4, 5, 6]] = [
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023
+]
+_A[8, [0, 3, 4, 5, 6, 7]] = [
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996
+]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627
+]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196
+]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636
+]
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259
+]
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+    0.08192320648511571, -0.022355307863886294
+]
+_E3 = np.zeros(13)
+_E3[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082
+]
 
 
 def _step_basis() -> np.ndarray:
     """Coefficients of 1, h, h^2 and h s in every linear combination of a step.
 
     Only W_l = w_l [1 | S_U] is nonlinear; with G_l = -A W_l (that is V')
-    at stage l, a step is linear in the rows of the (18, n, q) array
+    at stage l, a step is linear in the rows of the 30-row array
 
-        F = [W_0 .. W_6, U, V, mass, logmass, G_0 .. G_6].
+        F = [W_0 .. W_12, U, V, mass, logmass, G_0 .. G_12].
 
     Since V_l = V + h sum_m a_lm G_m, stage j's U is
 
         U_j = U + c_j h V + h^2 sum_l (A^2)_jl G_l,
 
-    and U_6 is the new U (FSAL). The new V, mass and logmass are
-    V + h b.G, mass + h b.W and logmass + h s b.W + h^2 (b c).W; the error
-    rows of U, V, mass and logmass are h^2 (E A).G, h E.G, h E.W and
+    and U_12 is the new U. The new V, mass and logmass are V + h b.G,
+    mass + h b.W and logmass + h s b.W + h^2 (b c).W; with E = E5 or E3 the
+    error rows of U, V, mass and logmass are h^2 (E A).G, h E.G, h E.W and
     h s E.W + h^2 (E c).W (the V term of U's vanishes: sum E = 0).
-    Columns: the (7, 11) stage matrix over F[7:], then the (7, 18) end
-    matrix over F with rows V, mass, logmass and the four error rows.
+    Columns: the (13, 17) stage matrix over F[13:], then the (11, 30) end
+    matrix over F with rows V, mass, logmass and the E5 and E3 error rows.
     """
-    b, w, g = _DP_A[6], slice(0, 7), slice(11, 18)
-    stage = np.zeros((4, 7, 11))
+    b, w, g = _A[12], slice(0, 13), slice(17, 30)
+    stage = np.zeros((4, 13, 17))
     stage[0, :, 0] = 1.0
-    stage[1, :, 1] = _DP_C
-    stage[2, :, 4:] = _DP_A @ _DP_A
-    end = np.zeros((4, 7, 18))
-    end[0, [0, 1, 2], [8, 9, 10]] = 1.0
+    stage[1, :, 1] = _C
+    stage[2, :, 4:] = _A @ _A
+    end = np.zeros((4, 11, 30))
+    end[0, [0, 1, 2], [14, 15, 16]] = 1.0
     end[1, 0, g] = b
     end[1, 1, w] = b
-    end[2, 2, w], end[3, 2, w] = b * _DP_C, b
-    end[2, 3, g] = _DP_E @ _DP_A
-    end[1, 4, g] = _DP_E
-    end[1, 5, w] = _DP_E
-    end[2, 6, w], end[3, 6, w] = _DP_E * _DP_C, _DP_E
+    end[2, 2, w], end[3, 2, w] = b * _C, b
+    for row, e in ((3, _E5), (7, _E3)):
+        end[2, row, g] = e @ _A
+        end[1, row + 1, g] = e
+        end[1, row + 2, w] = e
+        end[2, row + 3, w], end[3, row + 3, w] = e * _C, e
     return np.hstack([stage.reshape(4, -1), end.reshape(4, -1)])
 
 
@@ -241,6 +294,88 @@ def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
     ])
 
 
+class _Step:
+    """The weight-form step from a state at s, in buffers made once.
+
+    ``f`` is F of ``_step_basis`` for the solution, (30, n), and ``f_sens``
+    the same rows for the sensitivities, (30, n, n), or None; rows 13-16 of
+    each hold the current state. The two are separate arrays so that the
+    solution is computed by the same calls on the same shapes with or
+    without sensitivities, and so rounds the same. ``take(s, h)`` writes the
+    state at s + h to ``new[:4]`` (``new_sens``) and the E5 and E3 error
+    rows of the solution to ``new[4:]``; ``accept()`` makes that state
+    current, with stage 12 as the next stage 0 (FSAL).
+    """
+
+    def __init__(self, spec: ProblemSpec, s: float, state, sens=None):
+        n = spec.n
+        self.mu2 = 2.0 * spec.singularity.mu
+        self.neg_a = -spec.matrix.entries
+        self.coef = np.empty(_STEP_BASIS.shape[1])
+        end = self.coef[13 * 17 :].reshape(11, 30)  # after the stage matrix
+        self.f = np.zeros((30, n))
+        self.f[13:17] = state
+        # the step's outcome: U_12, then the end matrix's rows
+        self.new = np.empty((12, n))
+        u_stage = [self.f[13], *np.empty((11, n)), self.new[0]]
+        # products of the end matrix with F, and (F, new state) pairs
+        self.ends = [(end, self.f, self.new[1:])]
+        self.pairs = [(self.f, self.new)]
+        self.f_sens = self.new_sens = None
+        sens_stages = [None] * 13
+        if sens is not None:
+            self.f_sens = np.zeros((30, n, n))
+            self.f_sens[13:17] = sens
+            self.new_sens = np.empty((4, n, n))
+            f_flat = self.f_sens.reshape(30, n * n)
+            self.ends.append((end[:3], f_flat, self.new_sens[1:].reshape(3, n * n)))
+            self.pairs.append((self.f_sens, self.new_sens))
+            u_sens = [self.f_sens[13], *np.empty((11, n, n)), self.new_sens[0]]
+            sens_stages = [
+                (f_flat[13 : 17 + j], u.reshape(-1), u, self.f[j, :, None],
+                 self.f_sens[j], self.f_sens[17 + j])
+                for j, u in enumerate(u_sens)
+            ]
+        # per stage j: c_j, its row of the stage matrix and the rows of F it
+        # reads, U_j, W_j, G_j, and the same for the sensitivities
+        self.stages = [
+            (float(_C[j]), self.coef[17 * j : 17 * j + 4 + j], self.f[13 : 17 + j],
+             u, self.f[j], self.f[17 + j], sens_stages[j])
+            for j, u in enumerate(u_stage)
+        ]
+        self._weigh(s, *self.stages[0][3:])
+
+    def _weigh(self, s_j, u, w, g, sens):
+        """W_j = w [1 | S_U] and G_j = -A W_j from U_j, w = exp(2 mu s_j + U)."""
+        np.exp(self.mu2 * s_j + u, out=w)
+        np.dot(self.neg_a, w, out=g)
+        if sens is not None:
+            _, _, u_s, w_col, w_s, g_s = sens
+            np.multiply(u_s, w_col, out=w_s)
+            np.dot(self.neg_a, w_s, out=g_s)
+
+    def take(self, s: float, h: float) -> None:
+        # _weigh written out per stage: this loop is nearly all the work
+        np.dot((1.0, h, h * h, h * s), _STEP_BASIS, out=self.coef)
+        mu2, neg_a = self.mu2, self.neg_a
+        for c_j, row, reads, u, w, g, sens in self.stages[1:]:
+            np.dot(row, reads, out=u)
+            np.exp(mu2 * (s + c_j * h) + u, out=w)
+            np.dot(neg_a, w, out=g)
+            if sens is not None:
+                reads_s, u_flat, u_s, w_col, w_s, g_s = sens
+                np.dot(row, reads_s, out=u_flat)
+                np.multiply(u_s, w_col, out=w_s)
+                np.dot(neg_a, w_s, out=g_s)
+        for end, f, out in self.ends:
+            np.dot(end, f, out=out)
+
+    def accept(self) -> None:
+        for f, new in self.pairs:
+            f[13:17] = new[:4]
+            f[0::17] = f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
+
+
 def integrate(
     spec: ProblemSpec,
     r_max: float = 1e4,
@@ -252,7 +387,7 @@ def integrate(
     ``tol`` controls the local error per step (mixed absolute/relative,
     absolute floor tol * 1e-3). With ``sensitivity`` the profile also
     carries d(state at r_max)/d alpha0; step control still reads the state
-    alone, so the grid has the same nodes up to rounding.
+    alone, and the grid and state are bitwise those of a run without.
 
     Raises
     ------
@@ -290,53 +425,18 @@ def integrate(
     s0, s_end = math.log(r_start), math.log(r_max)
     u0, du_dr0 = origin_series(spec, r_start)
     mass0, logmass0 = _series_energy_seeds(spec, r_start)
-    block = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])[:, None]
-    if sensitivity:
-        block = np.hstack([block, _series_sensitivity(spec, r_start)])
-    q = block.shape[1]
-
-    neg_a = -a_mat
-    mu2 = 2.0 * mu
-    c = _DP_C.tolist()
-    coef = np.empty(_STEP_BASIS.shape[1])
-    end_coef = coef[7 * 11 :].reshape(7, 18)  # after the stage matrix
-    # F of _STEP_BASIS; rows 7-10 hold the state, column 0 of each row
-    # the solution and columns 1.. its sensitivities
-    weights = np.empty((18, n, q))
-    flat = weights.reshape(18, n * q)
-    state = weights[7:11]
-    state[:] = block.reshape(4, n, q)
-    # the step's outcome: U_6, then the end matrix's rows
-    new = np.empty((8, n, q))
-    u_stage = [weights[7], *np.empty((5, n, q)), new[0]]
-    # per stage j, made once: its row of the stage matrix and the rows of F
-    # it reads, U_j flat and as (solution, sensitivities), W_j likewise and
-    # whole, and G_j
-    stages = [
-        (
-            coef[11 * j : 11 * j + 4 + j], flat[7 : 11 + j], u.reshape(-1), u[:, :1],
-            u[:, 1:], weights[j, :, :1], weights[j, :, 1:], weights[j], weights[11 + j],
-        )
-        for j, u in enumerate(u_stage)
-    ]
-
-    def weigh(j, s_j):
-        """W_j = w [1 | S_U] and G_j = -A W_j from U_j, w = exp(2 mu s_j + U)."""
-        _, _, _, u_sol, u_sens, w_sol, w_sens, w_j, g_j = stages[j]
-        np.exp(mu2 * s_j + u_sol, out=w_sol)
-        if sensitivity:
-            np.multiply(u_sens, w_sol, out=w_sens)
-        np.matmul(neg_a, w_j, out=g_j)
+    sens0 = _series_sensitivity(spec, r_start).reshape(4, n, n) if sensitivity else None
+    step = _Step(spec, s0, [u0, du_dr0 * r_start, mass0, logmass0], sens0)
+    state, new = step.f[13:17], step.new
+    err_rows = new[4:].reshape(2, 4, n)
 
     atol = tol * 1e-3
     s = s0
     h = 1e-2
     err_prev = 1.0
-    weigh(0, s)
     nodes = [s]
-    states = [state[:, :, 0].copy()]
-    size = np.abs(states[0])
-    err_vec = new[4:, :, 0]
+    states = [state.copy()]
+    size = np.abs(state)
     max_h = 1.0
     attempts = 0
 
@@ -353,46 +453,42 @@ def integrate(
             raise IntegrationError(
                 f"step size underflow at s = {s:.6f}", last_radius=math.exp(s)
             )
-        np.dot((1.0, h, h * h, h * s), _STEP_BASIS, out=coef)
-        for j in range(1, 7):
-            row, reads, u_j = stages[j][:3]
-            np.matmul(row, reads, out=u_j)
-            weigh(j, s + c[j] * h)
-        np.matmul(end_coef, flat, out=new[1:].reshape(7, n * q))
-        # new[:4] is the 5th-order solution, at whose U stage 6 was evaluated
-        size_new = np.abs(new[:4, :, 0])
-        ratio = err_vec / (atol + tol * np.maximum(size, size_new))
-        err = math.sqrt(float(np.vdot(ratio, ratio)) / ratio.size)
+        step.take(s, h)
+        size_new = np.abs(new[:4])
+        r5, r3 = err_rows / (atol + tol * np.maximum(size, size_new))
+        norm5, norm3 = float(np.vdot(r5, r5)), float(np.vdot(r3, r3))
+        # DOP853's norm: the 5th-order estimate, damped where the 3rd is small
+        denom = norm5 + 0.01 * norm3
+        err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
 
         if err <= 1.0:
             s += h
-            state[:] = new[:4]
-            weights[0::11] = weights[6::11]  # FSAL: W_0, G_0 <- W_6, G_6
+            step.accept()
             size = size_new
             nodes.append(s)
-            states.append(state[:, :, 0].copy())
-            if float(state[0, :, 0].max()) > U_OVERFLOW:
+            states.append(state.copy())
+            if float(state[0].max()) > U_OVERFLOW:
                 raise BlowupError(
                     f"solution component exceeded {U_OVERFLOW} at r = "
                     f"{math.exp(s):.3e}",
                     last_radius=math.exp(s),
                 )
-            fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0.0 else 5.0
+            fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0.0 else 5.0
             err_prev = max(err, 1e-10)
             h *= min(5.0, max(0.2, fac))
         else:
-            h *= max(0.2, 0.9 * err ** (-0.2))
+            h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
 
     grid = np.array(nodes)
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
     wnode = np.exp(2.0 * mu * grid[:, None] + values)
     d2values = -(wnode @ a_mat.T)
-    sens = state[:, :, 1:].reshape(4 * n, n).copy() if sensitivity else None
+    sens = step.f_sens[13:17].reshape(4 * n, n).copy() if sensitivity else None
     steps = np.diff(grid)
     stats = {
         "accepted": len(steps),
         "rejected": attempts - len(steps),
-        "evaluations": 1 + 6 * attempts,
+        "evaluations": 1 + 12 * attempts,
         "h_min": float(steps.min()),
         "h_max": float(steps.max()),
         "r_start": r_start,
@@ -415,21 +511,6 @@ def integrate(
     )
 
 
-def _hermite(grid, y, dy, s):
-    """Cubic Hermite interpolation of (y, dy) columns at scalar abscissa s."""
-    k = int(np.searchsorted(grid, s, side="right") - 1)
-    k = min(max(k, 0), len(grid) - 2)
-    h = grid[k + 1] - grid[k]
-    t = (s - grid[k]) / h
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    return (
-        h00 * y[k] + h10 * h * dy[k] + h01 * y[k + 1] + h11 * h * dy[k + 1]
-    )
-
-
 def _radius(profile: RadialProfile, r) -> float:
     """r as a float in [0, r_max]; NaN is an InputError, not a NaN result."""
     r = as_number(r, "r")
@@ -438,18 +519,35 @@ def _radius(profile: RadialProfile, r) -> float:
     return r
 
 
+def _state_at(profile: RadialProfile, r: float) -> np.ndarray:
+    """Rows U, dU/ds, mass, logmass at r >= r_first, by one step of the
+    integrator's pair from the node at or below log r (the node's own state
+    when log r is a node). Transformed profiles solve their own spec, so
+    this holds for them too."""
+    grid = profile.grid
+    s = math.log(min(r, profile.r_max))
+    k = max(int(np.searchsorted(grid, s, side="right")) - 1, 0)
+    state = np.array(
+        [profile.values[k], profile.dvalues[k], profile.mass[k], profile.logmass[k]]
+    )
+    s_k = float(grid[k])
+    if s == s_k:
+        return state
+    step = _Step(profile.spec, s_k, state)
+    step.take(s_k, s - s_k)
+    return step.new[:4]
+
+
 def evaluate(profile: RadialProfile, r: float):
     """Values U_i(r) and radial derivatives U_i'(r) anywhere in [0, r_max].
 
-    Below the first grid node the origin series is used; elsewhere cubic
-    Hermite interpolation on the log-radius grid.
+    Below the first grid node the origin series is used; elsewhere one
+    step of the integrator's pair from the node at or below r.
     """
     r = _radius(profile, r)
     if r < profile.r_first:
         return origin_series(profile.spec, r)
-    s = math.log(min(r, profile.r_max))
-    u = _hermite(profile.grid, profile.values, profile.dvalues, s)
-    du_ds = _hermite(profile.grid, profile.dvalues, profile.d2values, s)
+    u, du_ds = _state_at(profile, r)[:2]
     return u, du_ds / r
 
 
@@ -458,6 +556,4 @@ def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
     r = _radius(profile, r)
     if r < profile.r_first:
         return _series_energy_seeds(profile.spec, r)[0] if r > 0.0 else np.zeros(profile.n)
-    s = math.log(min(r, profile.r_max))
-    return _hermite(profile.grid, profile.mass, profile.wnode, s)
-
+    return _state_at(profile, r)[2]

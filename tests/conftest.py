@@ -106,7 +106,8 @@ def fourier_green():
     return _fourier_green
 
 
-# Dormand-Prince 5(4) tableau, written out again for the row-form oracle
+# Dormand-Prince 5(4) tableau; row i of _DP_A gives stage i's value, and
+# row 6 is the 5th-order solution (FSAL)
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.zeros((7, 7))
 _DP_A[1, :1] = [1 / 5]
@@ -115,19 +116,44 @@ _DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
 _DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 _DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
 _DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+# difference between the 5th- and 4th-order weights (local error estimate)
 _DP_E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
 
 
-def _row_form_integrate(spec, r_max, tol, sensitivity=False):
-    """The DP5(4) loop in row form: every stage is a full right-hand side.
+def _dp5_step_basis():
+    """The (4, 7 * 11 + 7 * 18) step matrix of the DP5(4) weight form.
 
-    The same method, start radius, PI controller and error norm as
-    ``liouville.integrate``, with each stage value formed as
-    y + h (A row) @ stages over the whole (7, 4n q) stage array. Returns
-    the grid, the (node, 4n) state and, with ``sensitivity``, d(state at
-    r_max)/d alpha0 as a (4n, n) array.
+    F = [W_0 .. W_6, U, V, mass, logmass, G_0 .. G_6] with G_l = -A W_l;
+    stage j's U is U + c_j h V + h^2 (A^2)_j . G, U_6 is the new U, and the
+    end rows are V, mass, logmass and the error rows of U, V, mass and
+    logmass, each with coefficients in (1, h, h^2, h s).
+    """
+    b, w, g = _DP_A[6], slice(0, 7), slice(11, 18)
+    stage = np.zeros((4, 7, 11))
+    stage[0, :, 0] = 1.0
+    stage[1, :, 1] = _DP_C
+    stage[2, :, 4:] = _DP_A @ _DP_A
+    end = np.zeros((4, 7, 18))
+    end[0, [0, 1, 2], [8, 9, 10]] = 1.0
+    end[1, 0, g] = b
+    end[1, 1, w] = b
+    end[2, 2, w], end[3, 2, w] = b * _DP_C, b
+    end[2, 3, g] = _DP_E @ _DP_A
+    end[1, 4, g] = _DP_E
+    end[1, 5, w] = _DP_E
+    end[2, 6, w], end[3, 6, w] = _DP_E * _DP_C, _DP_E
+    return np.hstack([stage.reshape(4, -1), end.reshape(4, -1)])
+
+
+def _dp5_integrate(spec, r_max, tol, sensitivity=False):
+    """The DP5(4) weight-form loop that ``liouville.integrate`` ran before DOP853.
+
+    The same start radius, origin series, PI controller (order-5 exponents)
+    and error norm (column 0, mass rows included); the state and its
+    sensitivities are one (18, n, 1 + n) array. Returns a RadialProfile, so
+    ``extract_summary`` reads it like the solver's own.
     """
     from liouville import radial
 
@@ -144,51 +170,73 @@ def _row_form_integrate(spec, r_max, tol, sensitivity=False):
     if sensitivity:
         block = np.hstack([block, radial._series_sensitivity(spec, r_start)])
     q = block.shape[1]
-    y = block.ravel()
 
-    def rhs(s, y, out):
-        blk = y.reshape(4 * n, q)
-        w = np.exp(2.0 * mu * s + blk[:n, 0])
-        wm = w[:, None] * blk[:n]
-        wm[:, 0] = w
-        out[:n] = blk[n : 2 * n]
-        np.matmul(-a_mat, wm, out=out[n : 2 * n])
-        out[2 * n : 3 * n] = wm
-        np.multiply(s, wm, out=out[3 * n :])
+    basis = _dp5_step_basis()
+    weights = np.empty((18, n, q))
+    flat = weights.reshape(18, n * q)
+    state = weights[7:11]
+    state[:] = block.reshape(4, n, q)
+    new = np.empty((8, n, q))
+    u_stage = [weights[7], *np.empty((5, n, q)), new[0]]
+
+    def weigh(j, s_j):
+        w = np.exp(2.0 * mu * s_j + u_stage[j][:, 0])
+        weights[j] = w[:, None] * u_stage[j]
+        weights[j, :, 0] = w
+        weights[11 + j] = -a_mat @ weights[j]
 
     atol = tol * 1e-3
     s, h, err_prev = s0, 1e-2, 1.0
-    stages = np.empty((7, y.size))
-    blocks = stages.reshape(7, 4 * n, q)
-    rhs(s, y, blocks[0])
-    nodes, states = [s], [y[::q]]
-    while s_end - s > 1e-13 * max(1.0, abs(s_end)):
+    weigh(0, s)
+    nodes, states = [s], [state[:, :, 0].copy()]
+    size = np.abs(states[0])
+    for _ in range(radial.MAX_STEPS):
+        if s_end - s <= 1e-13 * max(1.0, abs(s_end)):
+            break
         h = min(h, s_end - s, 1.0)
-        for i in range(1, 7):
-            y_new = y + h * (_DP_A[i, :i] @ stages[:i])
-            rhs(s + _DP_C[i] * h, y_new, blocks[i])
-        err_vec = h * (_DP_E @ stages[:, ::q])
-        scale = atol + tol * np.maximum(np.abs(y[::q]), np.abs(y_new[::q]))
-        ratio = err_vec / scale
-        err = math.sqrt(float(ratio @ ratio) / ratio.size)
+        coef = np.dot((1.0, h, h * h, h * s), basis)
+        for j in range(1, 7):
+            row = coef[11 * j : 11 * j + 4 + j]
+            u_stage[j][:] = (row @ flat[7 : 11 + j]).reshape(n, q)
+            weigh(j, s + _DP_C[j] * h)
+        new[1:] = (coef[7 * 11 :].reshape(7, 18) @ flat).reshape(7, n, q)
+        size_new = np.abs(new[:4, :, 0])
+        ratio = new[4:, :, 0] / (atol + tol * np.maximum(size, size_new))
+        err = math.sqrt(float(np.vdot(ratio, ratio)) / ratio.size)
         if err <= 1.0:
             s += h
-            y = y_new
-            stages[0] = stages[6]
+            state[:] = new[:4]
+            weights[0::11] = weights[6::11]
+            size = size_new
             nodes.append(s)
-            states.append(y[::q])
+            states.append(state[:, :, 0].copy())
             fac = 0.9 * err ** (-0.7 / 5.0) * err_prev ** (0.4 / 5.0) if err > 0.0 else 5.0
             err_prev = max(err, 1e-10)
             h *= min(5.0, max(0.2, fac))
         else:
             h *= max(0.2, 0.9 * err ** (-0.2))
-    sens = y.reshape(4 * n, q)[:, 1:] if sensitivity else None
-    return np.array(nodes), np.array(states), sens
+    else:
+        raise AssertionError("the DP5(4) oracle did not reach r_max")
+    grid = np.array(nodes)
+    values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
+    wnode = np.exp(2.0 * mu * grid[:, None] + values)
+    return lv.RadialProfile(
+        spec=spec,
+        grid=grid,
+        values=values,
+        dvalues=dvalues,
+        d2values=-(wnode @ a_mat.T),
+        mass=mass,
+        logmass=logmass,
+        wnode=wnode,
+        r_max=float(math.exp(grid[-1])),
+        sensitivity=state[:, :, 1:].reshape(4 * n, n).copy() if sensitivity else None,
+    )
 
 
 @pytest.fixture(scope="session")
-def row_form_integrate():
-    return _row_form_integrate
+def dp5_integrate():
+    return _dp5_integrate
 
 
 @pytest.fixture(scope="session")

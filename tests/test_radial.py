@@ -153,8 +153,8 @@ class TestIntegrate:
         carried = lv.integrate(spec, 1e4, 1e-10, sensitivity=True)
         assert plain.sensitivity is None
         assert carried.sensitivity.shape == (4 * spec.n, spec.n)
-        assert len(carried.grid) == len(plain.grid)
-        np.testing.assert_allclose(carried.mass[-1], plain.mass[-1], rtol=1e-12)
+        for key in ("grid", "values", "dvalues", "mass", "logmass"):
+            np.testing.assert_array_equal(getattr(carried, key), getattr(plain, key))
 
 
 def _dop853_final_state(spec, r0, r_max):
@@ -186,7 +186,7 @@ def _seeded_spec(n, gamma):
 
 
 class TestIndependentSolver:
-    """The in-house DP5(4) stepper against scipy's DOP853 from the same start."""
+    """The in-house DOP853 stepper against scipy's DOP853 from the same start."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("gamma", [0.0, -0.25, -0.5])
@@ -238,41 +238,57 @@ def _oracle_spec(name):
 
 
 class TestRowFormOracle:
-    """The weight-form step against the row-form DP5(4) loop it replaced.
+    """DOP853 against the DP5(4) weight-form loop it replaced.
 
-    Both take the same steps in exact arithmetic; in floating point the
-    error estimates differ by rounding, which moves the nodes by up to a
-    few 1e-6 in s at tol 1e-10. Each node's state is therefore compared
-    after moving it to the oracle's node to first order.
+    (The class keeps the name it had when its oracle was the row-form DP5(4)
+    loop, so that its test IDs carry on.)
+
+    The two methods take different steps, so they agree to the tolerance,
+    not to rounding: sigma, D, the final state and the sensitivities within
+    10 tol. At tol 1e-10 DOP853 needs at most a third of the nodes; at
+    tol 1e-6 both run near the cap max_h = 1, which alone asks for 23 steps
+    from r = 1e-6 to 1e4, so there it needs at most two thirds.
     """
 
     @pytest.mark.parametrize("sensitivity", [False, True])
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("name", list(ORACLE_SPECS))
-    def test_same_solution(self, row_form_integrate, name, tol, sensitivity):
+    def test_same_solution(self, dp5_integrate, name, tol, sensitivity):
         spec = _oracle_spec(name)
-        grid, state, sens = row_form_integrate(spec, 1e4, tol, sensitivity)
+        oracle = dp5_integrate(spec, 1e4, tol, sensitivity)
         profile = lv.integrate(spec, 1e4, tol, sensitivity=sensitivity)
-        assert len(profile.grid) == len(grid)
-        shift = profile.grid - grid
-        assert np.max(np.abs(shift)) < 1e-5
-        assert shift[0] == 0.0 and abs(shift[-1]) < 1e-13
-        ours = np.hstack([profile.values, profile.dvalues, profile.mass, profile.logmass])
-        slopes = np.hstack([
-            profile.dvalues,
-            profile.d2values,
-            profile.wnode,
-            profile.grid[:, None] * profile.wnode,
-        ])
-        moved = ours - slopes * shift[:, None]
-        scale = np.max(np.abs(state), axis=0)
-        assert np.max(np.abs(moved - state) / scale) < 1e-12
+        share = 1.0 / 3.0 if tol == 1e-10 else 2.0 / 3.0
+        assert len(profile.grid) - 1 <= share * (len(oracle.grid) - 1)
+        ours, theirs = lv.extract_summary(profile), lv.extract_summary(oracle)
+        pairs = [
+            (ours.sigma, theirs.sigma),
+            (ours.D, theirs.D),
+            *((getattr(profile, key)[-1], getattr(oracle, key)[-1])
+              for key in ("values", "dvalues", "mass", "logmass")),
+        ]
         if sensitivity:
-            np.testing.assert_allclose(
-                profile.sensitivity, sens, rtol=0, atol=1e-12 * np.max(np.abs(sens))
-            )
+            pairs.append((profile.sensitivity, oracle.sensitivity))
         else:
             assert profile.sensitivity is None
+        for got, want in pairs:
+            np.testing.assert_allclose(got, want, rtol=10 * tol, atol=10 * tol)
+
+
+class TestTableau:
+    def test_literals_are_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        np.testing.assert_array_equal(radial._A[:12, :12], ref.A[:12, :12])
+        np.testing.assert_array_equal(radial._A[12, :12], ref.B)
+        np.testing.assert_array_equal(radial._A[:, 12], 0.0)
+        np.testing.assert_array_equal(radial._C, [*ref.C[:12], 1.0])
+        np.testing.assert_array_equal(radial._E3, ref.E3)
+        np.testing.assert_array_equal(radial._E5, ref.E5)
+
+    def test_order_conditions(self):
+        assert abs(radial._A[12].sum() - 1.0) <= 1e-15
+        assert np.max(np.abs(radial._A.sum(axis=1) - radial._C)) <= 1e-15
+        assert abs(radial._E3.sum()) <= 1e-15 and abs(radial._E5.sum()) <= 1e-15
 
 
 class TestStats:
@@ -282,7 +298,7 @@ class TestStats:
         stats = profile.stats
         steps = np.diff(profile.grid)
         assert stats["accepted"] == len(profile.grid) - 1
-        assert stats["evaluations"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["evaluations"] == 1 + 12 * (stats["accepted"] + stats["rejected"])
         assert stats["h_min"] == steps.min() and stats["h_max"] == steps.max()
         assert stats["r_start"] == pytest.approx(profile.r_first, rel=1e-12)
         with pytest.raises(TypeError):
@@ -295,7 +311,7 @@ class TestStats:
         stats = profile.stats
         assert stats["rejected"] > 0
         assert stats["accepted"] == len(profile.grid) - 1
-        assert stats["evaluations"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["evaluations"] == 1 + 12 * (stats["accepted"] + stats["rejected"])
 
     def test_start_radius_at_small_mu(self, matrix1):
         # mu = 0.05 starts far inside R_SERIES
@@ -307,15 +323,18 @@ class TestStats:
     @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
     @pytest.mark.parametrize("r_max", [1e4, 1e8])
     def test_sensitivity_keeps_the_counters(self, name, r_max):
-        # error control reads the state column only; the step sizes agree
-        # to rounding, which a wider BLAS call may change
+        # the solution is computed by the same calls with or without the
+        # sensitivities, which never steer the step size
         spec = _oracle_spec(name)
         plain = lv.integrate(spec, r_max, 1e-10).stats
         carried = lv.integrate(spec, r_max, 1e-10, sensitivity=True).stats
-        for key in ("accepted", "rejected", "evaluations", "r_start"):
-            assert carried[key] == plain[key]
-        for key in ("h_min", "h_max"):
-            assert carried[key] == pytest.approx(plain[key], rel=1e-6)
+        assert dict(carried) == dict(plain)
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
+    @pytest.mark.parametrize("r_max", [1e4, 1e8])
+    def test_step_budget(self, name, r_max):
+        # these take 67-85 accepted steps; the bound leaves a little room
+        assert lv.integrate(_oracle_spec(name), r_max, 1e-10).stats["accepted"] <= 90
 
     def test_transformed_profile_has_none(self, f1_profile):
         assert dict(lv.eta_rescale(f1_profile, 2.0).stats) == {}
@@ -388,6 +407,32 @@ class TestEvaluate:
     def test_below_first_node_uses_series(self, f1_profile):
         u, _ = lv.evaluate(f1_profile, 1e-8)
         assert u[0] == pytest.approx(-(1e-16) / 4.0, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "fixture, exact, mass",
+        [
+            ("f1_profile", f1_exact, lambda r: 4.0 * r**2 / (8.0 + r**2)),
+            ("f2_profile", f2_exact, lambda r: 2.0 * r / (2.0 + r)),
+            ("f3_profile", f3_exact, lambda r: 4.0 * r**2 / (8.0 + 3.0 * r**2)),
+        ],
+    )
+    def test_one_step_from_the_node_below(self, request, fixture, exact, mass):
+        profile = request.getfixturevalue(fixture)
+        grid = profile.grid
+        for s in (grid[:-1] + grid[1:]) / 2.0:
+            u, _ = lv.evaluate(profile, math.exp(s))
+            assert np.max(np.abs(u - exact(math.exp(s)))) < 1e-9
+        # at a node (where log r gives the node back) the node's own state
+        nodes = [k for k, s in enumerate(grid) if math.log(math.exp(s)) == s]
+        assert len(nodes) > len(grid) // 2
+        for k in nodes:
+            r = math.exp(grid[k])
+            u, du = lv.evaluate(profile, r)
+            np.testing.assert_array_equal(u, profile.values[k])
+            np.testing.assert_array_equal(du, profile.dvalues[k] / r)
+            np.testing.assert_array_equal(radial.interp_mass(profile, r), profile.mass[k])
+        for r in (1.0, 10.0, 100.0):
+            assert np.max(np.abs(radial.interp_mass(profile, r) - mass(r))) < 1e-9
 
     def test_out_of_range(self, f1_profile):
         with pytest.raises(OutOfRangeError):
