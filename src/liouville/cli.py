@@ -219,13 +219,16 @@ def cmd_solve(cfg: dict, out: _Out) -> int:
     spec = ProblemSpec(matrix, _get_gamma(cfg), _alpha0_from(cfg, matrix.n))
     profile = integrate(spec, **_solver_params(cfg))
     summary = extract_summary(profile)
-    # the grid nodes: r, U_i, and dU_i/dr = (dU_i/ds) / r
-    r_nodes = np.exp(profile.grid)
+    # the grid nodes: r, U_i, and dU_i/dr = (dU_i/ds) / r, where dU/dr is a
+    # float (near gamma = -1 the first nodes' radii underflow to 0)
+    with np.errstate(all="ignore"):
+        r_nodes = np.exp(profile.grid)
+        rows = np.column_stack([r_nodes, profile.values, profile.dvalues / r_nodes[:, None]])
     components = range(1, matrix.n + 1)
     out.write_csv(
         "profile.csv",
         ["r", *(f"U_{i}" for i in components), *(f"dU_{i}" for i in components)],
-        np.column_stack([r_nodes, profile.values, profile.dvalues / r_nodes[:, None]]),
+        rows[np.isfinite(rows).all(axis=1)],
     )
     out.write_json(
         "summary.json",

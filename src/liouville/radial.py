@@ -35,16 +35,24 @@ combination of U, V and the earlier stages' -A W, and one product of the
 thirteen stages' W and -A W with a matrix in h and h s gives the new V,
 mass and logmass and both error estimates (see ``_step_basis``).
 
+One strength is solved: ``integrate`` steps the mu = 1 system from
+alpha0 - 2 log mu out to mu log r_max and maps that solution U to
+V(s) = U(mu s) + 2 log mu (``_map_strength``, also behind
+``scaling.mu_transform``), so gamma near -1 needs no tiny start radius.
+``RadialProfile.stats`` counts, in the caller's s: ``accepted`` and
+``rejected`` steps, weight ``evaluations`` (one, then twelve per attempt),
+the accepted step range ``h_min``, ``h_max``, and the first node ``s_start``.
+
 Between nodes, ``evaluate`` and ``interp_mass`` take one step of the same
 pair from the node at or below r, so they carry the solver's own accuracy
-and need nothing stored beyond the nodes. The profiles made by ``scaling``
-solve their own transformed spec, so the same step serves them.
+and need nothing stored beyond the nodes. The step keeps mu, so it serves
+profiles of any strength, those made by ``scaling`` too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -94,30 +102,33 @@ class ProblemSpec:
 class RadialProfile:
     """A computed radial solution on a strictly increasing log-radius grid.
 
-    Arrays are indexed (node, component). ``dvalues`` is dU/ds; ``d2values``
-    is its node derivative (the ODE right-hand side); ``mass`` and
-    ``logmass`` are the running energy integrals described in the module
-    docstring, with node derivatives ``wnode`` and s*``wnode``.
-    ``sensitivity`` is None unless requested from ``integrate``; then it is
-    d(state at r_max)/d alpha0, shape (4n, n), rows U, dU/ds, mass, logmass.
-    ``stats`` holds the integration's deterministic counters: ``accepted``
-    and ``rejected`` steps, ``evaluations`` of the weights exp(2 mu s + U)
-    (one at the start and twelve per attempted step), the smallest and
-    largest accepted step in s (``h_min``, ``h_max``) and ``r_start``; it
-    is empty for profiles made by transforming another.
+    Arrays are indexed (node, component) and read-only. ``dvalues`` is
+    dU/ds; ``mass`` and ``logmass`` are the running energy integrals
+    described in the module docstring. A last node past the float radii is
+    a DomainError. ``sensitivity`` is None unless requested from
+    ``integrate``; then it is d(state at r_max)/d alpha0, shape (4n, n),
+    rows U, dU/ds, mass, logmass. ``stats`` holds the integration's
+    counters (module docstring); it is empty for transformed profiles.
     """
 
     spec: ProblemSpec
     grid: np.ndarray
     values: np.ndarray
     dvalues: np.ndarray
-    d2values: np.ndarray
     mass: np.ndarray
     logmass: np.ndarray
-    wnode: np.ndarray
-    r_max: float
     sensitivity: np.ndarray | None = None
     stats: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
+
+    def __post_init__(self):
+        try:
+            math.exp(self.grid[-1])
+        except OverflowError:
+            raise DomainError(f"r_max = exp({self.grid[-1]:.6g}) exceeds the floats") from None
+        for arr in (self.grid, self.values, self.dvalues, self.mass, self.logmass):
+            arr.setflags(write=False)
+        if self.sensitivity is not None:
+            self.sensitivity.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -126,6 +137,10 @@ class RadialProfile:
     @property
     def r_first(self) -> float:
         return float(math.exp(self.grid[0]))
+
+    @property
+    def r_max(self) -> float:
+        return float(math.exp(self.grid[-1]))
 
 
 def origin_series(spec: ProblemSpec, r: float):
@@ -376,6 +391,22 @@ class _Step:
             f[0::17] = f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
 
 
+def _map_strength(profile: RadialProfile, spec: ProblemSpec) -> RadialProfile:
+    """A profile of strength mu_q as the solution of ``spec``, strength mu_p.
+
+    With c = mu_p / mu_q, V(r) = U(r^c) + 2 log c (initial value alpha0 +
+    2 log c, which ``spec`` must carry): s -> s / c, values + 2 log c, dU/ds
+    and mass times c, logmass unchanged, and the sensitivity rows alike.
+    """
+    c = spec.singularity.mu / profile.spec.singularity.mu
+    sens = profile.sensitivity
+    if sens is not None:
+        sens = sens * np.repeat([1.0, c, c, 1.0], profile.n)[:, None]
+    values = profile.values + 2.0 * math.log(c)
+    return RadialProfile(spec, profile.grid / c, values, profile.dvalues * c,
+                         profile.mass * c, profile.logmass, sens)
+
+
 def integrate(
     spec: ProblemSpec,
     r_max: float = 1e4,
@@ -384,10 +415,11 @@ def integrate(
 ) -> RadialProfile:
     """Integrate the system from the origin series out to r_max.
 
-    ``tol`` controls the local error per step (mixed absolute/relative,
-    absolute floor tol * 1e-3). With ``sensitivity`` the profile also
-    carries d(state at r_max)/d alpha0; step control still reads the state
-    alone, and the grid and state are bitwise those of a run without.
+    Solves at mu = 1 and maps (module docstring). ``tol`` controls the local
+    error per step (mixed absolute/relative, absolute floor tol * 1e-3).
+    With ``sensitivity`` the profile also carries d(state at r_max)/d
+    alpha0; step control still reads the state alone, and the grid and
+    state are bitwise those of a run without.
 
     Raises
     ------
@@ -406,27 +438,25 @@ def integrate(
 
     n = spec.n
     mu = spec.singularity.mu
-    a_mat = spec.matrix.entries
     # radial solutions decrease from the origin, so the guard binds there
     if float(np.max(spec.alpha0)) > U_OVERFLOW:
         raise BlowupError(
             f"initial value exceeds the overflow guard {U_OVERFLOW}",
             last_radius=0.0,
         )
+    # the mu = 1 system: U is the caller's less 2 log mu, s is mu times the caller's
+    shift = 2.0 * math.log(mu)
+    unit = replace(spec, singularity=SingularityProfile(0.0), alpha0=spec.alpha0 - shift)
 
-    # shrink the start radius until the dropped r^(4 mu) series term is
-    # negligible; small mu needs far smaller starts than the 1e-6 default
-    s_max_coeff = float(np.max(spec.matrix.entries @ np.exp(spec.alpha0)))
-    r_start = R_SERIES
-    target = 1e-8 * (2.0 * mu) ** 2 / s_max_coeff
-    if r_start ** (2.0 * mu) > target:
-        r_start = max(target ** (1.0 / (2.0 * mu)), 1e-250)
+    # shrink the start radius until the dropped r^4 series term is negligible
+    target = 4e-8 / float(np.max(spec.matrix.entries @ np.exp(unit.alpha0)))
+    r_start = min(R_SERIES, target**0.5)
 
-    s0, s_end = math.log(r_start), math.log(r_max)
-    u0, du_dr0 = origin_series(spec, r_start)
-    mass0, logmass0 = _series_energy_seeds(spec, r_start)
-    sens0 = _series_sensitivity(spec, r_start).reshape(4, n, n) if sensitivity else None
-    step = _Step(spec, s0, [u0, du_dr0 * r_start, mass0, logmass0], sens0)
+    s0, s_end = math.log(r_start), mu * math.log(r_max)
+    u0, du_dr0 = origin_series(unit, r_start)
+    mass0, logmass0 = _series_energy_seeds(unit, r_start)
+    sens0 = _series_sensitivity(unit, r_start).reshape(4, n, n) if sensitivity else None
+    step = _Step(unit, s0, [u0, du_dr0 * r_start, mass0, logmass0], sens0)
     state, new = step.f[13:17], step.new
     err_rows = new[4:].reshape(2, 4, n)
 
@@ -444,14 +474,14 @@ def integrate(
     while s_end - s > 1e-13 * max(1.0, abs(s_end)):
         if attempts == MAX_STEPS:
             raise IntegrationError(
-                f"no arrival at r_max after {MAX_STEPS} steps (s = {s:.6f})",
-                last_radius=math.exp(s),
+                f"no arrival at r_max after {MAX_STEPS} steps (s = {s / mu:.6f})",
+                last_radius=math.exp(s / mu),
             )
         attempts += 1
         h = min(h, s_end - s, max_h)
         if h < 1e-14 * max(1.0, abs(s)):
             raise IntegrationError(
-                f"step size underflow at s = {s:.6f}", last_radius=math.exp(s)
+                f"step size underflow at s = {s / mu:.6f}", last_radius=math.exp(s / mu)
             )
         step.take(s, h)
         size_new = np.abs(new[:4])
@@ -467,11 +497,11 @@ def integrate(
             size = size_new
             nodes.append(s)
             states.append(state.copy())
-            if float(state[0].max()) > U_OVERFLOW:
+            if float(state[0].max()) + shift > U_OVERFLOW:
                 raise BlowupError(
                     f"solution component exceeded {U_OVERFLOW} at r = "
-                    f"{math.exp(s):.3e}",
-                    last_radius=math.exp(s),
+                    f"{math.exp(s / mu):.3e}",
+                    last_radius=math.exp(s / mu),
                 )
             fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0.0 else 5.0
             err_prev = max(err, 1e-10)
@@ -479,36 +509,21 @@ def integrate(
         else:
             h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
 
-    grid = np.array(nodes)
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
-    wnode = np.exp(2.0 * mu * grid[:, None] + values)
-    d2values = -(wnode @ a_mat.T)
-    sens = step.f_sens[13:17].reshape(4 * n, n).copy() if sensitivity else None
-    steps = np.diff(grid)
+    sens = step.f_sens[13:17].reshape(4 * n, n) if sensitivity else None
+    profile = _map_strength(
+        RadialProfile(unit, np.array(nodes), values, dvalues, mass, logmass, sens), spec
+    )
+    steps = np.diff(profile.grid)
     stats = {
         "accepted": len(steps),
         "rejected": attempts - len(steps),
         "evaluations": 1 + 12 * attempts,
         "h_min": float(steps.min()),
         "h_max": float(steps.max()),
-        "r_start": r_start,
+        "s_start": float(profile.grid[0]),
     }
-    for arr in (grid, values, dvalues, d2values, mass, logmass, wnode, sens):
-        if arr is not None:
-            arr.setflags(write=False)
-    return RadialProfile(
-        spec=spec,
-        grid=grid,
-        values=values,
-        dvalues=dvalues,
-        d2values=d2values,
-        mass=mass,
-        logmass=logmass,
-        wnode=wnode,
-        r_max=float(math.exp(grid[-1])),
-        sensitivity=sens,
-        stats=MappingProxyType(stats),
-    )
+    return replace(profile, stats=MappingProxyType(stats))
 
 
 def _radius(profile: RadialProfile, r) -> float:
@@ -545,7 +560,8 @@ def evaluate(profile: RadialProfile, r: float):
     step of the integrator's pair from the node at or below r.
     """
     r = _radius(profile, r)
-    if r < profile.r_first:
+    # r_first is 0.0 when the first node's radius underflows (gamma near -1)
+    if r == 0.0 or r < profile.r_first:
         return origin_series(profile.spec, r)
     u, du_ds = _state_at(profile, r)[:2]
     return u, du_ds / r
@@ -554,6 +570,8 @@ def evaluate(profile: RadialProfile, r: float):
 def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
     """Running mass integrals int_0^r t^(2 gamma + 1) e^(U_i) dt."""
     r = _radius(profile, r)
+    if r == 0.0:
+        return np.zeros(profile.n)
     if r < profile.r_first:
-        return _series_energy_seeds(profile.spec, r)[0] if r > 0.0 else np.zeros(profile.n)
+        return _series_energy_seeds(profile.spec, r)[0]
     return _state_at(profile, r)[2]

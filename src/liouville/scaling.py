@@ -18,14 +18,14 @@ D^_i = D_i + (m_i/mu_q) log(mu_p/mu_q) independently of the chosen heights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algebra import SingularityProfile
 from .energy import SolutionSummary, extract_summary
 from .errors import DomainError, InputError, as_number
-from .radial import ProblemSpec, RadialProfile
+from .radial import RadialProfile, _map_strength
 
 
 @dataclass(frozen=True)
@@ -66,31 +66,16 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     V~(r) = V(r^(mu_p/mu_q)) + 2 log(mu_p/mu_q); on the log-radius grid this
     is s -> s/c with c = mu_p/mu_q, values shifted by 2 log c, derivatives
     scaled by c, masses scaled by c and log-masses unchanged. Every grid node
-    maps exactly, so no resampling error is introduced.
+    maps exactly, so no resampling error is introduced. The map is
+    ``radial._map_strength``, the one ``integrate`` uses.
     """
     mu_p = as_number(mu_p, "mu_p")
     if not (0.0 < mu_p <= 1.0):
         raise DomainError(f"target strength must lie in (0, 1], got {mu_p}")
-    mu_q = profile.spec.singularity.mu
-    c = mu_p / mu_q
-    shift = 2.0 * math.log(c)
-    spec = ProblemSpec(
-        matrix=profile.spec.matrix,
-        singularity=SingularityProfile(gamma=mu_p - 1.0),
-        alpha0=profile.spec.alpha0 + shift,
-    )
-    grid = profile.grid / c
-    return RadialProfile(
-        spec=spec,
-        grid=grid,
-        values=profile.values + shift,
-        dvalues=profile.dvalues * c,
-        d2values=profile.d2values * c * c,
-        mass=profile.mass * c,
-        logmass=profile.logmass.copy(),
-        wnode=profile.wnode * c * c,
-        r_max=float(math.exp(grid[-1])),
-    )
+    singularity = SingularityProfile(gamma=mu_p - 1.0)
+    shift = 2.0 * math.log(singularity.mu / profile.spec.singularity.mu)
+    spec = replace(profile.spec, singularity=singularity, alpha0=profile.spec.alpha0 + shift)
+    return _map_strength(profile, spec)
 
 
 def eta_rescale(profile: RadialProfile, eta: float) -> RadialProfile:
@@ -105,22 +90,13 @@ def eta_rescale(profile: RadialProfile, eta: float) -> RadialProfile:
     mu = profile.spec.singularity.mu
     log_eta = math.log(eta)
     shift = 2.0 * mu * log_eta
-    spec = ProblemSpec(
-        matrix=profile.spec.matrix,
-        singularity=profile.spec.singularity,
-        alpha0=profile.spec.alpha0 + shift,
-    )
-    grid = profile.grid - log_eta
     return RadialProfile(
-        spec=spec,
-        grid=grid,
+        spec=replace(profile.spec, alpha0=profile.spec.alpha0 + shift),
+        grid=profile.grid - log_eta,
         values=profile.values + shift,
-        dvalues=profile.dvalues.copy(),
-        d2values=profile.d2values.copy(),
-        mass=profile.mass.copy(),
+        dvalues=profile.dvalues,
+        mass=profile.mass,
         logmass=profile.logmass - log_eta * profile.mass,
-        wnode=profile.wnode.copy(),
-        r_max=float(math.exp(grid[-1])),
     )
 
 

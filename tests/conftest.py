@@ -150,9 +150,11 @@ def _dp5_step_basis():
 def _dp5_integrate(spec, r_max, tol, sensitivity=False):
     """The DP5(4) weight-form loop that ``liouville.integrate`` ran before DOP853.
 
-    The same start radius, origin series, PI controller (order-5 exponents)
-    and error norm (column 0, mass rows included); the state and its
-    sensitivities are one (18, n, 1 + n) array. Returns a RadialProfile, so
+    The same origin series, PI controller (order-5 exponents) and error
+    norm (column 0, mass rows included); the state and its sensitivities
+    are one (18, n, 1 + n) array. Unlike ``integrate`` it steps the system
+    at the spec's own strength, from the start radius that loop used, so it
+    checks the strength map too. Returns a RadialProfile, so
     ``extract_summary`` reads it like the solver's own.
     """
     from liouville import radial
@@ -217,19 +219,14 @@ def _dp5_integrate(spec, r_max, tol, sensitivity=False):
             h *= max(0.2, 0.9 * err ** (-0.2))
     else:
         raise AssertionError("the DP5(4) oracle did not reach r_max")
-    grid = np.array(nodes)
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
-    wnode = np.exp(2.0 * mu * grid[:, None] + values)
     return lv.RadialProfile(
         spec=spec,
-        grid=grid,
+        grid=np.array(nodes),
         values=values,
         dvalues=dvalues,
-        d2values=-(wnode @ a_mat.T),
         mass=mass,
         logmass=logmass,
-        wnode=wnode,
-        r_max=float(math.exp(grid[-1])),
         sensitivity=state[:, :, 1:].reshape(4 * n, n).copy() if sensitivity else None,
     )
 

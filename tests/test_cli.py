@@ -74,6 +74,22 @@ class TestSolve:
         assert row[1:3] == f3_profile.values[k].tolist()
         assert row[3:] == (f3_profile.dvalues[k] / r).tolist()
 
+    def test_near_minus_one(self, tmp_path):
+        # gamma = -0.99: sigma = 4 mu = 0.04; the first nodes' radii
+        # underflow, so profile.csv starts at the first node with a float
+        # dU/dr and every row it writes is finite
+        code, out = run(
+            tmp_path,
+            "solve",
+            {"matrix": [[1.0]], "gamma": -0.99, "alpha0": [0.0], "r_max": 1e300},
+        )
+        assert code == 0
+        sigma = read_json(out, "summary.json")["summary"]["sigma"]
+        assert sigma[0] == pytest.approx(0.04, rel=1e-9)
+        rows = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=3, ndmin=2)
+        assert np.all(np.isfinite(rows)) and rows[0, 0] > 0.0
+        assert np.all(np.diff(rows[:, 0]) > 0.0) and rows[-1, 0] == pytest.approx(1e300)
+
     def test_tol_flag_rejected(self, tmp_path, capsys):
         # the tolerance comes from the config's "tol" only, so the embedded
         # config always describes the run

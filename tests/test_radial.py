@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import liouville as lv
 from liouville import radial
+from liouville.energy import TailAccuracyWarning
 from liouville.errors import (
     BlowupError,
     DomainError,
@@ -186,10 +188,14 @@ def _seeded_spec(n, gamma):
 
 
 class TestIndependentSolver:
-    """The in-house DOP853 stepper against scipy's DOP853 from the same start."""
+    """The in-house DOP853 stepper against scipy's DOP853 from the same start.
+
+    scipy steps the system at the spec's own strength, so for gamma != 0 it
+    also checks the map from the mu = 1 solve.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("gamma", [0.0, -0.25, -0.5])
+    @pytest.mark.parametrize("gamma", [0.0, -0.25, -0.5, -0.9])
     def test_final_state(self, n, gamma):
         spec = _seeded_spec(n, gamma)
         alpha0 = spec.alpha0
@@ -300,7 +306,7 @@ class TestStats:
         assert stats["accepted"] == len(profile.grid) - 1
         assert stats["evaluations"] == 1 + 12 * (stats["accepted"] + stats["rejected"])
         assert stats["h_min"] == steps.min() and stats["h_max"] == steps.max()
-        assert stats["r_start"] == pytest.approx(profile.r_first, rel=1e-12)
+        assert stats["s_start"] == profile.grid[0]
         with pytest.raises(TypeError):
             stats["accepted"] = 0
 
@@ -317,8 +323,8 @@ class TestStats:
         # mu = 0.05 starts far inside R_SERIES
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(-0.95), np.array([0.0]))
         profile = lv.integrate(spec, 1e4, 1e-10)
-        assert profile.stats["r_start"] < radial.R_SERIES
-        assert profile.stats["r_start"] == pytest.approx(profile.r_first, rel=1e-12)
+        assert profile.stats["s_start"] < math.log(radial.R_SERIES)
+        assert profile.stats["s_start"] == profile.grid[0]
 
     @pytest.mark.parametrize("name", ["F1", "F2", "F3"])
     @pytest.mark.parametrize("r_max", [1e4, 1e8])
@@ -338,6 +344,42 @@ class TestStats:
 
     def test_transformed_profile_has_none(self, f1_profile):
         assert dict(lv.eta_rescale(f1_profile, 2.0).stats) == {}
+
+
+class TestNearMinusOne:
+    """gamma near -1, where a direct solve at mu would start below the doubles.
+
+    The scalar system has sigma = 4 mu. At -0.999, m = 4 mu = 0.004 lies
+    within the absolute margin 0.01 of 2 mu, so the tail warning fires; at
+    -0.995, m = 2 mu + 0.01 lies on that margin and rounding decides.
+    """
+
+    @pytest.mark.parametrize("gamma", [-0.99, -0.995, -0.999])
+    def test_scalar_sigma(self, matrix1, gamma):
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(gamma), np.array([0.0]))
+        profile = lv.integrate(spec, 1e300, 1e-10)
+        if gamma == -0.999:
+            with pytest.warns(TailAccuracyWarning):
+                summary = lv.extract_summary(profile)
+        else:
+            with warnings.catch_warnings():
+                if gamma == -0.995:
+                    warnings.simplefilter("ignore", TailAccuracyWarning)
+                summary = lv.extract_summary(profile)
+        assert summary.sigma[0] == pytest.approx(4.0 * spec.singularity.mu, rel=1e-9)
+        assert profile.r_max == pytest.approx(1e300, rel=1e-10)
+
+    def test_origin_below_an_underflowed_first_node(self, matrix1):
+        # at mu = 0.01 the first node sits near s = -1380, so r_first is 0.0
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(-0.99), np.array([0.0]))
+        profile = lv.integrate(spec, 1e300, 1e-10)
+        assert profile.r_first == 0.0 and profile.stats["s_start"] < -1000.0
+        assert lv.evaluate(profile, 0.0)[0][0] == 0.0
+        assert radial.interp_mass(profile, 0.0)[0] == 0.0
+        # the closed form U = -2 log(1 + r^(2 mu) / (8 mu^2)), at r = 1
+        u, _ = lv.evaluate(profile, 1.0)
+        exact = -2.0 * math.log1p(1.0 / (8.0 * spec.singularity.mu**2))
+        assert u[0] == pytest.approx(exact, abs=1e-9)
 
 
 def interpolated_ode_residual(profile, s_lo, s_hi, h):

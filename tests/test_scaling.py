@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville.errors import DomainError, InputError
@@ -51,15 +53,11 @@ class TestMuTransform:
             assert u[0] == pytest.approx(exact, abs=3e-8)
 
     def test_solves_target_equation(self, f2_deep_profile):
-        # node-level residual under the target-strength equation
+        # the flux identity dU_i/ds = -sum_j a_ij mass_j at every node of the
+        # transformed profile
         transformed = lv.mu_transform(f2_deep_profile, 1.0)
-        mu = transformed.spec.singularity.mu
-        a_mat = transformed.spec.matrix.entries
-        forcing = np.exp(
-            2.0 * mu * transformed.grid[:, None] + transformed.values
-        ) @ a_mat.T
-        resid = transformed.d2values + forcing
-        assert float(np.max(np.abs(resid))) < 1e-7
+        flux = transformed.mass @ transformed.spec.matrix.entries.T
+        assert float(np.max(np.abs(transformed.dvalues + flux))) < 1e-12
         # and the dense interpolant behaves like a direct integration
         assert interpolated_ode_residual(transformed, -1.0, 3.0, 0.01) < 1e-3
 
@@ -79,6 +77,25 @@ class TestMuTransform:
         gap_before = profile.spec.alpha0[0] - profile.spec.alpha0[1]
         gap_after = transformed.spec.alpha0[0] - transformed.spec.alpha0[1]
         assert gap_after == pytest.approx(gap_before, abs=1e-15)
+
+    @given(mu_mid=st.floats(0.01, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip(self, f2_profile, mu_mid):
+        # 1/2 -> mu_mid -> 1/2 gives the profile back, each array to 1e-12
+        # of its largest entry (values start near 0, so not entrywise)
+        back = lv.mu_transform(lv.mu_transform(f2_profile, mu_mid), 0.5)
+        assert back.spec.singularity.mu == 0.5
+        for key in ("grid", "values", "dvalues", "mass", "logmass"):
+            got, want = getattr(back, key), getattr(f2_profile, key)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+    def test_radius_past_the_floats_rejected(self, f1_profile):
+        # F1 ends at log r = 9.2: mu 1 -> 0.01 takes it to 921, and a
+        # dilation by 1e-310 to 723, both past log(max float) = 709.8
+        with pytest.raises(DomainError, match="r_max"):
+            lv.mu_transform(f1_profile, 0.01)
+        with pytest.raises(DomainError, match="r_max"):
+            lv.eta_rescale(f1_profile, 1e-310)
 
     def test_degenerate_strength_rejected(self, f2_profile):
         with pytest.raises(DomainError):
