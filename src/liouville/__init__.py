@@ -38,7 +38,6 @@ from .energy import (
     extract_summary,
     pohozaev_residual,
     pohozaev_tail_table,
-    truncated_sigma,
 )
 from .fields import (
     CoefficientField,
@@ -62,6 +61,7 @@ from .radial import (
     evaluate,
     integrate,
     origin_series,
+    truncated_sigma,
 )
 from .scaling import (
     BubbleComparison,
@@ -73,6 +73,6 @@ from .scaling import (
     height_match,
     mu_transform,
 )
-from .shooting import ShootingPoint, alpha_to_sigma, invert_sigma, shooting_jacobian
+from .shooting import ShootingPoint, alpha_to_sigma, invert_sigma
 
 __version__ = "0.1.0"

@@ -60,58 +60,43 @@ class ConfigError(LiouvilleError):
     """Unparseable or invalid configuration file."""
 
 
-_TOP_KEYS = {
-    "matrix",
-    "gamma",
-    "alpha0",
-    "reduced_alpha",
-    "r_max",
-    "tol",
-    "target_sigma",
-    "guess",
-    "surface",
-    "compare",
-    "blowup",
-    "green",
-    "output",
-}
-_SURFACE_KEYS = {"rho", "n_L", "m_max", "gammas", "sweep"}
-_SWEEP_KEYS = {"t_min", "t_max", "count"}
-_COMPARE_KEYS = {"mu_p", "M_p", "M_q"}
-_BLOWUP_KEYS = {
-    "points",
-    "gammas",
-    "rho",
-    "h_fields",
-    "curvature",
-    "D",
-    "alpha",
-    "eps_k",
-    "delta0",
-    "regime",
-}
-_GREEN_KEYS = {"points", "pairs"}
-_OUTPUT_KEYS = {"prefix"}
-_FIELD_KEYS = {"type", "value", "amplitude", "frequency", "phase", "base"}
-# where nested objects (with their keys) and lists (None) sit, parents first
-_NESTED = {
-    "surface": _SURFACE_KEYS,
-    "surface.sweep": _SWEEP_KEYS,
-    "surface.gammas": None,
-    "compare": _COMPARE_KEYS,
-    "blowup": _BLOWUP_KEYS,
-    "blowup.gammas": None,
-    "blowup.h_fields": None,
-    "green": _GREEN_KEYS,
-    "green.pairs": None,
-    "output": _OUTPUT_KEYS,
+# The config tree: an object is a dict of its keys, a list is a one-item
+# list of its item's schema, and a plain value is None.
+_SCHEMA = {
+    **dict.fromkeys(
+        ["matrix", "gamma", "alpha0", "reduced_alpha", "r_max", "tol", "target_sigma", "guess"]
+    ),
+    "surface": {
+        **dict.fromkeys(["rho", "n_L", "m_max"]),
+        "gammas": [None],
+        "sweep": dict.fromkeys(["t_min", "t_max", "count"]),
+    },
+    "compare": dict.fromkeys(["mu_p", "M_p", "M_q"]),
+    "blowup": {
+        **dict.fromkeys(["points", "rho", "curvature", "D", "alpha", "eps_k", "delta0", "regime"]),
+        "gammas": [None],
+        "h_fields": [dict.fromkeys(["type", "value", "amplitude", "frequency", "phase", "base"])],
+    },
+    "green": {"points": None, "pairs": [None]},
+    "output": {"prefix": None},
 }
 
 
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} at {path or 'top level'}")
+def _check(value, schema, path: str) -> None:
+    """Reject an unknown key or a wrong container anywhere below ``path``."""
+    where = path or "top level"
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        for key, item in value.items():
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} at {where}")
+            _check(item, schema[key], f"{path}.{key}" if path else key)
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        for j, item in enumerate(value):
+            _check(item, schema[0], f"{path}[{j}]")
 
 
 def load_config(path: str) -> dict:
@@ -126,24 +111,7 @@ def load_config(path: str) -> dict:
             f"{path}: JSON syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "")
-    for path, keys in _NESTED.items():
-        *parents, key = path.split(".")
-        holder = cfg
-        for name in parents:
-            holder = holder.get(name, {})
-        if key not in holder:
-            continue
-        if not isinstance(holder[key], dict if keys else list):
-            raise ConfigError(f"{path!r} must be {'an object' if keys else 'a list'}")
-        if keys:
-            _check_keys(holder[key], keys, path)
-    for j, fld in enumerate(cfg.get("blowup", {}).get("h_fields", [])):
-        if not isinstance(fld, dict):
-            raise ConfigError(f"blowup.h_fields[{j}] must be an object")
-        _check_keys(fld, _FIELD_KEYS, f"blowup.h_fields[{j}]")
+    _check(cfg, _SCHEMA, "")
     return cfg
 
 

@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExtractionError, InputError, as_number
-from .radial import RadialProfile, evaluate, interp_mass
+from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
 _TAIL_ATOL = 1e-11
 _TAIL_MAX_ITER = 100
-# m_min this close to the integrability threshold 2 mu makes the tail
-# model unreliable (the remainder exponents degenerate).
+# m_min within this many mu of the integrability threshold 2 mu makes the
+# tail model unreliable (the remainder exponents degenerate).
 _NEAR_BOUNDARY_MARGIN = 0.01
 # The flux -r U_i' at r_max must be this close to its limit m_i.
 _FLUX_GAP_MAX = 1e-3
@@ -68,15 +68,6 @@ class SolutionSummary:
             "m_min": float(self.m_min),
             "pohozaev_residual": pohozaev_residual(self),
         }
-
-
-def truncated_sigma(profile: RadialProfile, R: float) -> np.ndarray:
-    """Weighted masses (1/2pi) int_{B_R} |y|^(2 gamma) e^(U_i) per component.
-
-    Read off the energy states carried by the integrator (series form below
-    the first grid node), so the accuracy matches the solver tolerance.
-    """
-    return interp_mass(profile, R)
 
 
 def extract_summary(profile: RadialProfile) -> SolutionSummary:
@@ -138,12 +129,13 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         )
 
     m_min = float(m.min())
-    near_boundary = m_min <= 2.0 * mu + _NEAR_BOUNDARY_MARGIN
+    # relative to mu, so the test is the same before and after mu_transform
+    near_boundary = m_min <= 2.0 * mu + _NEAR_BOUNDARY_MARGIN * mu
     if near_boundary:
         warnings.warn(
-            f"m_min = {m_min:.6f} is within {_NEAR_BOUNDARY_MARGIN} of the "
-            f"integrability threshold {2 * mu}; tail corrections are "
-            f"unreliable",
+            f"m_min = {m_min:.6f} is within {_NEAR_BOUNDARY_MARGIN * mu:.6g} "
+            f"({_NEAR_BOUNDARY_MARGIN} mu) of the integrability threshold "
+            f"{2 * mu}; tail corrections are unreliable",
             TailAccuracyWarning,
             stacklevel=2,
         )

@@ -58,7 +58,6 @@ from .errors import (
     SingularityError,
     as_array,
     as_count,
-    as_fraction,
     as_number,
 )
 
@@ -297,6 +296,8 @@ _GAUSS = np.zeros(15)
 _GAUSS[1::2] = np.concatenate([_WG, _WG[2::-1]])
 
 MAX_PANELS = 600
+# The relative error each sector's cubature in a_integral aims at.
+EPSREL = 1e-8
 
 
 def _panel(f, box):
@@ -314,17 +315,17 @@ def _panel(f, box):
     return value, errs[0] + errs[1], int(errs[1] > errs[0]), box
 
 
-def _cubature(f, box, epsrel):
+def _cubature(f, box):
     """Globally adaptive product Gauss-Kronrod cubature over a rectangle.
 
     Bisects the panel with the largest error along its worse axis until the
-    summed error meets max(1e-13, epsrel |total|).
+    summed error meets max(1e-13, EPSREL |total|).
     """
     panels = [_panel(f, box)]
     while True:
         total = sum(p[0] for p in panels)
         err = sum(p[1] for p in panels)
-        if err <= max(1e-13, epsrel * abs(total)):
+        if err <= max(1e-13, EPSREL * abs(total)):
             return total
         if len(panels) >= MAX_PANELS:
             raise GeometryError(
@@ -397,13 +398,7 @@ def cell_fit(config, t: int, delta0):
     return delta0, dists, phis
 
 
-def a_integral(
-    config,
-    i: int,
-    t: int,
-    delta0: float,
-    epsrel: float = 1e-8,
-) -> float:
+def a_integral(config, i: int, t: int, delta0: float) -> float:
     """Cell-domain coefficient of the leading-term expansion.
 
     delta0^(mu_t (2 - m)) / mu_t minus (m - 2)/(2 pi) times the integral,
@@ -418,12 +413,11 @@ def a_integral(
     Each sector between corner angles is the box [lo, hi] x [0, 1] in
     (theta, tau), with v = r^P / P (P = (2 - m) mu_t) linear in tau from
     delta0^P / P to R(theta)^P / P at the cell boundary. At m = 2 the
-    integral has weight zero and A is 1 / mu_t. ``epsrel``, in (0, 1), is
-    the relative error the cubature aims at.
+    integral has weight zero and A is 1 / mu_t. Each sector's cubature aims
+    at the relative error ``EPSREL``.
     """
     i = as_count(i, "i", 0, config.n - 1)
     t = as_count(t, "t", 0, config.n_points - 1)
-    epsrel = as_fraction(epsrel, "epsrel")
     delta0, dists, phis = cell_fit(config, t, delta0)
     geom = config.geometry
     points = config.points
@@ -454,7 +448,7 @@ def a_integral(
 
     breaks = sorted({0.0, _TWO_PI, *_cell_corner_angles(dists, phis)})
     total = sum(
-        _cubature(integrand, ((lo, hi), (0.0, 1.0)), epsrel)
+        _cubature(integrand, ((lo, hi), (0.0, 1.0)))
         for lo, hi in zip(breaks[:-1], breaks[1:])
         if hi - lo >= 1e-13
     )

@@ -37,13 +37,13 @@ mass and logmass and both error estimates (see ``_step_basis``).
 
 One strength is solved: ``integrate`` steps the mu = 1 system from
 alpha0 - 2 log mu out to mu log r_max and maps that solution U to
-V(s) = U(mu s) + 2 log mu (``_map_strength``, also behind
-``scaling.mu_transform``), so gamma near -1 needs no tiny start radius.
+V(s) = U(mu s) + 2 log mu (``_rescale``, also behind ``scaling.mu_transform``
+and ``scaling.eta_rescale``), so gamma near -1 needs no tiny start radius.
 ``RadialProfile.stats`` counts, in the caller's s: ``accepted`` and
 ``rejected`` steps, weight ``evaluations`` (one, then twelve per attempt),
 the accepted step range ``h_min``, ``h_max``, and the first node ``s_start``.
 
-Between nodes, ``evaluate`` and ``interp_mass`` take one step of the same
+Between nodes, ``evaluate`` and ``truncated_sigma`` take one step of the same
 pair from the node at or below r, so they carry the solver's own accuracy
 and need nothing stored beyond the nodes. The step keeps mu, so it serves
 profiles of any strength, those made by ``scaling`` too.
@@ -391,20 +391,26 @@ class _Step:
             f[0::17] = f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
 
 
-def _map_strength(profile: RadialProfile, spec: ProblemSpec) -> RadialProfile:
+def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) -> RadialProfile:
     """A profile of strength mu_q as the solution of ``spec``, strength mu_p.
 
-    With c = mu_p / mu_q, V(r) = U(r^c) + 2 log c (initial value alpha0 +
-    2 log c, which ``spec`` must carry): s -> s / c, values + 2 log c, dU/ds
-    and mass times c, logmass unchanged, and the sensitivity rows alike.
+    The strength map then the dilation by eta at mu_p: with c = mu_p / mu_q,
+    V(r) = U((eta r)^c) + 2 log c + 2 mu_p log eta, whose initial value
+    ``spec`` must carry. On the grid: s -> s / c - log eta, values + 2 log c
+    + 2 mu_p log eta, dU/ds and mass times c, logmass - log eta * (new
+    mass), and the sensitivity rows alike. With log eta = 0 or c = 1 the
+    other half is exact arithmetic on the unchanged arrays.
     """
     c = spec.singularity.mu / profile.spec.singularity.mu
+    shift = 2.0 * math.log(c) + 2.0 * spec.singularity.mu * log_eta
+    mass = profile.mass * c
     sens = profile.sensitivity
     if sens is not None:
-        sens = sens * np.repeat([1.0, c, c, 1.0], profile.n)[:, None]
-    values = profile.values + 2.0 * math.log(c)
-    return RadialProfile(spec, profile.grid / c, values, profile.dvalues * c,
-                         profile.mass * c, profile.logmass, sens)
+        n = profile.n
+        sens = sens * np.repeat([1.0, c, c, 1.0], n)[:, None]
+        sens[3 * n :] -= log_eta * sens[2 * n : 3 * n]
+    return RadialProfile(spec, profile.grid / c - log_eta, profile.values + shift,
+                         profile.dvalues * c, mass, profile.logmass - log_eta * mass, sens)
 
 
 def integrate(
@@ -449,7 +455,10 @@ def integrate(
     unit = replace(spec, singularity=SingularityProfile(0.0), alpha0=spec.alpha0 - shift)
 
     # shrink the start radius until the dropped r^4 series term is negligible
-    target = 4e-8 / float(np.max(spec.matrix.entries @ np.exp(unit.alpha0)))
+    weight = float(np.max(spec.matrix.entries @ np.exp(unit.alpha0)))
+    if weight == 0.0:
+        raise InputError(f"alpha0 = {spec.alpha0.tolist()} is too small: e^alpha0 underflows to 0")
+    target = 4e-8 / weight
     r_start = min(R_SERIES, target**0.5)
 
     s0, s_end = math.log(r_start), mu * math.log(r_max)
@@ -511,7 +520,7 @@ def integrate(
 
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
     sens = step.f_sens[13:17].reshape(4 * n, n) if sensitivity else None
-    profile = _map_strength(
+    profile = _rescale(
         RadialProfile(unit, np.array(nodes), values, dvalues, mass, logmass, sens), spec
     )
     steps = np.diff(profile.grid)
@@ -567,8 +576,12 @@ def evaluate(profile: RadialProfile, r: float):
     return u, du_ds / r
 
 
-def interp_mass(profile: RadialProfile, r: float) -> np.ndarray:
-    """Running mass integrals int_0^r t^(2 gamma + 1) e^(U_i) dt."""
+def truncated_sigma(profile: RadialProfile, r: float) -> np.ndarray:
+    """Weighted masses (1/2pi) int_{B_r} |y|^(2 gamma) e^(U_i) per component.
+
+    Read off the energy states carried by the integrator (series form below
+    the first grid node), so the accuracy matches the solver tolerance.
+    """
     r = _radius(profile, r)
     if r == 0.0:
         return np.zeros(profile.n)

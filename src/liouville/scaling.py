@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import SingularityProfile
 from .energy import SolutionSummary, extract_summary
 from .errors import DomainError, InputError, as_number
-from .radial import RadialProfile, _map_strength
+from .radial import RadialProfile, _rescale
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     is s -> s/c with c = mu_p/mu_q, values shifted by 2 log c, derivatives
     scaled by c, masses scaled by c and log-masses unchanged. Every grid node
     maps exactly, so no resampling error is introduced. The map is
-    ``radial._map_strength``, the one ``integrate`` uses.
+    ``radial._rescale``, the one ``integrate`` uses.
     """
     mu_p = as_number(mu_p, "mu_p")
     if not (0.0 < mu_p <= 1.0):
@@ -75,29 +75,22 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     singularity = SingularityProfile(gamma=mu_p - 1.0)
     shift = 2.0 * math.log(singularity.mu / profile.spec.singularity.mu)
     spec = replace(profile.spec, singularity=singularity, alpha0=profile.spec.alpha0 + shift)
-    return _map_strength(profile, spec)
+    return _rescale(profile, spec)
 
 
 def eta_rescale(profile: RadialProfile, eta: float) -> RadialProfile:
     """Dilation W(r) = V(eta r) + 2 mu log eta at the profile's own strength.
 
     Preserves the weighted measure: node masses are unchanged and
-    log-masses pick up -log(eta) * mass.
+    log-masses pick up -log(eta) * mass; ``radial._rescale`` at c = 1, so
+    the sensitivities ride along.
     """
     eta = as_number(eta, "eta")
     if eta <= 0.0:
         raise InputError(f"eta must be positive, got {eta}")
-    mu = profile.spec.singularity.mu
     log_eta = math.log(eta)
-    shift = 2.0 * mu * log_eta
-    return RadialProfile(
-        spec=replace(profile.spec, alpha0=profile.spec.alpha0 + shift),
-        grid=profile.grid - log_eta,
-        values=profile.values + shift,
-        dvalues=profile.dvalues,
-        mass=profile.mass,
-        logmass=profile.logmass - log_eta * profile.mass,
-    )
+    shift = 2.0 * profile.spec.singularity.mu * log_eta
+    return _rescale(profile, replace(profile.spec, alpha0=profile.spec.alpha0 + shift), log_eta)
 
 
 def hat_rescale(profile: RadialProfile, heights: ScalingHeights) -> RadialProfile:

@@ -80,22 +80,6 @@ def alpha_to_sigma(
     )
 
 
-def shooting_jacobian(
-    matrix: CoefficientMatrix,
-    singularity: SingularityProfile,
-    reduced_alpha,
-    r_max: float = 1e4,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Jacobian d reduced_sigma / d reduced_alpha from one integration.
-
-    Forward sensitivities through the solver plus the implicitly
-    differentiated tail closure; exact up to the solver tolerance.
-    """
-    point = alpha_to_sigma(matrix, singularity, reduced_alpha, r_max, tol, jacobian=True)
-    return point.jacobian
-
-
 def invert_sigma(
     matrix: CoefficientMatrix,
     singularity: SingularityProfile,

@@ -467,6 +467,8 @@ PROBES = [
     ("gamma-string", "solve", "gamma", "x", "gamma"),
     ("matrix-ragged", "solve", "matrix", [[1.0], [1.0, 2.0]], "matrix"),
     ("alpha0-string", "solve", "alpha0", "x", "alpha0"),
+    # e^alpha0 underflows to 0, which would leave no start radius
+    ("alpha0-underflow", "solve", "alpha0", [-750.0], "alpha0"),
     ("guess-string", "invert", "guess", "x", "guess"),
     ("mu_p-string", "compare", "compare.mu_p", "x", "mu_p"),
     ("h_fields-number", "leading-Q", "blowup.h_fields", 3, "h_fields"),
@@ -495,6 +497,58 @@ def test_bad_value_exits_2(tmp_path, capsys, probe):
     code, _ = run(tmp_path, base.split("-")[0], cfg)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+# Every nesting level of the config schema: (name in the message, base
+# config, the keys that lead there, what it must be)
+LEVELS = [
+    ("top level", "solve", (), "object"),
+    ("surface", "surface", ("surface",), "object"),
+    ("surface.sweep", "surface", ("surface", "sweep"), "object"),
+    ("compare", "compare", ("compare",), "object"),
+    ("blowup", "leading-Q", ("blowup",), "object"),
+    ("blowup.h_fields[1]", "leading-general", ("blowup", "h_fields", 1), "object"),
+    ("green", "green", ("green",), "object"),
+    ("green.pairs", "green", ("green", "pairs"), "list"),
+    ("output", "solve", ("output",), "object"),
+]
+
+
+def _level(base, keys):
+    """A copy of BASES[base] and the container at keys in it (made if absent)."""
+    cfg = copy.deepcopy(BASES[base])
+    node = cfg
+    for key in keys:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    return cfg, node
+
+
+@pytest.mark.parametrize(
+    "where, base, keys", [level[:3] for level in LEVELS if level[3] == "object"],
+    ids=[level[0] for level in LEVELS if level[3] == "object"],
+)
+def test_unknown_key_at_every_level(tmp_path, capsys, where, base, keys):
+    cfg, node = _level(base, keys)
+    node["extra"] = 1
+    code, _ = run(tmp_path, base.split("-")[0], cfg)
+    assert code == 2
+    assert f"unknown key 'extra' at {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, base, keys, kind", LEVELS, ids=[level[0] for level in LEVELS]
+)
+def test_wrong_container_at_every_level(tmp_path, capsys, where, base, keys, kind):
+    wrong = [] if kind == "object" else {}
+    if keys:
+        cfg, parent = _level(base, keys[:-1])
+        parent[keys[-1]] = wrong
+    else:
+        cfg = [BASES[base]]
+    code, _ = run(tmp_path, base.split("-")[0], cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert where in err and "must be" in err and kind in err
 
 
 def test_cold_start_imports_no_scipy():

@@ -109,6 +109,12 @@ class TestIntegrate:
         with pytest.raises(BlowupError):
             lv.integrate(spec)
 
+    def test_underflowing_alpha0_rejected(self, matrix1):
+        # e^-750 is 0.0, which leaves the start radius undefined
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([-750.0]))
+        with pytest.raises(InputError, match="alpha0"):
+            lv.integrate(spec)
+
     def test_grid_contract(self, f1_profile):
         assert np.all(np.diff(f1_profile.grid) > 0)
         assert f1_profile.r_first <= 1e-6 * (1 + 1e-12)
@@ -349,23 +355,17 @@ class TestStats:
 class TestNearMinusOne:
     """gamma near -1, where a direct solve at mu would start below the doubles.
 
-    The scalar system has sigma = 4 mu. At -0.999, m = 4 mu = 0.004 lies
-    within the absolute margin 0.01 of 2 mu, so the tail warning fires; at
-    -0.995, m = 2 mu + 0.01 lies on that margin and rounding decides.
+    The scalar system has sigma = 4 mu, so m - 2 mu = 2 mu, far outside the
+    tail warning's margin 0.01 mu: the warning must not fire.
     """
 
     @pytest.mark.parametrize("gamma", [-0.99, -0.995, -0.999])
     def test_scalar_sigma(self, matrix1, gamma):
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(gamma), np.array([0.0]))
         profile = lv.integrate(spec, 1e300, 1e-10)
-        if gamma == -0.999:
-            with pytest.warns(TailAccuracyWarning):
-                summary = lv.extract_summary(profile)
-        else:
-            with warnings.catch_warnings():
-                if gamma == -0.995:
-                    warnings.simplefilter("ignore", TailAccuracyWarning)
-                summary = lv.extract_summary(profile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TailAccuracyWarning)
+            summary = lv.extract_summary(profile)
         assert summary.sigma[0] == pytest.approx(4.0 * spec.singularity.mu, rel=1e-9)
         assert profile.r_max == pytest.approx(1e300, rel=1e-10)
 
@@ -375,7 +375,7 @@ class TestNearMinusOne:
         profile = lv.integrate(spec, 1e300, 1e-10)
         assert profile.r_first == 0.0 and profile.stats["s_start"] < -1000.0
         assert lv.evaluate(profile, 0.0)[0][0] == 0.0
-        assert radial.interp_mass(profile, 0.0)[0] == 0.0
+        assert lv.truncated_sigma(profile, 0.0)[0] == 0.0
         # the closed form U = -2 log(1 + r^(2 mu) / (8 mu^2)), at r = 1
         u, _ = lv.evaluate(profile, 1.0)
         exact = -2.0 * math.log1p(1.0 / (8.0 * spec.singularity.mu**2))
@@ -472,9 +472,9 @@ class TestEvaluate:
             u, du = lv.evaluate(profile, r)
             np.testing.assert_array_equal(u, profile.values[k])
             np.testing.assert_array_equal(du, profile.dvalues[k] / r)
-            np.testing.assert_array_equal(radial.interp_mass(profile, r), profile.mass[k])
+            np.testing.assert_array_equal(lv.truncated_sigma(profile, r), profile.mass[k])
         for r in (1.0, 10.0, 100.0):
-            assert np.max(np.abs(radial.interp_mass(profile, r) - mass(r))) < 1e-9
+            assert np.max(np.abs(lv.truncated_sigma(profile, r) - mass(r))) < 1e-9
 
     def test_out_of_range(self, f1_profile):
         with pytest.raises(OutOfRangeError):

@@ -104,6 +104,57 @@ class TestMuTransform:
             lv.mu_transform(f2_profile, 1.5)
 
 
+class TestOneMap:
+    """mu_transform and eta_rescale are one map, radial._rescale; each still
+    gives its own formula bitwise, and the dilation carries sensitivities."""
+
+    FIXTURES = ["f1_profile", "f2_profile", "f3_profile"]
+
+    @staticmethod
+    def _assert_arrays(got, want):
+        for key, array in want.items():
+            np.testing.assert_array_equal(getattr(got, key), array, err_msg=key)
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("mu_p", [0.3, 0.5, 1.0])
+    def test_mu_transform_formula(self, request, fixture, mu_p):
+        p = request.getfixturevalue(fixture)
+        got = lv.mu_transform(p, mu_p)
+        # the strength as SingularityProfile stores it: 1 + (0.3 - 1) is not 0.3
+        c = got.spec.singularity.mu / p.spec.singularity.mu
+        self._assert_arrays(got, {
+            "grid": p.grid / c,
+            "values": p.values + 2.0 * math.log(c),
+            "dvalues": p.dvalues * c,
+            "mass": p.mass * c,
+            "logmass": p.logmass,
+        })
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("eta", [0.5, 3.0, 40.0])
+    def test_eta_rescale_formula(self, request, fixture, eta):
+        p = request.getfixturevalue(fixture)
+        log_eta = math.log(eta)
+        shift = 2.0 * p.spec.singularity.mu * log_eta
+        got = lv.eta_rescale(p, eta)
+        np.testing.assert_array_equal(got.spec.alpha0, p.spec.alpha0 + shift)
+        self._assert_arrays(got, {
+            "grid": p.grid - log_eta,
+            "values": p.values + shift,
+            "dvalues": p.dvalues,
+            "mass": p.mass,
+            "logmass": p.logmass - log_eta * p.mass,
+        })
+
+    @pytest.mark.parametrize("eta", [0.5, 3.0, 40.0])
+    def test_dilation_keeps_dsigma(self, f3_profile, eta):
+        # sigma does not depend on the dilation, so neither does its derivative
+        profile = lv.integrate(f3_profile.spec, 1e4, 1e-10, sensitivity=True)
+        want = lv.extract_summary(profile).dsigma
+        got = lv.extract_summary(lv.eta_rescale(profile, eta)).dsigma
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 class TestHatRescale:
     def test_unit_dilation_identity(self, f2_profile):
         heights = lv.height_match(4.0, 4.0, 0.5, 0.5)
@@ -173,7 +224,7 @@ class TestBubbleDistance:
         base = lv.alpha_to_sigma(matrix12, sing, [0.0])
         moved = lv.alpha_to_sigma(matrix12, sing, [0.1])
         comp = lv.bubble_distance(moved.summary, base.summary)
-        jac = lv.shooting_jacobian(matrix12, sing, [0.0])
+        jac = lv.alpha_to_sigma(matrix12, sing, [0.0], jacobian=True).jacobian
         bound = 3.0 * abs(jac[0, 0]) * 0.1  # slack for full-vector response
         assert 0.0 < np.max(comp.distances) < bound
 

@@ -32,7 +32,7 @@ class TestAlphaToSigma:
 
 class TestJacobian:
     def test_own_mass_response_positive(self, matrix12):
-        jac = lv.shooting_jacobian(matrix12, GAMMA0, [0.0])
+        jac = lv.alpha_to_sigma(matrix12, GAMMA0, [0.0], jacobian=True).jacobian
         assert jac.shape == (1, 1) and jac[0, 0] > 0
 
     @pytest.mark.parametrize(
@@ -49,7 +49,7 @@ class TestJacobian:
         matrix = lv.CoefficientMatrix.from_entries(entries)
         sing = lv.SingularityProfile(gamma)
         alpha = np.array(alpha)
-        jac = lv.shooting_jacobian(matrix, sing, alpha)
+        jac = lv.alpha_to_sigma(matrix, sing, alpha, jacobian=True).jacobian
         h = 1e-4
         for j in range(alpha.size):
             bump = np.zeros(alpha.size)
@@ -63,14 +63,14 @@ class TestJacobian:
         rng = np.random.default_rng(7)
         for _ in range(20):
             alpha = rng.uniform(-3.0, 0.0, size=1)
-            jac = lv.shooting_jacobian(matrix12, GAMMA0, alpha, tol=1e-8)
+            jac = lv.alpha_to_sigma(matrix12, GAMMA0, alpha, tol=1e-8, jacobian=True).jacobian
             assert abs(jac[0, 0]) > 1e-3
 
     def test_input_validation(self, matrix12):
         with pytest.raises(InputError):
-            lv.shooting_jacobian(matrix12, GAMMA0, [40.0])
+            lv.alpha_to_sigma(matrix12, GAMMA0, [40.0], jacobian=True)
         with pytest.raises(InputError):
-            lv.shooting_jacobian(matrix12, GAMMA0, [0.0, 0.0])
+            lv.alpha_to_sigma(matrix12, GAMMA0, [0.0, 0.0], jacobian=True)
 
 
 class TestInvertSigma:

@@ -392,10 +392,12 @@ class TestAIntegral:
         production = lv.a_integral(cfg, 0, 0, delta0)
         assert production == pytest.approx(oracle, abs=5e-4)
 
-    def test_quadrature_refinement_stable(self, singular_point_config):
+    def test_quadrature_refinement_stable(self, singular_point_config, monkeypatch):
         cfg = singular_point_config
-        coarse = lv.a_integral(cfg, 0, 0, 0.05, epsrel=1e-6)
-        fine = lv.a_integral(cfg, 0, 0, 0.05, epsrel=1e-9)
+        monkeypatch.setattr(green, "EPSREL", 1e-6)
+        coarse = lv.a_integral(cfg, 0, 0, 0.05)
+        monkeypatch.setattr(green, "EPSREL", 1e-9)
+        fine = lv.a_integral(cfg, 0, 0, 0.05)
         assert abs(coarse - fine) < 1e-5
 
     def test_cauchy_behavior(self, singular_point_config):
@@ -430,11 +432,6 @@ class TestAIntegral:
         for delta0 in (0.0, -0.02, math.nan):
             with pytest.raises(InputError, match="delta0"):
                 lv.a_integral(cfg, 0, 0, delta0)
-
-    @pytest.mark.parametrize("epsrel", [math.nan, math.inf, -1.0, 0.0, 1.0, "1e-8"])
-    def test_rejects_bad_epsrel(self, singular_point_config, epsrel):
-        with pytest.raises(InputError, match="epsrel"):
-            lv.a_integral(singular_point_config, 0, 0, 0.05, epsrel=epsrel)
 
     @pytest.mark.parametrize(
         "field",
