@@ -50,6 +50,9 @@ class SolutionSummary:
     mu: float
     m_min: float
     near_boundary: bool
+    # tail-closure sweeps taken and the final sup norm of m - flux
+    sweeps: int
+    flux_gap: float
     profile: RadialProfile = field(repr=False)
     # d sigma / d alpha0, (n, n), when the profile carries sensitivities
     dsigma: np.ndarray | None = field(default=None, repr=False)
@@ -82,9 +85,10 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     Raises
     ------
     ExtractionError
-        If the fixed point does not converge, a mass exponent sits at or
-        below the integrability threshold 2 mu, or r_max is too small for
-        the flux to have settled.
+        If r_max is too small for the flux to have settled (it is at or
+        below 2 mu, or too far from m after the closure), the closure drives
+        a mass exponent to or below the integrability threshold 2 mu, or the
+        fixed point does not converge.
     """
     mu = profile.spec.singularity.mu
     a_mat = profile.spec.matrix.entries
@@ -96,10 +100,15 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     logw_r = profile.logmass[-1].copy()
     flux = -profile.dvalues[-1]
 
+    if np.any(flux <= 2.0 * mu):
+        raise ExtractionError(
+            f"flux -r U' at r_max = {big_r:.3g} is {flux}, at or below 2 mu = "
+            f"{2 * mu}: r_max is too small for the flux to settle; increase r_max"
+        )
     m = flux.copy()
     d_vec = a_mat @ logw_r
     sigma = sigma_r.copy()
-    for _ in range(_TAIL_MAX_ITER):
+    for sweeps in range(1, _TAIL_MAX_ITER + 1):
         if np.any(m <= 2.0 * mu):
             raise ExtractionError(
                 f"mass exponent at or below the integrability threshold "
@@ -154,6 +163,8 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         mu=mu,
         m_min=m_min,
         near_boundary=near_boundary,
+        sweeps=sweeps,
+        flux_gap=flux_gap,
         profile=profile,
         dsigma=dsigma,
     )

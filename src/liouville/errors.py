@@ -53,12 +53,16 @@ class ExtractionError(LiouvilleError):
 
 
 class NonConvergenceError(LiouvilleError):
-    """Iterative solve exceeded its step budget; carries the best iterate."""
+    """Iterative solve exceeded its step budget; carries the best iterate.
 
-    def __init__(self, message, best=None, best_residual=None):
+    ``trace`` is the solver's per-iterate record, if it keeps one.
+    """
+
+    def __init__(self, message, best=None, best_residual=None, trace=()):
         super().__init__(message)
         self.best = best
         self.best_residual = best_residual
+        self.trace = trace
 
 
 class SingularityError(DomainError):

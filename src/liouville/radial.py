@@ -17,23 +17,26 @@ adaptive step control of the solver and stay bitwise deterministic.
 
 The stepper is DOP853, the 8th-order Dormand-Prince pair with 5th- and
 3rd-order error estimates (Hairer, Norsett and Wanner, Solving ODEs I,
-II.10), with a PI step-size controller and FSAL reuse. On request it also
-carries the forward sensitivities S = dY/d alpha0, (4n, n), which obey the
-variational equations
+II.10), with a PI step-size controller and FSAL reuse. Each step works on
+the weights w = exp(2 mu s + U), the only nonlinear term (U' = V, V' = -A w,
+mass' = w, logmass' = s w): a stage's U is a fixed combination of U, V and
+the earlier stages' -A w, and one product of the thirteen stages' w and
+-A w with a matrix in h and h s gives the new V, mass and logmass and both
+error estimates (see ``_step_basis``).
+
+On request ``integrate`` also returns the forward sensitivities
+S = dY/d alpha0, (4n, n), which obey the variational equations
 
     S_U' = S_V,  S_V' = -A diag(w) S_U,  S_mass' = diag(w) S_U,
-    S_logmass' = s diag(w) S_U,  w = exp(2 mu s + U),
+    S_logmass' = s diag(w) S_U,
 
-seeded by the alpha0-derivative of the origin series. They are held and
-computed apart from the state, and error control, the overflow guard and
-the recorded nodes read the state only, so the sensitivities never steer
-the step size: grid and state are bitwise those of a run without them.
-
-Each step works on the weights W = w [1 | S_U], the only nonlinear term
-(U' = V, V' = -A W, mass' = W, logmass' = s W): a stage's U is a fixed
-combination of U, V and the earlier stages' -A W, and one product of the
-thirteen stages' W and -A W with a matrix in h and h s gives the new V,
-mass and logmass and both error estimates (see ``_step_basis``).
+seeded by the alpha0-derivative of the origin series. They never steer the
+step size, so the step loop is the same with or without them: it only
+keeps each accepted step's size and stage weights. After the solve, one
+batched pass over the accepted steps builds every step's variational step
+matrix (the Runge-Kutta map differentiated at frozen weights, "internal
+differentiation") and chains them onto the series seed. Grid and state are
+bitwise those of a run without sensitivities.
 
 One strength is solved: ``integrate`` steps the mu = 1 system from
 alpha0 - 2 log mu out to mu log r_max and maps that solution U to
@@ -255,8 +258,8 @@ _E3[[0, 5, 6, 7, 8, 9, 10, 11]] = [
 def _step_basis() -> np.ndarray:
     """Coefficients of 1, h, h^2 and h s in every linear combination of a step.
 
-    Only W_l = w_l [1 | S_U] is nonlinear; with G_l = -A W_l (that is V')
-    at stage l, a step is linear in the rows of the 30-row array
+    Only the weights W_l = w_l are nonlinear; with G_l = -A W_l (that is
+    V') at stage l, a step is linear in the rows of the 30-row array
 
         F = [W_0 .. W_12, U, V, mass, logmass, G_0 .. G_12].
 
@@ -270,6 +273,7 @@ def _step_basis() -> np.ndarray:
     h s E.W + h^2 (E c).W (the V term of U's vanishes: sum E = 0).
     Columns: the (13, 17) stage matrix over F[13:], then the (11, 30) end
     matrix over F with rows V, mass, logmass and the E5 and E3 error rows.
+    The same rows with W_l = w_l S_U give the variational step.
     """
     b, w, g = _A[12], slice(0, 13), slice(17, 30)
     stage = np.zeros((4, 13, 17))
@@ -310,85 +314,88 @@ def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
 
 
 class _Step:
-    """The weight-form step from a state at s, in buffers made once.
+    """The weight-form step of the solution from a state at s, in buffers made once.
 
-    ``f`` is F of ``_step_basis`` for the solution, (30, n), and ``f_sens``
-    the same rows for the sensitivities, (30, n, n), or None; rows 13-16 of
-    each hold the current state. The two are separate arrays so that the
-    solution is computed by the same calls on the same shapes with or
-    without sensitivities, and so rounds the same. ``take(s, h)`` writes the
-    state at s + h to ``new[:4]`` (``new_sens``) and the E5 and E3 error
-    rows of the solution to ``new[4:]``; ``accept()`` makes that state
-    current, with stage 12 as the next stage 0 (FSAL).
+    ``f`` is F of ``_step_basis``, (30, n), with the current state in rows
+    13-16. ``take(s, h)`` writes the state at s + h to ``new[:4]`` and the
+    E5 and E3 error rows to ``new[4:]``, and leaves the stage weights in
+    ``f[:13]``; ``accept()`` makes that state current, with stage 12 as the
+    next stage 0 (FSAL).
     """
 
-    def __init__(self, spec: ProblemSpec, s: float, state, sens=None):
+    def __init__(self, spec: ProblemSpec, s: float, state):
         n = spec.n
         self.mu2 = 2.0 * spec.singularity.mu
         self.neg_a = -spec.matrix.entries
         self.coef = np.empty(_STEP_BASIS.shape[1])
-        end = self.coef[13 * 17 :].reshape(11, 30)  # after the stage matrix
+        self.end = self.coef[13 * 17 :].reshape(11, 30)  # after the stage matrix
         self.f = np.zeros((30, n))
         self.f[13:17] = state
         # the step's outcome: U_12, then the end matrix's rows
         self.new = np.empty((12, n))
         u_stage = [self.f[13], *np.empty((11, n)), self.new[0]]
-        # products of the end matrix with F, and (F, new state) pairs
-        self.ends = [(end, self.f, self.new[1:])]
-        self.pairs = [(self.f, self.new)]
-        self.f_sens = self.new_sens = None
-        sens_stages = [None] * 13
-        if sens is not None:
-            self.f_sens = np.zeros((30, n, n))
-            self.f_sens[13:17] = sens
-            self.new_sens = np.empty((4, n, n))
-            f_flat = self.f_sens.reshape(30, n * n)
-            self.ends.append((end[:3], f_flat, self.new_sens[1:].reshape(3, n * n)))
-            self.pairs.append((self.f_sens, self.new_sens))
-            u_sens = [self.f_sens[13], *np.empty((11, n, n)), self.new_sens[0]]
-            sens_stages = [
-                (f_flat[13 : 17 + j], u.reshape(-1), u, self.f[j, :, None],
-                 self.f_sens[j], self.f_sens[17 + j])
-                for j, u in enumerate(u_sens)
-            ]
         # per stage j: c_j, its row of the stage matrix and the rows of F it
-        # reads, U_j, W_j, G_j, and the same for the sensitivities
+        # reads, U_j, W_j and G_j
         self.stages = [
             (float(_C[j]), self.coef[17 * j : 17 * j + 4 + j], self.f[13 : 17 + j],
-             u, self.f[j], self.f[17 + j], sens_stages[j])
+             u, self.f[j], self.f[17 + j])
             for j, u in enumerate(u_stage)
         ]
-        self._weigh(s, *self.stages[0][3:])
-
-    def _weigh(self, s_j, u, w, g, sens):
-        """W_j = w [1 | S_U] and G_j = -A W_j from U_j, w = exp(2 mu s_j + U)."""
-        np.exp(self.mu2 * s_j + u, out=w)
-        np.dot(self.neg_a, w, out=g)
-        if sens is not None:
-            _, _, u_s, w_col, w_s, g_s = sens
-            np.multiply(u_s, w_col, out=w_s)
-            np.dot(self.neg_a, w_s, out=g_s)
+        np.exp(self.mu2 * s + self.f[13], out=self.f[0])
+        np.dot(self.neg_a, self.f[0], out=self.f[17])
 
     def take(self, s: float, h: float) -> None:
-        # _weigh written out per stage: this loop is nearly all the work
         np.dot((1.0, h, h * h, h * s), _STEP_BASIS, out=self.coef)
         mu2, neg_a = self.mu2, self.neg_a
-        for c_j, row, reads, u, w, g, sens in self.stages[1:]:
+        for c_j, row, reads, u, w, g in self.stages[1:]:
             np.dot(row, reads, out=u)
             np.exp(mu2 * (s + c_j * h) + u, out=w)
             np.dot(neg_a, w, out=g)
-            if sens is not None:
-                reads_s, u_flat, u_s, w_col, w_s, g_s = sens
-                np.dot(row, reads_s, out=u_flat)
-                np.multiply(u_s, w_col, out=w_s)
-                np.dot(neg_a, w_s, out=g_s)
-        for end, f, out in self.ends:
-            np.dot(end, f, out=out)
+        np.dot(self.end, self.f, out=self.new[1:])
 
     def accept(self) -> None:
-        for f, new in self.pairs:
-            f[13:17] = new[:4]
-            f[0::17] = f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
+        self.f[13:17] = self.new[:4]
+        self.f[0::17] = self.f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
+
+
+def _carried_sensitivity(spec: ProblemSpec, r0: float, s, h, weights) -> np.ndarray:
+    """d(state at the last node)/d alpha0, (4n, n), from the accepted steps.
+
+    Step k, from s_k with size h_k and stage weights ``weights[k]`` (13, n),
+    maps the sensitivities S linearly (the variational step, with the
+    weights frozen): stage j's S_U is S_U + c_j h S_V + h^2 (A^2)_j . G with
+    W_l = w_l S_U and G_l = -A W_l, and the end rows are those of the step.
+    Mass and logmass feed no stage, so with X the U, V rows of S and Y the
+    mass, logmass rows the step is X -> P_k X, Y -> Y + Q_k X. One pass
+    over all steps at once applies the step to the 2n unit columns of X,
+    which gives every [P_k; Q_k]; these are then chained onto the series
+    sensitivity at r0.
+    """
+    n, k = spec.n, len(h)
+    coef = np.stack([np.ones(k), h, h * h, h * s], axis=1) @ _STEP_BASIS
+    stage = coef[:, : 13 * 17].reshape(k, 13, 17)
+    end = coef[:, 13 * 17 :].reshape(k, 11, 30)[:, :3]  # rows V, mass, logmass
+    f = np.zeros((k, 30, n, 2 * n))
+    f[:, 13, :, :n] = f[:, 14, :, n:] = np.eye(n)
+    flat = f.reshape(k, 30, 2 * n * n)
+    neg_a = -spec.matrix.entries
+    u = f[:, 13]
+    for j in range(13):
+        if j:
+            u = np.matmul(stage[:, j, None, : 4 + j], flat[:, 13 : 17 + j]).reshape(k, n, 2 * n)
+        np.multiply(weights[:, j, :, None], u, out=f[:, j])
+        np.matmul(neg_a, f[:, j], out=f[:, 17 + j])
+    steps = np.empty((k, 4, n, 2 * n))
+    steps[:, 0] = u
+    steps[:, 1:] = np.matmul(end, flat).reshape(k, 3, n, 2 * n)
+    steps = steps.reshape(k, 4 * n, 2 * n)
+    sens = _series_sensitivity(spec, r0)
+    x, y = sens[: 2 * n], sens[2 * n :]
+    for step in steps:
+        moved = step @ x
+        x = moved[: 2 * n]
+        y += moved[2 * n :]
+    return np.vstack([x, y])
 
 
 def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) -> RadialProfile:
@@ -424,8 +431,9 @@ def integrate(
     Solves at mu = 1 and maps (module docstring). ``tol`` controls the local
     error per step (mixed absolute/relative, absolute floor tol * 1e-3).
     With ``sensitivity`` the profile also carries d(state at r_max)/d
-    alpha0; step control still reads the state alone, and the grid and
-    state are bitwise those of a run without.
+    alpha0, computed after the solve from the accepted steps' stage
+    weights; the step loop is the same, and the grid and state are bitwise
+    those of a run without.
 
     Raises
     ------
@@ -464,8 +472,7 @@ def integrate(
     s0, s_end = math.log(r_start), mu * math.log(r_max)
     u0, du_dr0 = origin_series(unit, r_start)
     mass0, logmass0 = _series_energy_seeds(unit, r_start)
-    sens0 = _series_sensitivity(unit, r_start).reshape(4, n, n) if sensitivity else None
-    step = _Step(unit, s0, [u0, du_dr0 * r_start, mass0, logmass0], sens0)
+    step = _Step(unit, s0, [u0, du_dr0 * r_start, mass0, logmass0])
     state, new = step.f[13:17], step.new
     err_rows = new[4:].reshape(2, 4, n)
 
@@ -478,6 +485,8 @@ def integrate(
     size = np.abs(state)
     max_h = 1.0
     attempts = 0
+    # the accepted steps' sizes and stage weights, for the sensitivities
+    sizes, weights = [], []
 
     # tolerance-based endpoint: the last accepted step may land one ulp short
     while s_end - s > 1e-13 * max(1.0, abs(s_end)):
@@ -501,6 +510,9 @@ def integrate(
         err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
 
         if err <= 1.0:
+            if sensitivity:
+                sizes.append(h)
+                weights.append(step.f[:13].copy())
             s += h
             step.accept()
             size = size_new
@@ -519,7 +531,9 @@ def integrate(
             h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
 
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
-    sens = step.f_sens[13:17].reshape(4 * n, n) if sensitivity else None
+    sens = _carried_sensitivity(
+        unit, r_start, np.array(nodes[:-1]), np.array(sizes), np.array(weights)
+    ) if sensitivity else None
     profile = _rescale(
         RadialProfile(unit, np.array(nodes), values, dvalues, mass, logmass, sens), spec
     )

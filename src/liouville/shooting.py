@@ -100,7 +100,9 @@ def invert_sigma(
     ------
     NonConvergenceError
         After 50 steps, or when no descent direction works; carries the
-        best iterate and its residual norm.
+        best iterate, its residual norm and the trace: per iterate, its
+        residual norm and the step length lam = 2^-halvings and number of
+        halvings that reached it (0.0 and 0 for the start).
     """
     target = as_array(target_reduced_sigma, "target_sigma", (matrix.n - 1,))
     dim = target.shape[0]
@@ -112,6 +114,7 @@ def invert_sigma(
     resid = point.reduced_sigma - target
     norm = float(np.max(np.abs(resid)))
     best_alpha, best_norm = alpha.copy(), norm
+    trace = [(norm, 0.0, 0)]
 
     for _ in range(_MAX_NEWTON_STEPS):
         if norm < _SIGMA_TOL:
@@ -122,7 +125,7 @@ def invert_sigma(
             # Singular Jacobian: fall back to a residual-descent direction.
             step = -resid
         lam = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             candidate = alpha + lam * step
             if float(np.max(np.abs(candidate))) > _ALPHA_BOUND:
                 lam *= 0.5
@@ -141,8 +144,10 @@ def invert_sigma(
                 "outside the reachable energy set",
                 best=best_alpha,
                 best_residual=best_norm,
+                trace=tuple(trace),
             )
         alpha, point, resid, norm = candidate, trial, trial_resid, trial_norm
+        trace.append((norm, lam, halvings))
         if norm < best_norm:
             best_alpha, best_norm = alpha.copy(), norm
 
@@ -152,6 +157,7 @@ def invert_sigma(
             f"(best sup-norm residual {best_norm:.3e})",
             best=best_alpha,
             best_residual=best_norm,
+            trace=tuple(trace),
         )
     # A last Newton step needs no integration: the Jacobian at alpha is at
     # hand. Without it alpha is off by up to residual / (least singular value

@@ -1,0 +1,100 @@
+"""The verdicts of tools/bench_pair.py on hand-made runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+METRICS = [
+    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    {"name": "op_ms_p50", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+]
+BETTER = {m["name"]: m["better"] for m in METRICS}
+
+
+def _runs(parent, change, correct=True):
+    """Runs from per-seed {metric: value} dicts of the two sides."""
+    return [
+        {"seed": seed, "first": "parent",
+         "parent": {"correct": True, "attempted": 10, "failed": 0, "metrics": p},
+         "change": {"correct": correct, "attempted": 10, "failed": 0, "metrics": c}}
+        for seed, (p, c) in enumerate(zip(parent, change), start=1)
+    ]
+
+
+def _verdicts(runs, claim=None):
+    return bench_pair.verdicts(bench_pair.summarize(runs, BETTER), len(runs), METRICS, claim)
+
+
+def _seeds(ops, ms, rss):
+    return [{"ops_per_s": o, "op_ms_p50": m, "peak_rss_mb": r} for o, m, r in zip(ops, ms, rss)]
+
+
+# parent: ops_per_s 10..19 (median 14.5, q1 12.25, q3 16.75)
+PARENT = _seeds(range(10, 20), [20.0] * 10, [40.0] * 10)
+
+
+def test_clear_gain_meets_the_claim():
+    # +6 ops/s on nine seeds, one loss; the median gap 19.5 - 14.5 = 5.0
+    # beats q3 - q1 = 4.5
+    ops = [o + 6 for o in range(10, 19)] + [18]
+    runs = _runs(PARENT, _seeds(ops, [20.0] * 10, [42.0] * 10))
+    verdict = _verdicts(runs, claim="ops_per_s")
+    assert verdict["ops_per_s"]["wins"] == 9
+    assert verdict["ops_per_s"]["gain"] == pytest.approx(5.0 / 14.5)
+    assert verdict["ops_per_s"]["parent_spread"] == pytest.approx(4.5 / 14.5)
+    assert verdict["ops_per_s"]["claim_met"] is True
+    # lower is better: 42 MB against 40 is a 5 % loss, inside the 10 % bound
+    assert verdict["peak_rss_mb"]["gain"] == pytest.approx(-0.05)
+    assert verdict["peak_rss_mb"]["within_bound"] is True
+    assert verdict["op_ms_p50"] == {
+        "gain": 0.0, "parent_spread": 0.0, "wins": 0, "within_bound": True
+    }
+    assert all("claim_met" not in verdict[name] for name in ("op_ms_p50", "peak_rss_mb"))
+
+
+def test_gain_within_the_spread_is_no_claim():
+    # wins every seed, but the median moves by 1.0 < q3 - q1 = 4.5
+    runs = _runs(PARENT, _seeds(range(11, 21), [20.0] * 10, [40.0] * 10))
+    verdict = _verdicts(runs, claim="ops_per_s")["ops_per_s"]
+    assert verdict["wins"] == 10 and verdict["claim_met"] is False
+
+
+def test_eight_wins_are_too_few():
+    ops = [o + 10 for o in range(10, 18)] + [10, 11]
+    runs = _runs(PARENT, _seeds(ops, [20.0] * 10, [40.0] * 10))
+    verdict = _verdicts(runs, claim="ops_per_s")["ops_per_s"]
+    assert verdict["wins"] == 8 and verdict["claim_met"] is False
+
+
+def test_bound_breach():
+    # op_ms_p50 26 against 20: 30 % worse, past the 25 % bound
+    runs = _runs(PARENT, _seeds(range(10, 20), [26.0] * 10, [40.0] * 10))
+    verdict = _verdicts(runs)
+    assert verdict["op_ms_p50"]["gain"] == pytest.approx(-0.3)
+    assert verdict["op_ms_p50"]["within_bound"] is False
+    assert verdict["ops_per_s"]["within_bound"] is True
+
+
+def test_incorrect_run_fails_the_pair(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    # the first seed runs the parent first, the second the change first
+    pairs = _runs(PARENT[:2], PARENT[:2], correct=False)
+    calls = iter([pairs[0]["parent"], pairs[0]["change"], pairs[1]["change"], pairs[1]["parent"]])
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
+    out = tmp_path / "bench.json"
+    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                            "--seeds", "1-2", "--claim", "ops_per_s", "--out", str(out)])
+    assert code == 1
+    record = json.loads(out.read_text())
+    assert record["workloads"]["w"]["verdict"]["ops_per_s"]["claim_met"] is False

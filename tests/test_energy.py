@@ -74,11 +74,39 @@ class TestExtractSummary:
         with pytest.raises(ExtractionError):
             lv.extract_summary(profile)
 
+    def test_flux_below_threshold_says_r_max(self, matrix1):
+        # a bubble of scale about e^350 has not begun to decay by r = 1e4:
+        # the flux there is ~5e-297, which is r_max's fault, not a mass
+        # exponent below the threshold
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([-700.0]))
+        profile = lv.integrate(spec, r_max=1e4, tol=1e-10)
+        with pytest.raises(ExtractionError, match="r_max is too small") as info:
+            lv.extract_summary(profile)
+        assert "integrability threshold" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "fixture, exact_gap",
+        [
+            # flux gap m - (-r U'(r)) at r_max from the closed forms
+            ("f1_summary", lambda r: 4.0 / (1.0 + r**2 / 8.0)),
+            ("f2_summary", lambda r: 2.0 / (1.0 + r / 2.0)),
+            ("f3_summary", lambda r: 4.0 / (1.0 + 3.0 * r**2 / 8.0)),
+        ],
+    )
+    def test_closure_counters(self, request, fixture, exact_gap):
+        summary = request.getfixturevalue(fixture)
+        assert summary.sweeps == 2
+        assert summary.flux_gap == pytest.approx(exact_gap(summary.profile.r_max), rel=1e-6)
+        assert set(summary.to_dict()) == {
+            "sigma", "m", "D", "alpha", "mu", "m_min", "pohozaev_residual"
+        }
+
     def test_deterministic(self, f3_profile):
         a = lv.extract_summary(f3_profile)
         b = lv.extract_summary(f3_profile)
         np.testing.assert_array_equal(a.sigma, b.sigma)
         np.testing.assert_array_equal(a.D, b.D)
+        assert (a.sweeps, a.flux_gap) == (b.sweeps, b.flux_gap)
 
 
 class TestPohozaev:

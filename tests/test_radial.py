@@ -286,6 +286,48 @@ class TestRowFormOracle:
             np.testing.assert_allclose(got, want, rtol=10 * tol, atol=10 * tol)
 
 
+class TestSensitivityReplay:
+    """The carried sensitivities against a replay of the profile's own grid.
+
+    ``radial._Step`` steps the solution from the series at alpha0 +- eps e_j
+    over exactly the profile's nodes; the centred difference of the two end
+    states is then the derivative of the same discrete map, so it matches
+    to rounding over eps (about 1e-8 measured), not to the solver
+    tolerance. A stage or step misindexed by one fails here. At gamma = 0
+    the solve is at the spec's own strength, so no map intervenes.
+    """
+
+    EPS = 1e-6
+
+    @staticmethod
+    def _replay(spec, grid):
+        r0 = math.exp(grid[0])
+        u0, du_dr0 = lv.origin_series(spec, r0)
+        step = radial._Step(spec, grid[0], [u0, du_dr0 * r0, *radial._series_energy_seeds(spec, r0)])
+        for s, s_next in zip(grid[:-1], grid[1:]):
+            step.take(s, s_next - s)
+            step.accept()
+        return step.f[13:17].reshape(-1).copy()
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    @pytest.mark.parametrize("name", ["F1", "F3", "n2-g0.0", "n3-g0.0"])
+    def test_centred_difference(self, name, tol):
+        spec = _oracle_spec(name)
+        profile = lv.integrate(spec, 1e4, tol, sensitivity=True)
+        for j in range(spec.n):
+            ends = [
+                self._replay(
+                    lv.ProblemSpec(spec.matrix, spec.singularity,
+                                   spec.alpha0 + sign * self.EPS * np.eye(spec.n)[j]),
+                    profile.grid,
+                )
+                for sign in (1.0, -1.0)
+            ]
+            fd = (ends[0] - ends[1]) / (2.0 * self.EPS)
+            column = profile.sensitivity[:, j]
+            assert np.max(np.abs(column - fd)) <= 1e-7 * np.max(np.abs(column))
+
+
 class TestTableau:
     def test_literals_are_scipys(self):
         from scipy.integrate._ivp import dop853_coefficients as ref

@@ -111,6 +111,13 @@ class TestInvertSigma:
             lv.invert_sigma(matrix12, GAMMA0, [-0.5], guess=[0.0])
         assert info.value.best is not None
         assert info.value.best_residual > 0
+        # per iterate: residual, step length and halvings, starting point first
+        trace = np.array(info.value.trace, dtype=float)
+        assert trace.shape[0] >= 1 and trace.shape[1] == 3
+        assert np.all(np.isfinite(trace))
+        assert tuple(trace[0, 1:]) == (0.0, 0.0)
+        np.testing.assert_array_equal(trace[1:, 1], 0.5 ** trace[1:, 2])
+        assert trace[:, 0].min() == info.value.best_residual
 
     def test_degenerate_dimension(self, matrix1):
         assert lv.invert_sigma(matrix1, GAMMA0, []).shape == (0,)

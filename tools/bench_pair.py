@@ -8,8 +8,11 @@ a time and for the ``run_seconds`` that BENCHMARK.json sets; the checkout that g
 drift in host speed hits both sides alike. ``--layers`` adds one traced run
 (``--trace 1``) per side and workload for the per-layer metrics. The output
 holds every run's metrics, the per-side medians and quartiles, how many
-seeds the change won on each metric, and the machine (CPU count, Python and
-numpy versions). Uses the standard library only.
+seeds the change won on each metric, a verdict per metric (see
+``verdicts``) and the machine (CPU count, Python and numpy versions).
+``--claim METRIC`` also judges a claimed gain on that metric. The exit
+status is 1 if any run reports ``correct: false``. Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# a claimed gain must win at least this share of the seeds
+CLAIM_WIN_SHARE = 0.9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -74,6 +79,39 @@ def summarize(runs: list[dict], better: dict) -> dict:
     return out
 
 
+def verdicts(summary: dict, n_runs: int, metrics: list[dict], claim: str | None = None) -> dict:
+    """Per end-to-end metric of BENCHMARK.json, how the change compares.
+
+    ``gain`` is the signed relative change of the median (positive is
+    better), ``parent_spread`` the parent's (q3 - q1) / median, ``wins`` the
+    seeds the change won, and ``within_bound`` whether the change's median
+    is no worse than the parent's by more than the metric's relative
+    ``bound``. The claimed metric also gets ``claim_met``: the change won at
+    least 9 in 10 seeds and its median beats the parent's by more than the
+    parent's q3 - q1.
+    """
+    out = {}
+    for metric in metrics:
+        name = metric["name"]
+        if name not in summary["parent"]:
+            continue
+        parent, change = summary["parent"][name], summary["change"][name]
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        gap = sign * (change["median"] - parent["median"])
+        spread = parent["q3"] - parent["q1"]
+        scale = abs(parent["median"]) or 1.0  # absolute terms for a zero median
+        wins = summary["change_wins"][name]
+        out[name] = {
+            "gain": gap / scale,
+            "parent_spread": spread / scale,
+            "wins": wins,
+            "within_bound": gap / scale >= -metric["bound"],
+        }
+        if name == claim:
+            out[name]["claim_met"] = wins >= CLAIM_WIN_SHARE * n_runs and gap > spread
+    return out
+
+
 def machine() -> dict:
     probe = "import numpy, sys; print(numpy.__version__); print(sys.version.split()[0])"
     numpy_version, python_version = subprocess.run(
@@ -98,6 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
     parser.add_argument("--layers", action="store_true",
                         help="add one traced run per side and workload")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="end-to-end metric on which the change claims a gain")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -105,6 +145,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
@@ -124,7 +166,9 @@ def main(argv=None) -> int:
                                   for name, value in run[side]["metrics"].items()),
                       file=sys.stderr)
             runs.append(run)
-        entry = {"runs": runs, **summarize(runs, better)}
+        summary = summarize(runs, better)
+        entry = {"runs": runs, **summary,
+                 "verdict": verdicts(summary, len(runs), spec["end_to_end"], args.claim)}
         if args.layers:
             entry["layers"] = {
                 side: run_bench(getattr(args, side), workload, args.seeds[0], seconds, 1)
@@ -132,7 +176,12 @@ def main(argv=None) -> int:
             }
         record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    return 0
+    wrong = [f"{workload} seed {run['seed']} {side}"
+             for workload, entry in record["workloads"].items()
+             for run in entry["runs"] for side in SIDES if not run[side]["correct"]]
+    if wrong:
+        print("runs with correct: false: " + ", ".join(wrong), file=sys.stderr)
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
