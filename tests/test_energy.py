@@ -84,6 +84,13 @@ class TestExtractSummary:
             lv.extract_summary(profile)
         assert "integrability threshold" not in str(info.value)
 
+    def test_closure_below_threshold_names_it(self, f1_profile):
+        # flux 4 > 2 mu, but masses a quarter of F1's (not a solution) make
+        # the first sweep's m = sigma about 1: the closure, not r_max, fails
+        profile = dataclasses.replace(f1_profile, mass=f1_profile.mass * 0.25)
+        with pytest.raises(ExtractionError, match="integrability threshold"):
+            lv.extract_summary(profile)
+
     @pytest.mark.parametrize(
         "fixture, exact_gap",
         [

@@ -303,7 +303,8 @@ class TestSensitivityReplay:
     def _replay(spec, grid):
         r0 = math.exp(grid[0])
         u0, du_dr0 = lv.origin_series(spec, r0)
-        step = radial._Step(spec, grid[0], [u0, du_dr0 * r0, *radial._series_energy_seeds(spec, r0)])
+        seeds = radial._series_energy_seeds(spec, r0)
+        step = radial._Step(spec, grid[0], [u0, du_dr0 * r0, *seeds])
         for s, s_next in zip(grid[:-1], grid[1:]):
             step.take(s, s_next - s)
             step.accept()
