@@ -27,8 +27,6 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# a claimed gain must win at least this share of the seeds
-CLAIM_WIN_SHARE = 0.9
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -108,7 +106,7 @@ def verdicts(summary: dict, n_runs: int, metrics: list[dict], claim: str | None 
             "within_bound": gap / scale >= -metric["bound"],
         }
         if name == claim:
-            out[name]["claim_met"] = wins >= CLAIM_WIN_SHARE * n_runs and gap > spread
+            out[name]["claim_met"] = 10 * wins >= 9 * n_runs and gap > spread
     return out
 
 
