@@ -196,11 +196,9 @@ class SingularityProfile:
         return self.gamma == 0.0
 
 
-def as_rho(values) -> np.ndarray:
-    """Validate a parameter vector: finite, nonnegative entries."""
-    rho = as_array(values, "rho")
-    if rho.ndim != 1:
-        raise InputError(f"rho must be a vector, got shape {rho.shape}")
+def as_rho(values, n: int) -> np.ndarray:
+    """Validate a parameter vector: n finite, nonnegative entries."""
+    rho = as_array(values, "rho", (n,))
     if np.any(rho < 0.0):
         raise InputError("rho entries must be nonnegative")
     return rho
@@ -276,13 +274,13 @@ def critical_values(
 
 def lambda_L(rho, A: CoefficientMatrix, n_L: float) -> float:
     """Quadratic gap whose zero set is the L-th critical surface."""
-    x = as_rho(rho) / (2.0 * np.pi * as_level(n_L))
+    x = as_rho(rho, A.n) / (2.0 * np.pi * as_level(n_L))
     return float(4.0 * x.sum() - x @ A.entries @ x)
 
 
 def frak_m(rho, A: CoefficientMatrix, n_L: float) -> FrakM:
     """Normalized masses, minimum, and minimizer set (ties to 1e-12 rel)."""
-    values = A.entries @ (as_rho(rho) / (2.0 * np.pi * as_level(n_L)))
+    values = A.entries @ (as_rho(rho, A.n) / (2.0 * np.pi * as_level(n_L)))
     minimum = float(values.min())
     band = TIE_RTOL * max(abs(minimum), 1.0)
     minimizers = frozenset(
@@ -315,7 +313,7 @@ def classify_region(
     critical level; equality within 1e-10 relative flags membership on
     that surface.
     """
-    rho = as_rho(rho)
+    rho = as_rho(rho, A.n)
     sigma_values = as_array(sigma_values, "critical values")
     if sigma_values.size == 0:
         raise InputError("critical value list is empty")

@@ -10,8 +10,8 @@ of the limiting radial profile. From these the module assembles:
   symmetric point Q (regular blowup points only),
 * the leading-term coefficient D away from Q, combining the cell-domain
   integrals with the pairwise Green-function weights B_it,
-* the gradient conditions locating regular blowup points, with a Newton
-  search for their zeros on the exact Hessians, and
+* the gradient conditions locating regular blowup points, with a damped
+  Newton search (``newton``) for their zeros on the exact Hessians, and
 * the pairwise compatibility residuals of the coefficient fields.
 """
 
@@ -42,12 +42,11 @@ from .green import (
     cell_fit,
     gstar_matrix,
 )
+from .newton import damped_newton
 
 _TWO_PI = 2.0 * math.pi
 _Q_RTOL = 1e-8
 _SURFACE_RTOL = 1e-8
-_MAX_NEWTON_STEPS = 50
-_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -302,65 +301,36 @@ def location_search(
 ):
     """Move point t to a zero of its location residual; the others stay fixed.
 
-    Damped Newton on location_residual(p_t) = 0 with the exact Jacobian
-    (Hessians of log h_i and of the Green function). The step solves
-    J s = -r in the least-squares sense, so a Jacobian that is singular
-    along a symmetry of the data (say a field constant in y) still moves
-    p_t onto the zero set. Each step is halved, at most 30 times, until
-    |r|^2 decreases; a trial closer than 1e-4 to another point is rejected
-    like one that does not decrease. Iterates are wrapped into the
-    periods. Once the full step's sup norm is at most ``tol`` (in (0, 1)),
-    that step is taken and the search ends. At most 50 steps.
-
-    Returns (point, residual there).
-
-    Raises
-    ------
-    NonConvergenceError
-        After 50 steps, when no halving decreases |r|^2, or when J is
-        singular and the residual has a part above ``tol`` that J cannot
-        remove; carries the best point and its sup-norm residual.
+    ``newton.damped_newton`` on location_residual(p_t) = 0 with its exact
+    Jacobian (Hessians of log h_i and of the Green function). A trial
+    closer than 1e-4 to another point lies outside the domain, and iterates
+    are wrapped into the periods. ``tol`` (in (0, 1)) bounds the sup norm of
+    the residual, not the step. Returns (point, residual there); a
+    NonConvergenceError carries the best point, wrapped too.
     """
     tol = as_fraction(tol, "tol")
+    t = _regular_index(config, t)
     periods = np.array([config.geometry.lx, config.geometry.ly])
 
     def at(p):
         pts = config.points.copy()
         pts[t] = np.mod(p, periods)
-        moved = replace(config, points=pts)
-        return moved, location_residual(moved, t, regime)
+        return replace(config, points=pts)
 
-    def failure(message):
-        return NonConvergenceError(
-            f"location search for point {t}: {message}",
-            best=current.points[t].copy(),
-            best_residual=float(np.max(np.abs(resid))),
-        )
+    def f(p):
+        try:
+            moved = at(p)
+        except GeometryError:  # too close to another point
+            return None
+        return location_residual(moved, t, regime), _location_jacobian(moved, t, regime)
 
-    current, resid = config, location_residual(config, t, regime)
-    for _ in range(_MAX_NEWTON_STEPS):
-        jac = _location_jacobian(current, t, regime)
-        step, _, rank, _ = np.linalg.lstsq(jac, -resid, rcond=None)
-        if rank < 2 and np.max(np.abs(resid + jac @ step)) > tol:
-            raise failure("singular Jacobian with the residual above tol")
-        p = current.points[t]
-        if np.max(np.abs(step)) <= tol:
-            moved, moved_resid = at(p + step)
-            return moved.points[t].copy(), moved_resid
-        merit, lam = float(resid @ resid), 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            try:
-                trial, trial_resid = at(p + lam * step)
-            except GeometryError:  # too close to another point
-                lam *= 0.5
-                continue
-            if float(trial_resid @ trial_resid) < merit:
-                break
-            lam *= 0.5
-        else:
-            raise failure(f"no decrease of |r|^2 in {_MAX_HALVINGS} halvings")
-        current, resid = trial, trial_resid
-    raise failure(f"no convergence in {_MAX_NEWTON_STEPS} steps")
+    try:
+        p, _ = damped_newton(f, config.points[t], tol, f"location search for point {t}")
+    except NonConvergenceError as exc:
+        exc.best = np.mod(exc.best, periods)
+        raise
+    moved = at(p)
+    return moved.points[t].copy(), location_residual(moved, t, regime)
 
 
 def h_relation_residual(

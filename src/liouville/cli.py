@@ -263,7 +263,7 @@ def cmd_surface(cfg: dict, out: _Out) -> int:
         "h2_ok": matrix.h2_ok,
     }
     if "rho" in sub:
-        rho = as_rho(sub["rho"])
+        rho = as_rho(sub["rho"], matrix.n)
         fm = frak_m(rho, matrix, n_l)
         region = classify_region(rho, matrix, sigma_values)
         payload.update(

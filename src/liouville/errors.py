@@ -53,9 +53,10 @@ class ExtractionError(LiouvilleError):
 
 
 class NonConvergenceError(LiouvilleError):
-    """Iterative solve exceeded its step budget; carries the best iterate.
+    """A damped Newton solve (``newton.damped_newton``) did not converge.
 
-    ``trace`` is the solver's per-iterate record, if it keeps one.
+    Carries the ``best`` iterate, its sup-norm ``best_residual`` and the
+    ``trace``: per iterate, the residual, step length and halvings.
     """
 
     def __init__(self, message, best=None, best_residual=None, trace=()):

@@ -153,8 +153,9 @@ def origin_series(spec: ProblemSpec, r: float):
     S_i = sum_j a_ij e^(alpha0_j). Rejected when the second term is no
     longer small.
     """
+    r = as_number(r, "r")
     if r < 0.0:
-        raise DomainError("radius must be nonnegative")
+        raise InputError(f"r must be nonnegative, got {r}")
     mu = spec.singularity.mu
     s_vec = spec.matrix.entries @ np.exp(spec.alpha0)
     scale = float(np.max(np.abs(s_vec))) * r ** (2.0 * mu) / (2.0 * mu) ** 2

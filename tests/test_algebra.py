@@ -224,6 +224,21 @@ class TestHeightQuadratic:
         assert abs(lam - 1.0) <= 2.0 * (abs(b) + abs(c) + abs(e)) + 1e-12
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: lv.lambda_L([1.0, 2.0, 3.0], m, 1.0),
+        lambda m: lv.frak_m([1.0], m, 1.0),
+        lambda m: lv.classify_region([1.0, 2.0, 3.0], m, [8 * PI]),
+    ],
+    ids=["lambda_L", "frak_m", "classify_region"],
+)
+def test_rho_of_the_wrong_length_rejected(matrix12, call):
+    # named as rho, not a bare matmul ValueError
+    with pytest.raises(InputError, match=r"^rho must have shape \(2,\)"):
+        call(matrix12)
+
+
 def test_singular_q_solve_error():
     # bypass construction checks to hit the solver guard
     import dataclasses

@@ -98,3 +98,26 @@ def test_incorrect_run_fails_the_pair(tmp_path, monkeypatch):
     assert code == 1
     record = json.loads(out.read_text())
     assert record["workloads"]["w"]["verdict"]["ops_per_s"]["claim_met"] is False
+
+
+def test_src_lines_per_side(tmp_path, monkeypatch):
+    # lines of src/**/*.py only, nested packages included
+    for side, files in {"parent": {"a.py": "x = 1\ny = 2\n"},
+                        "change": {"a.py": "x = 1\n", "sub/b.py": "z = 3\n"}}.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "pkg" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    (tmp_path / "parent" / "src" / "pkg" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "change" / "README.md").write_text("outside src\n")
+    assert bench_pair.src_lines(tmp_path / "parent") == 2
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    runs = _runs(PARENT[:1], PARENT[:1])[0]
+    calls = iter([runs["parent"], runs["change"]])
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
+    out = tmp_path / "bench.json"
+    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                            "--seeds", "1", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 2, "change": 2}

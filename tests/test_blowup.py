@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
-from liouville import blowup
+from liouville import blowup, newton
 from liouville.errors import (
     DomainError,
     GeometryError,
@@ -401,7 +401,7 @@ class TestLocationSearch:
     def test_step_budget_carries_best_iterate(self, monkeypatch):
         cfg = two_point_config()
         start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
-        monkeypatch.setattr(blowup, "_MAX_NEWTON_STEPS", 2)
+        monkeypatch.setattr(newton, "MAX_STEPS", 2)
         with pytest.raises(NonConvergenceError, match="2 steps") as info:
             lv.location_search(cfg, 0, "general")
         pts = cfg.points.copy()
@@ -409,6 +409,44 @@ class TestLocationSearch:
         resid = lv.location_residual(dataclasses.replace(cfg, points=pts), 0, "general")
         assert info.value.best_residual == np.max(np.abs(resid))
         assert info.value.best_residual < start
+
+    def test_budget_error_carries_the_trace(self, monkeypatch):
+        # per iterate: sup-norm residual, step length and halvings
+        cfg = two_point_config()
+        start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
+        monkeypatch.setattr(newton, "MAX_STEPS", 2)
+        with pytest.raises(NonConvergenceError) as info:
+            lv.location_search(cfg, 0, "general")
+        trace = np.array(info.value.trace)
+        assert trace.shape == (3, 3)
+        assert tuple(trace[0]) == (start, 0.0, 0.0)
+        np.testing.assert_array_equal(trace[1:, 1], 0.5 ** trace[1:, 2])
+        assert trace[:, 0].min() == info.value.best_residual
+
+    def test_trial_onto_another_point_is_halved(self, monkeypatch):
+        # a first Jacobian that aims the full step at the other point: that
+        # trial is a GeometryError, halved without a residual
+        cfg = two_point_config()
+        aim = cfg.points[1] - cfg.points[0]
+        r0 = lv.location_residual(cfg, 0, "general")
+        jacobian, residual = blowup._location_jacobian, blowup.location_residual
+        calls, seen = [], []
+
+        def first_aims_at_the_other_point(*args):
+            calls.append(1)
+            return np.diag(-r0 / aim) if len(calls) == 1 else jacobian(*args)
+
+        def recording(config, t, regime):
+            seen.append(config.points[t].copy())
+            return residual(config, t, regime)
+
+        monkeypatch.setattr(blowup, "_location_jacobian", first_aims_at_the_other_point)
+        monkeypatch.setattr(blowup, "location_residual", recording)
+        best, resid = lv.location_search(cfg, 0, "general")
+        assert np.max(np.abs(resid)) <= 1e-10
+        np.testing.assert_allclose(seen[1], cfg.points[0] + 0.5 * aim, rtol=0, atol=1e-15)
+        moved = dataclasses.replace(cfg, points=np.array([best, cfg.points[1]]))
+        assert np.max(np.abs(residual(moved, 0, "general"))) <= 1e-10
 
     def test_singular_jacobian_with_residual_raises(self, monkeypatch):
         cfg = two_point_config()

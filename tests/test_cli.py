@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liouville as lv
 from liouville import cli
 
 
@@ -358,6 +359,29 @@ class TestLeading:
         )
         assert payload["D"] == pytest.approx(row["B"] * row["A_extrapolated"], rel=1e-12)
 
+    def test_general_regime_sinusoidal_field_matches_the_api(self, tmp_path):
+        cfg = copy.deepcopy(BASES["leading-general"])
+        field = {"type": "sinusoidal", "amplitude": 0.2, "frequency": [1, 0], "phase": 0.4}
+        cfg["blowup"]["h_fields"][0] = field
+        code, out = run(tmp_path, "leading", cfg)
+        assert code == 0
+        sub = cfg["blowup"]
+        config = lv.BlowupConfiguration(
+            points=sub["points"],
+            strengths=(lv.SingularityProfile(-0.5),),
+            matrix=lv.CoefficientMatrix.from_entries(cfg["matrix"]),
+            rho=sub["rho"],
+            h_fields=(
+                lv.SinusoidalField(amplitude=0.2, frequency=(1, 0), phase=0.4),
+                lv.ConstantField(1.0),
+            ),
+            curvature=[0.0],
+            D=sub["D"],
+            alpha=sub["alpha"],
+        )
+        api = lv.leading_term_general(config, sub["delta0"], sub["eps_k"])
+        assert read_json(out, "leading.json")["prediction"] == api.prediction
+
 
 class TestGreen:
     def test_report(self, tmp_path):
@@ -488,6 +512,10 @@ PROBES = [
         "amplitude",
     ),
     ("target_sigma-nan", "invert", "target_sigma", [math.nan], "target_sigma"),
+    ("rho-length-3", "surface", "surface.rho", [1.0, 2.0, 3.0], "rho"),
+    ("field-no-type", "leading-Q", "blowup.h_fields", [{"value": 1.0}], "'type'"),
+    ("field-unknown-type", "leading-Q", "blowup.h_fields", [{"type": "gauss"}], "field type"),
+    ("alpha0-and-reduced_alpha", "solve", "reduced_alpha", [], "not both"),
 ]
 
 
@@ -505,6 +533,22 @@ def test_bad_value_exits_2(tmp_path, capsys, probe):
     code, _ = run(tmp_path, base.split("-")[0], cfg)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+# (case id, base, the top-level key removed, what the error says)
+MISSING = [
+    ("matrix", "solve", "matrix", "'matrix'"),
+    ("alpha0", "solve", "alpha0", "missing 'alpha0' (or 'reduced_alpha')"),
+]
+
+
+@pytest.mark.parametrize("base, key, said", [m[1:] for m in MISSING], ids=[m[0] for m in MISSING])
+def test_missing_key_exits_2(tmp_path, capsys, base, key, said):
+    cfg = copy.deepcopy(BASES[base])
+    del cfg[key]
+    code, _ = run(tmp_path, base, cfg)
+    assert code == 2
+    assert said in capsys.readouterr().err
 
 
 # Every nesting level of the config schema: (name in the message, base

@@ -64,6 +64,21 @@ class TestOriginSeries:
             errs.append(abs(vals[0] - f1_exact(r)))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.05)
 
+    def test_slope_at_origin_for_half_strength(self, matrix12):
+        # 2 mu = 1: dU/dr at r = 0 is -S, S_i = sum_j a_ij e^(alpha0_j)
+        spec = lv.ProblemSpec(
+            matrix12, lv.SingularityProfile(-0.5), np.array([0.0, -1.0])
+        )
+        vals, derivs = lv.origin_series(spec, 0.0)
+        np.testing.assert_array_equal(vals, spec.alpha0)
+        np.testing.assert_array_equal(derivs, -(matrix12.entries @ np.exp(spec.alpha0)))
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, "x", -1.0])
+    def test_rejects_bad_radius(self, matrix1, r):
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        with pytest.raises(InputError, match="^r must"):
+            lv.origin_series(spec, r)
+
     def test_rejects_large_radius(self, matrix1):
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
         with pytest.raises(DomainError):

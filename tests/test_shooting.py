@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import liouville as lv
+from liouville import shooting
 from liouville.errors import InputError, NonConvergenceError
 
 GAMMA0 = lv.SingularityProfile(0.0)
@@ -118,6 +119,23 @@ class TestInvertSigma:
         assert tuple(trace[0, 1:]) == (0.0, 0.0)
         np.testing.assert_array_equal(trace[1:, 1], 0.5 ** trace[1:, 2])
         assert trace[:, 0].min() == info.value.best_residual
+
+    def test_trial_past_the_alpha_bound_is_halved(self, matrix12, monkeypatch):
+        # from alpha = -5 the full Newton step towards sigma = 4/3 is about +147,
+        # far past the bound 30; that trial is halved without an integration
+        start = lv.alpha_to_sigma(matrix12, GAMMA0, [-5.0], jacobian=True)
+        assert (4.0 / 3.0 - start.reduced_sigma[0]) / start.jacobian[0, 0] > 100.0
+        seen = []
+        alpha_to_sigma = shooting.alpha_to_sigma
+
+        def recording(matrix, singularity, alpha, *args, **kwargs):
+            seen.append(alpha[0])
+            return alpha_to_sigma(matrix, singularity, alpha, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "alpha_to_sigma", recording)
+        alpha = lv.invert_sigma(matrix12, GAMMA0, [4.0 / 3.0], guess=[-5.0])
+        assert abs(alpha[0]) < 1e-7
+        assert max(abs(a) for a in seen) <= 30.0
 
     def test_degenerate_dimension(self, matrix1):
         assert lv.invert_sigma(matrix1, GAMMA0, []).shape == (0,)

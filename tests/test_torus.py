@@ -362,6 +362,21 @@ class TestAIntegral:
         val = lv.a_integral(cfg, 0, 0, 0.05)
         assert val == pytest.approx(self.FIXTURE_A_005, abs=1e-5)
 
+    def test_mass_two_is_one_over_mu(self, matrix1):
+        # m = 2 gives the integral weight zero: A = 1 / mu_t exactly
+        cfg = lv.BlowupConfiguration(
+            points=[[0.31, 0.62]],
+            strengths=(lv.SingularityProfile(-0.5),),
+            matrix=matrix1,
+            rho=[2.0 * math.pi],
+            h_fields=(lv.ConstantField(1.0),),
+            curvature=[0.0],
+            D=[0.0],
+            alpha=[0.0],
+        )
+        assert cfg.frak.minimum == 2.0
+        assert lv.a_integral(cfg, 0, 0, 0.05) == 2.0
+
     def test_independent_quadrature_oracle(self, singular_point_config):
         # dumb polar midpoint grid over the square cell, written without the
         # production quadrature machinery

@@ -9,7 +9,8 @@ drift in host speed hits both sides alike. ``--layers`` adds one traced run
 (``--trace 1``) per side and workload for the per-layer metrics. The output
 holds every run's metrics, the per-side medians and quartiles, how many
 seeds the change won on each metric, a verdict per metric (see
-``verdicts``) and the machine (CPU count, Python and numpy versions).
+``verdicts``), the machine (CPU count, Python and numpy versions) and each
+side's ``src_lines``, the line count of its ``src/**/*.py``.
 ``--claim METRIC`` also judges a claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
@@ -119,6 +120,11 @@ def machine() -> dict:
             "python": python_version, "numpy": numpy_version}
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines in the checkout's src/**/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def revision(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=False)
@@ -150,6 +156,7 @@ def main(argv=None) -> int:
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
         "machine": machine(),
         "revisions": {side: revision(getattr(args, side)) for side in SIDES},
+        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
         "workloads": {},
     }
     for workload in workloads:
