@@ -322,7 +322,7 @@ def location_search(
             moved = at(p)
         except GeometryError:  # too close to another point
             return None
-        return location_residual(moved, t, regime), _location_jacobian(moved, t, regime)
+        return location_residual(moved, t, regime), lambda: _location_jacobian(moved, t, regime)
 
     try:
         p, _ = damped_newton(f, config.points[t], tol, f"location search for point {t}")

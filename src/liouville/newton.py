@@ -10,22 +10,23 @@ import numpy as np
 from .errors import NonConvergenceError
 
 MAX_STEPS = 50
-MAX_HALVINGS = 8
+MAX_HALVINGS = 30
 
 
 def damped_newton(f, x, tol: float, what: str):
     """Solve r(x) = 0 from x; return the root and the trace.
 
-    ``f(x)`` returns (r, J), the residual and its Jacobian, or None when x
-    lies outside f's domain (f must be defined at the start). The step s
-    solves J s = -r in the least-squares sense, so a J singular along a
-    symmetry of the problem still moves x onto the zero set. The trial
-    x + lam s is accepted once the sup norm of r drops below (1 - 1e-4 lam)
-    times the current one; otherwise, or outside the domain, lam is halved,
-    at most MAX_HALVINGS times. Once the sup norm is below ``tol`` one last
-    Newton step is taken unchecked. The trace holds, per iterate, its
-    residual sup norm, lam = 2^-halvings and the halvings that reached it
-    (0.0 and 0 for the start).
+    ``f(x)`` returns (r, jac), the residual and a function of no arguments
+    that gives its Jacobian J (called for accepted iterates only), or None
+    when x lies outside f's domain (f must be defined at the start). The
+    step s solves J s = -r in the least-squares sense, so a J singular
+    along a symmetry of the problem still moves x onto the zero set. The
+    trial x + lam s is accepted once the sup norm of r drops below
+    (1 - 1e-4 lam) times the current one; otherwise, or outside the domain,
+    lam is halved, at most MAX_HALVINGS times. Once the sup norm is below
+    ``tol`` one last Newton step is taken unchecked. The trace holds, per
+    iterate, its residual sup norm, lam = 2^-halvings and the halvings that
+    reached it (0.0 and 0 for the start).
 
     Raises
     ------
@@ -36,11 +37,12 @@ def damped_newton(f, x, tol: float, what: str):
         iterate, its residual sup norm and the trace.
     """
     x = np.array(x, dtype=float)
-    r, jac = f(x)
+    r, jacobian = f(x)
     norm = float(np.max(np.abs(r)))
     best, best_norm = x, norm
     trace = [(norm, 0.0, 0)]
     for steps in range(MAX_STEPS + 1):
+        jac = jacobian()
         step, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=None)
         if norm < tol:
             return x + step, tuple(trace)
@@ -59,7 +61,7 @@ def damped_newton(f, x, tol: float, what: str):
         else:
             problem = f"no descent in {MAX_HALVINGS} halvings"
             break
-        x, (r, jac) = x + lam * step, trial
+        x, (r, jacobian) = x + lam * step, trial
         norm = float(np.max(np.abs(r)))
         trace.append((norm, lam, halvings))
         if norm < best_norm:

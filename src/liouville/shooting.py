@@ -106,6 +106,6 @@ def invert_sigma(
         if float(np.max(np.abs(alpha))) > _ALPHA_BOUND:
             return None
         point = alpha_to_sigma(matrix, singularity, alpha, r_max, tol, jacobian=True)
-        return point.reduced_sigma - target, point.jacobian
+        return point.reduced_sigma - target, lambda: point.jacobian
 
     return damped_newton(f, start, _SIGMA_TOL, "sigma inversion")[0]

@@ -368,6 +368,31 @@ def two_point_config():
     )
 
 
+def random_two_point_configs(shift, count=150, seed=5):
+    """Two regular points and one sinusoidal field, drawn at random; pairs
+    closer than 0.05 in a coordinate are skipped. Everything is moved by
+    ``shift`` on the torus, the field's phase with it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        start, other = rng.uniform(0.0, 1.0, 2), rng.uniform(0.0, 1.0, 2)
+        if np.min(np.abs((start - other + 0.5) % 1.0 - 0.5)) < 0.05:
+            continue
+        frequency = tuple(int(v) for v in rng.integers(-2, 3, 2))
+        if frequency == (0, 0):
+            frequency = (1, 1)
+        phase = rng.uniform(0.0, TWO_PI) - TWO_PI * np.dot(frequency, shift)
+        yield lv.BlowupConfiguration(
+            points=np.mod(np.add([start, other], shift), 1.0),
+            strengths=(lv.SingularityProfile(0.0),) * 2,
+            matrix=lv.CoefficientMatrix.from_entries([[1.0]]),
+            rho=[16.0 * math.pi],
+            h_fields=(lv.SinusoidalField(0.3, frequency, phase),),
+            curvature=[0.0, 0.0],
+            D=[0.0],
+            alpha=[0.0],
+        )
+
+
 class TestLocationSearch:
     @pytest.mark.parametrize("regime", ["general", "Q"])
     def test_jacobian_matches_central_difference(self, regime):
@@ -398,6 +423,19 @@ class TestLocationSearch:
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(best, [0.32141282, 0.27141282], atol=1e-8)
 
+    def test_random_configurations_mostly_converge(self):
+        # 125 random configurations, searched where they are and moved by
+        # (0.3, 0.6): 2 fail both ways; with 8 halvings in place of 30, 6 did
+        failing = set()
+        for shift in [(0.0, 0.0), (0.3, 0.6)]:
+            for k, cfg in enumerate(random_two_point_configs(shift)):
+                try:
+                    lv.location_search(cfg, 0, "general")
+                except NonConvergenceError:
+                    failing.add(k)
+        assert k == 124
+        assert len(failing) <= 2
+
     def test_step_budget_carries_best_iterate(self, monkeypatch):
         cfg = two_point_config()
         start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
@@ -409,14 +447,7 @@ class TestLocationSearch:
         resid = lv.location_residual(dataclasses.replace(cfg, points=pts), 0, "general")
         assert info.value.best_residual == np.max(np.abs(resid))
         assert info.value.best_residual < start
-
-    def test_budget_error_carries_the_trace(self, monkeypatch):
         # per iterate: sup-norm residual, step length and halvings
-        cfg = two_point_config()
-        start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
-        monkeypatch.setattr(newton, "MAX_STEPS", 2)
-        with pytest.raises(NonConvergenceError) as info:
-            lv.location_search(cfg, 0, "general")
         trace = np.array(info.value.trace)
         assert trace.shape == (3, 3)
         assert tuple(trace[0]) == (start, 0.0, 0.0)

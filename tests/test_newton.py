@@ -14,7 +14,7 @@ def test_trial_outside_the_domain_is_halved():
 
     def f(x):
         trials.append(float(x[0]))
-        return None if x[0] > 1.5 else (4.0 * (x - 1.0), np.array([[2.0]]))
+        return None if x[0] > 1.5 else (4.0 * (x - 1.0), lambda: np.array([[2.0]]))
 
     root, trace = newton.damped_newton(f, [0.0], 1e-12, "toy")
     assert trials == [0.0, 2.0, 1.0]
@@ -25,7 +25,7 @@ def test_trial_outside_the_domain_is_halved():
 def test_jacobian_singular_along_a_symmetry_converges():
     # r depends on x only: J has rank 1, and the step leaves y alone
     def f(p):
-        return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), np.array([[1.0, 0.0], [2.0, 0.0]])
+        return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), lambda: np.array([[1.0, 0.0], [2.0, 0.0]])
 
     root, _ = newton.damped_newton(f, [0.25, 0.7], 1e-12, "toy")
     np.testing.assert_allclose(root, [1.0, 0.7], rtol=0, atol=1e-15)
@@ -34,7 +34,7 @@ def test_jacobian_singular_along_a_symmetry_converges():
 def test_unreachable_residual_with_singular_jacobian_raises():
     # x - 1 and x + 1 cannot both vanish; J cannot remove their difference
     def f(p):
-        return np.array([p[0] - 1.0, p[0] + 1.0]), np.array([[1.0, 0.0], [1.0, 0.0]])
+        return np.array([p[0] - 1.0, p[0] + 1.0]), lambda: np.array([[1.0, 0.0], [1.0, 0.0]])
 
     with pytest.raises(NonConvergenceError, match="^toy: singular Jacobian") as info:
         newton.damped_newton(f, [0.25, 0.7], 1e-12, "toy")
@@ -44,24 +44,33 @@ def test_unreachable_residual_with_singular_jacobian_raises():
 
 
 def test_no_descent_raises_with_the_trace():
-    # x^2 + 1 has no real root; from x = 1e-3 the step is about -500, and
-    # even 2^-8 of it overshoots to a larger residual
-    def f(x):
-        return x**2 + 1.0, np.array([[2.0 * x[0]]])
+    # r = x with a Jacobian of the wrong sign: every step leads uphill
+    trials = []
 
-    with pytest.raises(NonConvergenceError, match="no descent in 8 halvings") as info:
-        newton.damped_newton(f, [1e-3], 1e-12, "toy")
-    assert info.value.trace == ((1.000001, 0.0, 0),)
-    assert info.value.best[0] == 1e-3
+    def f(x):
+        trials.append(float(x[0]))
+        return x.copy(), lambda: np.array([[-1.0]])
+
+    with pytest.raises(NonConvergenceError, match="no descent in 30 halvings") as info:
+        newton.damped_newton(f, [0.5], 1e-12, "toy")
+    assert trials == [0.5] + [0.5 + 0.5**k for k in range(1, newton.MAX_HALVINGS + 2)]
+    assert info.value.trace == ((0.5, 0.0, 0),)
+    assert info.value.best[0] == 0.5
 
 
 def test_budget_error_carries_best_and_trace(monkeypatch):
     # arctan from 1.5: the full first step overshoots to a larger residual,
-    # half of it descends; two steps leave the residual near 6e-4
+    # half of it descends; two steps leave the residual near 6e-4. The
+    # Jacobian is built at the three iterates only, not at the rejected trial
     monkeypatch.setattr(newton, "MAX_STEPS", 2)
+    built = []
+
+    def jacobian(x):
+        built.append(float(x[0]))
+        return np.array([[1.0 / (1.0 + x[0] ** 2)]])
 
     def f(x):
-        return np.arctan(x), np.array([[1.0 / (1.0 + x[0] ** 2)]])
+        return np.arctan(x), lambda: jacobian(x)
 
     with pytest.raises(NonConvergenceError, match="in 2 steps") as info:
         newton.damped_newton(f, [1.5], 1e-12, "toy")
@@ -73,3 +82,5 @@ def test_budget_error_carries_best_and_trace(monkeypatch):
     assert np.all(np.diff(trace[:, 0]) < 0)
     assert info.value.best_residual == trace[-1, 0]
     assert abs(np.arctan(info.value.best[0])) == info.value.best_residual
+    assert len(built) == 3 and built[-1] == info.value.best[0]
+    np.testing.assert_array_equal(np.abs(np.arctan(built)), trace[:, 0])
