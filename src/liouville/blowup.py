@@ -18,7 +18,7 @@ of the limiting radial profile. From these the module assembles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,11 @@ from .green import (
     GStarMatrix,
     TorusGreen,
     _green,
+    _length,
     a_integral,
     cell_fit,
     gstar_matrix,
+    wrap_displacement,
 )
 from .newton import damped_newton
 
@@ -82,10 +84,7 @@ class BlowupConfiguration:
         shapes = {"rho": (n,), "curvature": (n_pts,), "D": (n,), "alpha": (n,)}
         for name, shape in shapes.items():
             object.__setattr__(self, name, as_array(getattr(self, name), name, shape))
-        for i, f in enumerate(self.h_fields):
-            for p in pts:
-                if float(f.value(p)) <= 0.0:
-                    raise InputError(f"coefficient field {i} is not positive")
+        _require_positive(self.h_fields, pts)
         for name in ("rho", "curvature", "D", "alpha"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "strengths", tuple(self.strengths))
@@ -129,9 +128,23 @@ class BlowupConfiguration:
 
     def _gstar_derivative(self, t: int, order: int) -> np.ndarray:
         t = as_count(t, "t", 0, self.n_points - 1)
-        others = np.arange(self.n_points) != t
-        terms = _green(self.geometry, self.points[t] - self.points[others], order=order)
-        return (self.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
+        return _point_green(self, t, self.points[t], order)
+
+
+def _require_positive(h_fields, points) -> None:
+    for i, f in enumerate(h_fields):
+        for p in points:
+            if float(f.value(p)) <= 0.0:
+                raise InputError(f"coefficient field {i} is not positive")
+
+
+def _point_green(config: BlowupConfiguration, t: int, p, order: int) -> np.ndarray:
+    """sum_{l != t} mu_l D^order_1 G(p, p_l): point t's Green terms with p_t
+    moved to p and the other points where they are."""
+    others = np.arange(config.n_points) != t
+    w = wrap_displacement(config.geometry, p - config.points[others])
+    terms = _green(config.geometry, w, order=order)
+    return (config.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
 
 
 def _regular_index(config: BlowupConfiguration, t) -> int:
@@ -259,14 +272,24 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
     return -4.0 * total * eps_k**2 * math.log(1.0 / eps_k)
 
 
-def _location_weights(config: BlowupConfiguration, t: int, regime: str):
+def _location_weights(config: BlowupConfiguration, regime: str):
     """Component weights and Green coupling of the gradient condition."""
-    _regular_index(config, t)
     if regime == "general":
         return config.rho, _TWO_PI * config.frak.minimum
     if regime == "Q":
         return q_point(config.matrix, config.n_L), 4.0 * _TWO_PI
     raise InputError(f"regime must be 'general' or 'Q', got {regime!r}")
+
+
+def _location_terms(
+    config: BlowupConfiguration, t: int, regime: str, p, order: int
+) -> np.ndarray:
+    """Point t's gradient condition at p (order 1), or its exact Jacobian in p
+    (order 2, the same sum of Hessians); the other points stay fixed."""
+    weights, coupling = _location_weights(config, regime)
+    green_term = coupling * _point_green(config, t, p, order)
+    log_h = [h.grad_log if order == 1 else h.hess_log for h in config.h_fields]
+    return sum(w * (d(p) + green_term) for w, d in zip(weights, log_h))
 
 
 def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:
@@ -278,22 +301,8 @@ def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.nd
         coupling 8 pi instead of 2 pi m. Small residuals characterize true
         blowup locations.
     """
-    weights, coupling = _location_weights(config, t, regime)
-    green_term = coupling * config.gstar_gradient(t)
-    p_t = config.points[t]
-    return sum(
-        w * (h.grad_log(p_t) + green_term) for w, h in zip(weights, config.h_fields)
-    )
-
-
-def _location_jacobian(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:
-    """Exact Jacobian of location_residual in p_t: the same sum of Hessians."""
-    weights, coupling = _location_weights(config, t, regime)
-    green_term = coupling * config.gstar_hessian(t)
-    p_t = config.points[t]
-    return sum(
-        w * (h.hess_log(p_t) + green_term) for w, h in zip(weights, config.h_fields)
-    )
+    t = _regular_index(config, t)
+    return _location_terms(config, t, regime, config.points[t], 1)
 
 
 def location_search(
@@ -304,33 +313,43 @@ def location_search(
     ``newton.damped_newton`` on location_residual(p_t) = 0 with its exact
     Jacobian (Hessians of log h_i and of the Green function). A trial
     closer than 1e-4 to another point lies outside the domain, and iterates
-    are wrapped into the periods. ``tol`` (in (0, 1)) bounds the sup norm of
-    the residual, not the step. Returns (point, residual there); a
-    NonConvergenceError carries the best point, wrapped too.
+    are wrapped into the periods. Only point t's terms are evaluated at a
+    trial; the configuration is not rebuilt. ``tol`` (in (0, 1)) bounds the
+    sup norm of the residual, not the step. Returns (point, residual
+    there); a NonConvergenceError carries the best point, wrapped too.
     """
     tol = as_fraction(tol, "tol")
     t = _regular_index(config, t)
-    periods = np.array([config.geometry.lx, config.geometry.ly])
+    geom = config.geometry
+    periods = np.array([geom.lx, geom.ly])
+    others = config.points[np.arange(config.n_points) != t]
 
-    def at(p):
-        pts = config.points.copy()
-        pts[t] = np.mod(p, periods)
-        return replace(config, points=pts)
+    def place(p):
+        """p wrapped into the periods, or None within 1e-4 of another point."""
+        p = np.mod(p, periods)
+        if np.any(_length(wrap_displacement(geom, p - others)) < 1e-4):
+            return None
+        _require_positive(config.h_fields, [p])
+        return p
 
     def f(p):
-        try:
-            moved = at(p)
-        except GeometryError:  # too close to another point
+        p = place(p)
+        if p is None:
             return None
-        return location_residual(moved, t, regime), lambda: _location_jacobian(moved, t, regime)
+        return (
+            _location_terms(config, t, regime, p, 1),
+            lambda: _location_terms(config, t, regime, p, 2),
+        )
 
     try:
         p, _ = damped_newton(f, config.points[t], tol, f"location search for point {t}")
     except NonConvergenceError as exc:
         exc.best = np.mod(exc.best, periods)
         raise
-    moved = at(p)
-    return moved.points[t].copy(), location_residual(moved, t, regime)
+    root = place(p)
+    if root is None:
+        raise GeometryError(f"location search put point {t} within 1e-4 of another point")
+    return root, _location_terms(config, t, regime, root, 1)
 
 
 def h_relation_residual(

@@ -25,6 +25,12 @@ follows from beta alone. The expm1 form keeps the log singularity
 -(1/2 pi) log|d|, which sits in the m = 0 image, free of cancellation.
 The gradient and the Hessian of G come from the same image sum.
 
+One kernel, ``_green``, evaluates all three. Each public entry point wraps
+the displacements once, checks their length on the wrapped values, and
+hands those to the kernel, which does not wrap again. The kernel lays each
+block of points out image-major, (images, points), so the sum or product
+over the dozen images combines whole contiguous rows of points.
+
 Letting d -> 0 gives the diagonal regular part
 gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
 
@@ -85,7 +91,7 @@ def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
     """Shortest representative of a displacement, coordinates in (-L/2, L/2]."""
     periods = np.array([geom.lx, geom.ly])
     d = np.asarray(d, dtype=float)
-    return d - periods * np.round(d / periods)
+    return d - periods * np.rint(d / periods)
 
 
 def _points(x, p):
@@ -105,16 +111,15 @@ def _points(x, p):
     return x, p
 
 
-def _distance(geom: TorusGreen, d) -> np.ndarray:
-    """Length on the torus of displacements d (last axis 2), unchecked."""
-    w = wrap_displacement(geom, d)
+def _length(w) -> np.ndarray:
+    """Length of wrapped displacements w (last axis 2)."""
     return np.hypot(w[..., 0], w[..., 1])
 
 
 def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
     """Distance from x to p on the torus; broadcasts like green_eval."""
     x, p = _points(x, p)
-    return _distance(geom, x - p)
+    return _length(wrap_displacement(geom, x - p))
 
 
 def _sides(geom: TorusGreen):
@@ -137,15 +142,20 @@ def _image_terms(x, s2):
 
 
 # Points per broadcast over the images: enough for numpy to do the work,
-# few enough to keep the (points x images) temporaries small.
+# few enough to keep the (images x points) temporaries small.
 _BLOCK = 2048
 
 
-def _green(geom: TorusGreen, d, order: int = 0) -> np.ndarray:
-    """G at displacements d (last axis 2), or its derivatives of one order.
+def _green(geom: TorusGreen, w, order: int = 0) -> np.ndarray:
+    """G at wrapped displacements w (last axis 2), or its derivatives of one order.
 
-    Order 0 gives G, order 1 the gradient on a last axis of 2, order 2 the
-    Hessian on two last axes of 2. Each image term is Re F with
+    w must already be wrapped into the periods (``wrap_displacement``);
+    the kernel does not wrap it again. Order 0 gives G, order 1 the
+    gradient on a last axis of 2, order 2 the Hessian on two last axes of
+    2. The points go through in blocks of ``_BLOCK``, and each temporary of
+    a block is (images, block) with the image index first, so a sum or
+    product over the images combines whole rows; the product of order 0
+    runs over m = -M..M in order. Each image term is Re F with
     F(z) = -(1/2 pi) log(1 - e^z), z = x + 2 pi i b, holomorphic, and z is d
     scaled by 2 pi / L2 (up to the sign along L1). So the image terms add
     (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the Hessian,
@@ -154,13 +164,13 @@ def _green(geom: TorusGreen, d, order: int = 0) -> np.ndarray:
     """
     l1, l2, swap = _sides(geom)
     beta = l1 / l2
-    m = _images(beta)
-    w = wrap_displacement(geom, d)
+    m = _images(beta)[:, None]
     shape = w.shape[:-1]
     w = w.reshape(-1, 2)[:, ::-1] if swap else w.reshape(-1, 2)
-    out = np.empty((len(w), 2**order))
+    out = np.empty((2**order, len(w)))
     for lo in range(0, len(w), _BLOCK):
-        u, b = (w[lo : lo + _BLOCK] / (l1, l2)).T[..., None]
+        block = slice(lo, lo + _BLOCK)
+        u, b = (w[block] / (l1, l2)).T
         um = u + m
         s2 = np.sin(math.pi * b) ** 2
         ex, em1, f = _image_terms(-_TWO_PI * beta * np.abs(um), s2)
@@ -168,32 +178,33 @@ def _green(geom: TorusGreen, d, order: int = 0) -> np.ndarray:
             # 1 - e^z = (2 e^x s2 - expm1(x)) - i e^x sin(2 pi b): no cancellation
             one_minus = (2.0 * ex * s2 - em1) - 1j * ex * np.sin(_TWO_PI * b)
             q = (_TWO_PI / (l2 * l2)) * ex * np.exp(1j * _TWO_PI * b) / one_minus**2
-            h11 = np.sum(q.real, axis=1, keepdims=True)
-            h12 = np.sum(np.sign(um) * q.imag, axis=1, keepdims=True)
-            out[lo : lo + _BLOCK] = np.hstack([1.0 + h11, h12, h12, -h11])
-        elif order == 1:
-            g1 = l1 * (u - 0.5 * np.sign(u)) + np.sum(
-                np.sign(um) * ex * (em1 + 2.0 * s2) / f, axis=1, keepdims=True
-            ) / l2
-            g2 = -np.sin(_TWO_PI * b) * np.sum(ex / f, axis=1, keepdims=True) / l2
-            out[lo : lo + _BLOCK] = np.hstack([g1, g2])
+            h11 = q.real.sum(axis=0)
+            h12 = (np.sign(um) * q.imag).sum(axis=0)
+            out[:, block] = 1.0 + h11, h12, h12, -h11
+        elif order == 1:  # in place: e^x / f, and (expm1 + 2 s2) e^x / f signed
+            ex /= f
+            em1 += 2.0 * s2
+            em1 *= ex
+            em1 *= np.sign(um)
+            out[0, block] = l1 * (u - 0.5 * np.sign(u)) + em1.sum(axis=0) / l2
+            out[1, block] = -np.sin(_TWO_PI * b) * ex.sum(axis=0) / l2
         else:
-            out[lo : lo + _BLOCK] = (l1 * l1 / 2.0) * (
+            out[0, block] = (l1 * l1 / 2.0) * (
                 u * u - np.abs(u) + 1.0 / 6.0
-            ) - np.log(np.prod(f, axis=1, keepdims=True)) / (2.0 * _TWO_PI)
-    out = out.reshape((-1,) + (2,) * order)
+            ) - np.log(np.prod(f, axis=0)) / (2.0 * _TWO_PI)
+    out = out.T.reshape((-1,) + (2,) * order)
     if swap:  # every derivative axis back from (long, short) to (x, y)
         out = out[(slice(None),) + (slice(None, None, -1),) * order]
     return out.reshape(shape + (2,) * order)
 
 
 def _displacement(geom: TorusGreen, x, p) -> np.ndarray:
-    """x - p for checked points (see ``_points``), off the diagonal."""
+    """Wrapped x - p for checked points (see ``_points``), off the diagonal."""
     x, p = _points(x, p)
-    d = x - p
-    if np.any(_distance(geom, d) < 1e-8):
+    w = wrap_displacement(geom, x - p)
+    if np.any(_length(w) < 1e-8):
         raise SingularityError("Green function evaluated on the diagonal")
-    return d
+    return w
 
 
 def green_eval(geom: TorusGreen, x, p):
@@ -248,13 +259,13 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
     t, s = np.triu_indices(pts.shape[0], k=1)
-    d = pts[t] - pts[s]
-    close = _distance(geom, d) < 1e-4
+    w = wrap_displacement(geom, pts[t] - pts[s])
+    close = _length(w) < 1e-4
     if close.any():
         k = np.argmax(close)
         raise GeometryError(f"points {t[k]} and {s[k]} are closer than 1e-4 on the torus")
     values = np.full((pts.shape[0],) * 2, _diagonal_gamma(geom))
-    values[t, s] = values[s, t] = _green(geom, d)
+    values[t, s] = values[s, t] = _green(geom, w)
     pts = pts.copy()
     for arr in (pts, values):
         arr.setflags(write=False)
@@ -441,7 +452,7 @@ def a_integral(config, i: int, t: int, delta0: float) -> float:
         x = p_t + r[..., None] * ray[:, None]
         # all nodes and sources at once; within the cell the wrapped distance
         # to p_t is r itself, so the log term leaves the regular part there
-        acc = _green(geom, x[..., None, :] - points) @ mus
+        acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
         acc += mu_t * np.log(r) / _TWO_PI
         ratio = np.asarray(field.value(x), dtype=float) / h_ref
         return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))

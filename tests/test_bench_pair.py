@@ -121,3 +121,15 @@ def test_src_lines_per_side(tmp_path, monkeypatch):
                             "--seeds", "1", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["src_lines"] == {"parent": 2, "change": 2}
+
+
+@pytest.mark.parametrize("value, cached", [("1", False), ("", True), (None, True)])
+def test_machine_records_bytecode_caching(monkeypatch, value, cached):
+    # the runs inherit the environment; an empty value writes bytecode too
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    machine = bench_pair.machine()
+    assert machine["bytecode_cached"] is cached
+    assert set(machine) == {"nproc", "platform", "python", "numpy", "bytecode_cached"}

@@ -407,19 +407,19 @@ class TestLocationSearch:
                 moved = dataclasses.replace(cfg, points=pts)
                 sides.append(lv.location_residual(moved, 0, regime))
             columns.append((sides[0] - sides[1]) / (2.0 * eps))
-        jac = blowup._location_jacobian(cfg, 0, regime)
+        jac = blowup._location_terms(cfg, 0, regime, cfg.points[0], 2)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-6 * np.abs(jac).max())
 
     def test_two_points_converge_in_six_steps(self, monkeypatch):
         # one Jacobian per Newton step; quadratic convergence from 100 to 1e-13
         # in five damped steps, then the step below tol
-        calls = []
-        jacobian = blowup._location_jacobian
+        orders = []
+        terms = blowup._location_terms
         monkeypatch.setattr(
-            blowup, "_location_jacobian", lambda *a: calls.append(1) or jacobian(*a)
+            blowup, "_location_terms", lambda *a: orders.append(a[-1]) or terms(*a)
         )
         best, resid = lv.location_search(two_point_config(), 0, "general")
-        assert len(calls) == 6
+        assert orders.count(2) == 6
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(best, [0.32141282, 0.27141282], atol=1e-8)
 
@@ -460,28 +460,31 @@ class TestLocationSearch:
         cfg = two_point_config()
         aim = cfg.points[1] - cfg.points[0]
         r0 = lv.location_residual(cfg, 0, "general")
-        jacobian, residual = blowup._location_jacobian, blowup.location_residual
+        terms = blowup._location_terms
         calls, seen = [], []
 
-        def first_aims_at_the_other_point(*args):
+        def first_aims_at_the_other_point(config, t, regime, p, order):
+            if order == 1:  # the residual at each trial that is in the domain
+                seen.append(p.copy())
+                return terms(config, t, regime, p, order)
             calls.append(1)
-            return np.diag(-r0 / aim) if len(calls) == 1 else jacobian(*args)
+            return np.diag(-r0 / aim) if len(calls) == 1 else terms(config, t, regime, p, order)
 
-        def recording(config, t, regime):
-            seen.append(config.points[t].copy())
-            return residual(config, t, regime)
-
-        monkeypatch.setattr(blowup, "_location_jacobian", first_aims_at_the_other_point)
-        monkeypatch.setattr(blowup, "location_residual", recording)
+        monkeypatch.setattr(blowup, "_location_terms", first_aims_at_the_other_point)
         best, resid = lv.location_search(cfg, 0, "general")
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(seen[1], cfg.points[0] + 0.5 * aim, rtol=0, atol=1e-15)
+        monkeypatch.undo()
         moved = dataclasses.replace(cfg, points=np.array([best, cfg.points[1]]))
-        assert np.max(np.abs(residual(moved, 0, "general"))) <= 1e-10
+        assert np.max(np.abs(lv.location_residual(moved, 0, "general"))) <= 1e-10
 
     def test_singular_jacobian_with_residual_raises(self, monkeypatch):
         cfg = two_point_config()
-        monkeypatch.setattr(blowup, "_location_jacobian", lambda *a: np.zeros((2, 2)))
+        terms = blowup._location_terms
+        monkeypatch.setattr(
+            blowup, "_location_terms",
+            lambda *a: terms(*a) if a[-1] == 1 else np.zeros((2, 2)),
+        )
         with pytest.raises(NonConvergenceError, match="singular") as info:
             lv.location_search(cfg, 0, "general")
         np.testing.assert_array_equal(info.value.best, cfg.points[0])

@@ -9,8 +9,10 @@ drift in host speed hits both sides alike. ``--layers`` adds one traced run
 (``--trace 1``) per side and workload for the per-layer metrics. The output
 holds every run's metrics, the per-side medians and quartiles, how many
 seeds the change won on each metric, a verdict per metric (see
-``verdicts``), the machine (CPU count, Python and numpy versions) and each
-side's ``src_lines``, the line count of its ``src/**/*.py``.
+``verdicts``), the machine (CPU count, Python and numpy versions, and
+``bytecode_cached``: false when PYTHONDONTWRITEBYTECODE is set, so every
+fresh process compiles ``src/`` again) and each side's ``src_lines``, the
+line count of its ``src/**/*.py``.
 ``--claim METRIC`` also judges a claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
@@ -117,7 +119,8 @@ def machine() -> dict:
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     ).stdout.split()
     return {"nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": python_version, "numpy": numpy_version}
+            "python": python_version, "numpy": numpy_version,
+            "bytecode_cached": not os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def src_lines(checkout: Path) -> int:
