@@ -88,7 +88,7 @@ class TorusGreen:
 
 
 def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
-    """Shortest representative of a displacement, coordinates in (-L/2, L/2]."""
+    """Shortest representative of a displacement, coordinates in [-L/2, L/2]."""
     periods = np.array([geom.lx, geom.ly])
     d = np.asarray(d, dtype=float)
     return d - periods * np.rint(d / periods)

@@ -478,6 +478,30 @@ class TestLocationSearch:
         moved = dataclasses.replace(cfg, points=np.array([best, cfg.points[1]]))
         assert np.max(np.abs(lv.location_residual(moved, 0, "general"))) <= 1e-10
 
+    def test_trial_where_a_field_is_not_positive_raises(self):
+        # h = x - 1/4 alone: the Newton steps double the distance to 1/4,
+        # from 0.5 to 0.75 and on to 1.25, which wraps onto the zero of h
+        class Ramp(lv.CoefficientField):
+            def value(self, x):
+                return np.asarray(x, dtype=float)[..., 0] - 0.25
+
+            def grad_log(self, x):
+                return np.array([1.0 / self.value(x), 0.0])
+
+            def hess_log(self, x):
+                return np.array([[-1.0 / self.value(x) ** 2, 0.0], [0.0, 0.0]])
+
+        with pytest.raises(InputError, match="coefficient field 0 is not positive"):
+            lv.location_search(make_config(h_fields=(Ramp(),)), 0, "general")
+
+    def test_root_next_to_another_point_is_rejected(self, monkeypatch):
+        # the last Newton step is unchecked by the driver; the search checks it
+        cfg = two_point_config()
+        near = cfg.points[1] + [5e-5, 0.0]
+        monkeypatch.setattr(blowup, "damped_newton", lambda *args: (near, ()))
+        with pytest.raises(GeometryError, match="1e-4"):
+            lv.location_search(cfg, 0, "general")
+
     def test_singular_jacobian_with_residual_raises(self, monkeypatch):
         cfg = two_point_config()
         terms = blowup._location_terms
