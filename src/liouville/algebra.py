@@ -13,13 +13,14 @@ Index sets returned by these functions are 0-based.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import (
     InputError,
-    LinearSolveError,
     NoRealRootError,
     UndefinedRegionError,
     as_array,
@@ -36,30 +37,30 @@ BOUNDARY_RTOL = 1e-10
 EIGHT_PI = 8.0 * np.pi
 
 
-@dataclass(frozen=True)
-class StructureClause:
-    """One structural check: its hypothesis group, outcome and detail."""
-
-    name: str
-    hypothesis: str  # "H1" or "H2"
-    passed: bool
-    detail: str = ""
+# The strong hypotheses, which gate construction of CoefficientMatrix, and
+# the sign conditions on the inverse, which are only recorded.
+H1_CLAUSES = ("symmetric", "nonnegative", "irreducible", "invertible")
+H2_CLAUSES = (
+    "inverse diagonal nonpositive",
+    "inverse off-diagonal nonnegative",
+    "inverse row sums nonnegative",
+)
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    clauses: tuple[StructureClause, ...]
+    """Outcome of each clause, by name. The H2 clauses are absent (and
+    ``h2_ok`` is False) when A has no inverse."""
+
+    clauses: Mapping[str, bool]
 
     @property
     def h1_ok(self) -> bool:
-        return all(c.passed for c in self.clauses if c.hypothesis == "H1")
+        return all(self.clauses[name] for name in H1_CLAUSES)
 
     @property
     def h2_ok(self) -> bool:
-        return all(c.passed for c in self.clauses if c.hypothesis == "H2")
-
-    def failed(self) -> list[StructureClause]:
-        return [c for c in self.clauses if not c.passed]
+        return all(self.clauses.get(name, False) for name in H2_CLAUSES)
 
 
 def _is_irreducible(entries: np.ndarray) -> bool:
@@ -76,13 +77,40 @@ def _is_irreducible(entries: np.ndarray) -> bool:
     return len(seen) == n
 
 
+def _structure(entries) -> tuple[np.ndarray, StructureReport, np.ndarray | None]:
+    """The checked matrix, its report and its inverse (None if singular)."""
+    a = as_array(entries, "interaction matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise InputError(f"interaction matrix must be square, got shape {a.shape}")
+
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    eye = np.eye(a.shape[0], dtype=bool)
+    clauses = {
+        "symmetric": bool(np.array_equal(a, a.T)),
+        "nonnegative": bool(np.all(a >= 0.0)),
+        "irreducible": _is_irreducible(a),
+        "invertible": inv is not None
+        and bool(np.max(np.abs(inv @ a - eye)) < 1e-12),
+    }
+    if inv is not None:
+        clauses["inverse diagonal nonpositive"] = bool(np.all(np.diag(inv) <= 0.0))
+        clauses["inverse off-diagonal nonnegative"] = bool(np.all(inv[~eye] >= 0.0))
+        clauses["inverse row sums nonnegative"] = bool(np.all(inv.sum(axis=1) >= 0.0))
+    return a, StructureReport(MappingProxyType(clauses)), inv
+
+
 def validate_structure(entries) -> StructureReport:
     """Evaluate every structural clause on a candidate interaction matrix.
 
-    The strong clauses (symmetric, nonnegative, irreducible, invertible)
-    gate construction of :class:`CoefficientMatrix`; the inverse-sign
-    clauses are recorded as warnings only, since the radial solver and the
-    energy machinery are well defined without them.
+    The strong clauses (``H1_CLAUSES``: symmetric, nonnegative, irreducible,
+    invertible) gate construction of :class:`CoefficientMatrix`, however it
+    is built; invertible means max |A^-1 A - I| < 1e-12. The inverse-sign
+    clauses (``H2_CLAUSES``) are evaluated whenever A can be inverted and
+    recorded as warnings only, since the radial solver and the energy
+    machinery are well defined without them.
 
     Raises
     ------
@@ -90,78 +118,40 @@ def validate_structure(entries) -> StructureReport:
         If the input is not a finite square matrix (no clause can be
         evaluated in that case).
     """
-    a = as_array(entries, "interaction matrix")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise InputError(f"interaction matrix must be square, got shape {a.shape}")
-
-    clauses = []
-    sym = bool(np.allclose(a, a.T, rtol=0.0, atol=0.0))
-    clauses.append(StructureClause("symmetric", "H1", sym))
-    nonneg = bool(np.all(a >= 0.0))
-    clauses.append(StructureClause("nonnegative", "H1", nonneg))
-    irred = _is_irreducible(a)
-    clauses.append(StructureClause("irreducible", "H1", irred))
-
-    inv = None
-    try:
-        inv = np.linalg.inv(a)
-        resid = float(np.max(np.abs(inv @ a - np.eye(a.shape[0]))))
-        invertible = resid < 1e-12
-        detail = f"max |A^-1 A - I| = {resid:.3e}"
-    except np.linalg.LinAlgError:
-        invertible = False
-        detail = "singular"
-    clauses.append(StructureClause("invertible", "H1", invertible, detail))
-
-    if inv is not None:
-        diag_ok = bool(np.all(np.diag(inv) <= 0.0))
-        clauses.append(
-            StructureClause("inverse diagonal nonpositive", "H2", diag_ok)
-        )
-        off = inv[~np.eye(a.shape[0], dtype=bool)]
-        off_ok = bool(off.size == 0 or np.all(off >= 0.0))
-        clauses.append(
-            StructureClause("inverse off-diagonal nonnegative", "H2", off_ok)
-        )
-        rows_ok = bool(np.all(inv.sum(axis=1) >= 0.0))
-        clauses.append(
-            StructureClause("inverse row sums nonnegative", "H2", rows_ok)
-        )
-    else:
-        for name in (
-            "inverse diagonal nonpositive",
-            "inverse off-diagonal nonnegative",
-            "inverse row sums nonnegative",
-        ):
-            clauses.append(StructureClause(name, "H2", False, "no inverse"))
-
-    return StructureReport(tuple(clauses))
+    return _structure(entries)[1]
 
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
     """Symmetric nonnegative irreducible invertible interaction matrix.
 
-    Carries its inverse and the sign report on the inverse. Construction
-    fails unless the strong hypotheses hold; the inverse-sign checks are
-    recorded in ``report`` and summarized by ``h2_ok``.
+    Every instance is checked on construction, whether it is built by
+    ``from_entries``, by the constructor or by ``dataclasses.replace``: it
+    fails with ``InputError`` unless the strong hypotheses hold. It carries
+    the inverse that ``validate_structure`` verified, from which ``q_point``
+    reads Q, and the report, whose inverse-sign checks are summarized by
+    ``h2_ok``.
     """
 
     entries: np.ndarray
-    inverse_entries: np.ndarray
-    report: StructureReport = field(repr=False)
+    inverse_entries: np.ndarray = field(init=False)
+    report: StructureReport = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a, report, inv = _structure(self.entries)
+        if not report.h1_ok:
+            names = ", ".join(name for name in H1_CLAUSES if not report.clauses[name])
+            raise InputError(f"interaction matrix fails structural checks: {names}")
+        a = a.copy()
+        a.setflags(write=False)
+        inv.setflags(write=False)
+        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "inverse_entries", inv)
+        object.__setattr__(self, "report", report)
 
     @classmethod
     def from_entries(cls, entries) -> "CoefficientMatrix":
-        report = validate_structure(entries)
-        if not report.h1_ok:
-            names = ", ".join(c.name for c in report.failed() if c.hypothesis == "H1")
-            raise InputError(f"interaction matrix fails structural checks: {names}")
-        a = np.array(entries, dtype=float)
-        a.setflags(write=False)
-        inv = np.linalg.inv(a)
-        inv.setflags(write=False)
-        return cls(entries=a, inverse_entries=inv, report=report)
+        return cls(entries)
 
     @property
     def n(self) -> int:
@@ -229,6 +219,10 @@ class HeightQuadratic:
     C: float
     E: float = 0.0
 
+    def __post_init__(self):
+        for name in ("B", "C", "E"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
+
 
 @dataclass(frozen=True)
 class RegionClassification:
@@ -252,6 +246,8 @@ def critical_values(
     Sorted ascending, deduplicated to relative tolerance 1e-12.
     """
     m_max = as_count(m_max, "m_max", 0)
+    if not all(isinstance(s, SingularityProfile) for s in strengths):
+        raise InputError(f"strengths must be SingularityProfiles, got {strengths!r}")
     mus = [s.mu for s in strengths]
     if len(mus) > 20:
         raise InputError("too many singular points for subset enumeration")
@@ -291,17 +287,11 @@ def frak_m(rho, A: CoefficientMatrix, n_L: float) -> FrakM:
 
 
 def q_point(A: CoefficientMatrix, n_L: float) -> np.ndarray:
-    """The point where every normalized mass equals 4: A Q = 8 pi n_L."""
-    n_L = as_level(n_L)
-    b = np.full(A.n, EIGHT_PI * n_L)
-    try:
-        q = np.linalg.solve(A.entries, b)
-    except np.linalg.LinAlgError as exc:
-        raise LinearSolveError(f"singular interaction matrix: {exc}") from exc
-    resid = float(np.max(np.abs(A.entries @ q - b)))
-    if resid >= 1e-10 * max(1.0, EIGHT_PI * n_L):
-        raise LinearSolveError(f"ill-conditioned solve, residual {resid:.3e}")
-    return q
+    """The point where every normalized mass equals 4: A Q = 8 pi n_L.
+
+    Read from the inverse that construction verified: Q = 8 pi n_L A^-1 1.
+    """
+    return EIGHT_PI * as_level(n_L) * A.inverse_entries.sum(axis=1)
 
 
 def classify_region(
@@ -315,6 +305,8 @@ def classify_region(
     """
     rho = as_rho(rho, A.n)
     sigma_values = as_array(sigma_values, "critical values")
+    if sigma_values.ndim != 1:
+        raise InputError(f"critical values must be 1-D, got shape {sigma_values.shape}")
     if sigma_values.size == 0:
         raise InputError("critical value list is empty")
     if np.any(np.diff(sigma_values) <= 0.0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtractionError, InputError, as_number
+from .errors import ExtractionError, InputError, as_array, as_number
 from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
@@ -214,6 +214,9 @@ def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
     (sigma_jR/mu), predicted(R) = 2 sum_i e^(D_i - alpha_i)/mu^2 *
     R^(2 mu - m_i). Rows are (R, defect, predicted, defect/predicted).
     """
+    radii = as_array(radii, "radii")
+    if radii.ndim != 1:
+        raise InputError(f"radii must be 1-D, got shape {radii.shape}")
     if summary is None:
         summary = extract_summary(profile)
     mu = summary.mu

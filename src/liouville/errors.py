@@ -16,10 +16,6 @@ class InputError(LiouvilleError):
     """Rejected input: wrong shape, non-finite data, out-of-range parameter."""
 
 
-class LinearSolveError(LiouvilleError):
-    """A required linear system is singular or badly conditioned."""
-
-
 class UndefinedRegionError(LiouvilleError):
     """Region classification is undefined (e.g. rho = 0)."""
 

@@ -484,7 +484,6 @@ def integrate(
     nodes = [s]
     states = [state.copy()]
     size = np.abs(state)
-    max_h = 1.0
     attempts = 0
     # the accepted steps' sizes and stage weights, for the sensitivities
     sizes, weights = [], []
@@ -497,7 +496,7 @@ def integrate(
                 last_radius=math.exp(s / mu),
             )
         attempts += 1
-        h = min(h, s_end - s, max_h)
+        h = min(h, s_end - s)
         if h < 1e-14 * max(1.0, abs(s)):
             raise IntegrationError(
                 f"step size underflow at s = {s / mu:.6f}", last_radius=math.exp(s / mu)

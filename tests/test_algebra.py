@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 import liouville as lv
 from liouville.errors import (
     InputError,
-    LinearSolveError,
     NoRealRootError,
     UndefinedRegionError,
 )
@@ -26,10 +26,7 @@ class TestValidateStructure:
     def test_scalar_h2_fails(self):
         report = lv.validate_structure([[1.0]])
         assert report.h1_ok and not report.h2_ok
-        assert any(
-            c.name == "inverse diagonal nonpositive" and not c.passed
-            for c in report.clauses
-        )
+        assert report.clauses["inverse diagonal nonpositive"] is False
 
     def test_weak_coupling_h2_fails(self):
         # inverse diagonal 4/3 > 0
@@ -91,6 +88,11 @@ class TestCriticalValues:
         extended = lv.critical_values(strengths, 4)
         for v in vals:
             assert np.min(np.abs(extended - (v + 8 * PI))) < 1e-9
+
+    def test_rejects_strengths_that_are_not_profiles(self):
+        # was an AttributeError on float.mu
+        with pytest.raises(InputError, match=r"strengths must be SingularityProfiles, got \[0\.5\]"):
+            lv.critical_values([0.5], 2)
 
     @pytest.mark.parametrize("m_max", [2.7, math.nan, -1, True, "2"])
     def test_rejects_bad_m_max(self, m_max):
@@ -193,6 +195,11 @@ class TestClassifyRegion:
         with pytest.raises(InputError):
             lv.classify_region([PI], matrix1, [16 * PI, 8 * PI])
 
+    def test_rejects_critical_values_not_1d(self, matrix12):
+        # was numpy's "truth value ... is ambiguous" ValueError
+        with pytest.raises(InputError, match=r"critical values must be 1-D, got shape \(2, 2\)"):
+            lv.classify_region([10, 10], matrix12, [[25, 50], [75, 100]])
+
 
 class TestHeightQuadratic:
     def test_trivial_exact(self):
@@ -208,6 +215,16 @@ class TestHeightQuadratic:
         q = lv.HeightQuadratic(0.07, -0.03, 0.002)
         lam = lv.solve_height_quadratic(q)
         assert abs(lam**2 + q.B * lam + q.C - (1.0 + q.E)) < 1e-12
+
+    def test_rejects_non_finite_coefficient(self):
+        # solve_height_quadratic returned nan
+        with pytest.raises(InputError, match="B must be finite"):
+            lv.solve_height_quadratic(lv.HeightQuadratic(math.nan, 0.0, 0.0))
+
+    def test_rejects_non_numeric_coefficient(self):
+        # was a TypeError
+        with pytest.raises(InputError, match="B must be numeric"):
+            lv.HeightQuadratic("x", 0.0, 0.0)
 
     def test_negative_discriminant(self):
         with pytest.raises(NoRealRootError):
@@ -239,13 +256,7 @@ def test_rho_of_the_wrong_length_rejected(matrix12, call):
         call(matrix12)
 
 
-def test_singular_q_solve_error():
-    # bypass construction checks to hit the solver guard
-    import dataclasses
-
-    m = lv.CoefficientMatrix.from_entries([[1.0, 2.0], [2.0, 1.0]])
-    bad = dataclasses.replace(
-        m, entries=np.array([[1.0, 1.0], [1.0, 1.0]])
-    )
-    with pytest.raises(LinearSolveError):
-        lv.q_point(bad, 1.0)
+def test_replace_with_a_singular_matrix_is_rejected(matrix12):
+    # construction checks run however the matrix is built
+    with pytest.raises(InputError, match="invertible"):
+        dataclasses.replace(matrix12, entries=[[1, 1], [1, 1]])

@@ -55,7 +55,7 @@ def test_clear_gain_meets_the_claim():
     assert verdict["peak_rss_mb"]["gain"] == pytest.approx(-0.05)
     assert verdict["peak_rss_mb"]["within_bound"] is True
     assert verdict["op_ms_p50"] == {
-        "gain": 0.0, "parent_spread": 0.0, "wins": 0, "within_bound": True
+        "gain": 0.0, "parent_spread": 0.0, "wins": 0, "within_bound": True, "resolved": True
     }
     assert all("claim_met" not in verdict[name] for name in ("op_ms_p50", "peak_rss_mb"))
 
@@ -81,6 +81,21 @@ def test_bound_breach():
     assert verdict["op_ms_p50"]["gain"] == pytest.approx(-0.3)
     assert verdict["op_ms_p50"]["within_bound"] is False
     assert verdict["ops_per_s"]["within_bound"] is True
+
+
+def test_spread_past_the_bound_is_unresolved():
+    # the parent's spread, 4.5 / 14.5 = 31 %, exceeds the 25 % bound of ops_per_s
+    runs = _runs(PARENT, _seeds(range(11, 21), [20.0] * 10, [40.0] * 10))
+    verdict = _verdicts(runs)
+    assert verdict["ops_per_s"]["wins"] == 10
+    assert verdict["ops_per_s"]["within_bound"] is True
+    assert verdict["ops_per_s"]["resolved"] is False
+    assert verdict["op_ms_p50"]["resolved"] is True
+    # unless every change run beats every parent run (the parent's best is 19)
+    runs = _runs(PARENT, _seeds(range(20, 30), [20.0] * 10, [40.0] * 10))
+    assert _verdicts(runs)["ops_per_s"]["resolved"] is True
+    runs = _runs(PARENT, _seeds([19] + list(range(21, 30)), [20.0] * 10, [40.0] * 10))
+    assert _verdicts(runs)["ops_per_s"]["resolved"] is False
 
 
 def test_incorrect_run_fails_the_pair(tmp_path, monkeypatch):

@@ -190,6 +190,15 @@ class TestPohozaevTailTable:
         with pytest.raises(InputError):
             lv.pohozaev_tail_table(f1_profile, [5.0], f1_summary)
 
+    @pytest.mark.parametrize(
+        "radii, message",
+        [(["x"], "radii must be numeric"), (10.0, r"radii must be 1-D, got shape \(\)")],
+    )
+    def test_radii_must_be_a_finite_1d_array(self, f1_profile, f1_summary, radii, message):
+        # both were a bare TypeError
+        with pytest.raises(InputError, match=message):
+            lv.pohozaev_tail_table(f1_profile, radii, f1_summary)
+
 
 class TestAsymptoticFit:
     def test_f1_matches_explicit_remainder(self, f1_profile, f1_summary):

@@ -59,7 +59,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def summarize(runs: list[dict], better: dict) -> dict:
-    """Medians and quartiles per side, and the change's wins per metric."""
+    """Medians and quartiles per side, the change's wins per metric, and
+    whether every change run beats every parent run."""
     out = {}
     for side in SIDES:
         names = runs[0][side]["metrics"]
@@ -69,14 +70,16 @@ def summarize(runs: list[dict], better: dict) -> dict:
             q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                          if len(values) > 1 else values * 3)
             out[side][name] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-    wins = {}
+    wins, beats_all = {}, {}
     for name, direction in better.items():
         if name in out["parent"]:
             sign = 1.0 if direction == "higher" else -1.0
-            wins[name] = sum(
-                sign * (run["change"]["metrics"][name] - run["parent"]["metrics"][name]) > 0
-                for run in runs)
+            parent, change = ([sign * run[side]["metrics"][name] for run in runs]
+                              for side in SIDES)
+            wins[name] = sum(c > p for c, p in zip(change, parent))
+            beats_all[name] = min(change) > max(parent)
     out["change_wins"] = wins
+    out["change_beats_all"] = beats_all
     return out
 
 
@@ -87,9 +90,11 @@ def verdicts(summary: dict, n_runs: int, metrics: list[dict], claim: str | None 
     better), ``parent_spread`` the parent's (q3 - q1) / median, ``wins`` the
     seeds the change won, and ``within_bound`` whether the change's median
     is no worse than the parent's by more than the metric's relative
-    ``bound``. The claimed metric also gets ``claim_met``: the change won at
-    least 9 in 10 seeds and its median beats the parent's by more than the
-    parent's q3 - q1.
+    ``bound``. ``resolved`` is false when the parent's spread exceeds that
+    bound, so the runs cannot tell a change within it from none, unless
+    every change run beats every parent run. The claimed metric also gets
+    ``claim_met``: the change won at least 9 in 10 seeds and its median
+    beats the parent's by more than the parent's q3 - q1.
     """
     out = {}
     for metric in metrics:
@@ -107,6 +112,7 @@ def verdicts(summary: dict, n_runs: int, metrics: list[dict], claim: str | None 
             "parent_spread": spread / scale,
             "wins": wins,
             "within_bound": gap / scale >= -metric["bound"],
+            "resolved": spread / scale <= metric["bound"] or summary["change_beats_all"][name],
         }
         if name == claim:
             out[name]["claim_met"] = 10 * wins >= 9 * n_runs and gap > spread
