@@ -246,8 +246,10 @@ def critical_values(
     Sorted ascending, deduplicated to relative tolerance 1e-12.
     """
     m_max = as_count(m_max, "m_max", 0)
-    if not all(isinstance(s, SingularityProfile) for s in strengths):
-        raise InputError(f"strengths must be SingularityProfiles, got {strengths!r}")
+    if not isinstance(strengths, (list, tuple)) or not all(
+        isinstance(s, SingularityProfile) for s in strengths
+    ):
+        raise InputError(f"strengths must be a list of SingularityProfiles, got {strengths!r}")
     mus = [s.mu for s in strengths]
     if len(mus) > 20:
         raise InputError("too many singular points for subset enumeration")

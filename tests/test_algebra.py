@@ -89,10 +89,11 @@ class TestCriticalValues:
         for v in vals:
             assert np.min(np.abs(extended - (v + 8 * PI))) < 1e-9
 
-    def test_rejects_strengths_that_are_not_profiles(self):
-        # was an AttributeError on float.mu
-        with pytest.raises(InputError, match=r"strengths must be SingularityProfiles, got \[0\.5\]"):
-            lv.critical_values([0.5], 2)
+    @pytest.mark.parametrize("strengths", [[0.5], 0.5], ids=["list", "float"])
+    def test_rejects_strengths_that_are_not_profiles(self, strengths):
+        # were an AttributeError on float.mu and a TypeError on iteration
+        with pytest.raises(InputError, match="strengths must be a list of SingularityProfiles"):
+            lv.critical_values(strengths, 2)
 
     @pytest.mark.parametrize("m_max", [2.7, math.nan, -1, True, "2"])
     def test_rejects_bad_m_max(self, m_max):
