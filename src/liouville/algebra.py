@@ -8,6 +8,11 @@ classification between consecutive critical surfaces, and the quadratic
 solved by the height ratio of two bubbling profiles.
 
 Index sets returned by these functions are 0-based.
+
+The frozen records of this package that hold numpy arrays (here
+``CoefficientMatrix`` and ``FrakM``) are declared with ``eq=False``: they
+compare and hash by identity, since comparing their arrays field by field
+has no single truth value.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ def validate_structure(entries) -> StructureReport:
     return _structure(entries)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientMatrix:
     """Symmetric nonnegative irreducible invertible interaction matrix.
 
@@ -202,7 +207,7 @@ def as_level(n_L) -> float:
     return n_L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrakM:
     """Normalized masses (A rho)_i / (2 pi n_L), their min and minimizers."""
 

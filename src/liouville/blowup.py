@@ -38,8 +38,8 @@ from .green import (
     GStarMatrix,
     TorusGreen,
     _green,
+    _cell_integral,
     _length,
-    a_integral,
     cell_fit,
     gstar_matrix,
     wrap_displacement,
@@ -51,7 +51,7 @@ _Q_RTOL = 1e-8
 _SURFACE_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlowupConfiguration:
     """Blowup points with strengths, fields and limit constants.
 
@@ -192,7 +192,10 @@ class LeadingTermGeneral:
     prediction: float
     eps_k: float
     frak_m: float
-    cell_terms: tuple  # rows (i, t, B_it, A(delta0), A(delta0/2), extrapolated)
+    # rows (i, t, B_it, A(delta0), A(delta0/2), extrapolated); A(delta0/2) is
+    # A(delta0) plus the annulus delta0/2 < |x - p_t| < delta0
+    cell_terms: tuple
+    panels: int  # cubature panels evaluated over every cell and annulus
 
 
 def leading_term_general(
@@ -201,9 +204,16 @@ def leading_term_general(
     """Leading coefficient D and the predicted surface gap away from Q.
 
     D sums B_it times the delta0 -> 0 limit of the cell-domain integrals
-    over the minimizing components and all points; the limit is realized by
-    evaluating at delta0 and delta0/2 and extrapolating with the known
-    leading power. The prediction is D eps_k^(m - 2) / n_L.
+    A_it over the minimizing components and all points. The limit is
+    extrapolated from A(delta0) and A(delta0/2) with the known leading
+    power. Each cell is integrated once: with P = (2 - m) mu_t,
+
+        A(delta0/2) = A(delta0) + ((delta0/2)^P - delta0^P) / mu_t
+                      - (m - 2)/(2 pi) I(delta0/2, delta0),
+
+    where I is the same integrand over the annulus between the two radii,
+    inside the cell since delta0 fits it. The prediction is
+    D eps_k^(m - 2) / n_L.
     """
     eps_k = as_fraction(eps_k, "eps_k")
     fm = config.frak.minimum
@@ -215,27 +225,31 @@ def leading_term_general(
             "rho is at the symmetric point with regular blowup points; "
             "use leading_term_Q"
         )
-    for t in range(config.n_points):
-        cell_fit(config, t, delta0)
+    cells = [cell_fit(config, t, delta0) for t in range(config.n_points)]
     mus = config.mus
     gstar_rows = config.gstar.values @ mus
     rows = []
     total = 0.0
+    panels = 0
     for i in sorted(config.frak.minimizers):
         h_i = config.h_fields[i]
         h_ref = float(h_i.value(config.points[0]))
         coeff_ref = math.exp(float(config.D[i] - config.alpha[i]))
-        for t in range(config.n_points):
+        for t, (delta0, *planes) in enumerate(cells):
             b_it = (
                 math.exp(_TWO_PI * fm * float(gstar_rows[t] - gstar_rows[0]))
                 * float(h_i.value(config.points[t]))
                 / h_ref
                 * coeff_ref
             )
-            a_full = a_integral(config, i, t, delta0)
-            a_half = a_integral(config, i, t, delta0 / 2.0)
-            decay = mus[t] * (2.0 - fm) + 2.0  # leading delta0 power of the gap
-            w = 2.0 ** (-decay)
+            mu_t = float(mus[t])
+            power = (2.0 - fm) * mu_t
+            cell, n_cell = _cell_integral(config, i, t, planes, delta0)
+            ring, n_ring = _cell_integral(config, i, t, planes, delta0 / 2.0, delta0)
+            panels += n_cell + n_ring
+            a_full = delta0**power / mu_t - cell
+            a_half = a_full + ((delta0 / 2.0) ** power - delta0**power) / mu_t - ring
+            w = 2.0 ** -(power + 2.0)  # the gap's leading delta0 power is P + 2
             a_lim = (a_half - w * a_full) / (1.0 - w)
             rows.append((i, t, b_it, a_full, a_half, a_lim))
             total += b_it * a_lim
@@ -246,6 +260,7 @@ def leading_term_general(
         eps_k=eps_k,
         frak_m=fm,
         cell_terms=tuple(rows),
+        panels=panels,
     )
 
 

@@ -375,12 +375,13 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
         payload["b_coefficients"] = b_table
         payload["prediction"] = leading_term_Q(config, eps_k)
     elif regime == "general":
-        # echoed as given too: a_integral rejects all but floats inside the cell
+        # echoed as given too: cell_fit rejects all but floats inside every cell
         delta0 = sub.get("delta0", 0.01)
         result = leading_term_general(config, delta0, eps_k)
         payload["delta0"] = delta0
         payload["D"] = result.D
         payload["prediction"] = result.prediction
+        payload["panels"] = result.panels
         payload["cell_terms"] = [
             {
                 "i": i + 1,

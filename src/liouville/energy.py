@@ -39,7 +39,7 @@ class TailAccuracyWarning(RuntimeWarning):
     """Tail exponents close to the integrability threshold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSummary:
     """Asymptotic data (sigma, m, D, alpha) extracted from a profile."""
 

@@ -245,7 +245,7 @@ def regular_part(geom: TorusGreen, p):
     return _diagonal_gamma(geom), np.zeros(2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GStarMatrix:
     """Pairwise Green values with the regular part on the diagonal."""
 
@@ -330,14 +330,15 @@ def _cubature(f, box):
     """Globally adaptive product Gauss-Kronrod cubature over a rectangle.
 
     Bisects the panel with the largest error along its worse axis until the
-    summed error meets max(1e-13, EPSREL |total|).
+    summed error meets max(1e-13, EPSREL |total|). Returns the total and
+    the number of panels evaluated: one, and two more per bisection.
     """
     panels = [_panel(f, box)]
     while True:
         total = sum(p[0] for p in panels)
         err = sum(p[1] for p in panels)
         if err <= max(1e-13, EPSREL * abs(total)):
-            return total
+            return total, 2 * len(panels) - 1
         if len(panels) >= MAX_PANELS:
             raise GeometryError(
                 f"quadrature did not converge: error {err:.3e} "
@@ -409,6 +410,58 @@ def cell_fit(config, t: int, delta0):
     return delta0, dists, phis
 
 
+def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
+    """(m - 2)/(2 pi) times a_integral's integral, and the panels evaluated.
+
+    With r_hi None the domain is the Voronoi cell of p_t, whose half-planes
+    ``planes`` are (dists, phis) from ``cell_fit``, minus the ball of radius
+    r_lo; with r_hi, it is the annulus r_lo < |x - p_t| < r_hi, which must
+    lie in the cell. Each sector between corner angles (one sector,
+    [0, 2 pi], for the annulus) is the box [lo, hi] x [0, 1] in
+    (theta, tau), with v = r^P / P (P = (2 - m) mu_t, nonzero) linear in
+    tau from r_lo^P / P to R(theta)^P / P, R the cell boundary or r_hi.
+    Returns the weighted integral and the number of panels evaluated.
+    """
+    dists, phis = planes
+    geom = config.geometry
+    points = config.points
+    mus = config.mus
+    fm = config.frak.minimum
+    mu_t = float(mus[t])
+    power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
+    gstar_t = float(mus @ config.gstar.values[t])
+    field = config.h_fields[i]
+    p_t = points[t]
+    h_ref = float(field.value(p_t))
+    v_lo = r_lo**power / power
+
+    def integrand(theta, tau):
+        if r_hi is None:
+            r_out = _cell_radius(dists, phis, theta)
+        else:
+            r_out = np.full_like(theta, r_hi)
+        v_span = r_out**power / power - v_lo
+        r = (power * (v_lo + np.outer(v_span, tau))) ** (1.0 / power)
+        ray = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        x = p_t + r[..., None] * ray[:, None]
+        # all nodes and sources at once; within the cell the wrapped distance
+        # to p_t is r itself, so the log term leaves the regular part there
+        acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
+        acc += mu_t * np.log(r) / _TWO_PI
+        ratio = np.asarray(field.value(x), dtype=float) / h_ref
+        return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
+
+    corners = _cell_corner_angles(dists, phis) if r_hi is None else ()
+    breaks = sorted({0.0, _TWO_PI, *corners})
+    sectors = [
+        _cubature(integrand, ((lo, hi), (0.0, 1.0)))
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+        if hi - lo >= 1e-13
+    ]
+    total = sum(value for value, _ in sectors)
+    return (fm - 2.0) / _TWO_PI * total, sum(panels for _, panels in sectors)
+
+
 def a_integral(config, i: int, t: int, delta0: float) -> float:
     """Cell-domain coefficient of the leading-term expansion.
 
@@ -421,46 +474,16 @@ def a_integral(config, i: int, t: int, delta0: float) -> float:
 
     where m is the minimal normalized mass of the configuration and the
     log singularity of G(x, p_t) has been absorbed into the radial power.
-    Each sector between corner angles is the box [lo, hi] x [0, 1] in
-    (theta, tau), with v = r^P / P (P = (2 - m) mu_t) linear in tau from
-    delta0^P / P to R(theta)^P / P at the cell boundary. At m = 2 the
-    integral has weight zero and A is 1 / mu_t. Each sector's cubature aims
-    at the relative error ``EPSREL``.
+    The integral is ``_cell_integral`` over the cell, whose sectors'
+    cubatures each aim at the relative error ``EPSREL``. At m = 2 the
+    integral has weight zero and A is 1 / mu_t.
     """
     i = as_count(i, "i", 0, config.n - 1)
     t = as_count(t, "t", 0, config.n_points - 1)
-    delta0, dists, phis = cell_fit(config, t, delta0)
-    geom = config.geometry
-    points = config.points
-    mus = config.mus
-    fm = config.frak.minimum
-    mu_t = float(mus[t])
-    power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
+    delta0, *planes = cell_fit(config, t, delta0)
+    mu_t = float(config.mus[t])
+    power = (2.0 - config.frak.minimum) * mu_t
     if power == 0.0:
         return 1.0 / mu_t
-
-    gstar_t = float(mus @ config.gstar.values[t])
-    field = config.h_fields[i]
-    p_t = points[t]
-    h_ref = float(field.value(p_t))
-    v_lo = delta0**power / power
-
-    def integrand(theta, tau):
-        v_span = _cell_radius(dists, phis, theta) ** power / power - v_lo
-        r = (power * (v_lo + np.outer(v_span, tau))) ** (1.0 / power)
-        ray = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        x = p_t + r[..., None] * ray[:, None]
-        # all nodes and sources at once; within the cell the wrapped distance
-        # to p_t is r itself, so the log term leaves the regular part there
-        acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
-        acc += mu_t * np.log(r) / _TWO_PI
-        ratio = np.asarray(field.value(x), dtype=float) / h_ref
-        return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
-
-    breaks = sorted({0.0, _TWO_PI, *_cell_corner_angles(dists, phis)})
-    total = sum(
-        _cubature(integrand, ((lo, hi), (0.0, 1.0)))
-        for lo, hi in zip(breaks[:-1], breaks[1:])
-        if hi - lo >= 1e-13
-    )
-    return delta0**power / mu_t - (fm - 2.0) / _TWO_PI * total
+    weighted, _ = _cell_integral(config, i, t, planes, delta0)
+    return delta0**power / mu_t - weighted

@@ -83,7 +83,7 @@ MAX_STEPS = 100_000
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Interaction matrix, singularity strength, and initial values U_i(0)."""
 
@@ -101,7 +101,7 @@ class ProblemSpec:
         return self.matrix.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile:
     """A computed radial solution on a strictly increasing log-radius grid.
 

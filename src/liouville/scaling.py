@@ -125,7 +125,7 @@ def d_relation_residual(
     return summary_hat.D - expected
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BubbleComparison:
     """Per-component normalized-energy distances between two bubbles."""
 

@@ -27,7 +27,7 @@ _ALPHA_BOUND = 30.0
 _SIGMA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShootingPoint:
     """One evaluation of the map: reduced initial values and energies.
 

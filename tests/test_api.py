@@ -4,6 +4,7 @@ Adding or removing a public function or class is then an edit of PUBLIC,
 made on purpose, rather than a side effect of an import.
 """
 
+import dataclasses
 import types
 
 import liouville as lv
@@ -83,3 +84,32 @@ def test_public_names_are_pinned():
     }
     assert sorted(names - PUBLIC) == [], "new public names"
     assert sorted(PUBLIC - names) == [], "public names gone"
+
+
+def test_array_records_compare_by_identity():
+    # a generated __eq__ would compare the arrays and raise numpy's
+    # "truth value ... is ambiguous" ValueError; hashing would raise TypeError
+    records = [
+        value
+        for value in vars(lv).values()
+        if dataclasses.is_dataclass(value)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
+    ]
+    assert {cls.__name__ for cls in records} >= {
+        "BlowupConfiguration",
+        "CoefficientMatrix",
+        "FrakM",
+        "GStarMatrix",
+        "ProblemSpec",
+        "RadialProfile",
+        "SolutionSummary",
+    }
+    for cls in records:
+        assert cls.__eq__ is object.__eq__, cls.__name__
+        assert cls.__hash__ is object.__hash__, cls.__name__
+    a = lv.CoefficientMatrix([[1.0, 2.0], [2.0, 1.0]])
+    b = lv.CoefficientMatrix([[1.0, 2.0], [2.0, 1.0]])
+    assert (a == a, a == b, a != b) == (True, False, True)
+    frak = lv.frak_m([3.0 * 3.14, 3.14], a, 1.0)
+    assert frak == frak and frak != lv.frak_m([3.0 * 3.14, 3.14], a, 1.0)
+    assert len({a, b, frak, frak}) == 3

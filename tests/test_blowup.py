@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
-from liouville import blowup, newton
+from liouville import blowup, green, newton
 from liouville.errors import (
     DomainError,
     GeometryError,
@@ -32,6 +32,27 @@ def make_config(**overrides):
     )
     base.update(overrides)
     return lv.BlowupConfiguration(**base)
+
+
+def three_source_config():
+    """Three gamma = -5/6 sources splitting n_L = 1/2, masses (3, 9)."""
+    return lv.BlowupConfiguration(
+        points=[[0.12, 0.2], [0.47, 0.71], [0.83, 0.38]],
+        strengths=(lv.SingularityProfile(-5.0 / 6.0),) * 3,
+        matrix=lv.CoefficientMatrix.from_entries([[1.0, 7.0], [7.0, 1.0]]),
+        rho=np.pi * np.array([1.25, 0.25]),
+        h_fields=(
+            lv.SinusoidalField(amplitude=0.3, frequency=(1, 0), phase=0.4),
+            lv.ConstantField(2.0),
+        ),
+        curvature=[0.0, 0.0, 0.0],
+        D=[math.log(4.0), math.log(4.0)],
+        alpha=[0.0, 0.0],
+    )
+
+
+# Panels evaluated by leading_term_general(three_source_config(), 0.01, 1e-3)
+PANELS_THREE_SOURCES = 108
 
 
 class TestConfiguration:
@@ -233,15 +254,55 @@ class TestLeadingTermGeneral:
             alpha=[0.0, 0.0],
         )
         calls = []
-        integral = blowup.a_integral
+        integral = blowup._cell_integral
         monkeypatch.setattr(
-            blowup, "a_integral", lambda *a, **k: calls.append(a) or integral(*a, **k)
+            blowup,
+            "_cell_integral",
+            lambda *a, **k: calls.append(a) or integral(*a, **k),
         )
         with pytest.raises(GeometryError, match="cell of point 1 "):
             lv.leading_term_general(cfg, 0.1, 1e-3)
         assert calls == []
         lv.leading_term_general(cfg, 0.02, 1e-3)
-        assert len(calls) == 6  # delta0 and delta0/2 for each of three cells
+        # one full-cell cubature per cell, and one annulus delta0/2 < r < delta0
+        assert [a[2] for a in calls if len(a) == 5] == [0, 1, 2]
+        assert [a[4:] for a in calls if len(a) == 6] == [(0.01, 0.02)] * 3
+
+    def test_panel_count(self):
+        cfg = three_source_config()
+        out = lv.leading_term_general(cfg, 0.01, 1e-3)
+        assert out.panels == PANELS_THREE_SOURCES
+        # the same cells integrated in full at delta0 and at delta0/2
+        two_full = 0
+        for i, t, *_ in out.cell_terms:
+            _, dists, phis = green.cell_fit(cfg, t, 0.01)
+            for delta0 in (0.01, 0.005):
+                two_full += green._cell_integral(cfg, i, t, (dists, phis), delta0)[1]
+        assert out.panels <= 0.55 * two_full
+
+    @pytest.mark.parametrize(
+        "name", ["singular_point_config", "sinusoidal", "three_sources"]
+    )
+    def test_annulus_matches_two_cell_integrals(self, name, request):
+        if name == "sinusoidal":
+            base = request.getfixturevalue("singular_point_config")
+            field = lv.SinusoidalField(amplitude=0.3, frequency=(1, 1), phase=0.4)
+            cfg = dataclasses.replace(base, h_fields=(field, lv.ConstantField(2.0)))
+        elif name == "three_sources":
+            cfg = three_source_config()
+        else:
+            cfg = request.getfixturevalue(name)
+        delta0 = 0.01
+        fm = cfg.frak.minimum
+        out = lv.leading_term_general(cfg, delta0, 1e-3)
+        total = 0.0
+        for i, t, b_it, a_full, a_half, _ in out.cell_terms:
+            assert a_full == lv.a_integral(cfg, i, t, delta0)
+            direct = lv.a_integral(cfg, i, t, delta0 / 2.0)
+            assert a_half == pytest.approx(direct, rel=1e-10, abs=0.0)
+            w = 2.0 ** -((2.0 - fm) * cfg.mus[t] + 2.0)
+            total += b_it * (direct - w * a_full) / (1.0 - w)
+        assert out.D == pytest.approx(total, rel=1e-10, abs=0.0)
 
     def test_regime_and_domain_errors(self, single_point_config, singular_point_config):
         with pytest.raises(WrongRegimeError):

@@ -380,7 +380,9 @@ class TestLeading:
             alpha=sub["alpha"],
         )
         api = lv.leading_term_general(config, sub["delta0"], sub["eps_k"])
-        assert read_json(out, "leading.json")["prediction"] == api.prediction
+        payload = read_json(out, "leading.json")
+        assert payload["prediction"] == api.prediction
+        assert payload["panels"] == api.panels > 0
 
 
 class TestGreen:
