@@ -242,14 +242,12 @@ def leading_term_general(
                 / h_ref
                 * coeff_ref
             )
-            mu_t = float(mus[t])
-            power = (2.0 - fm) * mu_t
-            cell, n_cell = _cell_integral(config, i, t, planes, delta0)
+            a_full, n_cell = _cell_integral(config, i, t, planes, delta0)
             ring, n_ring = _cell_integral(config, i, t, planes, delta0 / 2.0, delta0)
             panels += n_cell + n_ring
-            a_full = delta0**power / mu_t - cell
-            a_half = a_full + ((delta0 / 2.0) ** power - delta0**power) / mu_t - ring
-            w = 2.0 ** -(power + 2.0)  # the gap's leading delta0 power is P + 2
+            a_half = a_full + ring
+            decay = mus[t] * (2.0 - fm) + 2.0  # leading delta0 power of the gap
+            w = 2.0 ** (-decay)
             a_lim = (a_half - w * a_full) / (1.0 - w)
             rows.append((i, t, b_it, a_full, a_half, a_lim))
             total += b_it * a_lim

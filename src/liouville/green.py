@@ -48,7 +48,10 @@ small ball, the weighted coefficient-field/Green-function integrand. Each
 sector between the cell's corner angles is a rectangle in (theta, tau), where
 v = r^P / P, linear in tau, absorbs the radial power r^(P - 2). One adaptive
 product Gauss-Kronrod cubature per sector evaluates G at all nodes of a panel
-and all sources in one batch.
+and all sources in one batch. Over an annulus a < r < b inside the cell
+the same substitution gives one rectangle [0, 2 pi] x [0, 1] with no corner
+breaks; the leading term adds it to the cell integral at radius b to get the
+one at radius a, instead of integrating the cell again.
 """
 
 from __future__ import annotations
@@ -411,7 +414,7 @@ def cell_fit(config, t: int, delta0):
 
 
 def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
-    """(m - 2)/(2 pi) times a_integral's integral, and the panels evaluated.
+    """A(r_lo) of a_integral, or A(r_lo) - A(r_hi), and the panels evaluated.
 
     With r_hi None the domain is the Voronoi cell of p_t, whose half-planes
     ``planes`` are (dists, phis) from ``cell_fit``, minus the ball of radius
@@ -420,7 +423,6 @@ def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
     [0, 2 pi], for the annulus) is the box [lo, hi] x [0, 1] in
     (theta, tau), with v = r^P / P (P = (2 - m) mu_t, nonzero) linear in
     tau from r_lo^P / P to R(theta)^P / P, R the cell boundary or r_hi.
-    Returns the weighted integral and the number of panels evaluated.
     """
     dists, phis = planes
     geom = config.geometry
@@ -459,7 +461,11 @@ def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
         if hi - lo >= 1e-13
     ]
     total = sum(value for value, _ in sectors)
-    return (fm - 2.0) / _TWO_PI * total, sum(panels for _, panels in sectors)
+    if r_hi is None:
+        ends = r_lo**power / mu_t
+    else:
+        ends = (r_lo**power - r_hi**power) / mu_t
+    return ends - (fm - 2.0) / _TWO_PI * total, sum(n for _, n in sectors)
 
 
 def a_integral(config, i: int, t: int, delta0: float) -> float:
@@ -476,14 +482,13 @@ def a_integral(config, i: int, t: int, delta0: float) -> float:
     log singularity of G(x, p_t) has been absorbed into the radial power.
     The integral is ``_cell_integral`` over the cell, whose sectors'
     cubatures each aim at the relative error ``EPSREL``. At m = 2 the
-    integral has weight zero and A is 1 / mu_t.
+    integral has weight zero and A is 1 / mu_t. ``leading_term_general``
+    gets A(delta0) from the same helper and A(delta0/2) by adding the
+    annulus delta0/2 < |x - p_t| < delta0, so it does not call this.
     """
     i = as_count(i, "i", 0, config.n - 1)
     t = as_count(t, "t", 0, config.n_points - 1)
     delta0, *planes = cell_fit(config, t, delta0)
-    mu_t = float(config.mus[t])
-    power = (2.0 - config.frak.minimum) * mu_t
-    if power == 0.0:
-        return 1.0 / mu_t
-    weighted, _ = _cell_integral(config, i, t, planes, delta0)
-    return delta0**power / mu_t - weighted
+    if config.frak.minimum == 2.0:
+        return 1.0 / float(config.mus[t])
+    return _cell_integral(config, i, t, planes, delta0)[0]

@@ -264,9 +264,12 @@ class TestLeadingTermGeneral:
             lv.leading_term_general(cfg, 0.1, 1e-3)
         assert calls == []
         lv.leading_term_general(cfg, 0.02, 1e-3)
-        # one full-cell cubature per cell, and one annulus delta0/2 < r < delta0
-        assert [a[2] for a in calls if len(a) == 5] == [0, 1, 2]
-        assert [a[4:] for a in calls if len(a) == 6] == [(0.01, 0.02)] * 3
+        # positional (config, i, t, planes, r_lo) for a cell, then r_hi for
+        # an annulus: each cell is integrated once, plus delta0/2 < r < delta0
+        cells = [a[2] for a in calls if len(a) == 5]
+        rings = [(a[2],) + a[4:] for a in calls if len(a) == 6]
+        assert cells == [0, 1, 2]
+        assert rings == [(t, 0.01, 0.02) for t in range(3)]
 
     def test_panel_count(self):
         cfg = three_source_config()
