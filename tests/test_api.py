@@ -110,6 +110,6 @@ def test_array_records_compare_by_identity():
     a = lv.CoefficientMatrix([[1.0, 2.0], [2.0, 1.0]])
     b = lv.CoefficientMatrix([[1.0, 2.0], [2.0, 1.0]])
     assert (a == a, a == b, a != b) == (True, False, True)
-    frak = lv.frak_m([3.0 * 3.14, 3.14], a, 1.0)
-    assert frak == frak and frak != lv.frak_m([3.0 * 3.14, 3.14], a, 1.0)
+    frak = lv.frak_m([3.0, 1.0], a, 1.0)
+    assert frak == frak and frak != lv.frak_m([3.0, 1.0], a, 1.0)
     assert len({a, b, frak, frak}) == 3
