@@ -59,6 +59,9 @@ class StructureReport:
 
     clauses: Mapping[str, bool]
 
+    def __hash__(self) -> int:  # the generated one cannot hash the mapping
+        return hash(frozenset(self.clauses.items()))
+
     @property
     def h1_ok(self) -> bool:
         return all(self.clauses[name] for name in H1_CLAUSES)

@@ -29,7 +29,12 @@ One kernel, ``_green``, evaluates all three. Each public entry point wraps
 the displacements once, checks their length on the wrapped values, and
 hands those to the kernel, which does not wrap again. The kernel lays each
 block of points out image-major, (images, points), so the sum or product
-over the dozen images combines whole contiguous rows of points.
+over the dozen images combines whole contiguous rows of points. Only the
+images m = -1, 0, 1 of a point take an exponential, and m = 0 alone expm1:
+since |u| <= 1/2, e^x of image m >= 1 is that of image 1 times
+e^(-2 pi beta (m - 1)), and alike for m <= -1, with the factors in a table
+cached per beta. Off m = 0, e^x <= e^(-pi), so expm1(x) = e^x - 1 there
+loses nothing.
 
 Letting d -> 0 gives the diagonal regular part
 gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
@@ -47,17 +52,19 @@ The domain integral a_integral accumulates, over a Voronoi cell minus a
 small ball, the weighted coefficient-field/Green-function integrand. Each
 sector between the cell's corner angles is a rectangle in (theta, tau), where
 v = r^P / P, linear in tau, absorbs the radial power r^(P - 2). One adaptive
-product Gauss-Kronrod cubature per sector evaluates G at all nodes of a panel
-and all sources in one batch. Over an annulus a < r < b inside the cell
-the same substitution gives one rectangle [0, 2 pi] x [0, 1] with no corner
-breaks; the leading term adds it to the cell integral at radius b to get the
-one at radius a, instead of integrating the cell again.
+product Gauss-Kronrod cubature per sector evaluates G at all nodes of a
+panel, or of both halves of a bisected one, and all sources in one batch.
+Over an annulus a < r < b inside the cell the same substitution gives one
+rectangle [0, 2 pi] x [0, 1] with no corner breaks; the leading term adds it
+to the cell integral at radius b to get the one at radius a, instead of
+integrating the cell again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,10 +98,17 @@ class TorusGreen:
 
 
 def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
-    """Shortest representative of a displacement, coordinates in [-L/2, L/2]."""
+    """Shortest representative of a displacement, coordinates in [-L/2, L/2].
+
+    The shift runs in Fortran order, so numpy's inner loop goes along the
+    points of each coordinate and not along the last axis of length 2.
+    """
     periods = np.array([geom.lx, geom.ly])
     d = np.asarray(d, dtype=float)
-    return d - periods * np.rint(d / periods)
+    shift = np.divide(d, periods, order="F")
+    np.rint(shift, out=shift)
+    shift *= periods
+    return np.subtract(d, shift, order="C")
 
 
 def _points(x, p):
@@ -132,16 +146,53 @@ def _sides(geom: TorusGreen):
     return geom.ly, geom.lx, True
 
 
-def _images(beta: float) -> np.ndarray:
-    """Image offsets -M..M; past M the images weigh below e^(-40) ~ 4e-18."""
+# The images m = -1, 0, 1 of a point, as offsets of u.
+_NEAREST = np.array([[-1.0], [0.0], [1.0]])
+
+
+@lru_cache(maxsize=64)
+def _image_table(beta: float):
+    """Weights from the images m = -1, 0, 1 to m = -M..M, and sign(m).
+
+    Row m of the weights holds e^(-2 pi beta (|m| - 1)) in the column of
+    sign(m) (1 for m = 0) and zeros elsewhere; the signs are 1 at m = 0.
+    Past M the images weigh below e^(-40) ~ 4e-18.
+    """
     reach = max(0, math.ceil(40.0 / (_TWO_PI * beta) - 0.5))
-    return np.arange(-reach, reach + 1.0)
+    m = np.arange(-reach, reach + 1)
+    weights = np.zeros((len(m), 3))
+    weights[np.arange(len(m)), np.sign(m) + 1] = np.exp(
+        -_TWO_PI * beta * np.maximum(np.abs(m) - 1.0, 0.0)
+    )
+    signs = np.where(m < 0, -1.0, 1.0)
+    for arr in (weights, signs):
+        arr.setflags(write=False)
+    return weights, signs
 
 
-def _image_terms(x, s2):
-    """e^x, expm1(x) and |1 - e^(x + 2 pi i b)|^2 with s2 = sin^2(pi b)."""
-    ex, em1 = np.exp(x), np.expm1(x)
+def _image_rows(u, s2, beta: float):
+    """e^x, expm1(x) and |1 - e^(x + 2 pi i b)|^2 at x = -2 pi beta |u + m|.
+
+    Rows m = -M..M, with the points u in [-1/2, 1/2] and s2 = sin^2(pi b)
+    in columns; the third set of rows is expm1(x)^2 + 4 e^x s2. exp runs on
+    the images m = -1, 0, 1 and expm1 on m = 0 alone (see the module
+    docstring); the weights make every other row with one product per
+    entry, as a matrix product whose other terms are exact zeros.
+    """
+    x = (-_TWO_PI * beta) * np.abs(u + _NEAREST)
+    ex = _image_table(beta)[0] @ np.exp(x)
+    em1 = ex - 1.0
+    em1[len(em1) // 2] = np.expm1(x[1])
     return ex, em1, em1 * em1 + ex * (4.0 * s2)
+
+
+def _signed_sum(rows, sign_u, signs) -> np.ndarray:
+    """sum over m of sign(u + m) times row m; scales the m = 0 row in place.
+
+    The sign is that of m (``signs``) except on the m = 0 row, sign(u).
+    """
+    rows[len(rows) // 2] *= sign_u
+    return signs @ rows
 
 
 # Points per broadcast over the images: enough for numpy to do the work,
@@ -155,42 +206,43 @@ def _green(geom: TorusGreen, w, order: int = 0) -> np.ndarray:
     w must already be wrapped into the periods (``wrap_displacement``);
     the kernel does not wrap it again. Order 0 gives G, order 1 the
     gradient on a last axis of 2, order 2 the Hessian on two last axes of
-    2. The points go through in blocks of ``_BLOCK``, and each temporary of
-    a block is (images, block) with the image index first, so a sum or
-    product over the images combines whole rows; the product of order 0
-    runs over m = -M..M in order. Each image term is Re F with
-    F(z) = -(1/2 pi) log(1 - e^z), z = x + 2 pi i b, holomorphic, and z is d
-    scaled by 2 pi / L2 (up to the sign along L1). So the image terms add
-    (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the Hessian,
-    with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to the
-    long-side entry: off the pole the trace is exactly 1.
+    2. u and b are taken as contiguous rows, and the points go through in
+    blocks of ``_BLOCK``. All three orders take their image rows,
+    (images, block) with m = -M..M, from ``_image_rows``, so a sum or
+    product over the images combines whole rows; the sign of u + m is that
+    of m, except on the m = 0 row (``_signed_sum``). Each image term is
+    Re F with F(z) = -(1/2 pi) log(1 - e^z), z = x + 2 pi i b, holomorphic,
+    and z is d scaled by 2 pi / L2 (up to the sign along L1). So the image
+    terms add (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the
+    Hessian, with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to
+    the long-side entry: off the pole the trace is exactly 1.
     """
     l1, l2, swap = _sides(geom)
     beta = l1 / l2
-    m = _images(beta)[:, None]
+    signs = _image_table(beta)[1]
     shape = w.shape[:-1]
-    w = w.reshape(-1, 2)[:, ::-1] if swap else w.reshape(-1, 2)
+    w = w.reshape(-1, 2)
     out = np.empty((2**order, len(w)))
     for lo in range(0, len(w), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        u, b = (w[block] / (l1, l2)).T
-        um = u + m
+        u, b = w[block, int(swap)] / l1, w[block, 1 - int(swap)] / l2
         s2 = np.sin(math.pi * b) ** 2
-        ex, em1, f = _image_terms(-_TWO_PI * beta * np.abs(um), s2)
+        ex, em1, f = _image_rows(u, s2, beta)
         if order == 2:
             # 1 - e^z = (2 e^x s2 - expm1(x)) - i e^x sin(2 pi b): no cancellation
             one_minus = (2.0 * ex * s2 - em1) - 1j * ex * np.sin(_TWO_PI * b)
             q = (_TWO_PI / (l2 * l2)) * ex * np.exp(1j * _TWO_PI * b) / one_minus**2
             h11 = q.real.sum(axis=0)
-            h12 = (np.sign(um) * q.imag).sum(axis=0)
+            h12 = _signed_sum(q.imag, np.sign(u), signs)
             out[:, block] = 1.0 + h11, h12, h12, -h11
-        elif order == 1:  # in place: e^x / f, and (expm1 + 2 s2) e^x / f signed
+        elif order == 1:  # in place: e^x / f, and (expm1 + 2 s2) e^x / f
             ex /= f
             em1 += 2.0 * s2
             em1 *= ex
-            em1 *= np.sign(um)
-            out[0, block] = l1 * (u - 0.5 * np.sign(u)) + em1.sum(axis=0) / l2
-            out[1, block] = -np.sin(_TWO_PI * b) * ex.sum(axis=0) / l2
+            sign_u = np.sign(u)
+            images = _signed_sum(em1, sign_u, signs)
+            out[0, block] = l1 * (u - 0.5 * sign_u) + images / l2
+            out[1, block] = ex.sum(axis=0) * np.sin(_TWO_PI * b) / -l2
         else:
             out[0, block] = (l1 * l1 / 2.0) * (
                 u * u - np.abs(u) + 1.0 / 6.0
@@ -228,12 +280,12 @@ def _diagonal_gamma(geom: TorusGreen) -> float:
     """gamma(p, p), the same for every p on the torus (closed form above)."""
     l1, l2, _ = _sides(geom)
     beta = l1 / l2
-    m = _images(beta)
-    _, _, f = _image_terms(-_TWO_PI * beta * np.abs(m[m != 0]), 0.0)
+    ex = _image_rows(np.zeros(1), np.zeros(1), beta)[0][:, 0]  # at d = 0
+    images = np.delete(ex, len(ex) // 2)  # e^(-2 pi beta |m|), m != 0
     return float(
         l1 * l1 / 12.0
         - math.log(_TWO_PI / l2) / _TWO_PI
-        - np.log(np.prod(f)) / (2.0 * _TWO_PI)
+        - np.log1p(-images).sum() / _TWO_PI
     )
 
 
@@ -314,15 +366,18 @@ MAX_PANELS = 600
 EPSREL = 1e-8
 
 
-def _panel(f, box):
-    """K x K value of f on box, its error and worse axis; f maps nodes to a grid.
+def _nodes(lo: float, hi: float) -> np.ndarray:
+    """The 15 Gauss-Kronrod nodes on [lo, hi]."""
+    return 0.5 * (lo + hi + (hi - lo) * _NODES)
+
+
+def _panel(vals, box):
+    """Value, error and worse axis of a panel from f's K x K values on its nodes.
 
     An axis's error is the value minus the rule with Gauss weights on it.
     """
     (a, b), (c, d) = box
-    vals = (0.25 * (b - a) * (d - c)) * f(
-        0.5 * (a + b + (b - a) * _NODES), 0.5 * (c + d + (d - c) * _NODES)
-    )
+    vals = (0.25 * (b - a) * (d - c)) * vals
     rows, cols = vals @ _KRONROD, _KRONROD @ vals
     value = float(_KRONROD @ rows)
     errs = abs(value - float(_GAUSS @ rows)), abs(value - float(cols @ _GAUSS))
@@ -332,11 +387,14 @@ def _panel(f, box):
 def _cubature(f, box):
     """Globally adaptive product Gauss-Kronrod cubature over a rectangle.
 
+    f maps node vectors along the two axes to the grid of its values.
     Bisects the panel with the largest error along its worse axis until the
-    summed error meets max(1e-13, EPSREL |total|). Returns the total and
-    the number of panels evaluated: one, and two more per bisection.
+    summed error meets max(1e-13, EPSREL |total|); both halves take one
+    call of f, on the bisected axis's 30 nodes. Returns the total and the
+    number of panels evaluated: one, and two more per bisection, so f is
+    called (panels + 1) / 2 times.
     """
-    panels = [_panel(f, box)]
+    panels = [_panel(f(_nodes(*box[0]), _nodes(*box[1])), box)]
     while True:
         total = sum(p[0] for p in panels)
         err = sum(p[1] for p in panels)
@@ -350,8 +408,11 @@ def _cubature(f, box):
         worst = max(range(len(panels)), key=lambda k: panels[k][1])
         _, _, axis, box = panels.pop(worst)
         lo, hi = box[axis]
-        for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
-            panels.append(_panel(f, (half, box[1]) if axis == 0 else (box[0], half)))
+        halves = (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)
+        grid = [_nodes(*box[0]), _nodes(*box[1])]
+        grid[axis] = np.concatenate([_nodes(*half) for half in halves])
+        for half, vals in zip(halves, np.split(f(*grid), 2, axis=axis)):
+            panels.append(_panel(vals, (half, box[1]) if axis == 0 else (box[0], half)))
 
 
 def _cell_geometry(geom: TorusGreen, points: np.ndarray, t: int):

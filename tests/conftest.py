@@ -236,6 +236,53 @@ def dp5_integrate():
     return _dp5_integrate
 
 
+def _image_by_image_green(geom, w, order=0):
+    """G, grad G or Hess G at wrapped displacements w, image by image.
+
+    The earlier form of ``green._green``: exp and expm1 of
+    x = -2 pi beta |u + m| on every image m = -M..M of every point, with
+    the same image count and formulas, and no blocks.
+    """
+    two_pi = 2.0 * math.pi
+    swap = geom.lx < geom.ly
+    l1, l2 = (geom.ly, geom.lx) if swap else (geom.lx, geom.ly)
+    beta = l1 / l2
+    reach = max(0, math.ceil(40.0 / (two_pi * beta) - 0.5))
+    m = np.arange(-reach, reach + 1.0)[:, None]
+    shape = w.shape[:-1]
+    w = w.reshape(-1, 2)[:, ::-1] if swap else w.reshape(-1, 2)
+    u, b = (w / (l1, l2)).T
+    um = u + m
+    s2 = np.sin(math.pi * b) ** 2
+    x = -two_pi * beta * np.abs(um)
+    ex, em1 = np.exp(x), np.expm1(x)
+    f = em1 * em1 + ex * (4.0 * s2)
+    if order == 2:
+        one_minus = (2.0 * ex * s2 - em1) - 1j * ex * np.sin(two_pi * b)
+        q = (two_pi / (l2 * l2)) * ex * np.exp(1j * two_pi * b) / one_minus**2
+        h11 = q.real.sum(axis=0)
+        h12 = (np.sign(um) * q.imag).sum(axis=0)
+        out = np.stack([1.0 + h11, h12, h12, -h11])
+    elif order == 1:
+        grad_u = (em1 + 2.0 * s2) * (ex / f) * np.sign(um)
+        out = np.stack([
+            l1 * (u - 0.5 * np.sign(u)) + grad_u.sum(axis=0) / l2,
+            -np.sin(two_pi * b) * (ex / f).sum(axis=0) / l2,
+        ])
+    else:
+        out = ((l1 * l1 / 2.0) * (u * u - np.abs(u) + 1.0 / 6.0)
+               - np.log(np.prod(f, axis=0)) / (2.0 * two_pi))[None]
+    out = out.T.reshape((-1,) + (2,) * order)
+    if swap:
+        out = out[(slice(None),) + (slice(None, None, -1),) * order]
+    return out.reshape(shape + (2,) * order)
+
+
+@pytest.fixture(scope="session")
+def image_by_image_green():
+    return _image_by_image_green
+
+
 @pytest.fixture(scope="session")
 def single_point_config(matrix1):
     """One regular blowup point at the symmetric point of the scalar system."""

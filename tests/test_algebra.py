@@ -47,6 +47,14 @@ class TestValidateStructure:
         assert not lv.validate_structure([[1, 0], [0, 1]]).h1_ok  # reducible
         assert not lv.validate_structure([[1, 1], [1, 1]]).h1_ok  # singular
 
+    def test_report_hashes_like_it_compares(self):
+        report = lv.CoefficientMatrix([[1, 2], [2, 1]]).report
+        same = lv.validate_structure([[1.0, 2.0], [2.0, 1.0]])
+        other = lv.validate_structure([[1, 0.5], [0.5, 1]])
+        assert report == same and hash(report) == hash(same)
+        assert report != other
+        assert len({report, same, other}) == 2
+
     def test_construction_requires_h1(self):
         with pytest.raises(InputError):
             lv.CoefficientMatrix.from_entries([[1, 0], [0, 1]])

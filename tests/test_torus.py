@@ -247,6 +247,40 @@ class TestKernelBlocks:
             np.testing.assert_allclose(single, whole, rtol=0.0, atol=1e-14 * scale)
 
 
+class TestKernelOracle:
+    # beta = 1, 6.25 (long side y), 16, 161.3 and 163.8, and sqrt(12.7) and
+    # sqrt(12.8), where beta crosses 12.73 and the images beyond m = 0 go
+    @pytest.mark.parametrize(
+        "lx", [1.0, 0.4, 4.0, 1.0 / 12.7, 12.8, math.sqrt(12.7), math.sqrt(12.8)]
+    )
+    def test_matches_image_by_image_kernel(self, lx, image_by_image_green):
+        geom = lv.TorusGreen(lx)
+        periods = np.array([lx, 1.0 / lx])
+        rng = np.random.default_rng(23)
+        angles = rng.uniform(0.0, 2.0 * math.pi, 16)
+        d = np.concatenate(
+            [
+                rng.uniform(-0.5, 0.5, (300, 2)) * periods,
+                # u = +-1/2 exactly on either side, with b anywhere
+                np.outer([1, -1, 1, -1], periods * [0.5, 0.0])
+                + np.outer([0, 0, 1, -1], periods * [0.0, 0.3]),
+                np.outer([1, -1, 1, -1], periods * [0.0, 0.5])
+                + np.outer([0, 0, 1, -1], periods * [0.2, 0.0]),
+                # just outside the 1e-8 ball around the pole
+                1.0001e-8 * np.stack([np.cos(angles), np.sin(angles)], axis=-1),
+            ]
+        )
+        w = green.wrap_displacement(geom, d)
+        for order in (0, 1, 2):
+            got = green._green(geom, w, order)
+            want = image_by_image_green(geom, w, order)
+            # per point, relative to its largest entry (|Hess G| ~ 1e16 at the pole)
+            axes = tuple(range(1, order + 1))
+            scale = np.maximum(1.0, np.abs(want).max(axis=axes, initial=0.0))
+            err = np.abs(got - want).max(axis=axes, initial=0.0)
+            assert np.all(err <= 1e-14 * scale), (order, float(np.max(err / scale)))
+
+
 # square, narrow (beta = 4) with the long side along x and along y, and beta = 9
 TORI = [1.0, 2.0, 0.5, 3.0]
 
@@ -587,15 +621,33 @@ class TestAIntegral:
         assert lv.a_integral(cfg, 0, 0, delta0) == pytest.approx(oracle, rel=1e-10)
 
     def test_green_call_budget(self, singular_point_config, monkeypatch):
-        # one kernel call per product panel: 51 here, against 1,699 for the
-        # former per-ray quadrature
+        # one kernel call per bisection and sector: 28 here for 51 panels,
+        # against 1,699 calls for the former per-ray quadrature
         calls = []
         kernel = green._green
         monkeypatch.setattr(
             green, "_green", lambda *a, **k: calls.append(1) or kernel(*a, **k)
         )
         lv.a_integral(singular_point_config, 0, 0, 0.005)
-        assert 0 < len(calls) <= 170
+        assert len(calls) == 28
+
+    def test_one_integrand_call_per_bisection(self, singular_point_config, monkeypatch):
+        # the first panel takes one call, and both halves of each bisection one
+        # more, so (panels + 1) / 2 calls; the panels are those of one call per
+        # panel (5 sectors, 51 panels)
+        cubature = green._cubature
+        counts = []
+
+        def counted(f, box):
+            calls = []
+            total, panels = cubature(lambda *a: calls.append(1) or f(*a), box)
+            counts.append((len(calls), panels))
+            return total, panels
+
+        monkeypatch.setattr(green, "_cubature", counted)
+        lv.a_integral(singular_point_config, 0, 0, 0.005)
+        assert [panels for _, panels in counts] == [9, 11, 11, 11, 9]
+        assert all(2 * calls - 1 == panels for calls, panels in counts)
 
     def test_panel_bound(self, singular_point_config, monkeypatch):
         monkeypatch.setattr(green, "MAX_PANELS", 3)
