@@ -248,8 +248,8 @@ class TestKernelBlocks:
 
 
 class TestKernelOracle:
-    # beta = 1, 6.25 (long side y), 16, 161.3 and 163.8, and sqrt(12.7) and
-    # sqrt(12.8), where beta crosses 12.73 and the images beyond m = 0 go
+    # beta = lx^2 (or 1/lx^2): 1, 6.25 (long side y), 16, 161.3 and 163.8,
+    # and 12.7 and 12.8, either side of 12.73, where the images beyond m = 0 go
     @pytest.mark.parametrize(
         "lx", [1.0, 0.4, 4.0, 1.0 / 12.7, 12.8, math.sqrt(12.7), math.sqrt(12.8)]
     )
@@ -621,33 +621,25 @@ class TestAIntegral:
         assert lv.a_integral(cfg, 0, 0, delta0) == pytest.approx(oracle, rel=1e-10)
 
     def test_green_call_budget(self, singular_point_config, monkeypatch):
-        # one kernel call per bisection and sector: 28 here for 51 panels,
-        # against 1,699 calls for the former per-ray quadrature
-        calls = []
-        kernel = green._green
+        # one kernel call for a sector's first panel and one for both halves
+        # of each bisection, (panels + 1) / 2 per sector: 28 calls for the 51
+        # panels of one call per panel, against 1,699 calls for the former
+        # per-ray quadrature
+        kernel, cubature = green._green, green._cubature
+        calls, sectors = [], []
+
+        def counted(f, box):
+            total, panels = cubature(f, box)
+            sectors.append(panels)
+            return total, panels
+
         monkeypatch.setattr(
             green, "_green", lambda *a, **k: calls.append(1) or kernel(*a, **k)
         )
-        lv.a_integral(singular_point_config, 0, 0, 0.005)
-        assert len(calls) == 28
-
-    def test_one_integrand_call_per_bisection(self, singular_point_config, monkeypatch):
-        # the first panel takes one call, and both halves of each bisection one
-        # more, so (panels + 1) / 2 calls; the panels are those of one call per
-        # panel (5 sectors, 51 panels)
-        cubature = green._cubature
-        counts = []
-
-        def counted(f, box):
-            calls = []
-            total, panels = cubature(lambda *a: calls.append(1) or f(*a), box)
-            counts.append((len(calls), panels))
-            return total, panels
-
         monkeypatch.setattr(green, "_cubature", counted)
         lv.a_integral(singular_point_config, 0, 0, 0.005)
-        assert [panels for _, panels in counts] == [9, 11, 11, 11, 9]
-        assert all(2 * calls - 1 == panels for calls, panels in counts)
+        assert sectors == [9, 11, 11, 11, 9]
+        assert len(calls) == sum((n + 1) // 2 for n in sectors) == 28
 
     def test_panel_bound(self, singular_point_config, monkeypatch):
         monkeypatch.setattr(green, "MAX_PANELS", 3)
