@@ -128,7 +128,7 @@ class BlowupConfiguration:
 
     def _gstar_derivative(self, t: int, order: int) -> np.ndarray:
         t = as_count(t, "t", 0, self.n_points - 1)
-        return _point_green(self, t, self.points[t], order)
+        return _point_green(self, t, _displacements(self, t, self.points[t]), order)
 
 
 def _require_positive(h_fields, points) -> None:
@@ -138,11 +138,16 @@ def _require_positive(h_fields, points) -> None:
                 raise InputError(f"coefficient field {i} is not positive")
 
 
-def _point_green(config: BlowupConfiguration, t: int, p, order: int) -> np.ndarray:
+def _displacements(config: BlowupConfiguration, t: int, p) -> np.ndarray:
+    """p - p_l for the points l != t, wrapped into the periods."""
+    return wrap_displacement(config.geometry, p - config.points[np.arange(config.n_points) != t])
+
+
+def _point_green(config: BlowupConfiguration, t: int, w, order: int) -> np.ndarray:
     """sum_{l != t} mu_l D^order_1 G(p, p_l): point t's Green terms with p_t
-    moved to p and the other points where they are."""
+    moved to p and the other points where they are, from the wrapped
+    displacements w = p - p_l (``_displacements``)."""
     others = np.arange(config.n_points) != t
-    w = wrap_displacement(config.geometry, p - config.points[others])
     terms = _green(config.geometry, w, order=order)
     return (config.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
 
@@ -295,12 +300,13 @@ def _location_weights(config: BlowupConfiguration, regime: str):
 
 
 def _location_terms(
-    config: BlowupConfiguration, t: int, regime: str, p, order: int
+    config: BlowupConfiguration, t: int, regime: str, p, w, order: int
 ) -> np.ndarray:
     """Point t's gradient condition at p (order 1), or its exact Jacobian in p
-    (order 2, the same sum of Hessians); the other points stay fixed."""
+    (order 2, the same sum of Hessians); the other points stay fixed, and w
+    holds p's wrapped displacements from them (``_displacements``)."""
     weights, coupling = _location_weights(config, regime)
-    green_term = coupling * _point_green(config, t, p, order)
+    green_term = coupling * _point_green(config, t, w, order)
     log_h = [h.grad_log if order == 1 else h.hess_log for h in config.h_fields]
     return sum(w * (d(p) + green_term) for w, d in zip(weights, log_h))
 
@@ -315,7 +321,8 @@ def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.nd
         blowup locations.
     """
     t = _regular_index(config, t)
-    return _location_terms(config, t, regime, config.points[t], 1)
+    p = config.points[t]
+    return _location_terms(config, t, regime, p, _displacements(config, t, p), 1)
 
 
 def location_search(
@@ -327,7 +334,9 @@ def location_search(
     Jacobian (Hessians of log h_i and of the Green function). A trial
     closer than 1e-4 to another point lies outside the domain, and iterates
     are wrapped into the periods. Only point t's terms are evaluated at a
-    trial; the configuration is not rebuilt. ``tol`` (in (0, 1)) bounds the
+    trial, and its displacements from the others are wrapped once there,
+    for the distance check, the residual and the Jacobian alike; the
+    configuration is not rebuilt. ``tol`` (in (0, 1)) bounds the
     sup norm of the residual, not the step. Returns (point, residual
     there); a NonConvergenceError carries the best point, wrapped too.
     """
@@ -335,23 +344,24 @@ def location_search(
     t = _regular_index(config, t)
     geom = config.geometry
     periods = np.array([geom.lx, geom.ly])
-    others = config.points[np.arange(config.n_points) != t]
 
     def place(p):
-        """p wrapped into the periods, or None within 1e-4 of another point."""
+        """p wrapped into the periods and its displacements from the other
+        points, or None within 1e-4 of another point."""
         p = np.mod(p, periods)
-        if np.any(_length(wrap_displacement(geom, p - others)) < 1e-4):
+        w = _displacements(config, t, p)
+        if np.any(_length(w) < 1e-4):
             return None
         _require_positive(config.h_fields, [p])
-        return p
+        return p, w
 
     def f(p):
-        p = place(p)
-        if p is None:
+        trial = place(p)
+        if trial is None:
             return None
         return (
-            _location_terms(config, t, regime, p, 1),
-            lambda: _location_terms(config, t, regime, p, 2),
+            _location_terms(config, t, regime, *trial, 1),
+            lambda: _location_terms(config, t, regime, *trial, 2),
         )
 
     try:
@@ -362,7 +372,7 @@ def location_search(
     root = place(p)
     if root is None:
         raise GeometryError(f"location search put point {t} within 1e-4 of another point")
-    return root, _location_terms(config, t, regime, root, 1)
+    return root[0], _location_terms(config, t, regime, *root, 1)
 
 
 def h_relation_residual(

@@ -19,10 +19,12 @@ The stepper is DOP853, the 8th-order Dormand-Prince pair with 5th- and
 3rd-order error estimates (Hairer, Norsett and Wanner, Solving ODEs I,
 II.10), with a PI step-size controller and FSAL reuse. Each step works on
 the weights w = exp(2 mu s + U), the only nonlinear term (U' = V, V' = -A w,
-mass' = w, logmass' = s w): a stage's U is a fixed combination of U, V and
-the earlier stages' -A w, and one product of the thirteen stages' w and
--A w with a matrix in h and h s gives the new V, mass and logmass and both
-error estimates (see ``_step_basis``).
+mass' = w, logmass' = s w): with a constant row 2 mu beside the state, a
+stage's exponent is one fixed combination of it, U, V and the earlier
+stages' -A w, and one product of the thirteen stages' w and -A w with a
+matrix gives the new state and both error estimates. Every coefficient is
+linear in (1, h, h^2, h s, s) (see ``_step_basis``), so a stage costs one
+dot, one exp and one product with -A.
 
 On request ``integrate`` also returns the forward sensitivities
 S = dY/d alpha0, (4n, n), which obey the variational equations
@@ -35,8 +37,9 @@ step size, so the step loop is the same with or without them: it only
 keeps each accepted step's size and stage weights. After the solve, one
 batched pass over the accepted steps builds every step's variational step
 matrix (the Runge-Kutta map differentiated at frozen weights, "internal
-differentiation") and chains them onto the series seed. Grid and state are
-bitwise those of a run without sensitivities.
+differentiation") from the same basis, and pairwise products chain them
+onto the series seed. Grid and state are bitwise those of a run without
+sensitivities.
 
 One strength is solved: ``integrate`` steps the mu = 1 system from
 alpha0 - 2 log mu out to mu log r_max and maps that solution U to
@@ -257,41 +260,47 @@ _E3[[0, 5, 6, 7, 8, 9, 10, 11]] = [
 
 
 def _step_basis() -> np.ndarray:
-    """Coefficients of 1, h, h^2 and h s in every linear combination of a step.
+    """Coefficients of 1, h, h^2, h s and s in every linear combination of a step.
 
     Only the weights W_l = w_l are nonlinear; with G_l = -A W_l (that is
-    V') at stage l, a step is linear in the rows of the 30-row array
+    V') at stage l and a constant row M = 2 mu, a step is linear in the
+    rows of the 31-row array
 
-        F = [W_0 .. W_12, U, V, mass, logmass, G_0 .. G_12].
+        F = [W_0 .. W_12, M, U, V, mass, logmass, G_0 .. G_12].
 
-    Since V_l = V + h sum_m a_lm G_m, stage j's U is
+    Since V_l = V + h sum_m a_lm G_m, stage j's exponent is
 
-        U_j = U + c_j h V + h^2 sum_l (A^2)_jl G_l,
+        2 mu s_j + U_j = (s + c_j h) M + U + c_j h V + h^2 sum_l (A^2)_jl G_l,
 
-    and U_12 is the new U. The new V, mass and logmass are V + h b.G,
+    so stage j's row over F[13:] gives log W_j itself. The new U is
+    U + h V + h^2 (A^2)_12 . G; the new V, mass and logmass are V + h b.G,
     mass + h b.W and logmass + h s b.W + h^2 (b c).W; with E = E5 or E3 the
     error rows of U, V, mass and logmass are h^2 (E A).G, h E.G, h E.W and
     h s E.W + h^2 (E c).W (the V term of U's vanishes: sum E = 0).
-    Columns: the (13, 17) stage matrix over F[13:], then the (11, 30) end
-    matrix over F with rows V, mass, logmass and the E5 and E3 error rows.
-    The same rows with W_l = w_l S_U give the variational step.
+    Columns: the (13, 18) stage matrix over F[13:], then the (12, 31) end
+    matrix over F with rows U, V, mass, logmass and the E5 and E3 error
+    rows. The variational step (``_carried_sensitivity``) reads the same
+    rows with W_l = w_l S_U, where M, mass and logmass drop out.
     """
-    b, w, g = _A[12], slice(0, 13), slice(17, 30)
-    stage = np.zeros((4, 13, 17))
-    stage[0, :, 0] = 1.0
-    stage[1, :, 1] = _C
-    stage[2, :, 4:] = _A @ _A
-    end = np.zeros((4, 11, 30))
-    end[0, [0, 1, 2], [14, 15, 16]] = 1.0
-    end[1, 0, g] = b
-    end[1, 1, w] = b
-    end[2, 2, w], end[3, 2, w] = b * _C, b
-    for row, e in ((3, _E5), (7, _E3)):
+    b, w, g = _A[12], slice(0, 13), slice(18, 31)
+    stage = np.zeros((5, 13, 18))
+    stage[4, :, 0] = 1.0
+    stage[1, :, 0] = stage[1, :, 2] = _C
+    stage[0, :, 1] = 1.0
+    stage[2, :, 5:] = _A @ _A
+    end = np.zeros((5, 12, 31))
+    end[0, [0, 1, 2, 3], [14, 15, 16, 17]] = 1.0
+    end[1, 0, 15] = 1.0
+    end[2, 0, g] = b @ _A
+    end[1, 1, g] = b
+    end[1, 2, w] = b
+    end[2, 3, w], end[3, 3, w] = b * _C, b
+    for row, e in ((4, _E5), (8, _E3)):
         end[2, row, g] = e @ _A
         end[1, row + 1, g] = e
         end[1, row + 2, w] = e
         end[2, row + 3, w], end[3, row + 3, w] = e * _C, e
-    return np.hstack([stage.reshape(4, -1), end.reshape(4, -1)])
+    return np.hstack([stage.reshape(5, -1), end.reshape(5, -1)])
 
 
 _STEP_BASIS = _step_basis()
@@ -317,86 +326,126 @@ def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
 class _Step:
     """The weight-form step of the solution from a state at s, in buffers made once.
 
-    ``f`` is F of ``_step_basis``, (30, n), with the current state in rows
-    13-16. ``take(s, h)`` writes the state at s + h to ``new[:4]`` and the
-    E5 and E3 error rows to ``new[4:]``, and leaves the stage weights in
+    ``f`` is F of ``_step_basis``, (31, n), with M = 2 mu in row 13 and the
+    current state in rows 14-17, which ``state`` shows read-only.
+    ``take(s, h)`` writes the state at s + h to ``new[:4]`` and the E5 and
+    E3 error rows to ``new[4:]``, and leaves the stage weights in
     ``f[:13]``; ``accept()`` makes that state current, with stage 12 as the
-    next stage 0 (FSAL).
+    next stage 0 (FSAL). A stage is three calls: its row of the stage
+    matrix gives the exponent, exp makes it W_j in place, and -A W_j is G_j.
     """
 
     def __init__(self, spec: ProblemSpec, s: float, state):
         n = spec.n
-        self.mu2 = 2.0 * spec.singularity.mu
         self.neg_a = -spec.matrix.entries
         self.coef = np.empty(_STEP_BASIS.shape[1])
-        self.end = self.coef[13 * 17 :].reshape(11, 30)  # after the stage matrix
-        self.f = np.zeros((30, n))
-        self.f[13:17] = state
-        # the step's outcome: U_12, then the end matrix's rows
+        self.end = self.coef[13 * 18 :].reshape(12, 31)  # after the stage matrix
+        self.f = np.zeros((31, n))
+        self.f[13] = 2.0 * spec.singularity.mu
+        self.f[14:18] = state
+        self.state = self.f[14:18].view()
+        self.state.flags.writeable = False
         self.new = np.empty((12, n))
-        u_stage = [self.f[13], *np.empty((11, n)), self.new[0]]
-        # per stage j: c_j, its row of the stage matrix and the rows of F it
-        # reads, U_j, W_j and G_j
+        # per stage j: its row of the stage matrix, the rows of F it reads,
+        # W_j and G_j
         self.stages = [
-            (float(_C[j]), self.coef[17 * j : 17 * j + 4 + j], self.f[13 : 17 + j],
-             u, self.f[j], self.f[17 + j])
-            for j, u in enumerate(u_stage)
+            (self.coef[18 * j : 18 * j + 5 + j], self.f[13 : 18 + j], self.f[j], self.f[18 + j])
+            for j in range(1, 13)
         ]
-        np.exp(self.mu2 * s + self.f[13], out=self.f[0])
-        np.dot(self.neg_a, self.f[0], out=self.f[17])
+        np.exp(self.f[13] * s + self.f[14], out=self.f[0])
+        np.dot(self.neg_a, self.f[0], out=self.f[18])
 
     def take(self, s: float, h: float) -> None:
-        np.dot((1.0, h, h * h, h * s), _STEP_BASIS, out=self.coef)
-        mu2, neg_a = self.mu2, self.neg_a
-        for c_j, row, reads, u, w, g in self.stages[1:]:
-            np.dot(row, reads, out=u)
-            np.exp(mu2 * (s + c_j * h) + u, out=w)
+        np.dot((1.0, h, h * h, h * s, s), _STEP_BASIS, out=self.coef)
+        neg_a = self.neg_a
+        for row, reads, w, g in self.stages:
+            np.dot(row, reads, out=w)
+            np.exp(w, out=w)
             np.dot(neg_a, w, out=g)
-        np.dot(self.end, self.f, out=self.new[1:])
+        np.dot(self.end, self.f, out=self.new)
 
     def accept(self) -> None:
-        self.f[13:17] = self.new[:4]
-        self.f[0::17] = self.f[12::17]  # FSAL: W_0, G_0 <- W_12, G_12
+        self.f[14:18] = self.new[:4]
+        self.f[0::18] = self.f[12::18]  # FSAL: W_0, G_0 <- W_12, G_12
 
 
 def _carried_sensitivity(spec: ProblemSpec, r0: float, s, h, weights) -> np.ndarray:
     """d(state at the last node)/d alpha0, (4n, n), from the accepted steps.
 
-    Step k, from s_k with size h_k and stage weights ``weights[k]`` (13, n),
-    maps the sensitivities S linearly (the variational step, with the
-    weights frozen): stage j's S_U is S_U + c_j h S_V + h^2 (A^2)_j . G with
+    Step k, from s_k with size h_k and stage weights w_l, maps the
+    sensitivities S linearly (the variational step, with the weights
+    frozen): stage j's S_U is S_U + c_j h S_V + h^2 (A^2)_j . G with
     W_l = w_l S_U and G_l = -A W_l, and the end rows are those of the step.
+    In the step's own units, h S_V and h^2 W (``weights`` holds h^2 w_l for
+    l < 12), every step is one of size 1 from s = 0: its rows are those of
+    ``_STEP_BASIS`` at (1, h, h^2, hs, s) = (1, 1, 1, 0, 0), the same for
+    all steps. The new V and mass are then the unit step's divided by h,
+    and logmass gains s times the new mass (its h s b.W term).
+
     Mass and logmass feed no stage, so with X the U, V rows of S and Y the
-    mass, logmass rows the step is X -> P_k X, Y -> Y + Q_k X. One pass
-    over all steps at once applies the step to the 2n unit columns of X,
-    which gives every [P_k; Q_k]; these are then chained onto the series
-    sensitivity at r0.
+    mass, logmass rows, step k is the 4n x 4n block [[P_k, 0], [Q_k, I]].
+    The pass applies all steps at once to the 2n unit columns of X, on the
+    rows [W_0 .. W_11, U, V] of F (stage 12's weights feed no end row,
+    b_12 = 0), each (n, 2n, K): the component axis first and the steps
+    last, so that a combination of G rows is one dot over the W rows, the
+    same for every step, and one with -A. The blocks' left halves
+    L_k = [P_k; Q_k] are then chained by pairwise products,
+    L_b o L_a = L_b P_a + [0; Q_a], onto the series sensitivity at r0.
     """
     n, k = spec.n, len(h)
-    coef = np.stack([np.ones(k), h, h * h, h * s], axis=1) @ _STEP_BASIS
-    stage = coef[:, : 13 * 17].reshape(k, 13, 17)
-    end = coef[:, 13 * 17 :].reshape(k, 11, 30)[:, :3]  # rows V, mass, logmass
-    f = np.zeros((k, 30, n, 2 * n))
-    f[:, 13, :, :n] = f[:, 14, :, n:] = np.eye(n)
-    flat = f.reshape(k, 30, 2 * n * n)
+    m = 2 * n
+    unit = np.dot((1.0, 1.0, 1.0, 0.0, 0.0), _STEP_BASIS)
+    stage = unit[: 13 * 18].reshape(13, 18)
+    end = unit[13 * 18 :].reshape(12, 31)
     neg_a = -spec.matrix.entries
-    u = f[:, 13]
-    for j in range(13):
-        if j:
-            u = np.matmul(stage[:, j, None, : 4 + j], flat[:, 13 : 17 + j]).reshape(k, n, 2 * n)
-        np.multiply(weights[:, j, :, None], u, out=f[:, j])
-        np.matmul(neg_a, f[:, j], out=f[:, 17 + j])
-    steps = np.empty((k, 4, n, 2 * n))
-    steps[:, 0] = u
-    steps[:, 1:] = np.matmul(end, flat).reshape(k, 3, n, 2 * n)
-    steps = steps.reshape(k, 4 * n, 2 * n)
+    f = np.zeros((14, n, m, k))
+    f[12, :, :n] = np.eye(n)[:, :, None]
+    f[13, :, n:] = np.eye(n)[:, :, None] * h
+    flat = f.reshape(14, -1)
+    y = np.empty_like(flat[0])
+    out = np.empty((4, n, m, k))
+
+    def stage_u(j, u):
+        """U_j = U + c_j V - A ((A^2)_j . W) into u, flat (n, 2n K)."""
+        np.dot(stage[j, 5 : 5 + j], flat[:j], out=y)
+        np.dot(neg_a, y.reshape(n, -1), out=u)
+        np.dot(stage[j, 1:3], flat[12:14], out=y)
+        u += y.reshape(n, -1)
+
+    np.multiply(f[12], weights[:, 0].T[:, None, :], out=f[0])
+    for j in range(1, 12):
+        stage_u(j, flat[j].reshape(n, -1))
+        f[j] *= weights[:, j].T[:, None, :]
+    stage_u(12, out[0].reshape(n, -1))
+    # V + b.G = V - A (b.W); mass and logmass: b.W and (b c).W
+    np.dot(np.stack([end[1, 18:30], end[2, :12], end[3, :12]]), flat[:12],
+           out=out[1:].reshape(3, -1))
+    np.dot(neg_a, out[1].reshape(n, -1), out=y.reshape(n, -1))
+    np.add(flat[13], y, out=out[1].reshape(-1))
+    del f, flat  # the rows are read off; the chain needs no more than out
+    # back from the step's units: V and mass over h, logmass + s mass
+    out[1:3] /= h
+    np.multiply(out[2], s, out=y.reshape(n, m, k))
+    out[3] += y.reshape(n, m, k)
+    steps = out.transpose(3, 0, 1, 2).reshape(k, 4 * n, m)
+    while len(steps) > 1:
+        if len(steps) % 2:
+            steps[-2] = _compose(steps[-1:], steps[-2:-1])[0]
+            steps = steps[:-1]
+        steps = _compose(steps[1::2], steps[0::2])
     sens = _series_sensitivity(spec, r0)
-    x, y = sens[: 2 * n], sens[2 * n :]
-    for step in steps:
-        moved = step @ x
-        x = moved[: 2 * n]
-        y += moved[2 * n :]
-    return np.vstack([x, y])
+    sens[m:] += steps[0, m:] @ sens[:m]
+    sens[:m] = steps[0, :m] @ sens[:m]
+    return sens
+
+
+def _compose(later, earlier):
+    """Left halves of the products of [[P, 0], [Q, I]] blocks, pair by pair:
+    L_b P_a + [0; Q_a] for L_a = [P_a; Q_a] in ``earlier`` and L_b in ``later``."""
+    m = later.shape[2]
+    out = np.matmul(later, earlier[:, :m])
+    out[:, m:] += earlier[:, m:]
+    return out
 
 
 def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) -> RadialProfile:
@@ -474,8 +523,13 @@ def integrate(
     u0, du_dr0 = origin_series(unit, r_start)
     mass0, logmass0 = _series_energy_seeds(unit, r_start)
     step = _Step(unit, s0, [u0, du_dr0 * r_start, mass0, logmass0])
-    state, new = step.f[13:17], step.new
+    state, new = step.state, step.new
     err_rows = new[4:].reshape(2, 4, n)
+    # the error norm's buffers: |state| before and after the step, the
+    # scale atol + tol max(...) and the error rows over it
+    size, size_new, scale = np.abs(state), np.empty((4, n)), np.empty((4, n))
+    ratio = np.empty((2, 4, n))
+    r5, r3 = ratio.reshape(2, -1)
 
     atol = tol * 1e-3
     s = s0
@@ -483,9 +537,9 @@ def integrate(
     err_prev = 1.0
     nodes = [s]
     states = [state.copy()]
-    size = np.abs(state)
     attempts = 0
-    # the accepted steps' sizes and stage weights, for the sensitivities
+    # the accepted steps' sizes and h^2 times their stage weights 0-11, for
+    # the sensitivities
     sizes, weights = [], []
 
     # tolerance-based endpoint: the last accepted step may land one ulp short
@@ -502,9 +556,12 @@ def integrate(
                 f"step size underflow at s = {s / mu:.6f}", last_radius=math.exp(s / mu)
             )
         step.take(s, h)
-        size_new = np.abs(new[:4])
-        r5, r3 = err_rows / (atol + tol * np.maximum(size, size_new))
-        norm5, norm3 = float(np.vdot(r5, r5)), float(np.vdot(r3, r3))
+        np.abs(new[:4], out=size_new)
+        np.maximum(size, size_new, out=scale)
+        np.multiply(scale, tol, out=scale)
+        np.add(scale, atol, out=scale)
+        np.divide(err_rows, scale, out=ratio)
+        norm5, norm3 = float(r5 @ r5), float(r3 @ r3)
         # DOP853's norm: the 5th-order estimate, damped where the 3rd is small
         denom = norm5 + 0.01 * norm3
         err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
@@ -512,10 +569,10 @@ def integrate(
         if err <= 1.0:
             if sensitivity:
                 sizes.append(h)
-                weights.append(step.f[:13].copy())
+                weights.append(step.f[:12] * (h * h))
             s += h
             step.accept()
-            size = size_new
+            size, size_new = size_new, size
             nodes.append(s)
             states.append(state.copy())
             if float(state[0].max()) + shift > U_OVERFLOW:

@@ -236,6 +236,81 @@ def dp5_integrate():
     return _dp5_integrate
 
 
+def _four_coefficient_basis():
+    """The (4, 13 * 17 + 11 * 30) step matrix the DOP853 step used before
+    its stage rows gave the exponent: coefficients of (1, h, h^2, h s).
+
+    F = [W_0 .. W_12, U, V, mass, logmass, G_0 .. G_12] with G_l = -A W_l;
+    stage j's row over F[13:] gives U_j = U + c_j h V + h^2 (A^2)_j . G,
+    U_12 is the new U, and the end rows over F are V, mass, logmass and
+    the E5 and E3 error rows of U, V, mass and logmass.
+    """
+    from liouville import radial
+
+    a, c, b = radial._A, radial._C, radial._A[12]
+    w, g = slice(0, 13), slice(17, 30)
+    stage = np.zeros((4, 13, 17))
+    stage[0, :, 0] = 1.0
+    stage[1, :, 1] = c
+    stage[2, :, 4:] = a @ a
+    end = np.zeros((4, 11, 30))
+    end[0, [0, 1, 2], [14, 15, 16]] = 1.0
+    end[1, 0, g] = b
+    end[1, 1, w] = b
+    end[2, 2, w], end[3, 2, w] = b * c, b
+    for row, e in ((3, radial._E5), (7, radial._E3)):
+        end[2, row, g] = e @ a
+        end[1, row + 1, g] = e
+        end[1, row + 2, w] = e
+        end[2, row + 3, w], end[3, row + 3, w] = e * c, e
+    return np.hstack([stage.reshape(4, -1), end.reshape(4, -1)])
+
+
+class _FourCoefficientStep:
+    """The DOP853 weight-form step as ``radial._Step`` took it before: per
+    stage a dot for U_j, the exponent 2 mu (s + c_j h) + U_j added after
+    it, exp and -A W_j. ``take(s, h)`` writes the new state to ``new[:4]``
+    and the E5 and E3 error rows to ``new[4:]``.
+    """
+
+    basis = None
+
+    def __init__(self, spec, s, state):
+        from liouville import radial
+
+        if _FourCoefficientStep.basis is None:
+            _FourCoefficientStep.basis = _four_coefficient_basis()
+        n = spec.n
+        self.mu2 = 2.0 * spec.singularity.mu
+        self.neg_a = -spec.matrix.entries
+        self.coef = np.empty(self.basis.shape[1])
+        self.end = self.coef[13 * 17 :].reshape(11, 30)
+        self.f = np.zeros((30, n))
+        self.f[13:17] = state
+        self.new = np.empty((12, n))
+        u_stage = [self.f[13], *np.empty((11, n)), self.new[0]]
+        self.stages = [
+            (float(radial._C[j]), self.coef[17 * j : 17 * j + 4 + j], self.f[13 : 17 + j],
+             u, self.f[j], self.f[17 + j])
+            for j, u in enumerate(u_stage)
+        ]
+        np.exp(self.mu2 * s + self.f[13], out=self.f[0])
+        np.dot(self.neg_a, self.f[0], out=self.f[17])
+
+    def take(self, s, h):
+        np.dot((1.0, h, h * h, h * s), self.basis, out=self.coef)
+        for c_j, row, reads, u, w, g in self.stages[1:]:
+            np.dot(row, reads, out=u)
+            np.exp(self.mu2 * (s + c_j * h) + u, out=w)
+            np.dot(self.neg_a, w, out=g)
+        np.dot(self.end, self.f, out=self.new[1:])
+
+
+@pytest.fixture(scope="session")
+def four_coefficient_step():
+    return _FourCoefficientStep
+
+
 def _image_by_image_green(geom, w, order=0):
     """G, grad G or Hess G at wrapped displacements w, image by image.
 

@@ -467,7 +467,8 @@ class TestLocationSearch:
                 moved = dataclasses.replace(cfg, points=pts)
                 sides.append(lv.location_residual(moved, 0, regime))
             columns.append((sides[0] - sides[1]) / (2.0 * eps))
-        jac = blowup._location_terms(cfg, 0, regime, cfg.points[0], 2)
+        p = cfg.points[0]
+        jac = blowup._location_terms(cfg, 0, regime, p, blowup._displacements(cfg, 0, p), 2)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-6 * np.abs(jac).max())
 
     def test_two_points_converge_in_six_steps(self, monkeypatch):
@@ -496,6 +497,29 @@ class TestLocationSearch:
         assert k == 124
         assert len(failing) <= 2
 
+    def test_one_wrap_per_trial(self, monkeypatch):
+        # each trial's displacements are wrapped once, for the distance
+        # check, the residual and the Jacobian alike; the root once more
+        wraps, trials = [], []
+        wrap, solve = blowup.wrap_displacement, blowup.damped_newton
+        monkeypatch.setattr(blowup, "wrap_displacement", lambda *a: wraps.append(1) or wrap(*a))
+        monkeypatch.setattr(
+            blowup, "damped_newton",
+            lambda f, *a: solve(lambda p: trials.append(1) or f(p), *a),
+        )
+        converged = 0
+        for cfg in random_two_point_configs((0.0, 0.0), count=30):
+            wraps.clear()
+            trials.clear()
+            try:
+                lv.location_search(cfg, 0, "general")
+            except NonConvergenceError:
+                assert len(wraps) == len(trials)
+            else:
+                assert len(wraps) == len(trials) + 1
+                converged += 1
+        assert converged >= 20
+
     def test_step_budget_carries_best_iterate(self, monkeypatch):
         cfg = two_point_config()
         start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
@@ -523,12 +547,12 @@ class TestLocationSearch:
         terms = blowup._location_terms
         calls, seen = [], []
 
-        def first_aims_at_the_other_point(config, t, regime, p, order):
+        def first_aims_at_the_other_point(config, t, regime, p, w, order):
             if order == 1:  # the residual at each trial that is in the domain
                 seen.append(p.copy())
-                return terms(config, t, regime, p, order)
+                return terms(config, t, regime, p, w, order)
             calls.append(1)
-            return np.diag(-r0 / aim) if len(calls) == 1 else terms(config, t, regime, p, order)
+            return np.diag(-r0 / aim) if len(calls) == 1 else terms(config, t, regime, p, w, order)
 
         monkeypatch.setattr(blowup, "_location_terms", first_aims_at_the_other_point)
         best, resid = lv.location_search(cfg, 0, "general")

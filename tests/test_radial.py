@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,7 +340,7 @@ class TestSensitivityReplay:
         for s, s_next in zip(grid[:-1], grid[1:]):
             step.take(s, s_next - s)
             step.accept()
-        return step.f[13:17].reshape(-1).copy()
+        return step.state.reshape(-1).copy()
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-6])
     @pytest.mark.parametrize("name", ["F1", "F3", "n2-g0.0", "n3-g0.0"])
@@ -358,6 +359,93 @@ class TestSensitivityReplay:
             fd = (ends[0] - ends[1]) / (2.0 * self.EPS)
             column = profile.sensitivity[:, j]
             assert np.max(np.abs(column - fd)) <= 1e-7 * np.max(np.abs(column))
+
+
+# accepted and rejected steps of the seeded specs, per n and gamma, at
+# (tol, r_max) = (1e-6, 1e4), (1e-6, 1e8), (1e-8, 1e4), ..., (1e-10, 1e8):
+# the counts of the step that added the exponent offset after its dot
+# (conftest's four_coefficient_step)
+STEP_COUNTS = {
+    (1, 0.0): [(27, 0), (30, 0), (45, 1), (49, 1), (75, 0), (81, 0)],
+    (1, -0.25): [(27, 1), (30, 1), (43, 1), (49, 1), (73, 0), (80, 0)],
+    (1, -0.5): [(25, 1), (29, 1), (41, 0), (46, 0), (69, 0), (78, 0)],
+    (1, -0.9): [(24, 2), (25, 2), (36, 0), (38, 0), (61, 0), (64, 0)],
+    (2, 0.0): [(27, 1), (30, 1), (44, 0), (48, 0), (76, 1), (82, 1)],
+    (2, -0.25): [(26, 0), (30, 0), (43, 0), (49, 0), (74, 0), (82, 0)],
+    (2, -0.5): [(25, 0), (28, 0), (40, 0), (45, 0), (67, 0), (76, 0)],
+    (2, -0.9): [(23, 1), (24, 1), (36, 1), (38, 1), (60, 0), (63, 0)],
+    (3, 0.0): [(28, 1), (31, 1), (44, 0), (49, 0), (75, 0), (81, 0)],
+    (3, -0.25): [(28, 1), (31, 1), (45, 0), (50, 0), (77, 0), (85, 0)],
+    (3, -0.5): [(25, 0), (28, 0), (40, 0), (45, 0), (67, 0), (76, 0)],
+    (3, -0.9): [(23, 1), (24, 1), (35, 0), (37, 0), (59, 0), (62, 0)],
+}
+
+
+class TestStepOracle:
+    """``radial._Step`` against the step it replaced (conftest's
+    ``four_coefficient_step``), whose stage dot gave U_j and added the
+    exponent offset 2 mu (s + c_j h) after it. The two sum in a different
+    order, so they agree to rounding, not bitwise."""
+
+    @pytest.mark.parametrize(
+        "name", ["F1", "F2", "F3", *(f"n{n}-g{g}" for n in (2, 3) for g in (0.0, -0.5, -0.9))]
+    )
+    def test_one_step_from_every_node(self, four_coefficient_step, name):
+        # the profile's own spec: gamma != 0 steps at mu != 1, as _state_at does
+        if name.startswith("F"):
+            spec = _oracle_spec(name)
+        else:
+            n, gamma = name[1:].split("-g")
+            spec = _seeded_spec(int(n), float(gamma))
+        profile = lv.integrate(spec, 1e4, 1e-10)
+        for k, (s, s_next) in enumerate(zip(profile.grid[:-1], profile.grid[1:])):
+            state = np.array([profile.values[k], profile.dvalues[k], profile.mass[k],
+                              profile.logmass[k]])
+            ours = radial._Step(profile.spec, s, state)
+            theirs = four_coefficient_step(profile.spec, s, state)
+            ours.take(s, s_next - s)
+            theirs.take(s, s_next - s)
+            got, want = ours.new.reshape(3, 4, -1), theirs.new.reshape(3, 4, -1)
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-14 * np.maximum(1.0, np.abs(want[0])))
+            assert np.all(np.abs(got[1:] - want[1:]) <= 1e-14 * np.maximum(1.0, np.abs(state)))
+
+    @pytest.mark.parametrize("n, gamma", list(STEP_COUNTS))
+    def test_same_step_counts(self, n, gamma):
+        # the controller sees the error rows to rounding, and on this sweep
+        # takes the same steps and rejections as with the former step
+        spec = _seeded_spec(n, gamma)
+        counts = [
+            (stats["accepted"], stats["rejected"])
+            for tol in (1e-6, 1e-8, 1e-10)
+            for r_max in (1e4, 1e8)
+            for stats in [lv.integrate(spec, r_max, tol).stats]
+        ]
+        assert counts == STEP_COUNTS[n, gamma]
+
+
+class TestSensitivityPass:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_peak_memory(self, monkeypatch, n):
+        # the longest solves, about 200 accepted steps: the pass's transient
+        # memory stays below the (K, 30, n, 2n) float buffer it once held
+        spec = lv.ProblemSpec(lv.CoefficientMatrix.from_entries(MATRICES[n]),
+                              lv.SingularityProfile(-0.25), np.linspace(0.0, -1.0, n))
+        carried, calls = radial._carried_sensitivity, []
+        monkeypatch.setattr(radial, "_carried_sensitivity",
+                            lambda *args: calls.append(args) or carried(*args))
+        lv.integrate(spec, 1e300, 1e-13, sensitivity=True)
+        (args,) = calls
+        k = len(args[3])
+        assert k >= 190
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            carried(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * k * 30 * n * 2 * n
 
 
 class TestTableau:
