@@ -561,7 +561,7 @@ def integrate(
         np.multiply(scale, tol, out=scale)
         np.add(scale, atol, out=scale)
         np.divide(err_rows, scale, out=ratio)
-        norm5, norm3 = float(r5 @ r5), float(r3 @ r3)
+        norm5, norm3 = float(np.vdot(r5, r5)), float(np.vdot(r3, r3))
         # DOP853's norm: the 5th-order estimate, damped where the 3rd is small
         denom = norm5 + 0.01 * norm3
         err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
