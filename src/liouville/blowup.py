@@ -140,7 +140,8 @@ def _require_positive(h_fields, points) -> None:
 
 def _displacements(config: BlowupConfiguration, t: int, p) -> np.ndarray:
     """p - p_l for the points l != t, wrapped into the periods."""
-    return wrap_displacement(config.geometry, p - config.points[np.arange(config.n_points) != t])
+    others = config.points[np.arange(config.n_points) != t]
+    return wrap_displacement(config.geometry, p - others)
 
 
 def _point_green(config: BlowupConfiguration, t: int, w, order: int) -> np.ndarray:
@@ -308,7 +309,7 @@ def _location_terms(
     weights, coupling = _location_weights(config, regime)
     green_term = coupling * _point_green(config, t, w, order)
     log_h = [h.grad_log if order == 1 else h.hess_log for h in config.h_fields]
-    return sum(w * (d(p) + green_term) for w, d in zip(weights, log_h))
+    return sum(c * (d(p) + green_term) for c, d in zip(weights, log_h))
 
 
 def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:

@@ -349,7 +349,8 @@ class _Step:
         # per stage j: its row of the stage matrix, the rows of F it reads,
         # W_j and G_j
         self.stages = [
-            (self.coef[18 * j : 18 * j + 5 + j], self.f[13 : 18 + j], self.f[j], self.f[18 + j])
+            (self.coef[18 * j : 18 * j + 5 + j], self.f[13 : 18 + j],
+             self.f[j], self.f[18 + j])
             for j in range(1, 13)
         ]
         np.exp(self.f[13] * s + self.f[14], out=self.f[0])

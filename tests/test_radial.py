@@ -414,12 +414,11 @@ class TestStepOracle:
         # the controller sees the error rows to rounding, and on this sweep
         # takes the same steps and rejections as with the former step
         spec = _seeded_spec(n, gamma)
-        counts = [
-            (stats["accepted"], stats["rejected"])
-            for tol in (1e-6, 1e-8, 1e-10)
-            for r_max in (1e4, 1e8)
-            for stats in [lv.integrate(spec, r_max, tol).stats]
-        ]
+        counts = []
+        for tol in (1e-6, 1e-8, 1e-10):
+            for r_max in (1e4, 1e8):
+                stats = lv.integrate(spec, r_max, tol).stats
+                counts.append((stats["accepted"], stats["rejected"]))
         assert counts == STEP_COUNTS[n, gamma]
 
 
