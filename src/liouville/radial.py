@@ -280,7 +280,8 @@ def _step_basis() -> np.ndarray:
     Columns: the (13, 18) stage matrix over F[13:], then the (12, 31) end
     matrix over F with rows U, V, mass, logmass and the E5 and E3 error
     rows. The variational step (``_carried_sensitivity``) reads the same
-    rows with W_l = w_l S_U, where M, mass and logmass drop out.
+    rows with W_l = w_l S_U, where M, mass and logmass drop out, and chains
+    the steps by pairwise products.
     """
     b, w, g = _A[12], slice(0, 13), slice(18, 31)
     stage = np.zeros((5, 13, 18))
