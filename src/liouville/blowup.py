@@ -120,37 +120,31 @@ class BlowupConfiguration:
 
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
-        return self._gstar_derivative(t, 1)
-
-    def gstar_hessian(self, t: int) -> np.ndarray:
-        """sum_l mu_l Hess_1 Gstar(p_t, p_l); grad gamma(p, p) = 0 adds nothing."""
-        return self._gstar_derivative(t, 2)
-
-    def _gstar_derivative(self, t: int, order: int) -> np.ndarray:
         t = as_count(t, "t", 0, self.n_points - 1)
-        return _point_green(self, t, _displacements(self, t, self.points[t]), order)
+        return _point_green(self, t, _displacements(self, t, self.points[t]), 1)
 
 
 def _require_positive(h_fields, points) -> None:
     for i, f in enumerate(h_fields):
-        for p in points:
-            if float(f.value(p)) <= 0.0:
-                raise InputError(f"coefficient field {i} is not positive")
+        if np.any(f.value(points) <= 0.0):
+            raise InputError(f"coefficient field {i} is not positive")
 
 
 def _displacements(config: BlowupConfiguration, t: int, p) -> np.ndarray:
-    """p - p_l for the points l != t, wrapped into the periods."""
+    """p - p_l for the points l != t, wrapped into the periods: shape
+    (..., N - 1, 2) for points p of shape (..., 2)."""
     others = config.points[np.arange(config.n_points) != t]
-    return wrap_displacement(config.geometry, p - others)
+    return wrap_displacement(config.geometry, p[..., None, :] - others)
 
 
 def _point_green(config: BlowupConfiguration, t: int, w, order: int) -> np.ndarray:
     """sum_{l != t} mu_l D^order_1 G(p, p_l): point t's Green terms with p_t
     moved to p and the other points where they are, from the wrapped
-    displacements w = p - p_l (``_displacements``)."""
+    displacements w = p - p_l (``_displacements``), of shape (..., 2) at
+    order 1 and (..., 2, 2) at order 2 for points p of shape (..., 2)."""
     others = np.arange(config.n_points) != t
     terms = _green(config.geometry, w, order=order)
-    return (config.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=0)
+    return (config.mus[others].reshape((-1,) + (1,) * order) * terms).sum(axis=-1 - order)
 
 
 def _regular_index(config: BlowupConfiguration, t) -> int:
@@ -182,7 +176,7 @@ def b_coefficient(config: BlowupConfiguration, i: int, t: int) -> float:
     fld = config.h_fields[i]
     grad_term = fld.grad_log(p_t) + 4.0 * _TWO_PI * config.gstar_gradient(t)
     bracket = (
-        0.25 * fld.lap_log(p_t)
+        0.25 * float(fld.lap_log(p_t))
         - 0.5 * float(config.curvature[t])
         + _TWO_PI * config.n_L
         + 0.25 * float(grad_term @ grad_term)
@@ -238,14 +232,13 @@ def leading_term_general(
     total = 0.0
     panels = 0
     for i in sorted(config.frak.minimizers):
-        h_i = config.h_fields[i]
-        h_ref = float(h_i.value(config.points[0]))
+        h_values = config.h_fields[i].value(config.points)
         coeff_ref = math.exp(float(config.D[i] - config.alpha[i]))
         for t, (delta0, *planes) in enumerate(cells):
             b_it = (
                 math.exp(_TWO_PI * fm * float(gstar_rows[t] - gstar_rows[0]))
-                * float(h_i.value(config.points[t]))
-                / h_ref
+                * float(h_values[t])
+                / float(h_values[0])
                 * coeff_ref
             )
             a_full, n_cell = _cell_integral(config, i, t, planes, delta0)
@@ -305,7 +298,9 @@ def _location_terms(
 ) -> np.ndarray:
     """Point t's gradient condition at p (order 1), or its exact Jacobian in p
     (order 2, the same sum of Hessians); the other points stay fixed, and w
-    holds p's wrapped displacements from them (``_displacements``)."""
+    holds p's wrapped displacements from them (``_displacements``). Trial
+    points p of shape (..., 2) give (..., 2) residuals or (..., 2, 2)
+    Jacobians in one pass; a single point is the case with no leading axis."""
     weights, coupling = _location_weights(config, regime)
     green_term = coupling * _point_green(config, t, w, order)
     log_h = [h.grad_log if order == 1 else h.hess_log for h in config.h_fields]
@@ -353,7 +348,7 @@ def location_search(
         w = _displacements(config, t, p)
         if np.any(_length(w) < 1e-4):
             return None
-        _require_positive(config.h_fields, [p])
+        _require_positive(config.h_fields, p)
         return p, w
 
     def f(p):

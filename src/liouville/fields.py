@@ -6,8 +6,8 @@ search needs log-Hessians there (the log-Laplacian is their trace), and the
 cell quadrature needs values at arbitrary points. Restricting h to named presets
 keeps the derivative data exact instead of numerically differentiated.
 Frequencies are integer vectors so the fields are periodic on the unit
-torus. ``value`` broadcasts over leading axes of x; the derivative methods
-take a single point.
+torus. Every method takes points x of shape (..., 2) and broadcasts over
+the leading axes, so one point is the case with none.
 """
 
 from __future__ import annotations
@@ -23,9 +23,13 @@ _TWO_PI = 2.0 * math.pi
 
 
 class CoefficientField:
-    """Interface: positive field with exact log-derivatives."""
+    """Interface: positive field with exact log-derivatives.
 
-    def value(self, x):
+    At points x of shape (..., 2), ``value`` and ``lap_log`` return shape
+    x.shape[:-1], ``grad_log`` x.shape and ``hess_log`` x.shape + (2,).
+    """
+
+    def value(self, x) -> np.ndarray:
         raise NotImplementedError
 
     def grad_log(self, x) -> np.ndarray:
@@ -34,8 +38,8 @@ class CoefficientField:
     def hess_log(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def lap_log(self, x) -> float:
-        return float(np.trace(self.hess_log(x)))
+    def lap_log(self, x) -> np.ndarray:
+        return np.trace(self.hess_log(x), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -50,15 +54,14 @@ class ConstantField(CoefficientField):
             raise InputError(f"constant field value must be positive, got {constant}")
         object.__setattr__(self, "constant", constant)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1], self.constant) if x.ndim > 1 else self.constant
+    def value(self, x) -> np.ndarray:
+        return np.full(np.shape(x)[:-1], self.constant)
 
     def grad_log(self, x) -> np.ndarray:
-        return np.zeros(2)
+        return np.zeros(np.shape(x))
 
     def hess_log(self, x) -> np.ndarray:
-        return np.zeros((2, 2))
+        return np.zeros(np.shape(x) + (2,))
 
 
 @dataclass(frozen=True)
@@ -90,27 +93,23 @@ class SinusoidalField(CoefficientField):
             + self.phase
         )
 
-    def value(self, x):
+    def value(self, x) -> np.ndarray:
         return self.base + self.amplitude * np.sin(self._angle(x))
 
     def _grad_h(self, x) -> np.ndarray:
-        return (
-            _TWO_PI
-            * self.amplitude
-            * math.cos(float(self._angle(x)))
-            * np.array(self.frequency, dtype=float)
-        )
+        slope = _TWO_PI * self.amplitude * np.cos(self._angle(x))
+        return slope[..., None] * np.array(self.frequency, dtype=float)
 
     def grad_log(self, x) -> np.ndarray:
-        return self._grad_h(x) / float(self.value(x))
+        return self._grad_h(x) / self.value(x)[..., None]
 
     def hess_log(self, x) -> np.ndarray:
         k = np.array(self.frequency, dtype=float)
-        h = float(self.value(x))
-        curvature = -(_TWO_PI**2) * self.amplitude * math.sin(float(self._angle(x)))
-        hess_h = curvature * np.outer(k, k)
+        h = self.value(x)[..., None, None]
+        curvature = -(_TWO_PI**2) * self.amplitude * np.sin(self._angle(x))
+        hess_h = curvature[..., None, None] * np.outer(k, k)
         grad_h = self._grad_h(x)
-        return hess_h / h - np.outer(grad_h, grad_h) / h**2
+        return hess_h / h - grad_h[..., :, None] * grad_h[..., None, :] / h**2
 
 
 def field_from_config(data: dict) -> CoefficientField:

@@ -417,16 +417,9 @@ def _cubature(f, box):
 
 def _cell_geometry(geom: TorusGreen, points: np.ndarray, t: int):
     """Half-plane data of the Voronoi cell of points[t] among all images."""
-    offsets = []
-    for l in range(points.shape[0]):
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                if l == t and a == 0 and b == 0:
-                    continue
-                offsets.append(
-                    points[l] + np.array([a * geom.lx, b * geom.ly]) - points[t]
-                )
-    vecs = np.array(offsets)
+    shifts = np.array([(a * geom.lx, b * geom.ly) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    vecs = (points[:, None, :] + shifts - points[t]).reshape(-1, 2)
+    vecs = np.delete(vecs, 9 * t + 4, axis=0)  # p_t itself, with no shift
     dists = 0.5 * np.hypot(vecs[:, 0], vecs[:, 1])
     phis = np.arctan2(vecs[:, 1], vecs[:, 0])
     return dists, phis
@@ -511,7 +504,7 @@ def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
         # to p_t is r itself, so the log term leaves the regular part there
         acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
         acc += mu_t * np.log(r) / _TWO_PI
-        ratio = np.asarray(field.value(x), dtype=float) / h_ref
+        ratio = field.value(x) / h_ref
         return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
 
     corners = _cell_corner_angles(dists, phis) if r_hi is None else ()
