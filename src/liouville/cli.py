@@ -358,7 +358,7 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
     config, sub = _blowup_from(cfg)
     # echoed as given: the leading-term functions reject all but floats in (0, 1)
     eps_k = sub.get("eps_k", 1e-3)
-    regime = sub.get("regime", "Q" if config.is_at_q() else "general")
+    regime = sub.get("regime", "Q" if config.is_at_q() and config.regular_set else "general")
     payload: dict = {
         "regime": regime,
         "eps_k": eps_k,

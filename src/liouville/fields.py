@@ -96,19 +96,21 @@ class SinusoidalField(CoefficientField):
     def value(self, x) -> np.ndarray:
         return self.base + self.amplitude * np.sin(self._angle(x))
 
-    def _grad_h(self, x) -> np.ndarray:
-        slope = _TWO_PI * self.amplitude * np.cos(self._angle(x))
-        return slope[..., None] * np.array(self.frequency, dtype=float)
+    def _parts(self, x):
+        """k, the angle's sine, h and grad h at x, from one angle."""
+        angle = self._angle(x)
+        k, sin = np.array(self.frequency, dtype=float), np.sin(angle)
+        slope = _TWO_PI * self.amplitude * np.cos(angle)
+        return k, sin, self.base + self.amplitude * sin, slope[..., None] * k
 
     def grad_log(self, x) -> np.ndarray:
-        return self._grad_h(x) / self.value(x)[..., None]
+        _, _, h, grad_h = self._parts(x)
+        return grad_h / h[..., None]
 
     def hess_log(self, x) -> np.ndarray:
-        k = np.array(self.frequency, dtype=float)
-        h = self.value(x)[..., None, None]
-        curvature = -(_TWO_PI**2) * self.amplitude * np.sin(self._angle(x))
-        hess_h = curvature[..., None, None] * np.outer(k, k)
-        grad_h = self._grad_h(x)
+        k, sin, h, grad_h = self._parts(x)
+        h = h[..., None, None]
+        hess_h = (-(_TWO_PI**2) * self.amplitude * sin)[..., None, None] * np.outer(k, k)
         return hess_h / h - grad_h[..., :, None] * grad_h[..., None, :] / h**2
 
 

@@ -9,11 +9,14 @@ is integrated in the log-radius variable s = log r, where it becomes
     d^2 U_i / ds^2 = -sum_j a_ij exp(2 mu s + U_j),  mu = 1 + gamma,
 
 with a smooth right-hand side even though the weight r^(2 gamma) is singular
-at the origin. Initial data at r_series = 1e-6 come from the two-term origin
-expansion. Besides (U_i, dU_i/ds) the state carries, per component, the
-running weighted mass integral int_0^r t^(2 gamma + 1) e^(U_i(t)) dt and its
-log-weighted counterpart, so downstream energy quadratures inherit the
-adaptive step control of the solver and stay bitwise deterministic.
+at the origin. The solve (at mu = 1, below) starts at r = min(1e-6,
+(4e-8 / max S)^(1/2)), S = A e^(U(0)) of that system, from the two-term
+origin series. ``_series`` alone writes it out: the start state, its
+alpha0-derivative and the values below the first node. Besides (U_i, dU_i/ds)
+the state carries, per component, the running weighted mass integral
+int_0^r t^(2 gamma + 1) e^(U_i(t)) dt and its log-weighted counterpart, so
+downstream energy quadratures inherit the adaptive step control of the
+solver and stay bitwise deterministic.
 
 The stepper is DOP853, the 8th-order Dormand-Prince pair with 5th- and
 3rd-order error estimates (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -75,7 +78,7 @@ from .errors import (
     as_number,
 )
 
-# Radius below which the origin series supplies values; integration starts here.
+# Largest start radius of the mu = 1 solve (module docstring).
 R_SERIES = 1e-6
 # Abort threshold for any solution component (e^U overflows long after this).
 U_OVERFLOW = 50.0
@@ -154,7 +157,7 @@ def origin_series(spec: ProblemSpec, r: float):
 
     U_i(r) = alpha0_i - S_i r^(2 mu) / (2 mu)^2 + O(r^(4 mu)) with
     S_i = sum_j a_ij e^(alpha0_j). Rejected when the second term is no
-    longer small.
+    longer small. For r > 0 these are rows 0 and 1 of ``_series``.
     """
     r = as_number(r, "r")
     if r < 0.0:
@@ -167,36 +170,49 @@ def origin_series(spec: ProblemSpec, r: float):
             f"r = {r} is outside the origin-series validity range "
             f"(second term {scale:.3e} > 0.05)"
         )
-    values = spec.alpha0 - s_vec * r ** (2.0 * mu) / (2.0 * mu) ** 2
-    if r == 0.0:
-        if 2.0 * mu > 1.0:
-            derivs = np.zeros_like(values)
-        elif 2.0 * mu == 1.0:
-            derivs = -s_vec / (2.0 * mu)
-        else:
-            derivs = np.full_like(values, -np.inf)
+    if r > 0.0:
+        return tuple(_series(spec, r)[0][:2])
+    if 2.0 * mu > 1.0:
+        derivs = np.zeros(spec.n)
+    elif 2.0 * mu == 1.0:
+        derivs = -s_vec / (2.0 * mu)
     else:
-        derivs = -s_vec * r ** (2.0 * mu - 1.0) / (2.0 * mu)
-    return values, derivs
+        derivs = np.full(spec.n, -np.inf)
+    return spec.alpha0.copy(), derivs
 
 
-def _series_energy_seeds(spec: ProblemSpec, r0: float):
-    """Mass and log-weighted-mass integrals over [0, r0] from the series.
+def _series(spec: ProblemSpec, r: float, derivative: bool = False):
+    """The origin series at r > 0: rows U, dU/dr, mass, logmass, (4, n).
 
-    int_0^r0 t^(2mu-1) e^(U_i) dt and int_0^r0 log(t) t^(2mu-1) e^(U_i) dt
-    with e^(U_i) = e^(alpha0_i) (1 - S_i t^(2mu) / (2mu)^2 + ...).
+    U = alpha0 - S x / (2 mu)^2 with S = A e^(alpha0) and x = r^(2 mu); mass
+    and logmass integrate t^(2 mu - 1) e^(U) and log(t) t^(2 mu - 1) e^(U)
+    over [0, r] term by term. With ``derivative`` the second value is the
+    alpha0-derivative of the solver's seed (row 1 times r), (4n, n), else None.
     """
     mu = spec.singularity.mu
-    s_vec = spec.matrix.entries @ np.exp(spec.alpha0)
     e0 = np.exp(spec.alpha0)
+    s_vec = spec.matrix.entries @ e0
     b2, b4 = 2.0 * mu, 4.0 * mu
-    log_r0 = math.log(r0)
-    mass0 = e0 * (r0**b2 / b2 - s_vec / b2**2 * r0**b4 / b4)
-    logmass0 = e0 * (
-        r0**b2 * (log_r0 / b2 - 1.0 / b2**2)
-        - s_vec / b2**2 * r0**b4 * (log_r0 / b4 - 1.0 / b4**2)
-    )
-    return mass0, logmass0
+    x, x2, log_r = r**b2, r**b4, math.log(r)
+    rows = np.array([
+        spec.alpha0 - s_vec * x / b2**2,
+        # not dU/ds over r: at 2 mu = 2 and r = 1e-200 that underflows
+        -s_vec * r ** (b2 - 1.0) / b2,
+        e0 * (x / b2 - s_vec / b2**2 * x2 / b4),
+        e0 * (x * (log_r / b2 - 1.0 / b2**2)
+              - s_vec / b2**2 * x2 * (log_r / b4 - 1.0 / b4**2)),
+    ])
+    if not derivative:
+        return rows, None
+    ds = spec.matrix.entries * e0  # d S_i / d alpha0_j
+    c_mass = e0 * x2 / (b2**2 * b4)
+    c_log = e0 * x2 * (log_r / b4 - 1.0 / b4**2) / b2**2
+    return rows, np.vstack([
+        np.eye(spec.n) - ds * x / b2**2,
+        -ds * x / b2,
+        np.diag(rows[2]) - c_mass[:, None] * ds,
+        np.diag(rows[3]) - c_log[:, None] * ds,
+    ])
 
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as 13 stages,
@@ -307,23 +323,6 @@ def _step_basis() -> np.ndarray:
 _STEP_BASIS = _step_basis()
 
 
-def _series_sensitivity(spec: ProblemSpec, r0: float) -> np.ndarray:
-    """d(series state at the fixed radius r0)/d alpha0, shape (4n, n)."""
-    mu = spec.singularity.mu
-    e0 = np.exp(spec.alpha0)
-    ds = spec.matrix.entries * e0  # d S_i / d alpha0_j
-    b2, b4 = 2.0 * mu, 4.0 * mu
-    mass0, logmass0 = _series_energy_seeds(spec, r0)
-    c_mass = e0 * r0**b4 / (b2**2 * b4)
-    c_log = e0 * r0**b4 * (math.log(r0) / b4 - 1.0 / b4**2) / b2**2
-    return np.vstack([
-        np.eye(spec.n) - ds * r0**b2 / b2**2,
-        -ds * r0**b2 / b2,
-        np.diag(mass0) - c_mass[:, None] * ds,
-        np.diag(logmass0) - c_log[:, None] * ds,
-    ])
-
-
 class _Step:
     """The weight-form step of the solution from a state at s, in buffers made once.
 
@@ -371,7 +370,7 @@ class _Step:
         self.f[0::18] = self.f[12::18]  # FSAL: W_0, G_0 <- W_12, G_12
 
 
-def _carried_sensitivity(spec: ProblemSpec, r0: float, s, h, weights) -> np.ndarray:
+def _carried_sensitivity(spec: ProblemSpec, seed, s, h, weights) -> np.ndarray:
     """d(state at the last node)/d alpha0, (4n, n), from the accepted steps.
 
     Step k, from s_k with size h_k and stage weights w_l, maps the
@@ -392,7 +391,7 @@ def _carried_sensitivity(spec: ProblemSpec, r0: float, s, h, weights) -> np.ndar
     last, so that a combination of G rows is one dot over the W rows, the
     same for every step, and one with -A. The blocks' left halves
     L_k = [P_k; Q_k] are then chained by pairwise products,
-    L_b o L_a = L_b P_a + [0; Q_a], onto the series sensitivity at r0.
+    L_b o L_a = L_b P_a + [0; Q_a], onto the series sensitivity ``seed``.
     """
     n, k = spec.n, len(h)
     m = 2 * n
@@ -435,10 +434,7 @@ def _carried_sensitivity(spec: ProblemSpec, r0: float, s, h, weights) -> np.ndar
             steps[-2] = _compose(steps[-1:], steps[-2:-1])[0]
             steps = steps[:-1]
         steps = _compose(steps[1::2], steps[0::2])
-    sens = _series_sensitivity(spec, r0)
-    sens[m:] += steps[0, m:] @ sens[:m]
-    sens[:m] = steps[0, :m] @ sens[:m]
-    return sens
+    return np.vstack([steps[0, :m] @ seed[:m], seed[m:] + steps[0, m:] @ seed[:m]])
 
 
 def _compose(later, earlier):
@@ -522,9 +518,9 @@ def integrate(
     r_start = min(R_SERIES, target**0.5)
 
     s0, s_end = math.log(r_start), mu * math.log(r_max)
-    u0, du_dr0 = origin_series(unit, r_start)
-    mass0, logmass0 = _series_energy_seeds(unit, r_start)
-    step = _Step(unit, s0, [u0, du_dr0 * r_start, mass0, logmass0])
+    seed, seed_sens = _series(unit, r_start, sensitivity)
+    seed[1] *= r_start
+    step = _Step(unit, s0, seed)
     state, new = step.state, step.new
     err_rows = new[4:].reshape(2, 4, n)
     # the error norm's buffers: |state| before and after the step, the
@@ -591,7 +587,7 @@ def integrate(
 
     values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
     sens = _carried_sensitivity(
-        unit, r_start, np.array(nodes[:-1]), np.array(sizes), np.array(weights)
+        unit, seed_sens, np.array(nodes[:-1]), np.array(sizes), np.array(weights)
     ) if sensitivity else None
     profile = _rescale(
         RadialProfile(unit, np.array(nodes), values, dvalues, mass, logmass, sens), spec
@@ -659,5 +655,5 @@ def truncated_sigma(profile: RadialProfile, r: float) -> np.ndarray:
     if r == 0.0:
         return np.zeros(profile.n)
     if r < profile.r_first:
-        return _series_energy_seeds(profile.spec, r)[0]
+        return _series(profile.spec, r)[0][2]
     return _state_at(profile, r)[2]

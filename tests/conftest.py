@@ -166,11 +166,11 @@ def _dp5_integrate(spec, r_max, tol, sensitivity=False):
     if r_start ** (2.0 * mu) > target:
         r_start = max(target ** (1.0 / (2.0 * mu)), 1e-250)
     s0, s_end = math.log(r_start), math.log(r_max)
-    u0, du_dr0 = lv.origin_series(spec, r_start)
-    mass0, logmass0 = radial._series_energy_seeds(spec, r_start)
-    block = np.concatenate([u0, du_dr0 * r_start, mass0, logmass0])[:, None]
+    seed, seed_sens = radial._series(spec, r_start, sensitivity)
+    seed[1] *= r_start
+    block = seed.reshape(-1, 1)
     if sensitivity:
-        block = np.hstack([block, radial._series_sensitivity(spec, r_start)])
+        block = np.hstack([block, seed_sens])
     q = block.shape[1]
 
     basis = _dp5_step_basis()

@@ -135,7 +135,9 @@ def test_src_lines_per_side(tmp_path, monkeypatch):
     code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
                             "--seeds", "1", "--out", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["src_lines"] == {"parent": 2, "change": 2}
+    record = json.loads(out.read_text())
+    assert record["src_lines"] == {"parent": 2, "change": 2}
+    assert record["src_lines_net"] == 0
 
 
 @pytest.mark.parametrize("value, cached", [("1", False), ("", True), (None, True)])

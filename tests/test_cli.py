@@ -332,6 +332,26 @@ class TestLeading:
         )
         assert code == 3
 
+    def test_default_regime_without_regular_point(self, tmp_path):
+        # at the symmetric point (rho = 8 pi mu) with no regular point the Q
+        # expansion is empty, so the default regime is the general one
+        blowup = {
+            "points": [[0.5, 0.5]],
+            "gammas": [-0.5],
+            "rho": [4.0 * math.pi],
+            "h_fields": [{"type": "constant"}],
+            "D": [math.log(4.0)],
+            "alpha": [0.0],
+        }
+        code, out = run(tmp_path, "leading", {"matrix": [[1.0]], "blowup": blowup})
+        assert code == 0
+        payload = read_json(out, "leading.json")
+        assert payload["regime"] == "general"
+        blowup["regime"] = "general"
+        code, out = run(tmp_path, "leading", {"matrix": [[1.0]], "blowup": blowup})
+        assert code == 0
+        assert read_json(out, "leading.json")["prediction"] == payload["prediction"]
+
     def test_general_regime_stability_rows(self, tmp_path):
         code, out = run(
             tmp_path,

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import liouville as lv
 from liouville import radial
@@ -74,6 +74,40 @@ class TestOriginSeries:
         vals, derivs = lv.origin_series(spec, 0.0)
         np.testing.assert_array_equal(vals, spec.alpha0)
         np.testing.assert_array_equal(derivs, -(matrix12.entries @ np.exp(spec.alpha0)))
+
+    def test_derivative_at_positive_radius(self, matrix1, matrix12):
+        # dU/dr = -S r^(2 mu - 1) / (2 mu); at mu = 1 and r = 1e-200 it is
+        # -5e-201, where (dU/ds) / r would underflow to 0
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        _, derivs = lv.origin_series(spec, 1e-200)
+        assert math.isclose(derivs[0], -5e-201, rel_tol=1e-15)
+        spec = lv.ProblemSpec(
+            matrix12, lv.SingularityProfile(-0.25), np.array([0.0, -1.0])
+        )
+        s_vec = np.array([1.0 + 2.0 * math.exp(-1.0), 2.0 + math.exp(-1.0)])
+        _, derivs = lv.origin_series(spec, 1e-3)
+        np.testing.assert_allclose(derivs, -s_vec * 1e-3**0.5 / 1.5, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("r", [0.2, 0.1, 0.05, 0.025])
+    def test_energy_rows_against_f1(self, matrix1, r):
+        # e^U = 1 / (1 + R)^2 with R = r^2 / 8: the mass is 4 R / (1 + R) and
+        # the log-weighted mass log(r) mass - 2 log(1 + R), both checked by
+        # quad; the series leaves out 4 R^3 and R^3 (4 log r - 2/3)
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        rows = radial._series(spec, r)[0][:, 0]
+        big_r = r * r / 8.0
+        mass = 4.0 * big_r / (1.0 + big_r)
+        logmass = math.log(r) * mass - 2.0 * math.log1p(big_r)
+
+        def weight(t):
+            return t / (1.0 + t * t / 8.0) ** 2
+
+        for exact, integrand in ((mass, weight), (logmass, lambda t: math.log(t) * weight(t))):
+            integral = quad(integrand, 0.0, r, epsabs=0.0, epsrel=1e-13)[0]
+            assert integral == pytest.approx(exact, rel=1e-13)
+        assert (mass - rows[2]) / (4.0 * big_r**3) == pytest.approx(1.0, abs=0.01)
+        dropped = big_r**3 * (4.0 * math.log(r) - 2.0 / 3.0)
+        assert (logmass - rows[3]) / dropped == pytest.approx(1.0, abs=0.01)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, "x", -1.0])
     def test_rejects_bad_radius(self, matrix1, r):
@@ -186,8 +220,9 @@ def _dop853_final_state(spec, r0, r_max):
     """(U, dU/ds, mass, logmass) at r_max from scipy's DOP853 at rtol 1e-13,
     started from the origin series at r0."""
     n, mu, a_mat = spec.n, spec.singularity.mu, spec.matrix.entries
-    u0, du0 = lv.origin_series(spec, r0)
-    y0 = np.concatenate([u0, du0 * r0, *radial._series_energy_seeds(spec, r0)])
+    y0 = radial._series(spec, r0)[0]
+    y0[1] *= r0
+    y0 = y0.reshape(-1)
 
     def rhs(s, y):
         w = np.exp(2.0 * mu * s + y[:n])
@@ -334,9 +369,9 @@ class TestSensitivityReplay:
     @staticmethod
     def _replay(spec, grid):
         r0 = math.exp(grid[0])
-        u0, du_dr0 = lv.origin_series(spec, r0)
-        seeds = radial._series_energy_seeds(spec, r0)
-        step = radial._Step(spec, grid[0], [u0, du_dr0 * r0, *seeds])
+        seed = radial._series(spec, r0)[0]
+        seed[1] *= r0
+        step = radial._Step(spec, grid[0], seed)
         for s, s_next in zip(grid[:-1], grid[1:]):
             step.take(s, s_next - s)
             step.accept()

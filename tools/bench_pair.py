@@ -11,8 +11,8 @@ holds every run's metrics, the per-side medians and quartiles, how many
 seeds the change won on each metric, a verdict per metric (see
 ``verdicts``), the machine (CPU count, Python and numpy versions, and
 ``bytecode_cached``: false when PYTHONDONTWRITEBYTECODE is set, so every
-fresh process compiles ``src/`` again) and each side's ``src_lines``, the
-line count of its ``src/**/*.py``.
+fresh process compiles ``src/`` again), each side's ``src_lines``, the
+line count of its ``src/**/*.py``, and ``src_lines_net``, change minus parent.
 ``--claim METRIC`` also judges a claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
@@ -161,11 +161,13 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
+    lines = {side: src_lines(getattr(args, side)) for side in SIDES}
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
         "machine": machine(),
         "revisions": {side: revision(getattr(args, side)) for side in SIDES},
-        "src_lines": {side: src_lines(getattr(args, side)) for side in SIDES},
+        "src_lines": lines,
+        "src_lines_net": lines["change"] - lines["parent"],
         "workloads": {},
     }
     for workload in workloads:
