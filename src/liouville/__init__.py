@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .blowup import (
     BlowupConfiguration,
+    a_integral,
     b_coefficient,
     h_relation_residual,
     leading_term_Q,
@@ -48,7 +49,6 @@ from .fields import (
 from .green import (
     GStarMatrix,
     TorusGreen,
-    a_integral,
     green_eval,
     green_gradient,
     gstar_matrix,

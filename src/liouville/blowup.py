@@ -13,6 +13,30 @@ of the limiting radial profile. From these the module assembles:
 * the gradient conditions locating regular blowup points, with a damped
   Newton search (``newton``) for their zeros on the exact Hessians, and
 * the pairwise compatibility residuals of the coefficient fields.
+
+Which expansion applies is the configuration's ``regime``: "Q" when rho
+sits at Q and some blowup point is regular, "general" otherwise.
+
+Away from Q, D = sum_it B_it A_it, where B_it is a Green-function weight
+and A_it the delta0 -> 0 limit of the cell-domain integral ``a_integral``:
+over the Voronoi cell of p_t minus the ball of radius delta0, with
+P = (2 - m) mu_t and the log singularity of G(x, p_t) absorbed into the
+radial power r^(P - 2). Each sector between the cell's corner angles is a
+rectangle in (theta, tau), where v = r^P / P is linear in tau. One
+adaptive product Gauss-Kronrod cubature per sector evaluates G at all
+nodes of a panel, or of both halves of a bisected one, and all sources in
+one batch. Over an annulus a < r < b inside the cell the same substitution
+gives one rectangle [0, 2 pi] x [0, 1] with no corner breaks. So
+``leading_term_general`` integrates each cell once, at radius delta0, and
+gets the cell integral at delta0/2 by adding the annulus
+delta0/2 < r < delta0:
+
+    A(delta0/2) = A(delta0) + ((delta0/2)^P - delta0^P) / mu_t
+                  - (m - 2)/(2 pi) I(delta0/2, delta0),
+
+I being the integrand over the annulus, inside the cell since delta0 fits
+it. A(delta0) - A(0) falls off like delta0^(P + 2), and the limit is
+extrapolated from the two radii with that power.
 """
 
 from __future__ import annotations
@@ -32,18 +56,10 @@ from .errors import (
     as_array,
     as_count,
     as_fraction,
+    as_number,
 )
 from .fields import CoefficientField
-from .green import (
-    GStarMatrix,
-    TorusGreen,
-    _green,
-    _cell_integral,
-    _length,
-    cell_fit,
-    gstar_matrix,
-    wrap_displacement,
-)
+from .green import GStarMatrix, TorusGreen, _green, _length, gstar_matrix, wrap_displacement
 from .newton import damped_newton
 
 _TWO_PI = 2.0 * math.pi
@@ -118,6 +134,12 @@ class BlowupConfiguration:
         """Whether rho sits at the symmetric point (all masses equal 4)."""
         return bool(np.max(np.abs(self.frak.values - 4.0)) <= 4.0 * _Q_RTOL)
 
+    @property
+    def regime(self) -> str:
+        """The expansion that applies: "Q" at the symmetric point with a
+        regular blowup point, "general" otherwise."""
+        return "Q" if self.is_at_q() and self.regular_set else "general"
+
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
         t = as_count(t, "t", 0, self.n_points - 1)
@@ -184,6 +206,229 @@ def b_coefficient(config: BlowupConfiguration, i: int, t: int) -> float:
     return math.exp(float(config.D[i] - config.alpha[i])) * bracket
 
 
+# The cell-domain integral A_it (see the module docstring).
+
+# 15-point Gauss-Kronrod pair (QUADPACK constants).
+_XGK = np.array(
+    [
+        0.991455371120813,
+        0.949107912342759,
+        0.864864423359769,
+        0.741531185599394,
+        0.586087235467691,
+        0.405845151377397,
+        0.207784955007898,
+        0.0,
+    ]
+)
+_WGK = np.array(
+    [
+        0.022935322010529,
+        0.063092092629979,
+        0.104790010322250,
+        0.140653259715525,
+        0.169004726639267,
+        0.190350578064785,
+        0.204432940075298,
+        0.209482141084728,
+    ]
+)
+_WG = np.array(
+    [0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469]
+)
+# All 15 nodes on [-1, 1]; the Gauss weights are zero on the Kronrod-only ones.
+_NODES = np.concatenate([-_XGK, _XGK[6::-1]])
+_KRONROD = np.concatenate([_WGK, _WGK[6::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_WG, _WG[2::-1]])
+
+MAX_PANELS = 600
+# The relative error each sector's cubature in a_integral aims at.
+EPSREL = 1e-8
+
+
+def _nodes(lo: float, hi: float) -> np.ndarray:
+    """The 15 Gauss-Kronrod nodes on [lo, hi]."""
+    return 0.5 * (lo + hi + (hi - lo) * _NODES)
+
+
+def _panel(vals, box):
+    """Value, error and worse axis of a panel from f's K x K values on its nodes.
+
+    An axis's error is the value minus the rule with Gauss weights on it.
+    """
+    (a, b), (c, d) = box
+    vals = (0.25 * (b - a) * (d - c)) * vals
+    rows, cols = vals @ _KRONROD, _KRONROD @ vals
+    value = float(_KRONROD @ rows)
+    errs = abs(value - float(_GAUSS @ rows)), abs(value - float(cols @ _GAUSS))
+    return value, errs[0] + errs[1], int(errs[1] > errs[0]), box
+
+
+def _cubature(f, box):
+    """Globally adaptive product Gauss-Kronrod cubature over a rectangle.
+
+    f maps node vectors along the two axes to the grid of its values.
+    Bisects the panel with the largest error along its worse axis until the
+    summed error meets max(1e-13, EPSREL |total|); both halves take one
+    call of f, on the bisected axis's 30 nodes. Returns the total and the
+    number of panels evaluated: one, and two more per bisection, so f is
+    called (panels + 1) / 2 times.
+    """
+    panels = [_panel(f(_nodes(*box[0]), _nodes(*box[1])), box)]
+    while True:
+        total = sum(p[0] for p in panels)
+        err = sum(p[1] for p in panels)
+        if err <= max(1e-13, EPSREL * abs(total)):
+            return total, 2 * len(panels) - 1
+        if len(panels) >= MAX_PANELS:
+            raise GeometryError(
+                f"quadrature did not converge: error {err:.3e} "
+                f"with {MAX_PANELS} panels"
+            )
+        worst = max(range(len(panels)), key=lambda k: panels[k][1])
+        _, _, axis, box = panels.pop(worst)
+        lo, hi = box[axis]
+        halves = (lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)
+        grid = [_nodes(*box[0]), _nodes(*box[1])]
+        grid[axis] = np.concatenate([_nodes(*half) for half in halves])
+        for half, vals in zip(halves, np.split(f(*grid), 2, axis=axis)):
+            panels.append(_panel(vals, (half, box[1]) if axis == 0 else (box[0], half)))
+
+
+def _cell_geometry(geom: TorusGreen, points: np.ndarray, t: int):
+    """Half-plane data of the Voronoi cell of points[t] among all images."""
+    shifts = np.array([(a * geom.lx, b * geom.ly) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    vecs = (points[:, None, :] + shifts - points[t]).reshape(-1, 2)
+    vecs = np.delete(vecs, 9 * t + 4, axis=0)  # p_t itself, with no shift
+    dists = 0.5 * np.hypot(vecs[:, 0], vecs[:, 1])
+    phis = np.arctan2(vecs[:, 1], vecs[:, 0])
+    return dists, phis
+
+
+def _cell_radius(dists, phis, theta):
+    """Distance from the cell center to the boundary along direction theta."""
+    cosines = np.cos(np.subtract.outer(theta, phis))
+    with np.errstate(divide="ignore"):
+        candidates = np.where(cosines > 1e-12, dists / cosines, np.inf)
+    return candidates.min(axis=-1)
+
+
+def _cell_corner_angles(dists, phis):
+    """Polar angles of the cell's vertices, sorted and distinct.
+
+    The vertices are the pairwise intersections of the bisector lines
+    x . (cos phi, sin phi) = dist that satisfy every half-plane.
+    """
+    normals = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
+    i, j = np.triu_indices(len(dists), k=1)
+    det = normals[i, 0] * normals[j, 1] - normals[i, 1] * normals[j, 0]
+    crossing = np.abs(det) > 1e-12
+    i, j, det = i[crossing], j[crossing], det[crossing]
+    x = (dists[i] * normals[j, 1] - dists[j] * normals[i, 1]) / det
+    y = (dists[j] * normals[i, 0] - dists[i] * normals[j, 0]) / det
+    inside = np.all(normals @ np.stack([x, y]) <= dists[:, None] + 1e-12, axis=0)
+    angles = np.sort(np.mod(np.arctan2(y[inside], x[inside]), _TWO_PI))
+    # several bisectors can meet in one vertex; keep one angle per vertex
+    gaps = np.diff(angles, append=angles[0] + _TWO_PI)
+    return angles[gaps > 1e-12].tolist()
+
+
+def cell_fit(config: BlowupConfiguration, t: int, delta0):
+    """delta0, checked to fit in the cell of point t, and that cell's half-planes."""
+    delta0 = as_number(delta0, "delta0")
+    if delta0 <= 0.0:
+        raise InputError(f"delta0 must be positive, got {delta0}")
+    dists, phis = _cell_geometry(config.geometry, config.points, t)
+    if delta0 >= float(dists.min()):
+        raise GeometryError(
+            f"delta0 = {delta0} does not fit inside the cell of point {t} "
+            f"(inradius {float(dists.min()):.6f})"
+        )
+    return delta0, dists, phis
+
+
+def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
+    """A(r_lo) of a_integral, or A(r_lo) - A(r_hi), and the panels evaluated.
+
+    With r_hi None the domain is the Voronoi cell of p_t, whose half-planes
+    ``planes`` are (dists, phis) from ``cell_fit``, minus the ball of radius
+    r_lo; with r_hi, it is the annulus r_lo < |x - p_t| < r_hi, which must
+    lie in the cell. Each sector between corner angles (one sector,
+    [0, 2 pi], for the annulus) is the box [lo, hi] x [0, 1] in
+    (theta, tau), with v = r^P / P (P = (2 - m) mu_t, nonzero) linear in
+    tau from r_lo^P / P to R(theta)^P / P, R the cell boundary or r_hi.
+    """
+    dists, phis = planes
+    geom = config.geometry
+    points = config.points
+    mus = config.mus
+    fm = config.frak.minimum
+    mu_t = float(mus[t])
+    power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
+    gstar_t = float(mus @ config.gstar.values[t])
+    field = config.h_fields[i]
+    p_t = points[t]
+    h_ref = float(field.value(p_t))
+    v_lo = r_lo**power / power
+
+    def integrand(theta, tau):
+        if r_hi is None:
+            r_out = _cell_radius(dists, phis, theta)
+        else:
+            r_out = np.full_like(theta, r_hi)
+        v_span = r_out**power / power - v_lo
+        r = (power * (v_lo + np.outer(v_span, tau))) ** (1.0 / power)
+        ray = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        x = p_t + r[..., None] * ray[:, None]
+        # all nodes and sources at once; within the cell the wrapped distance
+        # to p_t is r itself, so the log term leaves the regular part there
+        acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
+        acc += mu_t * np.log(r) / _TWO_PI
+        ratio = field.value(x) / h_ref
+        return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))
+
+    corners = _cell_corner_angles(dists, phis) if r_hi is None else ()
+    breaks = sorted({0.0, _TWO_PI, *corners})
+    sectors = [
+        _cubature(integrand, ((lo, hi), (0.0, 1.0)))
+        for lo, hi in zip(breaks[:-1], breaks[1:])
+        if hi - lo >= 1e-13
+    ]
+    total = sum(value for value, _ in sectors)
+    if r_hi is None:
+        ends = r_lo**power / mu_t
+    else:
+        ends = (r_lo**power - r_hi**power) / mu_t
+    return ends - (fm - 2.0) / _TWO_PI * total, sum(n for _, n in sectors)
+
+
+def a_integral(config: BlowupConfiguration, i: int, t: int, delta0: float) -> float:
+    """Cell-domain coefficient of the leading-term expansion.
+
+    delta0^(mu_t (2 - m)) / mu_t minus (m - 2)/(2 pi) times the integral,
+    over the Voronoi cell of p_t minus the ball of radius delta0, of
+
+        |x - p_t|^((2 - m) mu_t - 2) (h_i(x) / h_i(p_t))
+        * exp(2 pi m [mu_t gamma(x, p_t) + sum_{l != t} mu_l G(x, p_l)
+                      - sum_l mu_l Gstar(p_t, p_l)]),
+
+    where m is the minimal normalized mass of the configuration and the
+    log singularity of G(x, p_t) has been absorbed into the radial power.
+    The integral is ``_cell_integral`` over the cell, whose sectors'
+    cubatures each aim at the relative error ``EPSREL``. At m = 2 the
+    integral has weight zero and A is 1 / mu_t. ``leading_term_general``
+    gets A(delta0) from the same helper and A(delta0/2) by adding the
+    annulus delta0/2 < |x - p_t| < delta0, so it does not call this.
+    """
+    i = as_count(i, "i", 0, config.n - 1)
+    t = as_count(t, "t", 0, config.n_points - 1)
+    delta0, *planes = cell_fit(config, t, delta0)
+    if config.frak.minimum == 2.0:
+        return 1.0 / float(config.mus[t])
+    return _cell_integral(config, i, t, planes, delta0)[0]
+
+
 @dataclass(frozen=True)
 class LeadingTermGeneral:
     """Leading coefficient away from the symmetric point, with diagnostics."""
@@ -204,23 +449,16 @@ def leading_term_general(
     """Leading coefficient D and the predicted surface gap away from Q.
 
     D sums B_it times the delta0 -> 0 limit of the cell-domain integrals
-    A_it over the minimizing components and all points. The limit is
-    extrapolated from A(delta0) and A(delta0/2) with the known leading
-    power. Each cell is integrated once: with P = (2 - m) mu_t,
-
-        A(delta0/2) = A(delta0) + ((delta0/2)^P - delta0^P) / mu_t
-                      - (m - 2)/(2 pi) I(delta0/2, delta0),
-
-    where I is the same integrand over the annulus between the two radii,
-    inside the cell since delta0 fits it. The prediction is
-    D eps_k^(m - 2) / n_L.
+    A_it over the minimizing components and all points, each cell
+    integrated once and extrapolated as the module docstring describes.
+    The prediction is D eps_k^(m - 2) / n_L.
     """
     eps_k = as_fraction(eps_k, "eps_k")
     fm = config.frak.minimum
     if fm <= 2.0:
         raise DomainError(f"minimal normalized mass must exceed 2, got {fm}")
     _require_on_surface(config)
-    if config.is_at_q() and config.regular_set:
+    if config.regime == "Q":
         raise WrongRegimeError(
             "rho is at the symmetric point with regular blowup points; "
             "use leading_term_Q"
@@ -267,13 +505,11 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
     -4 sum_i sum_{t regular} b_it eps_k^2 log(1/eps_k); requires all
     normalized masses to equal 4 and at least one regular point.
     """
-    if not config.is_at_q():
-        raise WrongRegimeError(
-            "rho is away from the symmetric point; use leading_term_general"
-        )
-    if not config.regular_set:
+    if config.regime != "Q":
         raise WrongRegimeError(
             "no regular blowup point: the symmetric-point expansion is empty"
+            if config.is_at_q()
+            else "rho is away from the symmetric point; use leading_term_general"
         )
     eps_k = as_fraction(eps_k, "eps_k")
     total = sum(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -149,11 +150,16 @@ class _Out:
     """Output sink: resolves paths, embeds config + version everywhere."""
 
     def __init__(self, out_dir: str, cfg: dict, quiet: bool):
+        self.prefix = cfg.get("output", {}).get("prefix", "")
+        if not isinstance(self.prefix, str) or {os.sep, "/", "\0"} & set(self.prefix):
+            raise ConfigError(f"output.prefix must name no directory, got {self.prefix!r}")
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
         self.cfg = cfg
         self.quiet = quiet
-        self.prefix = cfg.get("output", {}).get("prefix", "")
 
     def path(self, name: str) -> Path:
         return self.dir / f"{self.prefix}{name}"
@@ -358,7 +364,7 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
     config, sub = _blowup_from(cfg)
     # echoed as given: the leading-term functions reject all but floats in (0, 1)
     eps_k = sub.get("eps_k", 1e-3)
-    regime = sub.get("regime", "Q" if config.is_at_q() and config.regular_set else "general")
+    regime = sub.get("regime", config.regime)
     payload: dict = {
         "regime": regime,
         "eps_k": eps_k,

@@ -31,7 +31,10 @@ _TAIL_MAX_ITER = 100
 # m_min within this many mu of the integrability threshold 2 mu makes the
 # tail model unreliable (the remainder exponents degenerate).
 _NEAR_BOUNDARY_MARGIN = 0.01
-# The flux -r U_i' at r_max must be this close to its limit m_i.
+# The flux -r U_i' at r_max must be this close to its limit m_i. Since
+# -r U'(r_max) = A sigma(r_max) exactly, the gap m - flux at the converged
+# closure is A (tail / gap), the tail model's own share of m: this bounds
+# how much of m the tail model supplies, not how wrong the model is.
 _FLUX_GAP_MAX = 1e-3
 
 

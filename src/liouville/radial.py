@@ -87,6 +87,8 @@ U_OVERFLOW = 50.0
 MAX_STEPS = 100_000
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-4
+# The r_max and tol of integrate, alpha_to_sigma and invert_sigma when not given.
+DEFAULT_R_MAX, DEFAULT_TOL = 1e4, 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,8 +472,8 @@ def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) ->
 
 def integrate(
     spec: ProblemSpec,
-    r_max: float = 1e4,
-    tol: float = 1e-10,
+    r_max: float = DEFAULT_R_MAX,
+    tol: float = DEFAULT_TOL,
     sensitivity: bool = False,
 ) -> RadialProfile:
     """Integrate the system from the origin series out to r_max.

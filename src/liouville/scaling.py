@@ -27,6 +27,9 @@ from .energy import SolutionSummary, extract_summary
 from .errors import DomainError, InputError, as_number
 from .radial import RadialProfile, _rescale
 
+# e^x is finite exactly for x <= this (709.78...).
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class ScalingHeights:
@@ -48,7 +51,11 @@ class ScalingHeights:
 
 
 def height_match(M_p: float, M_q: float, mu_p: float, mu_q: float) -> ScalingHeights:
-    """Dilation eta with 2 mu_p log eta = mu_p M_p - mu_q M_q - 2 log(mu_p/mu_q)."""
+    """Dilation eta with 2 mu_p log eta = mu_p M_p - mu_q M_q - 2 log(mu_p/mu_q).
+
+    The transforms take e^(-M/2) and e^(M/2) of both heights, and eta, so
+    each must be a finite positive float; otherwise an InputError.
+    """
     M_p, M_q = as_number(M_p, "M_p"), as_number(M_q, "M_q")
     mu_p, mu_q = as_number(mu_p, "mu_p"), as_number(mu_q, "mu_q")
     for name, mu in (("mu_p", mu_p), ("mu_q", mu_q)):
@@ -57,6 +64,11 @@ def height_match(M_p: float, M_q: float, mu_p: float, mu_q: float) -> ScalingHei
     log_eta = (
         mu_p * M_p - mu_q * M_q - 2.0 * math.log(mu_p / mu_q)
     ) / (2.0 * mu_p)
+    # e^(|M|/2) finite makes e^(-|M|/2) positive
+    checks = {f"M_p = {M_p}": abs(M_p) / 2.0, f"M_q = {M_q}": abs(M_q) / 2.0, "eta": log_eta}
+    for what, x in checks.items():
+        if x > _LOG_FLOAT_MAX or math.exp(x) == 0.0:
+            raise InputError(f"{what} is out of range: e^({x:.6g}) is not a finite positive float")
     return ScalingHeights(M_p=M_p, M_q=M_q, mu_p=mu_p, mu_q=mu_q, eta=math.exp(log_eta))
 
 
@@ -141,7 +153,8 @@ def bubble_distance(
     """|sigma_i / mu_p - sigma_i / mu_q| per component.
 
     When heights are supplied the reference scale eps_p^(m_min - 2 mu_p)
-    of the p-side bubble is attached for comparison.
+    of the p-side bubble is attached for comparison; an InputError names
+    M_p when that power overflows (eps_p > 1, a negative height).
     """
     if summary_p.n != summary_q.n:
         raise InputError("summaries have different component counts")
@@ -150,5 +163,8 @@ def bubble_distance(
     )
     scale = None
     if heights is not None:
-        scale = heights.eps_p ** (summary_p.m_min - 2.0 * summary_p.mu)
+        try:
+            scale = heights.eps_p ** (summary_p.m_min - 2.0 * summary_p.mu)
+        except OverflowError:
+            raise InputError(f"M_p = {heights.M_p}: eps_p^(m_min - 2 mu_p) overflows") from None
     return BubbleComparison(distances=distances, reference_scale=scale)

@@ -21,7 +21,7 @@ from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
 from .errors import InputError, as_array
 from .newton import damped_newton
-from .radial import ProblemSpec, integrate
+from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, integrate
 
 _ALPHA_BOUND = 30.0
 _SIGMA_TOL = 1e-9
@@ -55,8 +55,8 @@ def alpha_to_sigma(
     matrix: CoefficientMatrix,
     singularity: SingularityProfile,
     reduced_alpha,
-    r_max: float = 1e4,
-    tol: float = 1e-10,
+    r_max: float = DEFAULT_R_MAX,
+    tol: float = DEFAULT_TOL,
     jacobian: bool = False,
 ) -> ShootingPoint:
     """Integrate with initial values (0, alpha_2, ..., alpha_n), return sigma.
@@ -85,8 +85,8 @@ def invert_sigma(
     singularity: SingularityProfile,
     target_reduced_sigma,
     guess=None,
-    r_max: float = 1e4,
-    tol: float = 1e-10,
+    r_max: float = DEFAULT_R_MAX,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Recover reduced initial values whose energies hit the target.
 

@@ -140,6 +140,38 @@ def test_src_lines_per_side(tmp_path, monkeypatch):
     assert record["src_lines_net"] == 0
 
 
+def test_code_lines_ignore_docstring_edits(tmp_path, monkeypatch):
+    # a docstring-only edit changes src_lines but not src_code_lines
+    parent = (
+        '"""Module."""\n\nX = 1  # one\n\n\nclass C:\n    """Short."""\n\n'
+        '    def f(self):\n        """Short."""\n        # a comment\n        return X\n'
+    )
+    change = parent.replace('"""Short."""', '"""Short,\n    now longer."""')
+    for side, text in (("parent", parent), ("change", change)):
+        path = tmp_path / side / "src" / "pkg" / "m.py"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    runs = _runs(PARENT[:1], PARENT[:1])[0]
+    calls = iter([runs["parent"], runs["change"]])
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
+    out = tmp_path / "bench.json"
+    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                     "--seeds", "1", "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert record["src_lines"] == {"parent": 12, "change": 14}
+    # X = 1, class C:, def f(self):, return X
+    assert record["src_code_lines"] == {"parent": 4, "change": 4}
+    assert record["src_code_lines_net"] == 0
+
+
+def test_code_lines_count_strings_that_are_not_docstrings():
+    # a string assigned or passed spans code lines; a docstring does not
+    source = 'def f():\n    """Doc."""\n    s = """a\nb"""\n    return g(\n        s,\n    )\n'
+    assert bench_pair.code_lines(source) == 7 - 1  # seven lines, less the docstring
+
+
 @pytest.mark.parametrize("value, cached", [("1", False), ("", True), (None, True)])
 def test_machine_records_bytecode_caching(monkeypatch, value, cached):
     # the runs inherit the environment; an empty value writes bytecode too

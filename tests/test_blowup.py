@@ -60,6 +60,25 @@ class TestConfiguration:
         assert make_config().regular_set == (0,)
         assert singular_point_config.regular_set == ()
 
+    def test_regime(self, singular_point_config):
+        # "Q" only at the symmetric point with a regular point; a singular
+        # source alone at Q (mass 4 at level 1/2) takes the general expansion
+        singular_at_q = make_config(
+            strengths=(lv.SingularityProfile(-0.5),), rho=[4.0 * math.pi]
+        )
+        assert singular_at_q.is_at_q() and not singular_at_q.regular_set
+        off_q = make_config(rho=[7.0 * math.pi])
+        assert make_config().regime == "Q"
+        for cfg in (singular_at_q, singular_point_config, off_q):
+            assert cfg.regime == "general"
+        # leading_term_Q refuses the general regime with the reason
+        with pytest.raises(WrongRegimeError, match="no regular blowup point"):
+            lv.leading_term_Q(singular_at_q, 1e-3)
+        with pytest.raises(WrongRegimeError, match="away from the symmetric point"):
+            lv.leading_term_Q(off_q, 1e-3)
+        with pytest.raises(WrongRegimeError, match="use leading_term_Q"):
+            lv.leading_term_general(make_config(), 0.01, 1e-3)
+
     def test_validation(self):
         with pytest.raises(InputError):
             make_config(curvature=[0.0, 0.0])
@@ -287,9 +306,9 @@ class TestLeadingTermGeneral:
         # the same cells integrated in full at delta0 and at delta0/2
         two_full = 0
         for i, t, *_ in out.cell_terms:
-            _, *planes = green.cell_fit(cfg, t, 0.01)
+            _, *planes = blowup.cell_fit(cfg, t, 0.01)
             for delta0 in (0.01, 0.005):
-                two_full += green._cell_integral(cfg, i, t, planes, delta0)[1]
+                two_full += blowup._cell_integral(cfg, i, t, planes, delta0)[1]
         assert out.panels <= 0.55 * two_full
 
     @pytest.mark.parametrize(

@@ -642,3 +642,70 @@ def test_cold_start_imports_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+class TestOutputPaths:
+    """A bad output prefix or directory exits 2 before any command runs."""
+
+    @pytest.fixture
+    def no_command(self, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "solve", lambda *a: pytest.fail("command ran"))
+
+    @pytest.mark.parametrize("prefix", ["sub/", 7, None, ["a"], "a\0b"])
+    def test_bad_prefix(self, tmp_path, capsys, no_command, prefix):
+        cfg = {**BASES["solve"], "output": {"prefix": prefix}}
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 2
+        assert "output.prefix" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_names_a_file(self, tmp_path, capsys, no_command):
+        target = tmp_path / "taken"
+        target.write_text("")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(BASES["solve"]))
+        code = cli.main(["solve", "--config", str(path), "--out", str(target), "--quiet"])
+        assert code == 2
+        assert "cannot make output directory" in capsys.readouterr().err
+
+    def test_prefix_names_the_files(self, tmp_path):
+        cfg = {**BASES["solve"], "output": {"prefix": "run1_"}}
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run1_profile.csv", "run1_summary.json", "run1_tail_table.csv"
+        ]
+
+
+@pytest.mark.parametrize(
+    "heights, said",
+    [
+        ({"M_p": 2000.0, "M_q": 1.0}, "M_p = 2000.0"),
+        ({"M_p": 1.0, "M_q": 3000.0}, "M_q = 3000.0"),
+        ({"M_p": 1400.0, "M_q": -1400.0}, "eta"),
+        ({"M_p": -1000.0, "M_q": 1000.0}, "eta"),
+    ],
+)
+def test_compare_heights_out_of_range_exit_2(tmp_path, capsys, monkeypatch, heights, said):
+    # rejected before the solve: no traceback, no zero eta
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("solved"))
+    cfg = copy.deepcopy(BASES["compare"])
+    cfg["compare"].update(heights)
+    code, _ = run(tmp_path, "compare", cfg)
+    assert code == 2
+    assert said in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "heights",
+    [
+        {"mu_p": 1.0, "M_p": 1419.0, "M_q": 1419.0},  # |M|/2 just below 709.78
+        {"mu_p": 0.01, "M_p": 0.0, "M_q": 45.2},  # log eta = -738.8
+    ],
+)
+def test_compare_heights_just_inside(tmp_path, heights):
+    cfg = copy.deepcopy(BASES["compare"])
+    cfg["compare"].update(heights)
+    code, out = run(tmp_path, "compare", cfg)
+    assert code == 0
+    assert 0.0 < read_json(out, "compare.json")["eta"] < math.inf

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import liouville as lv
+from liouville.energy import _TAIL_ATOL
 from liouville.errors import ExtractionError, InputError, OutOfRangeError
+from test_radial import MATRICES
 
 LOG64 = math.log(64.0)
 
@@ -107,6 +109,31 @@ class TestExtractSummary:
         assert set(summary.to_dict()) == {
             "sigma", "m", "D", "alpha", "mu", "m_min", "pohozaev_residual"
         }
+
+    @pytest.mark.parametrize("n, solved", [(1, 18), (2, 16), (3, 16)])
+    def test_flux_gap_is_the_tail_share(self, n, solved):
+        # -r U'(r_max) = A sigma(r_max), so at the converged closure the flux
+        # gap is max |A (tail / gap)|: the tail model's share of m, to the
+        # closure's tolerance. The gamma = -0.9 solves that do not settle
+        # raise ExtractionError and are counted out.
+        matrix = lv.CoefficientMatrix.from_entries(MATRICES[n])
+        checked = 0
+        for gamma in (0.0, -0.25, -0.5, -0.9, -0.99):
+            rng = np.random.default_rng(100 * n + int(-4 * gamma))
+            alpha0 = rng.uniform(-2.0, 0.0, size=n)
+            spec = lv.ProblemSpec(matrix, lv.SingularityProfile(gamma), alpha0 - alpha0.max())
+            for r_max in (1e4, 1e8):
+                for tol in (1e-10, 1e-6):
+                    try:
+                        summary = lv.extract_summary(lv.integrate(spec, r_max, tol))
+                    except ExtractionError:
+                        continue
+                    gap = summary.m - 2.0 * summary.mu
+                    tail = np.exp(summary.D - summary.alpha - gap * math.log(r_max))
+                    share = float(np.max(np.abs(matrix.entries @ (tail / gap))))
+                    assert abs(summary.flux_gap - share) <= _TAIL_ATOL
+                    checked += 1
+        assert checked == solved
 
     def test_deterministic(self, f3_profile):
         a = lv.extract_summary(f3_profile)

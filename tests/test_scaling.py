@@ -37,6 +37,47 @@ class TestHeightMatch:
             lv.height_match(math.inf, 1.0, 1.0, 0.5)
 
 
+class TestHeightRange:
+    """e^(M/2), e^(-M/2) and eta must be finite positive floats."""
+
+    @pytest.mark.parametrize(
+        "args, said",
+        [
+            ((2000.0, 1.0, 1.0, 0.5), "M_p = 2000.0"),  # e^(M_p/2) overflows
+            ((1.0, 3000.0, 1.0, 0.5), "M_q = 3000.0"),  # so would eta's 0
+            ((1420.0, 1420.0, 1.0, 1.0), "M_p = 1420.0"),
+            ((-1420.0, 0.0, 1.0, 1.0), "M_p = -1420.0"),  # e^(-M_p/2) overflows
+            ((0.0, -1420.0, 1.0, 1.0), "M_q = -1420.0"),
+            ((710.0, -710.0, 1.0, 1.0), "eta"),  # log eta = 710
+            ((-750.0, 750.0, 1.0, 1.0), "eta"),  # eta underflows to 0
+            ((0.0, 100.0, 0.01, 0.5), "eta"),
+        ],
+    )
+    def test_rejected(self, args, said):
+        with pytest.raises(InputError, match=said):
+            lv.height_match(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1419.0, 1419.0, 1.0, 1.0),  # |M|/2 just below log(max float) = 709.78
+            (-1419.0, -1419.0, 1.0, 1.0),
+            (709.0, -709.0, 1.0, 1.0),  # log eta = 709
+            (-740.0, 740.0, 1.0, 1.0),  # log eta = -740, a subnormal eta
+        ],
+    )
+    def test_just_inside(self, args):
+        h = lv.height_match(*args)
+        for value in (h.eta, h.eps_p, h.eps_q, 1.0 / h.eps_p, 1.0 / h.eps_q):
+            assert 0.0 < value < math.inf
+
+    def test_reference_scale_overflow(self, f1_summary):
+        # eps_p = e^370 is a float, but eps_p^(m_min - 2 mu) = e^740 is not
+        heights = lv.height_match(-740.0, 740.0, 1.0, 1.0)
+        with pytest.raises(InputError, match="M_p = -740.0: eps_p"):
+            lv.bubble_distance(f1_summary, f1_summary, heights)
+
+
 class TestMuTransform:
     def test_identity(self, f2_profile):
         same = lv.mu_transform(f2_profile, 0.5)

@@ -164,3 +164,17 @@ class TestSwapEquivariance:
         np.testing.assert_allclose(
             sigma_ab, sigma_ba[[0, 2, 1]], rtol=1e-9, atol=1e-11
         )
+
+
+def test_solver_defaults_named_once():
+    # integrate, alpha_to_sigma and invert_sigma default to the same r_max
+    # and tol, named in radial
+    from inspect import signature
+
+    from liouville import radial
+
+    assert (radial.DEFAULT_R_MAX, radial.DEFAULT_TOL) == (1e4, 1e-10)
+    for fn in (lv.integrate, lv.alpha_to_sigma, lv.invert_sigma):
+        params = signature(fn).parameters
+        assert params["r_max"].default is radial.DEFAULT_R_MAX
+        assert params["tol"].default is radial.DEFAULT_TOL

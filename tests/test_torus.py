@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 import liouville as lv
-from liouville import green
+from liouville import blowup, green
 from liouville.errors import GeometryError, InputError, SingularityError
-from liouville.green import _cell_corner_angles, _cell_geometry
+from liouville.blowup import _cell_corner_angles, _cell_geometry
 
 # Frozen from the earlier Fourier-mode form once doubling its mode count moved
 # it by less than 1e-10; the image sum in green.py agrees to 1e-16.
@@ -416,6 +416,33 @@ class TestGeometryValidation:
             with pytest.raises(InputError, match="lx"):
                 lv.TorusGreen(lx)
 
+    # The extreme sides TorusGreen accepts: past them 3 pi max(lx, 1/lx)^2,
+    # the nearest images' scale in the kernel, overflows.
+    LX_EDGES = (2.2896957801606944e-154, 4.36739242245456e153)
+
+    def test_rejects_sides_past_the_finite_kernel(self):
+        lo, hi = self.LX_EDGES
+        outside = (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), 1e-154, 1e154, 5e-324)
+        for lx in outside:
+            with pytest.raises(InputError, match="out of range"):
+                lv.TorusGreen(lx)
+
+    @pytest.mark.parametrize("lx", [*LX_EDGES, 1e-150, 1e150])
+    def test_finite_just_inside(self, lx):
+        # warnings are errors: no intermediate overflows either, on points
+        # that reach |u| = 1/2 and |b| = 1/2
+        geom = lv.TorusGreen(lx)
+        periods = np.array([geom.lx, geom.ly])
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.random((64, 2)), [[0.5, 0.5], [0.5, 0.2], [0.2, 0.5]]]) * periods
+        x = x[lv.torus_distance(geom, x, np.zeros(2)) > 1e-8]
+        w = green.wrap_displacement(geom, x)
+        for order in (0, 1, 2):
+            assert np.all(np.isfinite(green._green(geom, w, order)))
+        assert np.all(np.isfinite(lv.green_eval(geom, x, np.zeros(2))))
+        assert math.isfinite(lv.regular_part(geom, np.zeros(2))[0])
+        assert np.all(np.isfinite(lv.gstar_matrix(geom, x[:4]).values))
+
 
 class TestGStarMatrix:
     def test_single_point(self, geometry):
@@ -531,9 +558,9 @@ class TestAIntegral:
 
     def test_quadrature_refinement_stable(self, singular_point_config, monkeypatch):
         cfg = singular_point_config
-        monkeypatch.setattr(green, "EPSREL", 1e-6)
+        monkeypatch.setattr(blowup, "EPSREL", 1e-6)
         coarse = lv.a_integral(cfg, 0, 0, 0.05)
-        monkeypatch.setattr(green, "EPSREL", 1e-9)
+        monkeypatch.setattr(blowup, "EPSREL", 1e-9)
         fine = lv.a_integral(cfg, 0, 0, 0.05)
         assert abs(coarse - fine) < 1e-5
 
@@ -625,7 +652,7 @@ class TestAIntegral:
         # of each bisection, (panels + 1) / 2 per sector: 28 calls for the 51
         # panels of one call per panel, against 1,699 calls for the former
         # per-ray quadrature
-        kernel, cubature = green._green, green._cubature
+        kernel, cubature = blowup._green, blowup._cubature
         calls, sectors = [], []
 
         def counted(f, box):
@@ -634,15 +661,15 @@ class TestAIntegral:
             return total, panels
 
         monkeypatch.setattr(
-            green, "_green", lambda *a, **k: calls.append(1) or kernel(*a, **k)
+            blowup, "_green", lambda *a, **k: calls.append(1) or kernel(*a, **k)
         )
-        monkeypatch.setattr(green, "_cubature", counted)
+        monkeypatch.setattr(blowup, "_cubature", counted)
         lv.a_integral(singular_point_config, 0, 0, 0.005)
         assert sectors == [9, 11, 11, 11, 9]
         assert len(calls) == sum((n + 1) // 2 for n in sectors) == 28
 
     def test_panel_bound(self, singular_point_config, monkeypatch):
-        monkeypatch.setattr(green, "MAX_PANELS", 3)
+        monkeypatch.setattr(blowup, "MAX_PANELS", 3)
         with pytest.raises(GeometryError, match="3 panels"):
             lv.a_integral(singular_point_config, 0, 0, 0.005)
 

@@ -12,7 +12,9 @@ seeds the change won on each metric, a verdict per metric (see
 ``verdicts``), the machine (CPU count, Python and numpy versions, and
 ``bytecode_cached``: false when PYTHONDONTWRITEBYTECODE is set, so every
 fresh process compiles ``src/`` again), each side's ``src_lines``, the
-line count of its ``src/**/*.py``, and ``src_lines_net``, change minus parent.
+line count of its ``src/**/*.py``, and ``src_lines_net``, change minus parent;
+``src_code_lines`` and ``src_code_lines_net`` count only the lines that hold
+code, so moved code and docstring edits do not read as a change in size.
 ``--claim METRIC`` also judges a claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
@@ -21,15 +23,21 @@ library only.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Tokens that are not code: comments and the layout of lines and blocks.
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -134,6 +142,31 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
+def code_lines(source: str) -> int:
+    """Lines of Python source that hold code: not blank, a comment or a docstring.
+
+    A line counts when a token other than a comment or layout starts or
+    spans it; the lines of a module, class or function docstring do not.
+    """
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            lines.difference_update(range(body[0].lineno, body[0].end_lineno + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: Path) -> int:
+    """``code_lines`` summed over the checkout's src/**/*.py."""
+    return sum(code_lines(path.read_text()) for path in (checkout / "src").rglob("*.py"))
+
+
 def revision(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=False)
@@ -162,12 +195,15 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
     lines = {side: src_lines(getattr(args, side)) for side in SIDES}
+    code = {side: src_code_lines(getattr(args, side)) for side in SIDES}
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
         "machine": machine(),
         "revisions": {side: revision(getattr(args, side)) for side in SIDES},
         "src_lines": lines,
         "src_lines_net": lines["change"] - lines["parent"],
+        "src_code_lines": code,
+        "src_code_lines_net": code["change"] - code["parent"],
         "workloads": {},
     }
     for workload in workloads:
