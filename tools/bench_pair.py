@@ -38,6 +38,8 @@ SIDES = ("parent", "change")
 # Tokens that are not code: comments and the layout of lines and blocks.
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENDMARKER}
+# The nodes that can carry a docstring.
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -153,12 +155,8 @@ def code_lines(source: str) -> int:
         if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     for node in ast.walk(ast.parse(source)):
-        body = getattr(node, "body", None)
-        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-                and body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            lines.difference_update(range(body[0].lineno, body[0].end_lineno + 1))
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
+            lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
     return len(lines)
 
 
