@@ -587,7 +587,7 @@ def location_search(
         _require_positive(config.h_fields, p)
         return p, w
 
-    def f(p):
+    def f(p, _norm):
         trial = place(p)
         if trial is None:
             return None

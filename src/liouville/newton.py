@@ -5,6 +5,8 @@ budget, backtracking rule, stopping test and trace.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonConvergenceError
@@ -16,9 +18,12 @@ MAX_HALVINGS = 30
 def damped_newton(f, x, tol: float, what: str):
     """Solve r(x) = 0 from x; return the root and the trace.
 
-    ``f(x)`` returns (r, jac), the residual and a function of no arguments
-    that gives its Jacobian J (called for accepted iterates only), or None
-    when x lies outside f's domain (f must be defined at the start). The
+    ``f(x, norm)`` returns (r, jac), the residual and a function of no
+    arguments that gives its Jacobian J (called for accepted iterates
+    only), or None when x lies outside f's domain (f must be defined at the
+    start). ``norm`` is the residual sup norm at the last accepted iterate,
+    math.inf at the start, never a rejected trial's; f may use it to choose
+    how accurately to evaluate r, and may ignore it. The
     step s solves J s = -r in the least-squares sense, so a J singular
     along a symmetry of the problem still moves x onto the zero set. The
     trial x + lam s is accepted once the sup norm of r drops below
@@ -37,7 +42,7 @@ def damped_newton(f, x, tol: float, what: str):
         iterate, its residual sup norm and the trace.
     """
     x = np.array(x, dtype=float)
-    r, jacobian = f(x)
+    r, jacobian = f(x, math.inf)
     norm = float(np.max(np.abs(r)))
     best, best_norm = x, norm
     trace = [(norm, 0.0, 0)]
@@ -54,7 +59,7 @@ def damped_newton(f, x, tol: float, what: str):
             break
         lam = 1.0
         for halvings in range(MAX_HALVINGS + 1):
-            trial = f(x + lam * step)
+            trial = f(x + lam * step, norm)
             if trial is not None and np.max(np.abs(trial[0])) < norm * (1.0 - 1e-4 * lam):
                 break
             lam *= 0.5

@@ -470,6 +470,14 @@ def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) ->
                          profile.dvalues * c, mass, profile.logmass - log_eta * mass, sens)
 
 
+def as_r_max(value) -> float:
+    """The radius ``integrate`` runs out to: a float of at least 10."""
+    r_max = as_number(value, "r_max")
+    if r_max < 10.0:
+        raise InputError(f"r_max must be at least 10, got {r_max}")
+    return r_max
+
+
 def integrate(
     spec: ProblemSpec,
     r_max: float = DEFAULT_R_MAX,
@@ -493,9 +501,7 @@ def integrate(
         On step-size underflow or after MAX_STEPS attempted steps; carries
         the last good radius.
     """
-    r_max = as_number(r_max, "r_max")
-    if r_max < 10.0:
-        raise InputError(f"r_max must be at least 10, got {r_max}")
+    r_max = as_r_max(r_max)
     tol = as_number(tol, "tol")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")

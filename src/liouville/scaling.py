@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import SingularityProfile
 from .energy import SolutionSummary, extract_summary
 from .errors import DomainError, InputError, as_number
-from .radial import RadialProfile, _rescale
+from .radial import RadialProfile, _rescale, as_r_max
 
 # e^x is finite exactly for x <= this (709.78...).
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
@@ -48,6 +48,26 @@ class ScalingHeights:
     @property
     def eps_q(self) -> float:
         return math.exp(-self.M_q / 2.0)
+
+    def check_range(self, r_max: float) -> None:
+        """Reject heights that take a profile ending at r_max past the floats.
+
+        The strength transform to mu_p and each stage of
+        ``d_relation_residual``'s chain map the last node log r_max
+        affinely; every image must have a finite exp, which
+        ``RadialProfile`` would otherwise refuse after the solve.
+        """
+        log_r = math.log(as_r_max(r_max))
+        c = self.mu_p / self.mu_q
+        unscaled = log_r - self.M_q / 2.0
+        matched = unscaled / c - math.log(self.eta)
+        end = max(log_r / c, unscaled, unscaled / c, matched, matched + self.M_p / 2.0)
+        if end > _LOG_FLOAT_MAX:
+            raise InputError(
+                f"r_max = {r_max}, M_p = {self.M_p}, M_q = {self.M_q}, mu_p = {self.mu_p}, "
+                f"mu_q = {self.mu_q}: a transformed profile would end at r = e^({end:.6g}), "
+                "past the floats"
+            )
 
 
 def height_match(M_p: float, M_q: float, mu_p: float, mu_q: float) -> ScalingHeights:

@@ -19,12 +19,16 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import InputError, as_array
+from .errors import InputError, as_array, as_number
 from .newton import damped_newton
 from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, integrate
 
 _ALPHA_BOUND = 30.0
 _SIGMA_TOL = 1e-9
+# invert_sigma's forcing term: a trial from an iterate with residual sup
+# norm r integrates at max(tol, min(_FORCING r^2, _LOOSEST_TOL))
+_FORCING = 1e-2
+_LOOSEST_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,20 +96,38 @@ def invert_sigma(
 
     ``newton.damped_newton`` on sigma(alpha) - target down to a sup norm of
     1e-9; a trial with an entry of alpha beyond 30 lies outside the domain.
-    Each trial is one integration that brings its exact Jacobian along, so
-    the last Newton step needs none. A NonConvergenceError carries the best
-    iterate, its residual and the trace.
+    Each trial's integration brings its exact Jacobian along, so the last
+    Newton step needs none.
+
+    The integrations are inexact Newton (Dembo, Eisenstat and Steihaug,
+    1982): a trial from an iterate whose residual has sup norm r_k
+    integrates at tol_k = max(tol, min(1e-2 r_k^2, 1e-6)), so far from the
+    root it takes a looser, cheaper solve, and never one looser than
+    ``tol``. A trial whose residual reads below 1e-9 at a tol_k above
+    ``tol`` is integrated again at ``tol`` before the stop test and the
+    last step use it, so a converged inversion ends on a solve at ``tol``.
+
+    A NonConvergenceError carries the best iterate, its residual and the
+    trace; that residual may come from a solve at a tol_k above ``tol``.
     """
     target = as_array(target_reduced_sigma, "target_sigma", (matrix.n - 1,))
     dim = target.shape[0]
     if dim == 0:
         return np.zeros(0)
     start = np.zeros(dim) if guess is None else _reduced_alpha(guess, "guess", dim)
+    tol = as_number(tol, "tol")
 
-    def f(alpha):
+    def residual(alpha, solve_tol):
+        point = alpha_to_sigma(matrix, singularity, alpha, r_max, solve_tol, jacobian=True)
+        return point.reduced_sigma - target, lambda: point.jacobian
+
+    def f(alpha, norm):
         if float(np.max(np.abs(alpha))) > _ALPHA_BOUND:
             return None
-        point = alpha_to_sigma(matrix, singularity, alpha, r_max, tol, jacobian=True)
-        return point.reduced_sigma - target, lambda: point.jacobian
+        loose = max(tol, min(_FORCING * norm * norm, _LOOSEST_TOL))
+        r, jac = residual(alpha, loose)
+        if loose > tol and float(np.max(np.abs(r))) < _SIGMA_TOL:
+            return residual(alpha, tol)
+        return r, jac
 
     return damped_newton(f, start, _SIGMA_TOL, "sigma inversion")[0]

@@ -133,11 +133,12 @@ def test_criterion_07_round_trips(matrix12, monkeypatch):
     sing = lv.SingularityProfile(0.0)
     rng = np.random.default_rng(99)
     worst = 0.0
-    calls = []
+    calls = []  # per integration, its attempted steps
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return radial.integrate(*args, **kwargs)
+        profile = radial.integrate(*args, **kwargs)
+        calls.append(profile.stats["accepted"] + profile.stats["rejected"])
+        return profile
 
     for matrix in (matrix12, matrix3):
         for _ in range(20):
@@ -151,11 +152,13 @@ def test_criterion_07_round_trips(matrix12, monkeypatch):
         7,
         "shooting-map round trips (20 per dimension)",
         worst < 1e-8,
-        f"worst {worst:.2e}, {len(calls)} integrations",
+        f"worst {worst:.2e}, {len(calls)} integrations, {sum(calls)} attempted steps",
     )
     # one integration per Newton trial, Jacobian included; centred
     # differences spent 836 on these inversions, and 836 / 2.5 = 334
     assert len(calls) <= 334
+    # the loose solves far from the root; every trial at tol took 18,136
+    assert sum(calls) == 10307
 
 
 def test_criterion_08_scaling_identities(f2_summary):

@@ -27,6 +27,7 @@ PUBLIC = {
     "validate_structure",
     # blowup
     "BlowupConfiguration",
+    "a_integral",
     "b_coefficient",
     "h_relation_residual",
     "leading_term_Q",
@@ -47,7 +48,6 @@ PUBLIC = {
     # green
     "GStarMatrix",
     "TorusGreen",
-    "a_integral",
     "green_eval",
     "green_gradient",
     "gstar_matrix",

@@ -659,7 +659,7 @@ class TestLocationSearch:
         monkeypatch.setattr(blowup, "wrap_displacement", lambda *a: wraps.append(1) or wrap(*a))
         monkeypatch.setattr(
             blowup, "damped_newton",
-            lambda f, *a: solve(lambda p: trials.append(1) or f(p), *a),
+            lambda f, *a: solve(lambda p, norm: trials.append(1) or f(p, norm), *a),
         )
         converged = 0
         for cfg in random_two_point_configs((0.0, 0.0), count=30):

@@ -11,6 +11,7 @@ import pytest
 
 import liouville as lv
 from liouville import cli
+from liouville.errors import NonConvergenceError
 
 
 def run(tmp_path, command, config, name="config.json", extra=()):
@@ -208,6 +209,23 @@ class TestInvert:
         assert code == 4
         assert "best iterate" in capsys.readouterr().err
         assert read_json(out, "invert.json")["converged"] is False
+
+    def test_non_convergence_writes_the_trace(self, tmp_path):
+        # the Newton history the error carries: residual, lam and halvings
+        cfg = {"matrix": [[1.0, 2.0], [2.0, 1.0]], "gamma": 0.0, "target_sigma": [-0.5]}
+        code, out = run(tmp_path, "invert", cfg)
+        assert code == 4
+        payload = read_json(out, "invert.json")
+        with pytest.raises(NonConvergenceError) as info:
+            lv.invert_sigma(lv.CoefficientMatrix.from_entries(cfg["matrix"]),
+                            lv.SingularityProfile(0.0), cfg["target_sigma"])
+        assert payload["trace"] == [
+            {"residual": norm, "lam": lam, "halvings": halvings}
+            for norm, lam, halvings in info.value.trace
+        ]
+        assert len(payload["trace"]) > 1
+        assert (payload["trace"][0]["lam"], payload["trace"][0]["halvings"]) == (0.0, 0)
+        assert min(row["residual"] for row in payload["trace"]) == payload["best_residual"]
 
 
 class TestSurface:
@@ -694,6 +712,28 @@ def test_compare_heights_out_of_range_exit_2(tmp_path, capsys, monkeypatch, heig
     code, _ = run(tmp_path, "compare", cfg)
     assert code == 2
     assert said in capsys.readouterr().err
+
+
+# (log r_max - M_q/2) mu_q/mu_p, where d_relation_residual's strength
+# transform ends, is 9.21 + 6.35 = 15.56 times 50 = 778.0 at M_q = -12.7
+# and 709.27 at M_q = -9.95; e^x overflows past 709.78
+FLOAT_EDGE = {"matrix": [[1.0, 2.0], [2.0, 1.0]], "gamma": -0.5, "alpha0": [0.0, 0.0]}
+
+
+def test_compare_transform_past_the_floats_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("solved"))
+    cfg = {**FLOAT_EDGE, "compare": {"mu_p": 0.01, "M_p": 0.0, "M_q": -12.7}}
+    code, _ = run(tmp_path, "compare", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "M_q = -12.7" in err and "e^(778.017), past the floats" in err
+
+
+def test_compare_transform_just_inside(tmp_path):
+    cfg = {**FLOAT_EDGE, "compare": {"mu_p": 0.01, "M_p": 0.0, "M_q": -9.95}}
+    code, out = run(tmp_path, "compare", cfg)
+    assert code == 0
+    assert all(map(math.isfinite, read_json(out, "compare.json")["d_relation_residual"]))
 
 
 @pytest.mark.parametrize(

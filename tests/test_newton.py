@@ -1,5 +1,7 @@
 """The damped Newton driver on toy problems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ def test_trial_outside_the_domain_is_halved():
     # outside the domain x <= 1.5, and half of it on the root
     trials = []
 
-    def f(x):
+    def f(x, norm):
         trials.append(float(x[0]))
         return None if x[0] > 1.5 else (4.0 * (x - 1.0), lambda: np.array([[2.0]]))
 
@@ -24,7 +26,7 @@ def test_trial_outside_the_domain_is_halved():
 
 def test_jacobian_singular_along_a_symmetry_converges():
     # r depends on x only: J has rank 1, and the step leaves y alone
-    def f(p):
+    def f(p, norm):
         return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), lambda: np.array([[1.0, 0.0], [2.0, 0.0]])
 
     root, _ = newton.damped_newton(f, [0.25, 0.7], 1e-12, "toy")
@@ -33,7 +35,7 @@ def test_jacobian_singular_along_a_symmetry_converges():
 
 def test_unreachable_residual_with_singular_jacobian_raises():
     # x - 1 and x + 1 cannot both vanish; J cannot remove their difference
-    def f(p):
+    def f(p, norm):
         return np.array([p[0] - 1.0, p[0] + 1.0]), lambda: np.array([[1.0, 0.0], [1.0, 0.0]])
 
     with pytest.raises(NonConvergenceError, match="^toy: singular Jacobian") as info:
@@ -47,7 +49,7 @@ def test_no_descent_raises_with_the_trace():
     # r = x with a Jacobian of the wrong sign: every step leads uphill
     trials = []
 
-    def f(x):
+    def f(x, norm):
         trials.append(float(x[0]))
         return x.copy(), lambda: np.array([[-1.0]])
 
@@ -69,7 +71,7 @@ def test_budget_error_carries_best_and_trace(monkeypatch):
         built.append(float(x[0]))
         return np.array([[1.0 / (1.0 + x[0] ** 2)]])
 
-    def f(x):
+    def f(x, norm):
         return np.arctan(x), lambda: jacobian(x)
 
     with pytest.raises(NonConvergenceError, match="in 2 steps") as info:
@@ -84,3 +86,22 @@ def test_budget_error_carries_best_and_trace(monkeypatch):
     assert abs(np.arctan(info.value.best[0])) == info.value.best_residual
     assert len(built) == 3 and built[-1] == info.value.best[0]
     np.testing.assert_array_equal(np.abs(np.arctan(built)), trace[:, 0])
+
+
+def test_f_sees_the_accepted_norm_only():
+    # arctan from 1.5 again: the full first step is rejected, so the second
+    # trial still sees the start's norm; every later trial sees the norm of
+    # the iterate it steps from, never a rejected trial's
+    seen, residuals = [], []
+
+    def f(x, norm):
+        seen.append(norm)
+        residuals.append(abs(float(np.arctan(x[0]))))
+        return np.arctan(x), lambda: np.array([[1.0 / (1.0 + x[0] ** 2)]])
+
+    _, trace = newton.damped_newton(f, [1.5], 1e-12, "toy")
+    accepted = [norm for norm, _, _ in trace]
+    assert seen[0] == math.inf
+    assert seen[1:3] == [accepted[0], accepted[0]]
+    assert residuals[1] > accepted[0] and residuals[1] not in seen
+    assert seen[3:] == accepted[1:-1]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import liouville as lv
-from liouville import shooting
-from liouville.errors import InputError, NonConvergenceError
+from liouville import newton, shooting
+from liouville.errors import ExtractionError, InputError, NonConvergenceError
 
 GAMMA0 = lv.SingularityProfile(0.0)
 
@@ -149,6 +149,95 @@ class TestInvertSigma:
         # named as the target, not as a NaN Newton iterate further down
         with pytest.raises(InputError, match="target_sigma"):
             lv.invert_sigma(matrix12, GAMMA0, [math.nan], guess=[0.0])
+
+
+class TestInexactNewton:
+    """Each trial integrates at max(tol, min(1e-2 r^2, 1e-6)), r the sup norm
+    of the residual at the iterate it steps from."""
+
+    MATRIX3 = [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
+
+    @staticmethod
+    def record_tols(patch):
+        """Wrap shooting.integrate; the list of the tols it is called with."""
+        tols = []
+        integrate = shooting.integrate
+        patch.setattr(shooting, "integrate", lambda *a, **k: tols.append(k["tol"]) or integrate(*a, **k))
+        return tols
+
+    def inversions(self, matrix12, tol, monkeypatch):
+        """The tols of each inversion's integrations, three inversions."""
+        matrix3 = lv.CoefficientMatrix.from_entries(self.MATRIX3)
+        runs = []
+        for matrix, alpha in ((matrix12, [-0.7]), (matrix3, [-0.4, -1.1]), (matrix3, [-2.5, -0.3])):
+            target = lv.alpha_to_sigma(matrix, GAMMA0, alpha).reduced_sigma
+            with monkeypatch.context() as patch:
+                runs.append(self.record_tols(patch))
+                lv.invert_sigma(matrix, GAMMA0, target, tol=tol)
+        return runs
+
+    def test_loose_caller_keeps_its_tol(self, matrix12, monkeypatch):
+        # 1e-5 is looser than the loosest scheduled solve, and wins
+        for tols in self.inversions(matrix12, 1e-5, monkeypatch):
+            assert tols and all(t == 1e-5 for t in tols)
+
+    def test_default_tol_schedule(self, matrix12, monkeypatch):
+        for tols in self.inversions(matrix12, 1e-10, monkeypatch):
+            assert all(1e-10 <= t <= 1e-6 for t in tols)
+            assert tols[0] == 1e-6
+            # the stop test and the last step read a solve at tol
+            assert tols[-1] == 1e-10
+
+    def test_loose_converged_reading_is_solved_again(self, matrix12, monkeypatch):
+        # a target made at 1e-6 reads a zero residual at its own alpha when
+        # solved at 1e-6; the stop test must not take that, so the start is
+        # integrated again at tol, and Newton moves on from there
+        target = lv.alpha_to_sigma(matrix12, GAMMA0, [-0.7], tol=1e-6).reduced_sigma
+        tols = self.record_tols(monkeypatch)
+        alpha = lv.invert_sigma(matrix12, GAMMA0, target, guess=[-0.7])
+        assert tols == [1e-6, 1e-10, 1e-10]
+        assert 1e-9 < abs(alpha[0] + 0.7) < 1e-6
+
+    def test_best_residual_from_a_loose_solve(self, matrix12, monkeypatch):
+        # two steps from 0 towards alpha = -2.5 leave the residual near 0.12,
+        # where trials integrate at 1e-6: best_residual is that solve's
+        monkeypatch.setattr(newton, "MAX_STEPS", 2)
+        target = lv.alpha_to_sigma(matrix12, GAMMA0, [-2.5]).reduced_sigma
+        with pytest.raises(NonConvergenceError, match="in 2 steps") as info:
+            lv.invert_sigma(matrix12, GAMMA0, target, guess=[0.0])
+        best = info.value.best
+
+        def residual(tol):
+            return float(np.max(np.abs(lv.alpha_to_sigma(matrix12, GAMMA0, best, tol=tol).reduced_sigma - target)))
+
+        assert info.value.best_residual == residual(1e-6) > 0.1
+        assert 0.0 < abs(info.value.best_residual - residual(1e-10)) < 1e-6
+
+    def test_sweep_converges(self):
+        # n = 2, 3; four strengths; two tols; 5 seeded alpha each. Solving
+        # every trial at tol, all 72 targets converged too, with round trips
+        # below 3.6e-14. At n = 2, gamma = -1/2, 4 of the 5 targets cannot
+        # be made at r_max 1e4 (the flux gap's ExtractionError), so they
+        # are counted out
+        matrices = [lv.CoefficientMatrix.from_entries(m) for m in ([[1.0, 2.0], [2.0, 1.0]], self.MATRIX3)]
+        worst, converged, skipped = 0.0, 0, 0
+        for matrix in matrices:
+            for gamma in (0.0, -0.25, -0.5, -0.99):
+                sing = lv.SingularityProfile(gamma)
+                for tol in (1e-10, 1e-8):
+                    rng = np.random.default_rng(2024)
+                    for _ in range(5):
+                        alpha = rng.uniform(-3.0, 0.0, size=matrix.n - 1)
+                        try:
+                            target = lv.alpha_to_sigma(matrix, sing, alpha, tol=tol).reduced_sigma
+                        except ExtractionError:
+                            skipped += 1
+                            continue
+                        recovered = lv.invert_sigma(matrix, sing, target, tol=tol)
+                        worst = max(worst, float(np.max(np.abs(recovered - alpha))))
+                        converged += 1
+        assert (converged, skipped) == (72, 8)
+        assert worst < 1e-8
 
 
 class TestSwapEquivariance:
