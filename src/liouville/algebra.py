@@ -278,10 +278,20 @@ def critical_values(
     return np.array(out)
 
 
+def _rho_form(rho: np.ndarray, A: CoefficientMatrix) -> float:
+    """The quadratic form rho.A.rho (of rho or a multiple of it), which
+    must be a finite float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = float(rho @ A.entries @ rho)
+    if not np.isfinite(form):
+        raise InputError(f"rho is out of range: its quadratic form is {form}")
+    return form
+
+
 def lambda_L(rho, A: CoefficientMatrix, n_L: float) -> float:
     """Quadratic gap whose zero set is the L-th critical surface."""
     x = as_rho(rho, A.n) / (2.0 * np.pi * as_level(n_L))
-    return float(4.0 * x.sum() - x @ A.entries @ x)
+    return float(4.0 * x.sum() - _rho_form(x, A))
 
 
 def frak_m(rho, A: CoefficientMatrix, n_L: float) -> FrakM:
@@ -321,10 +331,10 @@ def classify_region(
         raise InputError("critical value list is empty")
     if np.any(np.diff(sigma_values) <= 0.0):
         raise InputError("critical values must be sorted ascending")
+    s2 = _rho_form(rho, A)
     s1 = float(rho.sum())
     if s1 == 0.0:
         raise UndefinedRegionError("rho = 0 has no region")
-    s2 = float(rho @ A.entries @ rho)
 
     level = 0
     for idx, c in enumerate(sigma_values):

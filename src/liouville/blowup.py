@@ -48,6 +48,7 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, FrakM, SingularityProfile, frak_m, lambda_L, q_point
 from .errors import (
+    _LOG_FLOAT_MAX,
     DomainError,
     GeometryError,
     InputError,
@@ -73,7 +74,8 @@ class BlowupConfiguration:
 
     ``D`` and ``alpha`` are per-component constants taken from an extracted
     radial summary chosen by the caller; this module never manufactures
-    them. ``curvature`` holds K(p_t) per point (0 on the flat torus).
+    them, and each e^(D_i - alpha_i) must be a finite float. ``curvature``
+    holds K(p_t) per point (0 on the flat torus).
     """
 
     points: np.ndarray
@@ -100,6 +102,8 @@ class BlowupConfiguration:
         shapes = {"rho": (n,), "curvature": (n_pts,), "D": (n,), "alpha": (n,)}
         for name, shape in shapes.items():
             object.__setattr__(self, name, as_array(getattr(self, name), name, shape))
+        if np.any(self.D - self.alpha > _LOG_FLOAT_MAX):
+            raise InputError(f"D = {self.D.tolist()}: e^(D_i - alpha_i) overflows")
         _require_positive(self.h_fields, pts)
         for name in ("rho", "curvature", "D", "alpha"):
             getattr(self, name).setflags(write=False)

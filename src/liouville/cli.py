@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fields import field_from_config
 from .green import TorusGreen, green_eval, gstar_matrix, regular_part
-from .radial import DEFAULT_R_MAX, ProblemSpec, integrate
+from .radial import ProblemSpec, integrate
 from .scaling import bubble_distance, d_relation_residual, height_match, mu_transform
 from .shooting import alpha_to_sigma, invert_sigma
 
@@ -312,10 +312,8 @@ def cmd_compare(cfg: dict, out: _Out) -> int:
     heights = height_match(
         sub.get("M_p", 10.0), sub.get("M_q", 10.0), _require(sub, "mu_p"), sing.mu
     )
-    params = _solver_params(cfg)
-    heights.check_range(params.get("r_max", DEFAULT_R_MAX))
     spec = ProblemSpec(matrix, sing, _alpha0_from(cfg, matrix.n))
-    profile_q = integrate(spec, **params)
+    profile_q = integrate(spec, **_solver_params(cfg))
     summary_q = extract_summary(profile_q)
     summary_p = extract_summary(mu_transform(profile_q, heights.mu_p))
     comparison = bubble_distance(summary_p, summary_q, heights)

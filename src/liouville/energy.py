@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtractionError, InputError, as_array, as_number
+from .errors import _LOG_FLOAT_MAX, ExtractionError, InputError, as_array, as_number
 from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
@@ -90,13 +90,13 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     ExtractionError
         If r_max is too small for the flux to have settled (it is at or
         below 2 mu, or too far from m after the closure), the closure drives
-        a mass exponent to or below the integrability threshold 2 mu, or the
+        a mass exponent to or below the integrability threshold 2 mu or a
+        tail e^(D - alpha - (m - 2 mu) log r_max) past the floats, or the
         fixed point does not converge.
     """
     mu = profile.spec.singularity.mu
     a_mat = profile.spec.matrix.entries
-    big_r = profile.r_max
-    log_r = math.log(big_r)
+    log_r = float(profile.grid[-1])
 
     alpha = -profile.spec.alpha0
     sigma_r = profile.mass[-1].copy()
@@ -105,7 +105,7 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
 
     if np.any(flux <= 2.0 * mu):
         raise ExtractionError(
-            f"flux -r U' at r_max = {big_r:.3g} is {flux}, at or below 2 mu = "
+            f"flux -r U' at r_max = {profile.r_max:.3g} is {flux}, at or below 2 mu = "
             f"{2 * mu}: r_max is too small for the flux to settle; increase r_max"
         )
     m = flux.copy()
@@ -119,7 +119,14 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
             )
         gap = m - 2.0 * mu
         # single exp of the combined exponent: avoids inf * 0 for extreme data
-        tail = np.exp(d_vec - alpha - gap * log_r)
+        exponent = d_vec - alpha - gap * log_r
+        if np.any(exponent > _LOG_FLOAT_MAX):
+            i = int(np.argmax(exponent))
+            raise ExtractionError(
+                f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
+                f"overflows; its flux -r U' is {flux[i] - 2 * mu:.4g} above 2 mu = {2 * mu}"
+            )
+        tail = np.exp(exponent)
         sigma_new = sigma_r + tail / gap
         logw_tail = tail * (log_r / gap + 1.0 / gap**2)
         m_new = a_mat @ sigma_new
@@ -183,7 +190,7 @@ def _tail_sensitivity(profile, m, d_vec, alpha) -> np.ndarray:
     """
     n = profile.n
     a_mat = profile.spec.matrix.entries
-    log_r = math.log(profile.r_max)
+    log_r = float(profile.grid[-1])
     gap = m - 2.0 * profile.spec.singularity.mu
     tail = np.exp(d_vec - alpha - gap * log_r)
     lw_tail = tail * (log_r / gap + 1.0 / gap**2)

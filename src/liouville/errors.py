@@ -7,6 +7,10 @@ shape is an ``InputError`` that names the offending parameter.
 
 import numpy as np
 
+# e^x is a finite float exactly for x <= this (709.78...): it overflows from
+# the next float up.
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
 
 class LiouvilleError(Exception):
     """Base class for all package errors."""

@@ -69,6 +69,7 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .errors import (
+    _LOG_FLOAT_MAX,
     BlowupError,
     DomainError,
     InputError,
@@ -113,10 +114,13 @@ class ProblemSpec:
 class RadialProfile:
     """A computed radial solution on a strictly increasing log-radius grid.
 
-    Arrays are indexed (node, component) and read-only. ``dvalues`` is
-    dU/ds; ``mass`` and ``logmass`` are the running energy integrals
-    described in the module docstring. A last node past the float radii is
-    a DomainError. ``sensitivity`` is None unless requested from
+    The radii are kept as their logs s = log r: every transform of
+    ``scaling`` is affine in s, so a profile may end past the float radii,
+    where ``r_max`` (and ``r_first``) read inf. Only a last node s that is
+    not a finite float is a DomainError. Arrays are indexed (node,
+    component) and read-only. ``dvalues`` is dU/ds; ``mass`` and
+    ``logmass`` are the running energy integrals described in the module
+    docstring. ``sensitivity`` is None unless requested from
     ``integrate``; then it is d(state at r_max)/d alpha0, shape (4n, n),
     rows U, dU/ds, mass, logmass. ``stats`` holds the integration's
     counters (module docstring); it is empty for transformed profiles.
@@ -132,10 +136,8 @@ class RadialProfile:
     stats: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        try:
-            math.exp(self.grid[-1])
-        except OverflowError:
-            raise DomainError(f"r_max = exp({self.grid[-1]:.6g}) exceeds the floats") from None
+        if not math.isfinite(self.grid[-1]):
+            raise DomainError(f"the last node s = log r_max is {self.grid[-1]}, not a finite float")
         for arr in (self.grid, self.values, self.dvalues, self.mass, self.logmass):
             arr.setflags(write=False)
         if self.sensitivity is not None:
@@ -147,11 +149,16 @@ class RadialProfile:
 
     @property
     def r_first(self) -> float:
-        return float(math.exp(self.grid[0]))
+        return _radius_at(self.grid[0])
 
     @property
     def r_max(self) -> float:
-        return float(math.exp(self.grid[-1]))
+        return _radius_at(self.grid[-1])
+
+
+def _radius_at(s: float) -> float:
+    """The radius e^s of a node, inf past the floats."""
+    return math.exp(s) if s <= _LOG_FLOAT_MAX else math.inf
 
 
 def origin_series(spec: ProblemSpec, r: float):
@@ -470,14 +477,6 @@ def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) ->
                          profile.dvalues * c, mass, profile.logmass - log_eta * mass, sens)
 
 
-def as_r_max(value) -> float:
-    """The radius ``integrate`` runs out to: a float of at least 10."""
-    r_max = as_number(value, "r_max")
-    if r_max < 10.0:
-        raise InputError(f"r_max must be at least 10, got {r_max}")
-    return r_max
-
-
 def integrate(
     spec: ProblemSpec,
     r_max: float = DEFAULT_R_MAX,
@@ -501,7 +500,9 @@ def integrate(
         On step-size underflow or after MAX_STEPS attempted steps; carries
         the last good radius.
     """
-    r_max = as_r_max(r_max)
+    r_max = as_number(r_max, "r_max")
+    if r_max < 10.0:
+        raise InputError(f"r_max must be at least 10, got {r_max}")
     tol = as_number(tol, "tol")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")

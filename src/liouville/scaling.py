@@ -7,7 +7,10 @@ which maps solutions of the mu_q system to solutions of the mu_p system,
 normalized maxima, and (3) the dilation V^(r) = V~(eta r) + 2 mu_p log eta.
 All three are exact bookkeeping on the log-radius grid (an affine
 reparametrization plus constant shifts), so the transformed profile carries
-its energy integrals with no added quadrature error.
+its energy integrals with no added quadrature error. A profile keeps its
+radii as logs, so a transformed one may end past the float radii (its
+``r_max`` reads inf); the transforms take e^(+-M/2) of the heights and eta
+as floats, and ``height_match`` checks those.
 
 The exact consequences tested downstream: transformed energies scale by
 mu_p/mu_q, initial gaps between components are preserved, and the
@@ -24,11 +27,8 @@ import numpy as np
 
 from .algebra import SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import DomainError, InputError, as_number
-from .radial import RadialProfile, _rescale, as_r_max
-
-# e^x is finite exactly for x <= this (709.78...).
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+from .errors import _LOG_FLOAT_MAX, DomainError, InputError, as_number
+from .radial import RadialProfile, _rescale
 
 
 @dataclass(frozen=True)
@@ -48,26 +48,6 @@ class ScalingHeights:
     @property
     def eps_q(self) -> float:
         return math.exp(-self.M_q / 2.0)
-
-    def check_range(self, r_max: float) -> None:
-        """Reject heights that take a profile ending at r_max past the floats.
-
-        The strength transform to mu_p and each stage of
-        ``d_relation_residual``'s chain map the last node log r_max
-        affinely; every image must have a finite exp, which
-        ``RadialProfile`` would otherwise refuse after the solve.
-        """
-        log_r = math.log(as_r_max(r_max))
-        c = self.mu_p / self.mu_q
-        unscaled = log_r - self.M_q / 2.0
-        matched = unscaled / c - math.log(self.eta)
-        end = max(log_r / c, unscaled, unscaled / c, matched, matched + self.M_p / 2.0)
-        if end > _LOG_FLOAT_MAX:
-            raise InputError(
-                f"r_max = {r_max}, M_p = {self.M_p}, M_q = {self.M_q}, mu_p = {self.mu_p}, "
-                f"mu_q = {self.mu_q}: a transformed profile would end at r = e^({end:.6g}), "
-                "past the floats"
-            )
 
 
 def height_match(M_p: float, M_q: float, mu_p: float, mu_q: float) -> ScalingHeights:
@@ -144,7 +124,9 @@ def d_relation_residual(
     transform, the height-matched dilation, and the final shrink by eps_p,
     re-extracts the log-weighted constants D^ of the result, and returns
     D^_i - [D_i + (m_i / mu_q) log(mu_p / mu_q)]. The chosen height pair
-    cancels identically.
+    cancels identically. Each stage maps log r affinely, so a stage may end
+    past the float radii; only heights whose e^(+-M/2) or eta is not a
+    float are an InputError (``height_match``).
     """
     mu_q = summary_q.mu
     heights = height_match(M_p, M_q, mu_p, mu_q)

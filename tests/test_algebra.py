@@ -265,6 +265,21 @@ def test_rho_of_the_wrong_length_rejected(matrix12, call):
         call(matrix12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, rho: lv.lambda_L(rho, m, 1.0),
+        lambda m, rho: lv.classify_region(rho, m, [8 * PI, 16 * PI]),
+    ],
+    ids=["lambda_L", "classify_region"],
+)
+def test_rho_whose_form_overflows_rejected(matrix12, call):
+    # rho.A.rho = 6e400 is not a float: no -inf gap, no boundary by inf <= inf
+    with pytest.raises(InputError, match="rho is out of range: its quadratic form is inf"):
+        call(matrix12, [1e200, 1e200])
+    call(matrix12, [1e153, 1e153])  # a form of 6e306 is a float
+
+
 def test_replace_with_a_singular_matrix_is_rejected(matrix12):
     # construction checks run however the matrix is built
     with pytest.raises(InputError, match="invertible"):

@@ -166,6 +166,38 @@ def test_code_lines_ignore_docstring_edits(tmp_path, monkeypatch):
     assert record["src_code_lines_net"] == 0
 
 
+def test_code_lines_per_module(tmp_path, monkeypatch):
+    # the net per module shows where the lines went: a module edited, one
+    # deleted and one added, each counting 0 on the side that lacks it
+    sides = {
+        "parent": {"a.py": "x = 1\ny = 2\n", "gone.py": "z = 3\n"},
+        "change": {"a.py": '"""Doc."""\nx = 1\n', "sub/new.py": "w = 4\nv = 5\n"},
+    }
+    for side, files in sides.items():
+        for name, text in files.items():
+            path = tmp_path / side / "src" / "pkg" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    runs = _runs(PARENT[:1], PARENT[:1])[0]
+    calls = iter([runs["parent"], runs["change"]])
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
+    out = tmp_path / "bench.json"
+    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                     "--seeds", "1", "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert record["src_code_lines_by_module"] == {
+        "parent": {"pkg/a.py": 2, "pkg/gone.py": 1},
+        "change": {"pkg/a.py": 1, "pkg/sub/new.py": 2},
+    }
+    assert record["src_code_lines_net_by_module"] == {
+        "pkg/a.py": -1, "pkg/gone.py": -1, "pkg/sub/new.py": 2
+    }
+    assert record["src_code_lines"] == {"parent": 3, "change": 3}
+    assert record["src_code_lines_net"] == 0
+
+
 def test_code_lines_count_strings_that_are_not_docstrings():
     # a string assigned or passed spans code lines; a docstring does not
     source = 'def f():\n    """Doc."""\n    s = """a\nb"""\n    return g(\n        s,\n    )\n'

@@ -91,6 +91,15 @@ class TestConfiguration:
         with pytest.raises(InputError, match="points"):
             make_config(points=[[0.5, math.nan]])
 
+    def test_tail_coefficient_past_the_floats_rejected(self):
+        # b_coefficient and leading_term_general take e^(D_i - alpha_i)
+        with pytest.raises(InputError, match=r"D = \[800.0\]: e\^\(D_i - alpha_i\) overflows"):
+            make_config(D=[800.0])
+        with pytest.raises(InputError, match="D = "):
+            make_config(D=[0.0], alpha=[-710.0])
+        make_config(D=[709.0])  # e^709 is a float
+        assert math.isfinite(lv.b_coefficient(make_config(D=[700.0]), 0, 0))
+
 
 class TestFieldDerivatives:
     @pytest.mark.parametrize(

@@ -515,6 +515,8 @@ PROBES = [
     ("eps_k-nan", "leading-general", "blowup.eps_k", math.nan, "eps_k"),
     ("eps_k-5", "leading-general", "blowup.eps_k", 5, "eps_k"),
     ("D-nan", "leading-general", "blowup.D", [math.nan, 0.0], "D must"),
+    # e^(D - alpha) overflows: not an OverflowError traceback
+    ("D-overflow", "leading-Q", "blowup.D", [800.0], "D = [800.0]"),
     ("points-nan", "leading-general", "blowup.points", [[math.nan, 0.62]], "points"),
     ("green-points-nan", "green", "green.points", [[0.1, math.nan], [0.6, 0.7]], "points"),
     # level_mass is not a key: the constant term of b uses the level n_L
@@ -553,6 +555,8 @@ PROBES = [
     ),
     ("target_sigma-nan", "invert", "target_sigma", [math.nan], "target_sigma"),
     ("rho-length-3", "surface", "surface.rho", [1.0, 2.0, 3.0], "rho"),
+    # rho.A.rho overflows: no "lambda": -Infinity in the JSON
+    ("rho-form-overflow", "surface", "surface.rho", [1e200, 1e200], "rho is out of range"),
     ("field-no-type", "leading-Q", "blowup.h_fields", [{"value": 1.0}], "'type'"),
     ("field-unknown-type", "leading-Q", "blowup.h_fields", [{"type": "gauss"}], "field type"),
     ("alpha0-and-reduced_alpha", "solve", "reduced_alpha", [], "not both"),
@@ -720,13 +724,13 @@ def test_compare_heights_out_of_range_exit_2(tmp_path, capsys, monkeypatch, heig
 FLOAT_EDGE = {"matrix": [[1.0, 2.0], [2.0, 1.0]], "gamma": -0.5, "alpha0": [0.0, 0.0]}
 
 
-def test_compare_transform_past_the_floats_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("solved"))
+def test_compare_transform_past_the_floats(tmp_path):
+    # the profiles live in log r, so a chain that passes e^778 is exact
     cfg = {**FLOAT_EDGE, "compare": {"mu_p": 0.01, "M_p": 0.0, "M_q": -12.7}}
-    code, _ = run(tmp_path, "compare", cfg)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "M_q = -12.7" in err and "e^(778.017), past the floats" in err
+    code, out = run(tmp_path, "compare", cfg)
+    assert code == 0
+    residual = read_json(out, "compare.json")["d_relation_residual"]
+    assert max(map(abs, residual)) < 1e-6
 
 
 def test_compare_transform_just_inside(tmp_path):

@@ -93,6 +93,20 @@ class TestExtractSummary:
         with pytest.raises(ExtractionError, match="integrability threshold"):
             lv.extract_summary(profile)
 
+    @pytest.mark.parametrize("r_max", [1e4, 1e6, 1e8])
+    def test_closure_overflow_names_the_component(self, r_max):
+        # component 2's flux settles at 1.0308 against 2 mu = 1, so its tail
+        # e^(D - alpha - gap log r) / gap blows up: the third sweep's exponent
+        # is about 1e243; it stops there, before exp, not after 98 NaN sweeps
+        matrix = lv.CoefficientMatrix.from_entries([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        alpha0 = np.array([-0.6621483259884229, 0.0, -0.7302803889995062])
+        profile = lv.integrate(
+            lv.ProblemSpec(matrix, lv.SingularityProfile(-0.5), alpha0), r_max, 1e-10
+        )
+        with pytest.raises(ExtractionError, match=r"sweep 3: component 2's tail") as info:
+            lv.extract_summary(profile)
+        assert "0.0308" in str(info.value) and "above 2 mu = 1.0" in str(info.value)
+
     @pytest.mark.parametrize(
         "fixture, exact_gap",
         [

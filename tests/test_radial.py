@@ -166,6 +166,15 @@ class TestIntegrate:
         with pytest.raises(InputError, match="alpha0"):
             lv.integrate(spec)
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_last_node_not_finite_rejected(self, f1_profile, last):
+        # a last node past the float radii is fine (r_max reads inf); one
+        # that is not a float at all is not
+        grid = np.append(f1_profile.grid[:-1], last)
+        with pytest.raises(DomainError, match="not a finite float"):
+            lv.RadialProfile(f1_profile.spec, grid, f1_profile.values, f1_profile.dvalues,
+                             f1_profile.mass, f1_profile.logmass)
+
     def test_grid_contract(self, f1_profile):
         assert np.all(np.diff(f1_profile.grid) > 0)
         assert f1_profile.r_first <= 1e-6 * (1 + 1e-12)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
@@ -119,24 +119,30 @@ class TestMuTransform:
         gap_after = transformed.spec.alpha0[0] - transformed.spec.alpha0[1]
         assert gap_after == pytest.approx(gap_before, abs=1e-15)
 
-    @given(mu_mid=st.floats(0.01, 1.0))
+    @given(mu_mid=st.floats(0.001, 1.0))
+    @example(mu_mid=0.001)
+    @example(mu_mid=0.005)
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, f2_profile, mu_mid):
         # 1/2 -> mu_mid -> 1/2 gives the profile back, each array to 1e-12
-        # of its largest entry (values start near 0, so not entrywise)
+        # of its largest entry (values start near 0, so not entrywise); F2
+        # ends at log r = 9.2, so below mu_mid = 0.0065 the middle profile
+        # ends past e^709.78
         back = lv.mu_transform(lv.mu_transform(f2_profile, mu_mid), 0.5)
         assert back.spec.singularity.mu == 0.5
         for key in ("grid", "values", "dvalues", "mass", "logmass"):
             got, want = getattr(back, key), getattr(f2_profile, key)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
 
-    def test_radius_past_the_floats_rejected(self, f1_profile):
+    def test_radius_past_the_floats(self, f1_profile, f1_summary):
         # F1 ends at log r = 9.2: mu 1 -> 0.01 takes it to 921, and a
-        # dilation by 1e-310 to 723, both past log(max float) = 709.8
-        with pytest.raises(DomainError, match="r_max"):
-            lv.mu_transform(f1_profile, 0.01)
-        with pytest.raises(DomainError, match="r_max"):
-            lv.eta_rescale(f1_profile, 1e-310)
+        # dilation by 1e-310 to 723, both past log(max float) = 709.8; the
+        # grid stays in log r, so sigma scales by mu_p/mu_q and by 1
+        for transformed, ratio in ((lv.mu_transform(f1_profile, 0.01), 0.01),
+                                   (lv.eta_rescale(f1_profile, 1e-310), 1.0)):
+            assert transformed.r_max == math.inf
+            sigma = lv.extract_summary(transformed).sigma
+            np.testing.assert_allclose(sigma, ratio * f1_summary.sigma, rtol=1e-12, atol=0.0)
 
     def test_degenerate_strength_rejected(self, f2_profile):
         with pytest.raises(DomainError):
@@ -239,6 +245,16 @@ class TestDRelation:
         r1 = lv.d_relation_residual(f2_summary, 1.0, 10.0, 20.0)
         r2 = lv.d_relation_residual(f2_summary, 1.0, 3.7, 11.3)
         assert np.max(np.abs(r1 - r2)) < 1e-9
+
+    def test_chain_past_the_floats(self, matrix12):
+        # mu_p 0.01, M_p 0, M_q -12.7 takes the strength transform to
+        # e^778; the chain stays in log r, so the height pair still cancels
+        spec = lv.ProblemSpec(matrix12, lv.SingularityProfile(-0.5), np.zeros(2))
+        summary = lv.extract_summary(lv.integrate(spec, 1e4, 1e-10))
+        r1 = lv.d_relation_residual(summary, 0.01, 0.0, -12.7)
+        r2 = lv.d_relation_residual(summary, 0.01, 0.0, 6.0)
+        assert np.max(np.abs(r1 - r2)) < 1e-9
+        assert np.max(np.abs(r1)) < 1e-6
 
     def test_multicomponent(self, matrix12):
         spec = lv.ProblemSpec(

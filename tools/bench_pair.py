@@ -14,7 +14,10 @@ seeds the change won on each metric, a verdict per metric (see
 fresh process compiles ``src/`` again), each side's ``src_lines``, the
 line count of its ``src/**/*.py``, and ``src_lines_net``, change minus parent;
 ``src_code_lines`` and ``src_code_lines_net`` count only the lines that hold
-code, so moved code and docstring edits do not read as a change in size.
+code, so moved code and docstring edits do not read as a change in size;
+``src_code_lines_by_module`` holds that count per module and side (keyed by
+the path under ``src/``) and ``src_code_lines_net_by_module`` change minus
+parent per module, a module missing on one side counting 0 there.
 ``--claim METRIC`` also judges a claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
@@ -160,9 +163,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def src_code_lines(checkout: Path) -> int:
-    """``code_lines`` summed over the checkout's src/**/*.py."""
-    return sum(code_lines(path.read_text()) for path in (checkout / "src").rglob("*.py"))
+def module_code_lines(checkout: Path) -> dict[str, int]:
+    """``code_lines`` of each of the checkout's src/**/*.py, by its path under src/."""
+    src = checkout / "src"
+    return {path.relative_to(src).as_posix(): code_lines(path.read_text())
+            for path in sorted(src.rglob("*.py"))}
 
 
 def revision(checkout: Path) -> str | None:
@@ -193,7 +198,8 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
     lines = {side: src_lines(getattr(args, side)) for side in SIDES}
-    code = {side: src_code_lines(getattr(args, side)) for side in SIDES}
+    modules = {side: module_code_lines(getattr(args, side)) for side in SIDES}
+    code = {side: sum(modules[side].values()) for side in SIDES}
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
         "machine": machine(),
@@ -202,6 +208,11 @@ def main(argv=None) -> int:
         "src_lines_net": lines["change"] - lines["parent"],
         "src_code_lines": code,
         "src_code_lines_net": code["change"] - code["parent"],
+        "src_code_lines_by_module": modules,
+        "src_code_lines_net_by_module": {
+            name: modules["change"].get(name, 0) - modules["parent"].get(name, 0)
+            for name in sorted(modules["parent"].keys() | modules["change"].keys())
+        },
         "workloads": {},
     }
     for workload in workloads:
