@@ -194,7 +194,8 @@ def b_coefficient(config: BlowupConfiguration, i: int, t: int) -> float:
     """Per-point coefficient of the expansion at the symmetric point.
 
     e^(D_i - alpha_i) [ Delta(log h_i)(p_t)/4 - K(p_t)/2 + 2 pi n_L
-    + |grad(log h_i)(p_t) + 8 pi sum_l mu_l grad_1 Gstar(p_t, p_l)|^2 / 4 ].
+    + |grad(log h_i)(p_t) + 8 pi sum_l mu_l grad_1 Gstar(p_t, p_l)|^2 / 4 ];
+    an InputError naming D where that product overflows.
     """
     i = as_count(i, "i", 0, config.n - 1)
     t = _regular_index(config, t)
@@ -207,10 +208,21 @@ def b_coefficient(config: BlowupConfiguration, i: int, t: int) -> float:
         + _TWO_PI * config.n_L
         + 0.25 * float(grad_term @ grad_term)
     )
-    return math.exp(float(config.D[i] - config.alpha[i])) * bracket
+    b = math.exp(float(config.D[i] - config.alpha[i])) * bracket
+    if not math.isfinite(b):
+        raise InputError(
+            f"D = {config.D.tolist()}: b at i = {i + 1}, t = {t + 1}, e^(D_i - alpha_i) "
+            f"times {bracket:.6e}, overflows"
+        )
+    return b
 
 
 # The cell-domain integral A_it (see the module docstring).
+
+# Smallest delta0: on the inner circle delta0/2 of the annulus the offset
+# x - p_t of a torus point keeps half its digits; from about 1e-17 it
+# rounds to 0, where the Green kernel takes the log of 0.
+_DELTA0_MIN = 2.0**-25
 
 # 15-point Gauss-Kronrod pair (QUADPACK constants).
 _XGK = np.array(
@@ -341,8 +353,11 @@ def _cell_corner_angles(dists, phis):
 def cell_fit(config: BlowupConfiguration, t: int, delta0):
     """delta0, checked to fit in the cell of point t, and that cell's half-planes."""
     delta0 = as_number(delta0, "delta0")
-    if delta0 <= 0.0:
-        raise InputError(f"delta0 must be positive, got {delta0}")
+    if delta0 < _DELTA0_MIN:
+        raise InputError(
+            f"delta0 must be at least 2^-25 = {_DELTA0_MIN:.3e}, so that x - p_t on the "
+            f"ball's edge keeps half its digits, got {delta0}"
+        )
     dists, phis = _cell_geometry(config.geometry, config.points, t)
     if delta0 >= float(dists.min()):
         raise GeometryError(

@@ -10,7 +10,9 @@ rejects a wrong type, a non-finite or an out-of-range value with an
 InputError that names it, so such a config exits 2 before any solve.
 
 Commands: solve | invert | surface | compare | leading | green.
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 non-convergence.
+Exit codes: 0 ok, 2 config error, 3 solver error, 4 non-convergence. A
+result with a NaN or an infinity is a solver error that names the artifact;
+no artifact holds one.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ from .shooting import alpha_to_sigma, invert_sigma
 
 class ConfigError(LiouvilleError):
     """Unparseable or invalid configuration file."""
+
+
+class OutputError(LiouvilleError):
+    """A result that strict JSON or CSV cannot hold: NaN or an infinity."""
 
 
 # The config tree: an object is a dict of its keys, a list is a one-item
@@ -165,17 +171,26 @@ class _Out:
         return self.dir / f"{self.prefix}{name}"
 
     def write_json(self, name: str, payload: dict) -> Path:
+        """Strict JSON: a NaN or an infinity is an OutputError, and no file."""
         body = {
             "artifact_version": __version__,
             "config": self.cfg,
             **payload,
         }
+        try:
+            text = json.dumps(body, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise OutputError(f"{name} would hold a non-finite number ({exc})") from exc
         target = self.path(name)
-        target.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+        target.write_text(text + "\n")
         return target
 
     def write_csv(self, name: str, header, rows) -> None:
-        """Comment lines, the header, then rows of numbers to 17 digits."""
+        """Comment lines, the header, then rows of numbers to 17 digits; a
+        NaN or an infinity is an OutputError, and no file."""
+        rows = np.asarray(list(rows), dtype=float)
+        if not np.all(np.isfinite(rows)):
+            raise OutputError(f"{name} would hold a non-finite number")
         with open(self.path(name), "w") as stream:
             stream.write(f"# artifact_version: {__version__}\n")
             stream.write(f"# config: {json.dumps(self.cfg, sort_keys=True)}\n")
@@ -198,6 +213,8 @@ def cmd_solve(cfg: dict, out: _Out) -> int:
     with np.errstate(all="ignore"):
         r_nodes = np.exp(profile.grid)
         rows = np.column_stack([r_nodes, profile.values, profile.dvalues / r_nodes[:, None]])
+    radii = np.geomspace(10.0, min(100.0, profile.r_max), 5)
+    table = pohozaev_tail_table(profile, radii, summary)
     components = range(1, matrix.n + 1)
     out.write_csv(
         "profile.csv",
@@ -208,12 +225,7 @@ def cmd_solve(cfg: dict, out: _Out) -> int:
         "summary.json",
         {"summary": summary.to_dict(), "h2_ok": matrix.h2_ok},
     )
-    radii = np.geomspace(10.0, min(100.0, profile.r_max), 5)
-    out.write_csv(
-        "tail_table.csv",
-        ["R", "defect", "predicted", "ratio"],
-        pohozaev_tail_table(profile, radii, summary),
-    )
+    out.write_csv("tail_table.csv", ["R", "defect", "predicted", "ratio"], table)
     out.say(f"sigma = {summary.sigma.tolist()}")
     out.say(f"pohozaev residual = {pohozaev_residual(summary):.3e}")
     return 0

@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _LOG_FLOAT_MAX, ExtractionError, InputError, as_array, as_number
+from .errors import (
+    _LOG_FLOAT_MAX,
+    DomainError,
+    ExtractionError,
+    InputError,
+    as_array,
+    as_number,
+)
 from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
@@ -222,7 +229,8 @@ def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
 
     For each R: defect(R) = 4 sum_i sigma_iR/mu - sum_ij a_ij (sigma_iR/mu)
     (sigma_jR/mu), predicted(R) = 2 sum_i e^(D_i - alpha_i)/mu^2 *
-    R^(2 mu - m_i). Rows are (R, defect, predicted, defect/predicted).
+    R^(2 mu - m_i). Rows are (R, defect, predicted, defect/predicted); a
+    DomainError where predicted is not above the rounding of the defect.
     """
     radii = as_array(radii, "radii")
     if radii.ndim != 1:
@@ -237,10 +245,19 @@ def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
         if not (10.0 <= big_r <= profile.r_max * (1.0 + 1e-12)):
             raise InputError(f"radius {big_r} outside [10, r_max]")
         s_r = truncated_sigma(profile, big_r) / mu
-        defect = float(4.0 * s_r.sum() - s_r @ a_mat @ s_r)
+        linear, quadratic = 4.0 * float(s_r.sum()), float(s_r @ a_mat @ s_r)
         predicted = float(
             2.0 / mu**2 * np.sum(coeff * big_r ** (2.0 * mu - summary.m))
         )
+        # the defect is a difference: below its terms' rounding the ratio
+        # says nothing (predicted underflows to 0 with A = [[1e300]])
+        rounding = 2.0**-52 * (abs(linear) + abs(quadratic))
+        if not predicted > rounding:
+            raise DomainError(
+                f"at R = {big_r} the predicted defect {predicted:.3e} is not above "
+                f"the rounding {rounding:.3e} of the identity's terms"
+            )
+        defect = linear - quadratic
         rows.append((float(big_r), defect, predicted, defect / predicted))
     return rows
 

@@ -9,14 +9,17 @@ is integrated in the log-radius variable s = log r, where it becomes
     d^2 U_i / ds^2 = -sum_j a_ij exp(2 mu s + U_j),  mu = 1 + gamma,
 
 with a smooth right-hand side even though the weight r^(2 gamma) is singular
-at the origin. The solve (at mu = 1, below) starts at r = min(1e-6,
-(4e-8 / max S)^(1/2)), S = A e^(U(0)) of that system, from the two-term
-origin series. ``_series`` alone writes it out: the start state, its
-alpha0-derivative and the values below the first node. Besides (U_i, dU_i/ds)
-the state carries, per component, the running weighted mass integral
-int_0^r t^(2 gamma + 1) e^(U_i(t)) dt and its log-weighted counterpart, so
-downstream energy quadratures inherit the adaptive step control of the
-solver and stay bitwise deterministic.
+at the origin. The solve (at mu = 1, below) starts from the origin series,
+K = 16 terms in x = r^(2 mu), at its start radius: the largest r at which
+its last terms are below 2^-52 of its first (``_series_terms``), and at
+least one e-fold below r_max. ``_series`` alone sums it: the start state,
+its alpha0-derivative and the values below the first node. The first step
+is the one at which the pair's error estimate on the weights' growth
+e^(2s) there reads 1/40 (``_FIRST_STEP``), 0.15 at tol 1e-10. Besides
+(U_i, dU_i/ds) the state carries, per component, the running weighted mass
+integral int_0^r t^(2 gamma + 1) e^(U_i(t)) dt and its log-weighted
+counterpart, so downstream energy quadratures inherit the adaptive step
+control of the solver and stay bitwise deterministic.
 
 The stepper is DOP853, the 8th-order Dormand-Prince pair with 5th- and
 3rd-order error estimates (Hairer, Norsett and Wanner, Solving ODEs I,
@@ -79,8 +82,11 @@ from .errors import (
     as_number,
 )
 
-# Largest start radius of the mu = 1 solve (module docstring).
-R_SERIES = 1e-6
+# Terms K of the origin series past alpha0, and log 2^-52, the relative
+# size of its last terms at the start radius (``_series``).
+_SERIES_TERMS = 16
+_ORDERS = np.arange(_SERIES_TERMS + 1.0)  # k = 0..K
+_LOG_EPS = -52.0 * math.log(2.0)
 # Abort threshold for any solution component (e^U overflows long after this).
 U_OVERFLOW = 50.0
 
@@ -162,66 +168,121 @@ def _radius_at(s: float) -> float:
 
 
 def origin_series(spec: ProblemSpec, r: float):
-    """Two-term origin expansion: values and d/dr at a small radius.
+    """The origin series' values and d/dr at a radius within its range.
 
-    U_i(r) = alpha0_i - S_i r^(2 mu) / (2 mu)^2 + O(r^(4 mu)) with
-    S_i = sum_j a_ij e^(alpha0_j). Rejected when the second term is no
-    longer small. For r > 0 these are rows 0 and 1 of ``_series``.
+    U_i(r) = alpha0_i + sum_k c_ik r^(2 mu k), rows 0 and 1 of ``_series``;
+    rejected past the series' start radius, where its last terms are no
+    longer below the doubles. At r = 0, alpha0 and the slope's limit.
     """
     r = as_number(r, "r")
     if r < 0.0:
         raise InputError(f"r must be nonnegative, got {r}")
-    mu = spec.singularity.mu
-    s_vec = spec.matrix.entries @ np.exp(spec.alpha0)
-    scale = float(np.max(np.abs(s_vec))) * r ** (2.0 * mu) / (2.0 * mu) ** 2
-    if scale > 0.05:
-        raise DomainError(
-            f"r = {r} is outside the origin-series validity range "
-            f"(second term {scale:.3e} > 0.05)"
-        )
     if r > 0.0:
-        return tuple(_series(spec, r)[0][:2])
+        terms = _series_terms(spec)
+        if math.log(r) > terms[-1]:
+            raise DomainError(
+                f"r = {r} is outside the origin-series range "
+                f"(start radius {_radius_at(terms[-1]):.6e})"
+            )
+        return tuple(_series(spec, r, terms=terms)[0][:2])
+    mu = spec.singularity.mu
     if 2.0 * mu > 1.0:
         derivs = np.zeros(spec.n)
     elif 2.0 * mu == 1.0:
-        derivs = -s_vec / (2.0 * mu)
+        derivs = -(spec.matrix.entries @ np.exp(spec.alpha0)) / (2.0 * mu)
     else:
         derivs = np.full(spec.n, -np.inf)
     return spec.alpha0.copy(), derivs
 
 
-def _series(spec: ProblemSpec, r: float, derivative: bool = False):
+def _series_terms(spec: ProblemSpec, derivative: bool = False):
+    """The origin series' coefficients and the log of its start radius.
+
+    With x = r^(2 mu), U_i = alpha0_i + sum_{k=1..K} c_ik x^k, where
+    (2 mu k)^2 c_ik = -sum_j a_ij e^(alpha0_j) e_j,k-1 and e_j,k are the
+    coefficients of exp(U_j - alpha0_j): e_j,0 = 1 and k e_j,k = sum_{l=1..k}
+    l c_jl e_j,k-l. The start radius is the largest at which the last
+    terms, e_K x^K and c_K x^(K-1) against c_1, are below 2^-52; it reads
+    the coefficients, so it also holds where the radius of convergence is
+    small. The recursion runs in y = |c_1| x, so that neither the
+    coefficients (about e^(k alpha0)) nor the powers of x leave the
+    doubles. Its alpha0-derivative (``derivative``) runs beside it by the
+    product rule, with the scale |c_1| held constant, and apart, so that the
+    values are bitwise the same with or without it.
+
+    Returns (coef, dcoef, log |c_1|, log start radius): coef[0, k] = k c_k
+    and coef[1, k] = e_k in y, (2, K + 1, n), and dcoef their
+    alpha0-derivatives, (2, K + 1, n, n), or None.
+    """
+    n, b2, terms = spec.n, 2.0 * spec.singularity.mu, _SERIES_TERMS
+    weights = spec.matrix.entries * np.exp(spec.alpha0)  # a_ij e^(alpha0_j)
+    scale = float(np.max(np.abs(weights.sum(axis=1)))) / b2**2 or 1.0
+    # row k - 1: -a_ij e^(alpha0_j) / (scale b2^2 k)
+    weights = weights / (-scale * b2**2 * _ORDERS[1:, None, None])
+    coef = np.zeros((2, terms + 1, n))
+    d, e = coef
+    e[0] = 1.0
+    dcoef = np.zeros((2, terms + 1, n, n)) if derivative else None
+    for k in range(1, terms + 1):
+        np.dot(weights[k - 1], e[k - 1], out=d[k])
+        # k e_k = sum_l d_l e_(k-l)
+        np.einsum("lj,lj->j", d[1 : k + 1], e[k - 1 :: -1], out=e[k])
+        e[k] /= k
+        if derivative:
+            dd, de = dcoef
+            np.dot(weights[k - 1], de[k - 1], out=dd[k])
+            dd[k] += weights[k - 1] * e[k - 1]
+            np.einsum("lj,ljm->jm", d[1 : k + 1], de[k - 1 :: -1], out=de[k])
+            de[k] += np.einsum("ljm,lj->jm", dd[1 : k + 1], e[k - 1 :: -1])
+            de[k] /= k
+    # log y where the last terms reach 2^-52: c_K y^(K-1) (c_1 is 1 in y)
+    # and e_K y^K; inf where they vanish
+    tops = np.max(np.abs(coef[:, terms]), axis=1) / (terms, 1.0)
+    log_y = min(
+        (_LOG_EPS - math.log(top)) / power if top > 0.0 else math.inf
+        for top, power in zip(tops.tolist(), (terms - 1, terms))
+    )
+    log_scale = math.log(scale)
+    return coef, dcoef, log_scale, (log_y - log_scale) / b2
+
+
+def _series(spec: ProblemSpec, r: float, derivative: bool = False, terms=None):
     """The origin series at r > 0: rows U, dU/dr, mass, logmass, (4, n).
 
-    U = alpha0 - S x / (2 mu)^2 with S = A e^(alpha0) and x = r^(2 mu); mass
-    and logmass integrate t^(2 mu - 1) e^(U) and log(t) t^(2 mu - 1) e^(U)
-    over [0, r] term by term. With ``derivative`` the second value is the
-    alpha0-derivative of the solver's seed (row 1 times r), (4n, n), else None.
+    Sums the ``_series_terms`` (made here unless given); mass and logmass
+    integrate t^(2 mu - 1) e^U and log(t) t^(2 mu - 1) e^U over [0, r] term
+    by term. With ``derivative`` the second value is the alpha0-derivative
+    of the solver's seed (row 1 times r), (4n, n), else None.
     """
-    mu = spec.singularity.mu
-    e0 = np.exp(spec.alpha0)
-    s_vec = spec.matrix.entries @ e0
-    b2, b4 = 2.0 * mu, 4.0 * mu
-    x, x2, log_r = r**b2, r**b4, math.log(r)
-    rows = np.array([
-        spec.alpha0 - s_vec * x / b2**2,
-        # not dU/ds over r: at 2 mu = 2 and r = 1e-200 that underflows
-        -s_vec * r ** (b2 - 1.0) / b2,
-        e0 * (x / b2 - s_vec / b2**2 * x2 / b4),
-        e0 * (x * (log_r / b2 - 1.0 / b2**2)
-              - s_vec / b2**2 * x2 * (log_r / b4 - 1.0 / b4**2)),
-    ])
+    n, b2 = spec.n, 2.0 * spec.singularity.mu
+    coef, dcoef, log_scale, _ = terms or _series_terms(spec, derivative)
+    log_r = math.log(r)
+    y = math.exp(b2 * log_r + log_scale)
+    powers = y**_ORDERS  # y^k, k = 0..K
+    inv_p = 1.0 / (b2 * (_ORDERS + 1.0))
+    # weights over k c_k: y^k / k and b2 y^(k-1) (dU/dr over |c_1| r^(b2-1));
+    # over e_k: the mass and logmass integrals of x^(k+1), over e^alpha0 x
+    on = np.zeros((4, 2, _SERIES_TERMS + 1))
+    on[0, 0, 1:] = powers[1:] / _ORDERS[1:]
+    on[1, 0, 1:] = b2 * powers[:-1]
+    on[2, 1] = powers * inv_p
+    on[3, 1] = on[2, 1] * (log_r - inv_p)
+    on = on.reshape(4, -1)
+    # not dU/ds over r: at 2 mu = 2 and r = 1e-200 that underflows
+    slope = math.exp(log_scale) * r ** (b2 - 1.0)
+    mass = np.exp(spec.alpha0 + b2 * log_r)  # e^alpha0 x
+    rows = on @ coef.reshape(-1, n)
+    rows[0] += spec.alpha0
+    rows[1] *= slope
+    rows[2:] *= mass
     if not derivative:
         return rows, None
-    ds = spec.matrix.entries * e0  # d S_i / d alpha0_j
-    c_mass = e0 * x2 / (b2**2 * b4)
-    c_log = e0 * x2 * (log_r / b4 - 1.0 / b4**2) / b2**2
-    return rows, np.vstack([
-        np.eye(spec.n) - ds * x / b2**2,
-        -ds * x / b2,
-        np.diag(rows[2]) - c_mass[:, None] * ds,
-        np.diag(rows[3]) - c_log[:, None] * ds,
-    ])
+    seed = (on @ dcoef.reshape(-1, n * n)).reshape(4, n, n)
+    seed[0] += np.eye(n)
+    seed[1] *= slope * r  # the solver's seed: dU/ds
+    seed[2:] *= mass[:, None]
+    seed[2:] += rows[2:, :, None] * np.eye(n)
+    return rows, seed.reshape(4 * n, n)
 
 
 # DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.10) as 13 stages,
@@ -282,6 +343,14 @@ _E3[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
     0.02265179219836082
 ]
+
+# The first step. At the start the weights grow like e^(2s), the series'
+# leading term at mu = 1; on that, a step h gives the relative E5 and E3 error
+# rows a5 z^6 and a3 z^4 (z = 2h, to leading order), which the controller's
+# norm reads as 10 a5^2 z^8 / (a3 tol). The first step is where that is 1/40.
+_A5 = float(_E5 @ _C**5) / 120.0
+_A3 = float(_E3 @ _C**3) / 6.0
+_FIRST_STEP = 0.5 * (_A3 / (400.0 * _A5**2)) ** 0.125
 
 
 def _step_basis() -> np.ndarray:
@@ -519,15 +588,14 @@ def integrate(
     shift = 2.0 * math.log(mu)
     unit = replace(spec, singularity=SingularityProfile(0.0), alpha0=spec.alpha0 - shift)
 
-    # shrink the start radius until the dropped r^4 series term is negligible
-    weight = float(np.max(spec.matrix.entries @ np.exp(unit.alpha0)))
-    if weight == 0.0:
+    if not np.any(np.exp(unit.alpha0)):
         raise InputError(f"alpha0 = {spec.alpha0.tolist()} is too small: e^alpha0 underflows to 0")
-    target = 4e-8 / weight
-    r_start = min(R_SERIES, target**0.5)
-
-    s0, s_end = math.log(r_start), mu * math.log(r_max)
-    seed, seed_sens = _series(unit, r_start, sensitivity)
+    # from the series' start radius, capped one e-fold below r_max
+    s_end = mu * math.log(r_max)
+    terms = _series_terms(unit, sensitivity)
+    s0 = min(terms[-1], s_end - 1.0)
+    r_start = math.exp(s0)
+    seed, seed_sens = _series(unit, r_start, sensitivity, terms)
     seed[1] *= r_start
     step = _Step(unit, s0, seed)
     state, new = step.state, step.new
@@ -540,7 +608,7 @@ def integrate(
 
     atol = tol * 1e-3
     s = s0
-    h = 1e-2
+    h = _FIRST_STEP * tol**0.125
     err_prev = 1.0
     nodes = [s]
     states = [state.copy()]
@@ -648,8 +716,10 @@ def evaluate(profile: RadialProfile, r: float):
     """
     r = _radius(profile, r)
     # r_first is 0.0 when the first node's radius underflows (gamma near -1)
-    if r == 0.0 or r < profile.r_first:
+    if r == 0.0:
         return origin_series(profile.spec, r)
+    if r < profile.r_first:
+        return tuple(_series(profile.spec, r)[0][:2])
     u, du_ds = _state_at(profile, r)[:2]
     return u, du_ds / r
 

@@ -161,7 +161,7 @@ def _dp5_integrate(spec, r_max, tol, sensitivity=False):
 
     n, mu, a_mat = spec.n, spec.singularity.mu, spec.matrix.entries
     s_max_coeff = float(np.max(a_mat @ np.exp(spec.alpha0)))
-    r_start = radial.R_SERIES
+    r_start = 1e-6
     target = 1e-8 * (2.0 * mu) ** 2 / s_max_coeff
     if r_start ** (2.0 * mu) > target:
         r_start = max(target ** (1.0 / (2.0 * mu)), 1e-250)

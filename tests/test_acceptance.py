@@ -157,8 +157,9 @@ def test_criterion_07_round_trips(matrix12, monkeypatch):
     # one integration per Newton trial, Jacobian included; centred
     # differences spent 836 on these inversions, and 836 / 2.5 = 334
     assert len(calls) <= 334
-    # the loose solves far from the root; every trial at tol took 18,136
-    assert sum(calls) == 10307
+    # the attempted steps, pinned: loose solves far from the root, each
+    # from the series' start radius and first step
+    assert sum(calls) == 4841
 
 
 def test_criterion_08_scaling_identities(f2_summary):

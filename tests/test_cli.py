@@ -68,7 +68,7 @@ class TestSolve:
         assert json.loads(lines[1].removeprefix("# config: ")) == summary["config"]
         assert lines[2] == "r,U_1,U_2,dU_1,dU_2"
         assert len(lines) == 3 + len(f3_profile.grid)
-        assert float(lines[3].split(",")[0]) == pytest.approx(1e-6, rel=1e-12)
+        assert float(lines[3].split(",")[0]) == pytest.approx(f3_profile.r_first, rel=1e-12)
         k = len(f3_profile.grid) // 2
         row = [float(v) for v in lines[3 + k].split(",")]
         r = np.exp(f3_profile.grid)[k]
@@ -517,6 +517,8 @@ PROBES = [
     ("D-nan", "leading-general", "blowup.D", [math.nan, 0.0], "D must"),
     # e^(D - alpha) overflows: not an OverflowError traceback
     ("D-overflow", "leading-Q", "blowup.D", [800.0], "D = [800.0]"),
+    # e^(D - alpha) is finite but b = e^(D - alpha) times its bracket is not
+    ("D-b-overflow", "leading-Q", "blowup.D", [709.0], "D = [709.0]: b at i = 1, t = 1"),
     ("points-nan", "leading-general", "blowup.points", [[math.nan, 0.62]], "points"),
     ("green-points-nan", "green", "green.points", [[0.1, math.nan], [0.6, 0.7]], "points"),
     # level_mass is not a key: the constant term of b uses the level n_L
@@ -531,6 +533,8 @@ PROBES = [
     ("delta0-nan", "leading-general", "blowup.delta0", math.nan, "delta0"),
     ("delta0-neg", "leading-general", "blowup.delta0", -0.02, "delta0"),
     ("delta0-0", "leading-general", "blowup.delta0", 0, "delta0"),
+    # x - p_t rounds to 0 near the ball's edge: the Green kernel's log of 0
+    ("delta0-1e-300", "leading-general", "blowup.delta0", 1e-300, "delta0 must be at least"),
     # n_modes is not a key: the Green function sets its own image count
     ("n_modes-12", "leading-general", "blowup.n_modes", 12, "unknown key 'n_modes'"),
     # json writes and reads NaN and Infinity as bare words
@@ -541,7 +545,7 @@ PROBES = [
     ("gamma-string", "solve", "gamma", "x", "gamma"),
     ("matrix-ragged", "solve", "matrix", [[1.0], [1.0, 2.0]], "matrix"),
     ("alpha0-string", "solve", "alpha0", "x", "alpha0"),
-    # e^alpha0 underflows to 0, which would leave no start radius
+    # e^alpha0 underflows to 0: the weights vanish
     ("alpha0-underflow", "solve", "alpha0", [-750.0], "alpha0"),
     ("guess-string", "invert", "guess", "x", "guess"),
     ("mu_p-string", "compare", "compare.mu_p", "x", "mu_p"),
@@ -664,6 +668,45 @@ def test_cold_start_imports_no_scipy():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+class TestStrictOutput:
+    """No artifact holds a NaN or an infinity: a result that would is a
+    solver error (exit 3) that names the artifact, and no file is written."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_write_json(self, tmp_path, value):
+        out = cli._Out(str(tmp_path), {}, quiet=True)
+        with pytest.raises(cli.OutputError, match="x.json would hold a non-finite number"):
+            out.write_json("x.json", {"v": [1.0, value]})
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_write_csv(self, tmp_path, value):
+        out = cli._Out(str(tmp_path), {}, quiet=True)
+        with pytest.raises(cli.OutputError, match="x.csv would hold a non-finite number"):
+            out.write_csv("x.csv", ["a", "b"], ((1.0, 2.0), (3.0, value)))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_overflowing_prediction_exits_3(self, tmp_path, capsys):
+        # two regular points, each b about 9e307: their sum, and with it the
+        # prediction, overflows; it used to be written as -Infinity
+        cfg = copy.deepcopy(BASES["leading-Q"])
+        cfg["blowup"].update(points=[[0.25, 0.25], [0.75, 0.75]], gammas=[0.0, 0.0],
+                             rho=[16.0 * math.pi], D=[706.8], eps_k=0.5)
+        code, out = run(tmp_path, "leading", cfg)
+        assert code == 3
+        assert "leading.json would hold a non-finite number" in capsys.readouterr().err
+        assert not (out / "leading.json").exists()
+
+    def test_tail_table_below_rounding_exits_3(self, tmp_path, capsys):
+        # A = [[1e300]]: the predicted defect underflows to 0, and the ratio
+        # column was a ZeroDivisionError; no artifact is written
+        cfg = {"matrix": [[1e300]], "gamma": 0.0, "alpha0": [0.0]}
+        code, out = run(tmp_path, "solve", cfg)
+        assert code == 3
+        assert "at R = 10.0 the predicted defect 0.000e+00" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestOutputPaths:

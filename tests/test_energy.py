@@ -6,7 +6,7 @@ import pytest
 
 import liouville as lv
 from liouville.energy import _TAIL_ATOL
-from liouville.errors import ExtractionError, InputError, OutOfRangeError
+from liouville.errors import DomainError, ExtractionError, InputError, OutOfRangeError
 from test_radial import MATRICES
 
 LOG64 = math.log(64.0)
@@ -230,6 +230,16 @@ class TestPohozaevTailTable:
     def test_radius_validation(self, f1_profile, f1_summary):
         with pytest.raises(InputError):
             lv.pohozaev_tail_table(f1_profile, [5.0], f1_summary)
+
+    def test_no_ratio_below_rounding(self):
+        # A = [[1e100]]: sigma = 4e-100 and the defect 4 s - s A s is the
+        # difference of two terms of 1.6e-99, against a predicted 1.3e-200;
+        # the ratio came out as 1.8e89
+        spec = lv.ProblemSpec(lv.CoefficientMatrix.from_entries([[1e100]]),
+                              lv.SingularityProfile(0.0), np.array([0.0]))
+        profile = lv.integrate(spec)
+        with pytest.raises(DomainError, match="not above the rounding"):
+            lv.pohozaev_tail_table(profile, [10.0])
 
     @pytest.mark.parametrize(
         "radii, message",
