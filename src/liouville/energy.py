@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    _LOG_FLOAT_MAX,
-    DomainError,
-    ExtractionError,
-    InputError,
-    as_array,
-    as_number,
-)
+from .errors import _LOG_FLOAT_MAX, DomainError, ExtractionError, InputError, as_array, as_number
 from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.

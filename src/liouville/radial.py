@@ -83,7 +83,7 @@ from .errors import (
 )
 
 # Terms K of the origin series past alpha0, and log 2^-52, the relative
-# size of its last terms at the start radius (``_series``).
+# size of its last terms at the start radius (``_series_terms``).
 _SERIES_TERMS = 16
 _ORDERS = np.arange(_SERIES_TERMS + 1.0)  # k = 0..K
 _LOG_EPS = -52.0 * math.log(2.0)

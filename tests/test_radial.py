@@ -181,6 +181,20 @@ class TestSeriesOracle:
         np.testing.assert_allclose(rows[0], u, rtol=1e-15, atol=1e-16)
         np.testing.assert_allclose(rows[2], mass, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name, alpha0", [
+        ("F1", 0.0), ("F1", 2.0), ("F1", -3.0), ("F2", 0.0), ("F3", 0.0),
+    ])
+    def test_closed_form_terms(self, name, alpha0):
+        # in y = |c_1| x = 2 t the terms are dyadic: k c_k = 2 (-1/2)^k and
+        # e_k = (k + 1) (-1/2)^k, the same for every alpha0 and strength
+        spec = _oracle_spec(name)
+        spec = lv.ProblemSpec(spec.matrix, spec.singularity, spec.alpha0 + alpha0)
+        coef = radial._series_terms(spec)[0]
+        k = np.arange(radial._SERIES_TERMS + 1.0)
+        half = (-0.5) ** k
+        np.testing.assert_allclose(coef[0, 1:] / (2.0 * half[1:, None]), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(coef[1] / ((k + 1.0) * half)[:, None], 1.0, rtol=1e-14)
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("gamma", [0.0, -0.5, -0.9])
     def test_derivative_seed(self, n, gamma):
