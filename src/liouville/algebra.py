@@ -251,9 +251,9 @@ def critical_values(
 ) -> np.ndarray:
     """All levels 8 m pi + sum of 8 pi mu over point subsets, 0 excluded.
 
-    Sorted ascending, deduplicated to relative tolerance 1e-12.
+    Sorted ascending, deduplicated to relative tolerance 1e-12; m_max <= 20.
     """
-    m_max = as_count(m_max, "m_max", 0)
+    m_max = as_count(m_max, "m_max", 0, 20)
     if not isinstance(strengths, (list, tuple)) or not all(
         isinstance(s, SingularityProfile) for s in strengths
     ):

@@ -522,7 +522,8 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
     """Predicted surface gap when rho sits at the symmetric point.
 
     -4 sum_i sum_{t regular} b_it eps_k^2 log(1/eps_k); requires all
-    normalized masses to equal 4 and at least one regular point.
+    normalized masses to equal 4 and at least one regular point; an
+    InputError naming D where the sum overflows.
     """
     if config.regime != "Q":
         raise WrongRegimeError(
@@ -536,7 +537,11 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
         for i in range(config.n)
         for t in config.regular_set
     )
-    return -4.0 * total * eps_k**2 * math.log(1.0 / eps_k)
+    prediction = -4.0 * total * eps_k**2 * math.log(1.0 / eps_k)
+    if not math.isfinite(prediction):
+        raise InputError(f"D = {config.D.tolist()}: the sum of the b_it, {total:.6e}, "
+                         "times -4 eps_k^2 log(1/eps_k) overflows")
+    return prediction
 
 
 def _location_weights(config: BlowupConfiguration, regime: str):

@@ -306,7 +306,7 @@ def cmd_surface(cfg: dict, out: _Out) -> int:
         t_vals = np.linspace(
             as_number(sweep.get("t_min", 0.5), "surface.sweep.t_min"),
             as_number(sweep.get("t_max", 1.5), "surface.sweep.t_max"),
-            as_count(sweep.get("count", 21), "surface.sweep.count", 0),
+            as_count(sweep.get("count", 21), "surface.sweep.count", 0, 10_000),
         )
         out.write_csv(
             "sweep.csv",

@@ -9,37 +9,33 @@ integrals with the tail model
 
     e^(U_j(r)) ~ e^(D_j - alpha_j) r^(-m_j),   r > r_max,
 
-solved self-consistently (D and m appear on both sides), and provides the
-quadratic energy identity sum a_ij sigma_i sigma_j = 4 mu sum sigma_i, its
-finite-radius defect table, and the three-term pointwise fit.
+solved self-consistently (D and m appear on both sides). The next term of
+U_j's far-field expansion, integrated from R = r_max out, is the model's
+first omitted term of sigma_j,
+
+    tau_j = c_j sum_k a_jk c_k / (g_k^2 (g_j + g_k)),  c = e^(D - alpha) R^(-g),  g = m - 2 mu,
+
+and a summary whose ``tail_error`` = max_j |tau_j| / sigma_j, the estimated
+relative error of sigma, passes 1e-5 is an ExtractionError. The module also
+provides the quadratic energy identity sum a_ij sigma_i sigma_j = 4 mu sum
+sigma_i, its finite-radius defect table, and the three-term pointwise fit.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _LOG_FLOAT_MAX, DomainError, ExtractionError, InputError, as_array, as_number
+from .errors import DomainError, ExtractionError, InputError, as_array, as_number
 from .radial import RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
 _TAIL_ATOL = 1e-11
 _TAIL_MAX_ITER = 100
-# m_min within this many mu of the integrability threshold 2 mu makes the
-# tail model unreliable (the remainder exponents degenerate).
-_NEAR_BOUNDARY_MARGIN = 0.01
-# The flux -r U_i' at r_max must be this close to its limit m_i. Since
-# -r U'(r_max) = A sigma(r_max) exactly, the gap m - flux at the converged
-# closure is A (tail / gap), the tail model's own share of m: this bounds
-# how much of m the tail model supplies, not how wrong the model is.
-_FLUX_GAP_MAX = 1e-3
-
-
-class TailAccuracyWarning(RuntimeWarning):
-    """Tail exponents close to the integrability threshold."""
+# Largest accepted tail_error, the estimated relative error of sigma.
+_TAIL_ERROR_MAX = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +48,10 @@ class SolutionSummary:
     alpha: np.ndarray
     mu: float
     m_min: float
-    near_boundary: bool
-    # tail-closure sweeps taken and the final sup norm of m - flux
+    # closure sweeps, the final sup norm of m - flux, sigma's estimated error
     sweeps: int
     flux_gap: float
+    tail_error: float
     profile: RadialProfile = field(repr=False)
     # d sigma / d alpha0, (n, n), when the profile carries sensitivities
     dsigma: np.ndarray | None = field(default=None, repr=False)
@@ -72,6 +68,7 @@ class SolutionSummary:
             "alpha": [float(v) for v in self.alpha],
             "mu": float(self.mu),
             "m_min": float(self.m_min),
+            "tail_error": float(self.tail_error),
             "pohozaev_residual": pohozaev_residual(self),
         }
 
@@ -88,11 +85,11 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     Raises
     ------
     ExtractionError
-        If r_max is too small for the flux to have settled (it is at or
-        below 2 mu, or too far from m after the closure), the closure drives
-        a mass exponent to or below the integrability threshold 2 mu or a
-        tail e^(D - alpha - (m - 2 mu) log r_max) past the floats, or the
-        fixed point does not converge.
+        If the flux at r_max is at or below 2 mu, the closure drives a mass
+        exponent to or below the integrability threshold 2 mu or a tail
+        e^(D - alpha - (m - 2 mu) log r_max) past the floats, the fixed
+        point does not converge, or ``tail_error`` exceeds 1e-5: in the
+        first and the last case r_max is too small for the profile.
     """
     mu = profile.spec.singularity.mu
     a_mat = profile.spec.matrix.entries
@@ -112,27 +109,24 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     d_vec = a_mat @ logw_r
     sigma = sigma_r.copy()
     for sweeps in range(1, _TAIL_MAX_ITER + 1):
+        gap = m - 2.0 * mu
+        tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
+        if np.any(tail == np.inf):
+            i = int(np.argmax(d_vec - alpha - gap * log_r))
+            raise ExtractionError(
+                f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
+                f"overflows; its flux -r U' is {flux[i] - 2 * mu:.4g} above 2 mu = {2 * mu}"
+            )
+        sigma_new = sigma_r + tail / gap
+        m_new = a_mat @ sigma_new
+        d_new = a_mat @ (logw_r + logw_tail)
+        delta = float(np.max(np.abs(sigma_new - sigma)))
+        sigma, m, d_vec = sigma_new, m_new, d_new
         if np.any(m <= 2.0 * mu):
             raise ExtractionError(
                 f"mass exponent at or below the integrability threshold "
                 f"2 mu = {2 * mu}: m = {m}"
             )
-        gap = m - 2.0 * mu
-        # single exp of the combined exponent: avoids inf * 0 for extreme data
-        exponent = d_vec - alpha - gap * log_r
-        if np.any(exponent > _LOG_FLOAT_MAX):
-            i = int(np.argmax(exponent))
-            raise ExtractionError(
-                f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
-                f"overflows; its flux -r U' is {flux[i] - 2 * mu:.4g} above 2 mu = {2 * mu}"
-            )
-        tail = np.exp(exponent)
-        sigma_new = sigma_r + tail / gap
-        logw_tail = tail * (log_r / gap + 1.0 / gap**2)
-        m_new = a_mat @ sigma_new
-        d_new = a_mat @ (logw_r + logw_tail)
-        delta = float(np.max(np.abs(sigma_new - sigma)))
-        sigma, m, d_vec = sigma_new, m_new, d_new
         if delta < _TAIL_ATOL:
             break
     else:
@@ -140,27 +134,21 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
             f"tail fixed point did not converge in {_TAIL_MAX_ITER} sweeps"
         )
 
-    flux_gap = float(np.max(np.abs(m - flux)))
-    if flux_gap > _FLUX_GAP_MAX:
+    gap = m - 2.0 * mu
+    tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
+    # the first omitted term of sigma, c_j sum_k a_jk c_k / (g_k^2 (g_j + g_k));
+    # a NaN or an infinity here fails the test below
+    with np.errstate(all="ignore"):
+        omitted = tail * np.sum(a_mat * (tail / gap**2) / np.add.outer(gap, gap), axis=1)
+        tail_error = float(np.max(np.abs(omitted) / sigma))
+    if not tail_error <= _TAIL_ERROR_MAX:
         raise ExtractionError(
-            f"flux -r U' at r_max is {flux_gap:.2e} away from its limit; "
-            f"increase r_max"
-        )
-
-    m_min = float(m.min())
-    # relative to mu, so the test is the same before and after mu_transform
-    near_boundary = m_min <= 2.0 * mu + _NEAR_BOUNDARY_MARGIN * mu
-    if near_boundary:
-        warnings.warn(
-            f"m_min = {m_min:.6f} is within {_NEAR_BOUNDARY_MARGIN * mu:.6g} "
-            f"({_NEAR_BOUNDARY_MARGIN} mu) of the integrability threshold "
-            f"{2 * mu}; tail corrections are unreliable",
-            TailAccuracyWarning,
-            stacklevel=2,
+            f"sigma's estimated relative error tail_error = {tail_error:.2e} is above "
+            f"{_TAIL_ERROR_MAX:.0e}: r_max = {profile.r_max:.3g} is too small; increase r_max"
         )
 
     dsigma = None if profile.sensitivity is None else _tail_sensitivity(
-        profile, m, d_vec, alpha
+        profile, gap, tail, logw_tail
     )
     for arr in (sigma, m, d_vec, alpha, dsigma):
         if arr is not None:
@@ -171,16 +159,26 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         D=d_vec,
         alpha=alpha,
         mu=mu,
-        m_min=m_min,
-        near_boundary=near_boundary,
+        m_min=float(m.min()),
         sweeps=sweeps,
-        flux_gap=flux_gap,
+        flux_gap=float(np.max(np.abs(m - flux))),
+        tail_error=tail_error,
         profile=profile,
         dsigma=dsigma,
     )
 
 
-def _tail_sensitivity(profile, m, d_vec, alpha) -> np.ndarray:
+def _tail(d_vec, alpha, gap, log_r):
+    """The tail model past r_max = e^L, e^(U_j) = t_j (r / r_max)^(-m_j):
+    t = e^(D - alpha - g L) with g = m - 2 mu, whose weighted mass is t / g,
+    and the log-weighted mass t (L/g + 1/g^2). A t past the floats is inf."""
+    # single exp of the combined exponent: avoids inf * 0 for extreme data
+    with np.errstate(over="ignore"):
+        tail = np.exp(d_vec - alpha - gap * log_r)
+        return tail, tail * (log_r / gap + 1.0 / gap**2)
+
+
+def _tail_sensitivity(profile, gap, tail, lw_tail) -> np.ndarray:
     """d sigma / d alpha0 through the converged tail closure.
 
     sigma = sigma_R + t/g and D = A (logw_R + t (L/g + 1/g^2)) with
@@ -191,9 +189,6 @@ def _tail_sensitivity(profile, m, d_vec, alpha) -> np.ndarray:
     n = profile.n
     a_mat = profile.spec.matrix.entries
     log_r = float(profile.grid[-1])
-    gap = m - 2.0 * profile.spec.singularity.mu
-    tail = np.exp(d_vec - alpha - gap * log_r)
-    lw_tail = tail * (log_r / gap + 1.0 / gap**2)
     # partials of sigma and of the log-weighted tail in m and in D
     sig_m = -lw_tail
     lw_m = -log_r * lw_tail - tail * (log_r / gap**2 + 2.0 / gap**3)
@@ -232,16 +227,15 @@ def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
         summary = extract_summary(profile)
     mu = summary.mu
     a_mat = profile.spec.matrix.entries
-    coeff = np.exp(summary.D - summary.alpha)
+    gap = summary.m - 2.0 * mu
     rows = []
     for big_r in radii:
         if not (10.0 <= big_r <= profile.r_max * (1.0 + 1e-12)):
             raise InputError(f"radius {big_r} outside [10, r_max]")
         s_r = truncated_sigma(profile, big_r) / mu
         linear, quadratic = 4.0 * float(s_r.sum()), float(s_r @ a_mat @ s_r)
-        predicted = float(
-            2.0 / mu**2 * np.sum(coeff * big_r ** (2.0 * mu - summary.m))
-        )
+        tail = _tail(summary.D, summary.alpha, gap, math.log(big_r))[0]
+        predicted = float(2.0 / mu**2 * np.sum(tail))
         # the defect is a difference: below its terms' rounding the ratio
         # says nothing (predicted underflows to 0 with A = [[1e300]])
         rounding = 2.0**-52 * (abs(linear) + abs(quadratic))
@@ -265,14 +259,9 @@ def asymptotic_fit_error(profile: RadialProfile, summary: SolutionSummary, r: fl
     r = as_number(r, "r")
     if r < 5.0:
         raise InputError(f"fit error is only meaningful for r >= 5, got {r}")
-    mu = summary.mu
     a_mat = profile.spec.matrix.entries
-    gap = summary.m - 2.0 * mu
-    correction = a_mat @ (
-        np.exp(summary.D - summary.alpha) / gap**2 * r ** (-gap)
-    )
-    prediction = (
-        -summary.m * math.log(r) + summary.D - summary.alpha - correction
-    )
+    gap = summary.m - 2.0 * summary.mu
+    correction = a_mat @ (_tail(summary.D, summary.alpha, gap, math.log(r))[0] / gap**2)
+    prediction = -summary.m * math.log(r) + summary.D - summary.alpha - correction
     u, _ = evaluate(profile, r)
     return u - prediction

@@ -546,6 +546,17 @@ def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) ->
                          profile.dvalues * c, mass, profile.logmass - log_eta * mass, sens)
 
 
+def _solver_inputs(r_max, tol) -> tuple[float, float]:
+    """r_max and tol as floats, r_max at least 10 and tol in [_TOL_MIN, _TOL_MAX]."""
+    r_max = as_number(r_max, "r_max")
+    if r_max < 10.0:
+        raise InputError(f"r_max must be at least 10, got {r_max}")
+    tol = as_number(tol, "tol")
+    if not (_TOL_MIN <= tol <= _TOL_MAX):
+        raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
+    return r_max, tol
+
+
 def integrate(
     spec: ProblemSpec,
     r_max: float = DEFAULT_R_MAX,
@@ -569,13 +580,7 @@ def integrate(
         On step-size underflow or after MAX_STEPS attempted steps; carries
         the last good radius.
     """
-    r_max = as_number(r_max, "r_max")
-    if r_max < 10.0:
-        raise InputError(f"r_max must be at least 10, got {r_max}")
-    tol = as_number(tol, "tol")
-    if not (_TOL_MIN <= tol <= _TOL_MAX):
-        raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
-
+    r_max, tol = _solver_inputs(r_max, tol)
     n = spec.n
     mu = spec.singularity.mu
     # radial solutions decrease from the origin, so the guard binds there

@@ -19,9 +19,9 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import InputError, as_array, as_number
+from .errors import InputError, as_array
 from .newton import damped_newton
-from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, integrate
+from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, _solver_inputs, integrate
 
 _ALPHA_BOUND = 30.0
 _SIGMA_TOL = 1e-9
@@ -112,10 +112,10 @@ def invert_sigma(
     """
     target = as_array(target_reduced_sigma, "target_sigma", (matrix.n - 1,))
     dim = target.shape[0]
+    start = np.zeros(dim) if guess is None else _reduced_alpha(guess, "guess", dim)
+    r_max, tol = _solver_inputs(r_max, tol)
     if dim == 0:
         return np.zeros(0)
-    start = np.zeros(dim) if guess is None else _reduced_alpha(guess, "guess", dim)
-    tol = as_number(tol, "tol")
 
     def residual(alpha, solve_tol):
         point = alpha_to_sigma(matrix, singularity, alpha, r_max, solve_tol, jacobian=True)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,26 @@ class TestSurface:
         lam = np.array([float(r[1]) for r in rows])
         assert np.all(lam[t_vals < 0.999] > 0)
         assert np.all(lam[t_vals > 1.001] < 0)
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_caps(self, tmp_path, capsys, past):
+        # m_max <= 20 and count <= 10,000: critical_values builds
+        # (m_max + 1) 2^N levels and linspace count points before any output
+        cfg = copy.deepcopy(BASES["surface"])
+        cfg["surface"]["m_max"] = 20 + past
+        cfg["surface"]["sweep"]["count"] = 10_000 + past
+        code, out = run(tmp_path, "surface", cfg)
+        if past:
+            assert code == 2
+            assert "m_max must be in [0, 20], got 21" in capsys.readouterr().err
+            cfg["surface"]["m_max"] = 20
+            assert run(tmp_path, "surface", cfg)[0] == 2
+            assert "count must be in [0, 10000], got 10001" in capsys.readouterr().err
+        else:
+            assert code == 0
+            # 8 pi m + {0, 4 pi}: the 42 levels 4 pi k, k = 1..41
+            assert len(read_json(out, "surface.json")["critical_values"]) == 41
+            assert len((out / "sweep.csv").read_text().splitlines()) == 3 + 10_000
 
 
 class TestCompare:
@@ -583,6 +604,55 @@ def test_bad_value_exits_2(tmp_path, capsys, probe):
     assert key in capsys.readouterr().err
 
 
+def _numeric_leaves(node, path=()):
+    """The paths (keys and list indices) to every number in a config tree."""
+    if isinstance(node, dict):
+        for key, item in node.items():
+            yield from _numeric_leaves(item, (*path, key))
+    elif isinstance(node, list):
+        for j, item in enumerate(node):
+            yield from _numeric_leaves(item, (*path, j))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# every number of every base config, each set in turn to each of these values
+LEAVES = [(base, path) for base in BASES for path in _numeric_leaves(BASES[base])]
+SWEEP_VALUES = (0, -1, 1e-300, 1e300, -1e300, 709, -709, 1e16, 3, 0.999999)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "base, path", LEAVES, ids=[f"{base}-{'.'.join(map(str, path))}" for base, path in LEAVES]
+)
+def test_sweep_every_number(tmp_path, base, path):
+    # any number in any slot ends in a known exit code without a warning, and
+    # whatever it writes is strict: finite numbers only, and a finite
+    # tail_error in every summary
+    for k, value in enumerate(SWEEP_VALUES):
+        cfg = copy.deepcopy(BASES[base])
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (tmp_path / str(k)).mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path / str(k), base.split("-")[0], cfg)
+        assert code in (0, 2, 3, 4), value
+        for artifact in out.glob("*.json"):
+            payload = json.loads(artifact.read_text(), parse_constant=_no_constant)
+            for key in ("summary", "summary_p", "summary_q"):
+                if key in payload:
+                    assert math.isfinite(payload[key]["tail_error"]), value
+        for artifact in out.glob("*.csv"):
+            rows = artifact.read_text().splitlines()[3:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), value
+
+
 # (case id, base, the top-level key removed, what the error says)
 MISSING = [
     ("matrix", "solve", "matrix", "'matrix'"),
@@ -688,15 +758,15 @@ class TestStrictOutput:
             out.write_csv("x.csv", ["a", "b"], ((1.0, 2.0), (3.0, value)))
         assert not (tmp_path / "x.csv").exists()
 
-    def test_overflowing_prediction_exits_3(self, tmp_path, capsys):
+    def test_overflowing_prediction_exits_2(self, tmp_path, capsys):
         # two regular points, each b about 9e307: their sum, and with it the
-        # prediction, overflows; it used to be written as -Infinity
+        # prediction, overflows; it is D's fault, as for one b
         cfg = copy.deepcopy(BASES["leading-Q"])
         cfg["blowup"].update(points=[[0.25, 0.25], [0.75, 0.75]], gammas=[0.0, 0.0],
                              rho=[16.0 * math.pi], D=[706.8], eps_k=0.5)
         code, out = run(tmp_path, "leading", cfg)
-        assert code == 3
-        assert "leading.json would hold a non-finite number" in capsys.readouterr().err
+        assert code == 2
+        assert "D = [706.8]: the sum of the b_it, inf," in capsys.readouterr().err
         assert not (out / "leading.json").exists()
 
     def test_tail_table_below_rounding_exits_3(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,6 @@ from scipy.integrate import quad, solve_ivp
 
 import liouville as lv
 from liouville import radial
-from liouville.energy import TailAccuracyWarning
 from liouville.errors import (
     BlowupError,
     DomainError,
@@ -424,9 +422,10 @@ class TestIndependentSolver:
         nodes = np.stack([np.concatenate(first), ref]).reshape(2, 4, n)
         scipy_profile = lv.RadialProfile(spec, profile.grid[[0, -1]], *nodes.swapaxes(0, 1))
         if gamma == -0.9:
-            # the flux has not settled by r = 1e4 for either solver
+            # r = 1e4 is too near for the tail model: sigma's estimated
+            # error is 1.6e-4 to 5.3e-4, for either solver
             for each in (profile, scipy_profile):
-                with pytest.raises(ExtractionError, match="away from its limit"):
+                with pytest.raises(ExtractionError, match="tail_error"):
                     lv.extract_summary(each)
             return
         summary, scipy_summary = lv.extract_summary(profile), lv.extract_summary(scipy_profile)
@@ -693,17 +692,15 @@ class TestStats:
 class TestNearMinusOne:
     """gamma near -1, where a direct solve at mu would start below the doubles.
 
-    The scalar system has sigma = 4 mu, so m - 2 mu = 2 mu, far outside the
-    tail warning's margin 0.01 mu: the warning must not fire.
+    The scalar system has sigma = 4 mu, so m - 2 mu = 2 mu, and at r_max
+    1e300 the tail model's estimated error stays far below its bound.
     """
 
     @pytest.mark.parametrize("gamma", [-0.99, -0.995, -0.999])
     def test_scalar_sigma(self, matrix1, gamma):
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(gamma), np.array([0.0]))
         profile = lv.integrate(spec, 1e300, 1e-10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TailAccuracyWarning)
-            summary = lv.extract_summary(profile)
+        summary = lv.extract_summary(profile)
         assert summary.sigma[0] == pytest.approx(4.0 * spec.singularity.mu, rel=1e-9)
         assert profile.r_max == pytest.approx(1e300, rel=1e-10)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,31 @@ class TestInvertSigma:
     def test_degenerate_dimension(self, matrix1):
         assert lv.invert_sigma(matrix1, GAMMA0, []).shape == (0,)
 
+    @pytest.mark.parametrize(
+        "given, said",
+        [
+            ({"guess": [1.0, 2.0, 3.0]}, "guess must have shape (0,)"),
+            ({"r_max": math.nan}, "r_max must be finite"),
+            ({"r_max": 5.0}, "r_max must be at least 10"),
+            ({"tol": 5.0}, "tol must lie in"),
+        ],
+    )
+    def test_degenerate_dimension_checks_its_input(self, matrix1, given, said):
+        # nothing to solve for, but the same input is rejected as at n > 1
+        with pytest.raises(InputError, match=re.escape(said)):
+            lv.invert_sigma(matrix1, GAMMA0, [], **given)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-8])
+    def test_flux_gap_does_not_stop_the_inversion(self, matrix12, tol):
+        # n = 2, gamma = -1/2, r_max 1e4: the first trial from 0, alpha =
+        # -1.029, has a flux gap of 1.6e-3, which the absolute flux-gap
+        # bound 1e-3 refused, ending the inversion; its sigma is right to
+        # 2.75e-7, and every trial is within the tail model's bound
+        sing = lv.SingularityProfile(-0.5)
+        target = lv.alpha_to_sigma(matrix12, sing, [-2.98611107], r_max=1e4).reduced_sigma
+        recovered = lv.invert_sigma(matrix12, sing, target, r_max=1e4, tol=tol)
+        assert abs(recovered[0] + 2.98611107) < 1e-8
+
     def test_rejects_out_of_bound_guess(self, matrix12):
         # named as the guess at the boundary, not as an iterate of the map
         with pytest.raises(InputError, match="guess"):
@@ -214,11 +240,10 @@ class TestInexactNewton:
         assert 0.0 < abs(info.value.best_residual - residual(1e-10)) < 1e-6
 
     def test_sweep_converges(self):
-        # n = 2, 3; four strengths; two tols; 5 seeded alpha each. Solving
-        # every trial at tol, all 72 targets converged too, with round trips
-        # below 3.6e-14. At n = 2, gamma = -1/2, 4 of the 5 targets cannot
-        # be made at r_max 1e4 (the flux gap's ExtractionError), so they
-        # are counted out
+        # n = 2, 3; four strengths; two tols; 5 seeded alpha each. Every
+        # target and every trial is within the tail model's bound (the
+        # largest tail_error, 2.0e-6, is a gamma = -0.99 trial), so all 80
+        # targets are made and none is counted out
         matrices = [lv.CoefficientMatrix.from_entries(m) for m in ([[1.0, 2.0], [2.0, 1.0]], self.MATRIX3)]
         worst, converged, skipped = 0.0, 0, 0
         for matrix in matrices:
@@ -236,7 +261,7 @@ class TestInexactNewton:
                         recovered = lv.invert_sigma(matrix, sing, target, tol=tol)
                         worst = max(worst, float(np.max(np.abs(recovered - alpha))))
                         converged += 1
-        assert (converged, skipped) == (72, 8)
+        assert (converged, skipped) == (80, 0)
         assert worst < 1e-8
 
 
