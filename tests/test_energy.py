@@ -129,8 +129,9 @@ class TestExtractSummary:
     def test_flux_gap_is_the_tail_share(self, n, solved):
         # -r U'(r_max) = A sigma(r_max), so at the converged closure the flux
         # gap is max |A (tail / gap)|: the tail model's share of m, to the
-        # closure's tolerance. The gamma = -0.9 solves that do not settle
-        # raise ExtractionError and are counted out.
+        # closure's tolerance. The gamma = -0.9 solves whose tail_error
+        # passes the bound (1.2e-5 to 5.3e-4) raise ExtractionError and are
+        # counted out.
         matrix = lv.CoefficientMatrix.from_entries(MATRICES[n])
         checked = 0
         for gamma in (0.0, -0.25, -0.5, -0.9, -0.99):
