@@ -260,7 +260,7 @@ def critical_values(
         raise InputError(f"strengths must be a list of SingularityProfiles, got {strengths!r}")
     mus = [s.mu for s in strengths]
     if len(mus) > 20:
-        raise InputError("too many singular points for subset enumeration")
+        raise InputError(f"strengths must hold at most 20 points, got {len(mus)}")
     subset_sums = set()
     for k in range(len(mus) + 1):
         for combo in itertools.combinations(mus, k):

@@ -75,7 +75,8 @@ class BlowupConfiguration:
     ``D`` and ``alpha`` are per-component constants taken from an extracted
     radial summary chosen by the caller; this module never manufactures
     them, and each e^(D_i - alpha_i) must be a finite float. ``curvature``
-    holds K(p_t) per point (0 on the flat torus).
+    holds K(p_t) per point (0 on the flat torus). ``points`` are stored
+    wrapped into the cell (``gstar_matrix``) before anything reads them.
     """
 
     points: np.ndarray
@@ -95,7 +96,7 @@ class BlowupConfiguration:
         pts = gstar.points
         n_pts, n = pts.shape[0], self.matrix.n
         if len(self.strengths) != n_pts:
-            raise InputError("one strength per point is required")
+            raise InputError(f"strengths must have one entry per point, got {len(self.strengths)}")
         if len(self.h_fields) != n:
             raise InputError("one coefficient field per component is required")
         object.__setattr__(self, "points", pts)

@@ -2,17 +2,18 @@
 
 One JSON config file drives every command; unknown keys are rejected with
 the offending path so configs stay in sync with the code. All outputs embed
-the resolved config and the package version, contain no timestamps, and are
-byte-identical across reruns of the same config (diagnostics go to stderr).
+the config as loaded, without the defaults of the keys it leaves out, and
+the package version; they contain no timestamps and are byte-identical
+across reruns of the same config (diagnostics go to stderr).
 
 Values pass to the package unconverted: the API checks each one once and
 rejects a wrong type, a non-finite or an out-of-range value with an
 InputError that names it, so such a config exits 2 before any solve.
 
 Commands: solve | invert | surface | compare | leading | green.
-Exit codes: 0 ok, 2 config error, 3 solver error, 4 non-convergence. A
-result with a NaN or an infinity is a solver error that names the artifact;
-no artifact holds one.
+Exit codes, set by ``main`` alone: 0 ok, 2 config error, 3 solver error, 4
+non-convergence. A result with a NaN or an infinity is a solver error that
+names the artifact; no artifact holds one.
 """
 
 from __future__ import annotations
@@ -70,9 +71,7 @@ class OutputError(LiouvilleError):
 # The config tree: an object is a dict of its keys, a list is a one-item
 # list of its item's schema, and a plain value is None.
 _SCHEMA = {
-    **dict.fromkeys(
-        ["matrix", "gamma", "alpha0", "reduced_alpha", "r_max", "tol", "target_sigma", "guess"]
-    ),
+    **dict.fromkeys(["matrix", "gamma", "alpha0", "r_max", "tol", "target_sigma", "guess"]),
     "surface": {
         **dict.fromkeys(["rho", "n_L", "m_max"]),
         "gammas": [None],
@@ -141,19 +140,8 @@ def _solver_params(cfg: dict) -> dict:
     return {key: cfg[key] for key in ("r_max", "tol") if key in cfg}
 
 
-def _alpha0_from(cfg: dict, n: int):
-    if "alpha0" in cfg and "reduced_alpha" in cfg:
-        raise ConfigError("give either 'alpha0' or 'reduced_alpha', not both")
-    if "alpha0" in cfg:
-        return cfg["alpha0"]
-    if "reduced_alpha" in cfg:
-        reduced = as_array(cfg["reduced_alpha"], "reduced_alpha", (n - 1,))
-        return np.concatenate([[0.0], reduced])
-    raise ConfigError("missing 'alpha0' (or 'reduced_alpha')")
-
-
 class _Out:
-    """Output sink: resolves paths, embeds config + version everywhere."""
+    """Output sink: resolves paths, embeds the loaded config + version everywhere."""
 
     def __init__(self, out_dir: str, cfg: dict, quiet: bool):
         self.prefix = cfg.get("output", {}).get("prefix", "")
@@ -205,7 +193,7 @@ class _Out:
 
 def cmd_solve(cfg: dict, out: _Out) -> int:
     matrix = _get_matrix(cfg)
-    spec = ProblemSpec(matrix, _get_gamma(cfg), _alpha0_from(cfg, matrix.n))
+    spec = ProblemSpec(matrix, _get_gamma(cfg), _require(cfg, "alpha0"))
     profile = integrate(spec, **_solver_params(cfg))
     summary = extract_summary(profile)
     # the grid nodes: r, U_i, and dU_i/dr = (dU_i/ds) / r, where dU/dr is a
@@ -214,7 +202,7 @@ def cmd_solve(cfg: dict, out: _Out) -> int:
         r_nodes = np.exp(profile.grid)
         rows = np.column_stack([r_nodes, profile.values, profile.dvalues / r_nodes[:, None]])
     radii = np.geomspace(10.0, min(100.0, profile.r_max), 5)
-    table = pohozaev_tail_table(profile, radii, summary)
+    table = pohozaev_tail_table(summary, radii)
     components = range(1, matrix.n + 1)
     out.write_csv(
         "profile.csv",
@@ -239,16 +227,11 @@ def cmd_invert(cfg: dict, out: _Out) -> int:
     try:
         alpha = invert_sigma(matrix, sing, target, guess=cfg.get("guess"), **params)
     except NonConvergenceError as exc:
-        best = None if exc.best is None else exc.best.tolist()
-        print(
-            f"inversion did not converge: {exc}\nbest iterate: {best}",
-            file=sys.stderr,
-        )
         out.write_json(
             "invert.json",
             {
                 "converged": False,
-                "best_alpha": best,
+                "best_alpha": exc.best.tolist(),
                 "best_residual": exc.best_residual,
                 "trace": [
                     {"residual": norm, "lam": lam, "halvings": halvings}
@@ -256,7 +239,7 @@ def cmd_invert(cfg: dict, out: _Out) -> int:
                 ],
             },
         )
-        return 4
+        raise
     point = alpha_to_sigma(matrix, sing, alpha, **params)
     out.write_json(
         "invert.json",
@@ -324,7 +307,7 @@ def cmd_compare(cfg: dict, out: _Out) -> int:
     heights = height_match(
         sub.get("M_p", 10.0), sub.get("M_q", 10.0), _require(sub, "mu_p"), sing.mu
     )
-    spec = ProblemSpec(matrix, sing, _alpha0_from(cfg, matrix.n))
+    spec = ProblemSpec(matrix, sing, _require(cfg, "alpha0"))
     profile_q = integrate(spec, **_solver_params(cfg))
     summary_q = extract_summary(profile_q)
     summary_p = extract_summary(mu_transform(profile_q, heights.mu_p))
@@ -380,7 +363,13 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
     config, sub = _blowup_from(cfg)
     # echoed as given: the leading-term functions reject all but floats in (0, 1)
     eps_k = sub.get("eps_k", 1e-3)
-    regime = sub.get("regime", config.regime)
+    # the key only states the regime, which the data decide
+    regime = config.regime
+    if sub.get("regime", regime) != regime:
+        raise ConfigError(
+            f"blowup.regime is {sub['regime']!r}, but the data put this configuration "
+            f"in the {regime!r} regime"
+        )
     payload: dict = {
         "regime": regime,
         "eps_k": eps_k,
@@ -396,7 +385,7 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
         ]
         payload["b_coefficients"] = b_table
         payload["prediction"] = leading_term_Q(config, eps_k)
-    elif regime == "general":
+    else:
         # echoed as given too: cell_fit rejects all but floats inside every cell
         delta0 = sub.get("delta0", 0.01)
         result = leading_term_general(config, delta0, eps_k)
@@ -415,8 +404,6 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
             }
             for (i, t, b_it, a_full, a_half, a_lim) in result.cell_terms
         ]
-    else:
-        raise ConfigError(f"blowup.regime must be 'Q' or 'general', got {regime!r}")
     out.write_json("leading.json", payload)
     out.say(f"prediction = {payload['prediction']:.9e}")
     return 0
@@ -481,7 +468,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
+        print(f"non-convergence: {exc}\nbest iterate: {exc.best.tolist()}", file=sys.stderr)
         return 4
     except LiouvilleError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -212,20 +212,20 @@ def pohozaev_residual(summary: SolutionSummary) -> float:
     return (quad - lin) / lin
 
 
-def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
+def pohozaev_tail_table(summary: SolutionSummary, radii):
     """Finite-radius defect of the energy identity against its tail model.
 
-    For each R: defect(R) = 4 sum_i sigma_iR/mu - sum_ij a_ij (sigma_iR/mu)
-    (sigma_jR/mu), predicted(R) = 2 sum_i e^(D_i - alpha_i)/mu^2 *
-    R^(2 mu - m_i). Rows are (R, defect, predicted, defect/predicted); a
-    DomainError where predicted is not above the rounding of the defect.
+    Reads the truncated masses off ``summary.profile``, the profile the
+    summary was extracted from. For each R: defect(R) = 4 sum_i sigma_iR/mu
+    - sum_ij a_ij (sigma_iR/mu) (sigma_jR/mu), predicted(R) = 2 sum_i
+    e^(D_i - alpha_i)/mu^2 * R^(2 mu - m_i). Rows are (R, defect,
+    predicted, defect/predicted); a DomainError where predicted is not
+    above the rounding of the defect.
     """
     radii = as_array(radii, "radii")
     if radii.ndim != 1:
         raise InputError(f"radii must be 1-D, got shape {radii.shape}")
-    if summary is None:
-        summary = extract_summary(profile)
-    mu = summary.mu
+    profile, mu = summary.profile, summary.mu
     a_mat = profile.spec.matrix.entries
     gap = summary.m - 2.0 * mu
     rows = []
@@ -249,8 +249,8 @@ def pohozaev_tail_table(profile: RadialProfile, radii, summary=None):
     return rows
 
 
-def asymptotic_fit_error(profile: RadialProfile, summary: SolutionSummary, r: float) -> np.ndarray:
-    """U_i(r) minus the three-term tail prediction.
+def asymptotic_fit_error(summary: SolutionSummary, r: float) -> np.ndarray:
+    """U_i(r) on ``summary.profile`` minus the three-term tail prediction.
 
     Prediction: -m_i log r + D_i - alpha_i - sum_j a_ij e^(D_j - alpha_j)
     / (m_j - 2 mu)^2 * r^(2 mu - m_j). The result decays one order faster
@@ -259,9 +259,9 @@ def asymptotic_fit_error(profile: RadialProfile, summary: SolutionSummary, r: fl
     r = as_number(r, "r")
     if r < 5.0:
         raise InputError(f"fit error is only meaningful for r >= 5, got {r}")
-    a_mat = profile.spec.matrix.entries
+    a_mat = summary.profile.spec.matrix.entries
     gap = summary.m - 2.0 * summary.mu
     correction = a_mat @ (_tail(summary.D, summary.alpha, gap, math.log(r))[0] / gap**2)
     prediction = -summary.m * math.log(r) + summary.D - summary.alpha - correction
-    u, _ = evaluate(profile, r)
+    u, _ = evaluate(summary.profile, r)
     return u - prediction

@@ -305,10 +305,16 @@ class GStarMatrix:
 
 
 def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
-    """Fill G(p_t, p_s) off the diagonal and gamma(p_t, p_t) on it."""
+    """Fill G(p_t, p_s) off the diagonal and gamma(p_t, p_t) on it.
+
+    The points are first wrapped into the cell [0, lx) x [0, ly) with
+    np.mod, so a point far outside it keeps its period shifts; the result
+    carries them wrapped.
+    """
     pts = np.atleast_2d(as_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
+    pts = np.mod(pts, (geom.lx, geom.ly))
     t, s = np.triu_indices(pts.shape[0], k=1)
     w = wrap_displacement(geom, pts[t] - pts[s])
     close = _length(w) < 1e-4
@@ -317,7 +323,6 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
         raise GeometryError(f"points {t[k]} and {s[k]} are closer than 1e-4 on the torus")
     values = np.full((pts.shape[0],) * 2, _diagonal_gamma(geom))
     values[t, s] = values[s, t] = _green(geom, w)
-    pts = pts.copy()
     for arr in (pts, values):
         arr.setflags(write=False)
     return GStarMatrix(points=pts, values=values)

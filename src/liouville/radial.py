@@ -574,8 +574,10 @@ def integrate(
 
     Raises
     ------
+    InputError
+        When alpha0 exceeds the overflow guard, or e^alpha0 underflows to 0.
     BlowupError
-        When a component exceeds the overflow guard.
+        When a component exceeds the overflow guard during the solve.
     IntegrationError
         On step-size underflow or after MAX_STEPS attempted steps; carries
         the last good radius.
@@ -585,10 +587,7 @@ def integrate(
     mu = spec.singularity.mu
     # radial solutions decrease from the origin, so the guard binds there
     if float(np.max(spec.alpha0)) > U_OVERFLOW:
-        raise BlowupError(
-            f"initial value exceeds the overflow guard {U_OVERFLOW}",
-            last_radius=0.0,
-        )
+        raise InputError(f"alpha0 = {spec.alpha0.tolist()} exceeds the overflow guard {U_OVERFLOW}")
     # the mu = 1 system: U is the caller's less 2 log mu, s is mu times the caller's
     shift = 2.0 * math.log(mu)
     unit = replace(spec, singularity=SingularityProfile(0.0), alpha0=spec.alpha0 - shift)
@@ -694,39 +693,34 @@ def _radius(profile: RadialProfile, r) -> float:
     return r
 
 
-def _state_at(profile: RadialProfile, r: float) -> np.ndarray:
-    """Rows U, dU/ds, mass, logmass at r >= r_first, by one step of the
-    integrator's pair from the node at or below log r (the node's own state
-    when log r is a node). Transformed profiles solve their own spec, so
-    this holds for them too."""
-    grid = profile.grid
-    s = math.log(min(r, profile.r_max))
-    k = max(int(np.searchsorted(grid, s, side="right")) - 1, 0)
-    state = np.array(
-        [profile.values[k], profile.dvalues[k], profile.mass[k], profile.logmass[k]]
-    )
-    s_k = float(grid[k])
-    if s == s_k:
-        return state
-    step = _Step(profile.spec, s_k, state)
-    step.take(s_k, s - s_k)
-    return step.new[:4]
-
-
-def evaluate(profile: RadialProfile, r: float):
-    """Values U_i(r) and radial derivatives U_i'(r) anywhere in [0, r_max].
-
-    Below the first grid node the origin series is used; elsewhere one
-    step of the integrator's pair from the node at or below r.
-    """
+def _rows_at(profile: RadialProfile, r) -> np.ndarray:
+    """Rows U, dU/dr, mass, logmass, (4, n), anywhere in [0, r_max]: the
+    origin limit at 0, the origin series below the first grid node, and
+    elsewhere one step of the integrator's pair from the node at or below
+    log r (the node's own state when log r is a node). Transformed profiles
+    solve their own spec, so this holds for them too."""
     r = _radius(profile, r)
     # r_first is 0.0 when the first node's radius underflows (gamma near -1)
     if r == 0.0:
-        return origin_series(profile.spec, r)
+        return np.vstack([*origin_series(profile.spec, r), np.zeros((2, profile.n))])
     if r < profile.r_first:
-        return tuple(_series(profile.spec, r)[0][:2])
-    u, du_ds = _state_at(profile, r)[:2]
-    return u, du_ds / r
+        return _series(profile.spec, r)[0]
+    grid = profile.grid
+    s = math.log(min(r, profile.r_max))
+    k = max(int(np.searchsorted(grid, s, side="right")) - 1, 0)
+    rows = np.array([profile.values[k], profile.dvalues[k], profile.mass[k], profile.logmass[k]])
+    s_k = float(grid[k])
+    if s != s_k:
+        step = _Step(profile.spec, s_k, rows)
+        step.take(s_k, s - s_k)
+        rows = step.new[:4]
+    rows[1] /= r
+    return rows
+
+
+def evaluate(profile: RadialProfile, r: float):
+    """Values U_i(r) and radial derivatives U_i'(r) anywhere in [0, r_max]."""
+    return tuple(_rows_at(profile, r)[:2])
 
 
 def truncated_sigma(profile: RadialProfile, r: float) -> np.ndarray:
@@ -735,9 +729,4 @@ def truncated_sigma(profile: RadialProfile, r: float) -> np.ndarray:
     Read off the energy states carried by the integrator (series form below
     the first grid node), so the accuracy matches the solver tolerance.
     """
-    r = _radius(profile, r)
-    if r == 0.0:
-        return np.zeros(profile.n)
-    if r < profile.r_first:
-        return _series(profile.spec, r)[0][2]
-    return _state_at(profile, r)[2]
+    return _rows_at(profile, r)[2]

@@ -159,7 +159,7 @@ def bubble_distance(
     M_p when that power overflows (eps_p > 1, a negative height).
     """
     if summary_p.n != summary_q.n:
-        raise InputError("summaries have different component counts")
+        raise InputError(f"summary_p has {summary_p.n} components and summary_q {summary_q.n}")
     distances = np.abs(
         summary_p.sigma / summary_p.mu - summary_q.sigma / summary_q.mu
     )

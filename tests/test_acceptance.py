@@ -113,15 +113,15 @@ def test_criterion_04_f2_subcase(f2_summary):
 
 
 def test_criterion_05_three_term_fit(f1_profile, f1_summary):
-    fit10 = lv.asymptotic_fit_error(f1_profile, f1_summary, 10.0)[0]
-    fit20 = lv.asymptotic_fit_error(f1_profile, f1_summary, 20.0)[0]
+    fit10 = lv.asymptotic_fit_error(f1_summary, 10.0)[0]
+    fit20 = lv.asymptotic_fit_error(f1_summary, 20.0)[0]
     explicit = -2.0 * math.log1p(8.0 / 100.0) + 16.0 / 100.0
     ok = abs(fit10 - explicit) < 5e-3 and abs(fit20 / fit10) < 0.15
     report(5, "pointwise three-term fit on F1", ok, f"ratio {fit20 / fit10:.4f}")
 
 
 def test_criterion_06_identity_tail_ratio(f1_profile, f1_summary):
-    rows = lv.pohozaev_tail_table(f1_profile, [100.0], f1_summary)
+    rows = lv.pohozaev_tail_table(f1_summary, [100.0])
     ratio = rows[0][3]
     report(6, "finite-radius identity defect ratio at R=100", abs(ratio - 1.0) < 0.02, f"{ratio:.5f}")
 

@@ -1,13 +1,18 @@
-"""The public names of ``liouville``, pinned.
+"""The public names of ``liouville``, pinned, and input checks that name
+what they reject.
 
 Adding or removing a public function or class is then an edit of PUBLIC,
 made on purpose, rather than a side effect of an import.
 """
 
 import dataclasses
+import math
 import types
 
+import pytest
+
 import liouville as lv
+from liouville.errors import DomainError, InputError
 
 PUBLIC = {
     # algebra
@@ -113,3 +118,63 @@ def test_array_records_compare_by_identity():
     frak = lv.frak_m([3.0, 1.0], a, 1.0)
     assert frak == frak and frak != lv.frak_m([3.0, 1.0], a, 1.0)
     assert len({a, b, frak, frak}) == 3
+
+
+def _two_regular_points(**changes):
+    """Two regular points with n = 1 at rho = 8 pi: normalized mass 2."""
+    args = dict(
+        points=[[0.2, 0.2], [0.7, 0.7]],
+        strengths=(lv.SingularityProfile(0.0),) * 2,
+        matrix=lv.CoefficientMatrix.from_entries([[1.0]]),
+        rho=[8.0 * math.pi],
+        h_fields=(lv.ConstantField(1.0),),
+        curvature=[0.0, 0.0],
+        D=[0.0],
+        alpha=[0.0],
+    )
+    return lv.BlowupConfiguration(**{**args, **changes})
+
+
+# (case id, the call, given a fixture getter, its error, what the message names)
+INPUT_CHECKS = [
+    ("critical-values-21-strengths",
+     lambda get: lv.critical_values([lv.SingularityProfile(0.0)] * 21, 1),
+     InputError, "strengths must hold at most 20 points, got 21"),
+    ("strength-count",
+     lambda get: _two_regular_points(strengths=(lv.SingularityProfile(0.0),)),
+     InputError, "strengths must have one entry per point, got 1"),
+    ("h-relation-mass-2",
+     lambda get: lv.h_relation_residual(_two_regular_points(), 0, 0, 0, 1),
+     DomainError, "normalized mass of component 0 must exceed 2, got 2.0"),
+    ("frequency-1.5",
+     lambda get: lv.SinusoidalField(amplitude=0.2, frequency=(1.5, 0)),
+     InputError, "frequency must be integers"),
+    ("base-at-amplitude",
+     lambda get: lv.SinusoidalField(amplitude=-1.0, frequency=(1, 0)),
+     InputError, "base > |amplitude|"),
+    ("base-below-amplitude",
+     lambda get: lv.SinusoidalField(amplitude=0.5, frequency=(1, 0), base=0.25),
+     InputError, "base > |amplitude|"),
+    ("gstar-points-3-columns",
+     lambda get: lv.gstar_matrix(lv.TorusGreen(), [[0.1, 0.2, 0.3]]),
+     InputError, r"points must be an (N, 2) array, got (1, 3)"),
+    ("gstar-points-3-d",
+     lambda get: lv.gstar_matrix(lv.TorusGreen(), [[[0.1, 0.2]]]),
+     InputError, r"points must be an (N, 2) array, got (1, 1, 2)"),
+    ("eta-0", lambda get: lv.eta_rescale(get("f1_profile"), 0.0),
+     InputError, "eta must be positive, got 0.0"),
+    ("eta-negative", lambda get: lv.eta_rescale(get("f1_profile"), -2.0),
+     InputError, "eta must be positive, got -2.0"),
+    ("bubble-distance-n",
+     lambda get: lv.bubble_distance(get("f1_summary"), get("f3_summary")),
+     InputError, "summary_p has 1 components and summary_q 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, said", [c[1:] for c in INPUT_CHECKS], ids=[c[0] for c in INPUT_CHECKS]
+)
+def test_input_check_names_what_it_rejects(request, call, error, said):
+    with pytest.raises(error) as info:
+        call(request.getfixturevalue)
+    assert type(info.value) is error and said in str(info.value)

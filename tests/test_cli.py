@@ -109,20 +109,6 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--tol" in capsys.readouterr().err
 
-    def test_reduced_alpha_entry(self, tmp_path):
-        code, out = run(
-            tmp_path,
-            "solve",
-            {
-                "matrix": [[1.0, 2.0], [2.0, 1.0]],
-                "gamma": 0.0,
-                "reduced_alpha": [0.0],
-            },
-        )
-        assert code == 0
-        sigma = read_json(out, "summary.json")["summary"]["sigma"]
-        assert sigma[0] == pytest.approx(4.0 / 3.0, rel=1e-6)
-
     def test_gamma_out_of_range(self, tmp_path, capsys):
         code, _ = run(
             tmp_path, "solve", {"matrix": [[1.0]], "gamma": -1.5, "alpha0": [0.0]}
@@ -353,23 +339,25 @@ class TestLeading:
         assert payload["prediction"] == pytest.approx(oracle, rel=1e-9)
 
     def test_wrong_regime_exit(self, tmp_path, capsys):
-        code, _ = run(
-            tmp_path,
-            "leading",
-            {
-                "matrix": [[1.0]],
-                "blowup": {
-                    "points": [[0.5, 0.5]],
-                    "gammas": [0.0],
-                    "rho": [7.0 * math.pi],
-                    "h_fields": [{"type": "constant"}],
-                    "D": [0.0],
-                    "alpha": [0.0],
-                    "regime": "Q",
-                },
-            },
-        )
-        assert code == 3
+        # blowup.regime only states the regime, which the data decide: a
+        # statement that does not hold is a config error naming both
+        cases = [(7.0, "Q", "general"), (8.0, "general", "Q"), (8.0, "sideways", "Q")]
+        for k, (rho, stated, derived) in enumerate(cases):
+            blowup = {
+                "points": [[0.5, 0.5]],
+                "gammas": [0.0],
+                "rho": [rho * math.pi],
+                "h_fields": [{"type": "constant"}],
+                "D": [0.0],
+                "alpha": [0.0],
+                "regime": stated,
+            }
+            (tmp_path / str(k)).mkdir()
+            code, out = run(tmp_path / str(k), "leading", {"matrix": [[1.0]], "blowup": blowup})
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"blowup.regime is {stated!r}" in err and f"in the {derived!r} regime" in err
+            assert not any(out.iterdir())
 
     def test_default_regime_without_regular_point(self, tmp_path):
         # at the symmetric point (rho = 8 pi mu) with no regular point the Q
@@ -442,6 +430,31 @@ class TestLeading:
         payload = read_json(out, "leading.json")
         assert payload["prediction"] == api.prediction
         assert payload["panels"] == api.panels > 0
+
+
+    @pytest.mark.parametrize("x", [1e16, 1e300, -1e300, 1.31])
+    def test_point_far_outside_the_cell(self, tmp_path, x):
+        # the points are wrapped into the cell before anything reads them,
+        # so a point whole periods away is the same point; x = 1e16 and
+        # +-1e300 are 0 mod 1, and at 1e16 the cell's inradius read 0
+        cfg = copy.deepcopy(BASES["leading-general"])
+        cfg["blowup"]["h_fields"][0] = {
+            "type": "sinusoidal", "amplitude": 0.2, "frequency": [1, 0], "phase": 0.4
+        }
+        predictions = []
+        for k, first in enumerate((x, float(np.mod(x, 1.0)))):
+            cfg["blowup"]["points"][0][0] = first
+            (tmp_path / str(k)).mkdir()
+            code, out = run(tmp_path / str(k), "leading", cfg)
+            assert code == 0
+            predictions.append(read_json(out, "leading.json")["prediction"])
+        assert predictions[0] == predictions[1]
+        if x == 1.31:
+            cfg["blowup"]["points"][0][0] = 0.31
+            code, out = run(tmp_path, "leading", cfg)
+            assert read_json(out, "leading.json")["prediction"] == pytest.approx(
+                predictions[0], rel=1e-12
+            )
 
 
 class TestGreen:
@@ -584,7 +597,6 @@ PROBES = [
     ("rho-form-overflow", "surface", "surface.rho", [1e200, 1e200], "rho is out of range"),
     ("field-no-type", "leading-Q", "blowup.h_fields", [{"value": 1.0}], "'type'"),
     ("field-unknown-type", "leading-Q", "blowup.h_fields", [{"type": "gauss"}], "field type"),
-    ("alpha0-and-reduced_alpha", "solve", "reduced_alpha", [], "not both"),
 ]
 
 
@@ -653,10 +665,40 @@ def test_sweep_every_number(tmp_path, base, path):
             assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")), value
 
 
+# the line each command prints without --quiet; green prints none
+SAID = {
+    "solve": "sigma = [",
+    "invert": "alpha = [",
+    "surface": "lambda = ",
+    "compare": "max normalized-energy distance = ",
+    "leading-Q": "prediction = ",
+    "leading-general": "prediction = ",
+    "green": "",
+}
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_stdout_only_without_quiet(tmp_path, capsys, base):
+    code, _ = run(tmp_path, base.split("-")[0], BASES[base])
+    assert code == 0 and capsys.readouterr().out == ""
+    path = tmp_path / "config.json"
+    code = cli.main([base.split("-")[0], "--config", str(path), "--out", str(tmp_path / "out")])
+    said = capsys.readouterr().out
+    assert code == 0 and said.startswith(SAID[base]) and bool(said) == bool(SAID[base])
+
+
+@pytest.mark.parametrize("name", ["absent.json", "."])
+def test_unreadable_config_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    code = cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 2
+    assert f"cannot read config {path}" in capsys.readouterr().err
+
+
 # (case id, base, the top-level key removed, what the error says)
 MISSING = [
     ("matrix", "solve", "matrix", "'matrix'"),
-    ("alpha0", "solve", "alpha0", "missing 'alpha0' (or 'reduced_alpha')"),
+    ("alpha0", "solve", "alpha0", "missing required key 'alpha0'"),
 ]
 
 

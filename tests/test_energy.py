@@ -125,6 +125,13 @@ class TestExtractSummary:
             "sigma", "m", "D", "alpha", "mu", "m_min", "tail_error", "pohozaev_residual"
         }
 
+    def test_closure_out_of_sweeps(self, monkeypatch, f1_profile, f1_summary):
+        # F1 closes in 2 sweeps; allowed 1, the closure says it did not converge
+        assert f1_summary.sweeps == 2
+        monkeypatch.setattr(energy, "_TAIL_MAX_ITER", 1)
+        with pytest.raises(ExtractionError, match="tail fixed point did not converge in 1 sweeps"):
+            lv.extract_summary(f1_profile)
+
     @pytest.mark.parametrize("n, solved", [(1, 18), (2, 16), (3, 16)])
     def test_flux_gap_is_the_tail_share(self, n, solved):
         # -r U'(r_max) = A sigma(r_max), so at the converged closure the flux
@@ -298,8 +305,8 @@ class TestPohozaev:
 
 
 class TestPohozaevTailTable:
-    def test_f1_rows(self, f1_profile, f1_summary):
-        rows = lv.pohozaev_tail_table(f1_profile, [10.0, 100.0], f1_summary)
+    def test_f1_rows(self, f1_summary):
+        rows = lv.pohozaev_tail_table(f1_summary, [10.0, 100.0])
         big_r, defect, predicted, ratio = rows[0]
         sigma_r = 4.0 - 4.0 / 13.5
         assert defect == pytest.approx(4 * sigma_r - sigma_r**2, rel=1e-8)
@@ -307,16 +314,14 @@ class TestPohozaevTailTable:
         assert ratio == pytest.approx(0.857, abs=2e-3)
         assert rows[1][3] == pytest.approx(1.0, abs=0.02)
 
-    def test_defect_shrinks(self, f3_profile, f3_summary):
-        rows = lv.pohozaev_tail_table(
-            f3_profile, [10.0, 30.0, 100.0, 1000.0], f3_summary
-        )
+    def test_defect_shrinks(self, f3_summary):
+        rows = lv.pohozaev_tail_table(f3_summary, [10.0, 30.0, 100.0, 1000.0])
         defects = [abs(r[1]) for r in rows]
         assert defects == sorted(defects, reverse=True)
 
-    def test_radius_validation(self, f1_profile, f1_summary):
+    def test_radius_validation(self, f1_summary):
         with pytest.raises(InputError):
-            lv.pohozaev_tail_table(f1_profile, [5.0], f1_summary)
+            lv.pohozaev_tail_table(f1_summary, [5.0])
 
     def test_no_ratio_below_rounding(self):
         # A = [[1e100]]: sigma = 4e-100 and the defect 4 s - s A s is the
@@ -324,50 +329,50 @@ class TestPohozaevTailTable:
         # the ratio came out as 1.8e89
         spec = lv.ProblemSpec(lv.CoefficientMatrix.from_entries([[1e100]]),
                               lv.SingularityProfile(0.0), np.array([0.0]))
-        profile = lv.integrate(spec)
+        summary = lv.extract_summary(lv.integrate(spec))
         with pytest.raises(DomainError, match="not above the rounding"):
-            lv.pohozaev_tail_table(profile, [10.0])
+            lv.pohozaev_tail_table(summary, [10.0])
 
     @pytest.mark.parametrize(
         "radii, message",
         [(["x"], "radii must be numeric"), (10.0, r"radii must be 1-D, got shape \(\)")],
     )
-    def test_radii_must_be_a_finite_1d_array(self, f1_profile, f1_summary, radii, message):
+    def test_radii_must_be_a_finite_1d_array(self, f1_summary, radii, message):
         # both were a bare TypeError
         with pytest.raises(InputError, match=message):
-            lv.pohozaev_tail_table(f1_profile, radii, f1_summary)
+            lv.pohozaev_tail_table(f1_summary, radii)
 
 
 class TestAsymptoticFit:
-    def test_f1_matches_explicit_remainder(self, f1_profile, f1_summary):
-        fit = lv.asymptotic_fit_error(f1_profile, f1_summary, 10.0)[0]
+    def test_f1_matches_explicit_remainder(self, f1_summary):
+        fit = lv.asymptotic_fit_error(f1_summary, 10.0)[0]
         explicit = -2.0 * math.log1p(8.0 / 100.0) + 16.0 / 100.0
         assert fit == pytest.approx(explicit, abs=5e-3)
         assert fit == pytest.approx(explicit, abs=1e-7)
 
-    def test_next_order_decay(self, f1_profile, f1_summary):
-        fit10 = lv.asymptotic_fit_error(f1_profile, f1_summary, 10.0)[0]
-        fit20 = lv.asymptotic_fit_error(f1_profile, f1_summary, 20.0)[0]
+    def test_next_order_decay(self, f1_summary):
+        fit10 = lv.asymptotic_fit_error(f1_summary, 10.0)[0]
+        fit20 = lv.asymptotic_fit_error(f1_summary, 20.0)[0]
         # next order is r^-4: halving dominated by ~2^-4
         assert abs(fit20 / fit10) < 0.15
         assert abs(fit20 / fit10) == pytest.approx(1.0 / 16.0, abs=0.02)
 
     def test_f2_far_field(self, f2_profile):
         summary = lv.extract_summary(f2_profile)
-        fit = lv.asymptotic_fit_error(f2_profile, summary, 100.0)[0]
+        fit = lv.asymptotic_fit_error(summary, 100.0)[0]
         assert abs(fit) < 1e-3
 
-    def test_decays_faster_than_retained_term(self, f3_profile, f3_summary):
+    def test_decays_faster_than_retained_term(self, f3_summary):
         gap = f3_summary.m_min - 2.0 * f3_summary.mu
         for r in (10.0, 40.0):
-            fit = lv.asymptotic_fit_error(f3_profile, f3_summary, r)
+            fit = lv.asymptotic_fit_error(f3_summary, r)
             assert np.max(np.abs(fit)) < r ** (-gap)
 
-    def test_radius_validation(self, f1_profile, f1_summary):
+    def test_radius_validation(self, f1_summary):
         with pytest.raises(InputError):
-            lv.asymptotic_fit_error(f1_profile, f1_summary, 2.0)
+            lv.asymptotic_fit_error(f1_summary, 2.0)
         with pytest.raises(InputError, match="r must be finite"):
-            lv.asymptotic_fit_error(f1_profile, f1_summary, math.nan)
+            lv.asymptotic_fit_error(f1_summary, math.nan)
 
 
 class TestSummaryExport:

@@ -9,7 +9,6 @@ from scipy.integrate import quad, solve_ivp
 import liouville as lv
 from liouville import radial
 from liouville.errors import (
-    BlowupError,
     DomainError,
     ExtractionError,
     InputError,
@@ -281,8 +280,9 @@ class TestIntegrate:
             lv.integrate(spec, r_max=r_max)
 
     def test_overflow_guard(self, matrix1):
+        # an out-of-range input, like an underflowing alpha0 (below)
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([60.0]))
-        with pytest.raises(BlowupError):
+        with pytest.raises(InputError, match=r"alpha0 = \[60.0\] exceeds the overflow guard 50.0"):
             lv.integrate(spec)
 
     def test_underflowing_alpha0_rejected(self, matrix1):
@@ -335,6 +335,13 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="20 steps") as info:
             lv.integrate(spec, 1e4, 1e-10)
         assert 0.0 < info.value.last_radius < 1e4
+
+    def test_step_size_underflow(self, f1_profile, monkeypatch):
+        # a first step below the floor fails at once, at the start radius
+        monkeypatch.setattr(radial, "_FIRST_STEP", 1e-30)
+        with pytest.raises(IntegrationError, match="step size underflow") as info:
+            lv.integrate(f1_profile.spec, 1e4, 1e-10)
+        assert info.value.last_radius == pytest.approx(f1_profile.r_first, rel=1e-12)
 
     @pytest.mark.parametrize(
         "gamma, alpha0", [(0.0, [0.0]), (-0.5, [0.0]), (0.0, [0.0, 0.0])]
