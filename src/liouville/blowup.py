@@ -76,7 +76,7 @@ class BlowupConfiguration:
     radial summary chosen by the caller; this module never manufactures
     them, and each e^(D_i - alpha_i) must be a finite float. ``curvature``
     holds K(p_t) per point (0 on the flat torus). ``points`` are stored
-    wrapped into the cell (``gstar_matrix``) before anything reads them.
+    reduced modulo the periods (``gstar_matrix``) before anything reads them.
     """
 
     points: np.ndarray

@@ -307,9 +307,9 @@ class GStarMatrix:
 def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     """Fill G(p_t, p_s) off the diagonal and gamma(p_t, p_t) on it.
 
-    The points are first wrapped into the cell [0, lx) x [0, ly) with
-    np.mod, so a point far outside it keeps its period shifts; the result
-    carries them wrapped.
+    The points are first reduced modulo the periods with np.mod, so a point
+    given whole periods outside the cell is the same point; the result
+    carries them reduced.
     """
     pts = np.atleast_2d(as_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 2:

@@ -575,7 +575,8 @@ def integrate(
     Raises
     ------
     InputError
-        When alpha0 exceeds the overflow guard, or e^alpha0 underflows to 0.
+        On an out-of-range r_max or tol, an alpha0 above the overflow guard,
+        or one whose e^alpha0 underflows to 0.
     BlowupError
         When a component exceeds the overflow guard during the solve.
     IntegrationError

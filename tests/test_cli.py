@@ -431,12 +431,11 @@ class TestLeading:
         assert payload["prediction"] == api.prediction
         assert payload["panels"] == api.panels > 0
 
-
     @pytest.mark.parametrize("x", [1e16, 1e300, -1e300, 1.31])
     def test_point_far_outside_the_cell(self, tmp_path, x):
-        # the points are wrapped into the cell before anything reads them,
-        # so a point whole periods away is the same point; x = 1e16 and
-        # +-1e300 are 0 mod 1, and at 1e16 the cell's inradius read 0
+        # the points are reduced modulo the periods before anything reads
+        # them, so a point whole periods away is the same point; x = 1e16
+        # and +-1e300 are 0 mod 1, and 1.31 is 0.31 up to rounding
         cfg = copy.deepcopy(BASES["leading-general"])
         cfg["blowup"]["h_fields"][0] = {
             "type": "sinusoidal", "amplitude": 0.2, "frequency": [1, 0], "phase": 0.4
