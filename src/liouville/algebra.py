@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     InputError,
     NoRealRootError,
-    UndefinedRegionError,
     as_array,
     as_count,
     as_number,
@@ -334,7 +333,7 @@ def classify_region(
     s2 = _rho_form(rho, A)
     s1 = float(rho.sum())
     if s1 == 0.0:
-        raise UndefinedRegionError("rho = 0 has no region")
+        raise InputError(f"rho = {rho.tolist()} has no region: its entries sum to 0")
 
     level = 0
     for idx, c in enumerate(sigma_values):

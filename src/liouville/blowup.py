@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CoefficientMatrix, FrakM, SingularityProfile, frak_m, lambda_L, q_point
+from .algebra import CoefficientMatrix, FrakM, SingularityProfile, frak_m, lambda_L
 from .errors import (
     _LOG_FLOAT_MAX,
     DomainError,
@@ -66,6 +66,8 @@ from .newton import damped_newton
 _TWO_PI = 2.0 * math.pi
 _Q_RTOL = 1e-8
 _SURFACE_RTOL = 1e-8
+# The sup norm of the location residual at which location_search stops.
+_LOCATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,59 +547,49 @@ def leading_term_Q(config: BlowupConfiguration, eps_k: float) -> float:
     return prediction
 
 
-def _location_weights(config: BlowupConfiguration, regime: str):
-    """Component weights and Green coupling of the gradient condition."""
-    if regime == "general":
-        return config.rho, _TWO_PI * config.frak.minimum
-    if regime == "Q":
-        return q_point(config.matrix, config.n_L), 4.0 * _TWO_PI
-    raise InputError(f"regime must be 'general' or 'Q', got {regime!r}")
-
-
-def _location_terms(
-    config: BlowupConfiguration, t: int, regime: str, p, w, order: int
-) -> np.ndarray:
+def _location_terms(config: BlowupConfiguration, t: int, p, w, order: int) -> np.ndarray:
     """Point t's gradient condition at p (order 1), or its exact Jacobian in p
     (order 2, the same sum of Hessians); the other points stay fixed, and w
     holds p's wrapped displacements from them (``_displacements``). Trial
     points p of shape (..., 2) give (..., 2) residuals or (..., 2, 2)
     Jacobians in one pass; a single point is the case with no leading axis."""
-    weights, coupling = _location_weights(config, regime)
-    green_term = coupling * _point_green(config, t, w, order)
+    green_term = _TWO_PI * config.frak.minimum * _point_green(config, t, w, order)
     log_h = [h.grad_log if order == 1 else h.hess_log for h in config.h_fields]
-    return sum(c * (d(p) + green_term) for c, d in zip(weights, log_h))
+    return sum(c * (d(p) + green_term) for c, d in zip(config.rho, log_h))
 
 
 def location_residual(config: BlowupConfiguration, t: int, regime: str) -> np.ndarray:
-    """Gradient condition at a regular blowup point.
+    """Gradient condition at a regular blowup point:
 
-    regime "general": sum_i rho_i [grad log h_i(p_t)
-        + 2 pi m sum_s mu_s grad_1 Gstar(p_t, p_s)];
-    regime "Q": the same with weights q_i from the symmetric point and
-        coupling 8 pi instead of 2 pi m. Small residuals characterize true
-        blowup locations.
+        sum_i rho_i [grad log h_i(p_t) + 2 pi m sum_s mu_s grad_1 Gstar(p_t, p_s)].
+
+    One condition serves both regimes: at the symmetric point rho is Q and
+    2 pi m is 8 pi. ``regime`` only states the configuration's derived
+    ``regime``; any other value is an InputError that names both. Small
+    residuals characterize true blowup locations.
     """
     t = _regular_index(config, t)
+    if regime != config.regime:
+        raise InputError(
+            f"regime {regime!r} is not the configuration's regime {config.regime!r}"
+        )
     p = config.points[t]
-    return _location_terms(config, t, regime, p, _displacements(config, t, p), 1)
+    return _location_terms(config, t, p, _displacements(config, t, p), 1)
 
 
-def location_search(
-    config: BlowupConfiguration, t: int, regime: str, tol: float = 1e-10
-):
+def location_search(config: BlowupConfiguration, t: int):
     """Move point t to a zero of its location residual; the others stay fixed.
 
     ``newton.damped_newton`` on location_residual(p_t) = 0 with its exact
-    Jacobian (Hessians of log h_i and of the Green function). A trial
+    Jacobian (Hessians of log h_i and of the Green function), down to a sup
+    norm of the residual, not of the step, of ``_LOCATION_TOL``. A trial
     closer than 1e-4 to another point lies outside the domain, and iterates
     are wrapped into the periods. Only point t's terms are evaluated at a
     trial, and its displacements from the others are wrapped once there,
     for the distance check, the residual and the Jacobian alike; the
-    configuration is not rebuilt. ``tol`` (in (0, 1)) bounds the
-    sup norm of the residual, not the step. Returns (point, residual
-    there); a NonConvergenceError carries the best point, wrapped too.
+    configuration is not rebuilt. Returns (point, residual there); a
+    NonConvergenceError carries the best point, wrapped too.
     """
-    tol = as_fraction(tol, "tol")
     t = _regular_index(config, t)
     geom = config.geometry
     periods = np.array([geom.lx, geom.ly])
@@ -617,19 +609,21 @@ def location_search(
         if trial is None:
             return None
         return (
-            _location_terms(config, t, regime, *trial, 1),
-            lambda: _location_terms(config, t, regime, *trial, 2),
+            _location_terms(config, t, *trial, 1),
+            lambda: _location_terms(config, t, *trial, 2),
         )
 
     try:
-        p, _ = damped_newton(f, config.points[t], tol, f"location search for point {t}")
+        p, _ = damped_newton(
+            f, config.points[t], _LOCATION_TOL, f"location search for point {t}"
+        )
     except NonConvergenceError as exc:
         exc.best = np.mod(exc.best, periods)
         raise
     root = place(p)
     if root is None:
         raise GeometryError(f"location search put point {t} within 1e-4 of another point")
-    return root[0], _location_terms(config, t, regime, *root, 1)
+    return root[0], _location_terms(config, t, *root, 1)
 
 
 def h_relation_residual(

@@ -20,10 +20,6 @@ class InputError(LiouvilleError):
     """Rejected input: wrong shape, non-finite data, out-of-range parameter."""
 
 
-class UndefinedRegionError(LiouvilleError):
-    """Region classification is undefined (e.g. rho = 0)."""
-
-
 class NoRealRootError(LiouvilleError):
     """The height quadratic has a negative discriminant."""
 
@@ -42,10 +38,6 @@ class IntegrationError(LiouvilleError):
     def __init__(self, message, last_radius=None):
         super().__init__(message)
         self.last_radius = last_radius
-
-
-class BlowupError(IntegrationError):
-    """A solution component exceeded the overflow guard."""
 
 
 class ExtractionError(LiouvilleError):

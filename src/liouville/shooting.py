@@ -13,13 +13,14 @@ differentiated implicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import InputError, as_array
+from .errors import ExtractionError, InputError, as_array
 from .newton import damped_newton
 from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, _solver_inputs, integrate
 
@@ -95,7 +96,9 @@ def invert_sigma(
     """Recover reduced initial values whose energies hit the target.
 
     ``newton.damped_newton`` on sigma(alpha) - target down to a sup norm of
-    1e-9; a trial with an entry of alpha beyond 30 lies outside the domain.
+    1e-9; a trial with an entry of alpha beyond 30, or whose summary is an
+    ``ExtractionError`` at either tolerance below, lies outside the domain
+    and is halved; at the start that error is raised.
     Each trial's integration brings its exact Jacobian along, so the last
     Newton step needs none.
 
@@ -125,9 +128,14 @@ def invert_sigma(
         if float(np.max(np.abs(alpha))) > _ALPHA_BOUND:
             return None
         loose = max(tol, min(_FORCING * norm * norm, _LOOSEST_TOL))
-        r, jac = residual(alpha, loose)
-        if loose > tol and float(np.max(np.abs(r))) < _SIGMA_TOL:
-            return residual(alpha, tol)
+        try:
+            r, jac = residual(alpha, loose)
+            if loose > tol and float(np.max(np.abs(r))) < _SIGMA_TOL:
+                return residual(alpha, tol)
+        except ExtractionError:
+            if math.isinf(norm):  # the start
+                raise
+            return None
         return r, jac
 
     return damped_newton(f, start, _SIGMA_TOL, "sigma inversion")[0]

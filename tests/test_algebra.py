@@ -10,7 +10,6 @@ import liouville as lv
 from liouville.errors import (
     InputError,
     NoRealRootError,
-    UndefinedRegionError,
 )
 
 PI = math.pi
@@ -195,7 +194,7 @@ class TestClassifyRegion:
         assert out.level == 1 and not out.on_boundary
 
     def test_zero_rho_rejected(self, matrix1):
-        with pytest.raises(UndefinedRegionError):
+        with pytest.raises(InputError, match=r"rho = \[0.0\] has no region"):
             lv.classify_region([0.0], matrix1, [8 * PI])
 
     def test_input_validation(self, matrix1):

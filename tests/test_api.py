@@ -5,9 +5,11 @@ Adding or removing a public function or class is then an edit of PUBLIC,
 made on purpose, rather than a side effect of an import.
 """
 
+import ast
 import dataclasses
 import math
 import types
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,35 @@ def test_public_names_are_pinned():
     }
     assert sorted(names - PUBLIC) == [], "new public names"
     assert sorted(PUBLIC - names) == [], "public names gone"
+
+
+# The package's modules, each checked for imports it never reads; the
+# package namespace re-exports what it imports, so it is left out.
+MODULES = sorted(p.name for p in Path(lv.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's import statements bind and its code never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_import_is_found():
+    source = "import math\nimport numpy as np\nfrom .algebra import frak_m, q_point\nfrak_m(np)\n"
+    assert unused_imports(source) == ["math", "q_point"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    # no linter in the toolchain: a leftover import fails here instead
+    assert unused_imports((Path(lv.__file__).parent / module).read_text()) == []
 
 
 def test_array_records_compare_by_identity():

@@ -392,7 +392,7 @@ class TestLocationResidual:
         field = lv.SinusoidalField(amplitude=0.1, frequency=(1, 0))
         p = np.array([0.37, 0.5])
         cfg = make_config(points=[p], h_fields=(field,))
-        resid = lv.location_residual(cfg, 0, "general")
+        resid = lv.location_residual(cfg, 0, "Q")
         angle = TWO_PI * p[0]
         expected = (
             8.0
@@ -405,9 +405,54 @@ class TestLocationResidual:
         assert resid[0] == pytest.approx(expected, abs=1e-7)
         assert abs(resid[1]) < 1e-7
 
+    @pytest.mark.parametrize("n, n_pts", [(1, 2), (2, 2), (2, 3), (3, 1), (3, 2), (1, 3)])
+    def test_q_formula_oracle(self, n, n_pts):
+        # at Q the one condition is the symmetric-point formula:
+        # sum_i q_i [grad log h_i(p_t) + 8 pi sum_{s != t} mu_s grad G(p_t, p_s)]
+        rng = np.random.default_rng(10 * n + n_pts)
+        entries = rng.uniform(0.5, 2.0, (n, n))
+        matrix = lv.CoefficientMatrix.from_entries(entries + entries.T + 2.0 * n * np.eye(n))
+        fields = tuple(
+            lv.SinusoidalField(
+                rng.uniform(0.1, 0.5), tuple(int(k) for k in rng.integers(-2, 3, 2)),
+                rng.uniform(0.0, TWO_PI),
+            )
+            for _ in range(n)
+        )
+        points = np.array([[0.1, 0.2], [0.55, 0.8], [0.8, 0.35]])[:n_pts]
+        q = lv.q_point(matrix, float(n_pts))
+        cfg = lv.BlowupConfiguration(
+            points=points + rng.uniform(-0.05, 0.05, (n_pts, 2)),
+            strengths=(lv.SingularityProfile(0.0),) * n_pts,
+            matrix=matrix,
+            rho=q,
+            h_fields=fields,
+            curvature=[0.0] * n_pts,
+            D=[0.0] * n,
+            alpha=[0.0] * n,
+        )
+        assert cfg.regime == "Q"
+        for t in range(n_pts):
+            p_t = cfg.points[t]
+            green_term = 8.0 * math.pi * sum(
+                lv.green_gradient(cfg.geometry, p_t, cfg.points[s])
+                for s in range(n_pts) if s != t
+            )
+            terms = [q_i * (h.grad_log(p_t) + green_term) for q_i, h in zip(q, fields)]
+            scale = np.sum(np.abs(terms), axis=0).max()
+            resid = lv.location_residual(cfg, t, "Q")
+            assert np.max(np.abs(resid - sum(terms))) <= 1e-13 * scale
+
     def test_regime_validation(self, single_point_config, singular_point_config):
-        with pytest.raises(InputError):
+        # regime only states the configuration's regime; it selects nothing
+        with pytest.raises(InputError, match="'other' is not the configuration's regime 'Q'"):
             lv.location_residual(single_point_config, 0, "other")
+        with pytest.raises(InputError, match="'general' is not the configuration's regime 'Q'"):
+            lv.location_residual(single_point_config, 0, "general")
+        off_q = two_point_config(rho=[12.0 * math.pi])
+        with pytest.raises(InputError, match="'Q' is not the configuration's regime 'general'"):
+            lv.location_residual(off_q, 0, "Q")
+        # the point is checked first
         with pytest.raises(DomainError):
             lv.location_residual(singular_point_config, 0, "Q")
 
@@ -416,10 +461,9 @@ class TestLocationResidual:
         start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         freq=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
         phase=st.floats(0.0, TWO_PI),
-        regime=st.sampled_from(["general", "Q"]),
     )
     @settings(max_examples=30, deadline=None)
-    def test_translation_equivariance(self, shift, start, freq, phase, regime):
+    def test_translation_equivariance(self, shift, start, freq, phase):
         # translate the whole configuration: points and the field together
         shift = np.array(shift)
 
@@ -436,28 +480,29 @@ class TestLocationResidual:
             )
 
         pair = [start, np.add(start, 0.5)]
-        a = lv.location_residual(translated(pair, np.zeros(2)), 0, regime)
-        b = lv.location_residual(translated(pair, shift), 0, regime)
+        a = lv.location_residual(translated(pair, np.zeros(2)), 0, "general")
+        b = lv.location_residual(translated(pair, shift), 0, "general")
         assert np.max(np.abs(a - b)) <= 1e-9
         # one point: the search is a Newton iteration along the frequency,
         # stable under rounding; with more points a damped path can pass a
         # near-singular Jacobian, where rounding picks the root
-        best, _ = lv.location_search(translated([start], np.zeros(2)), 0, regime)
-        moved, _ = lv.location_search(translated([start], shift), 0, regime)
+        best, _ = lv.location_search(translated([start], np.zeros(2)), 0)
+        moved, _ = lv.location_search(translated([start], shift), 0)
         gap = best + shift - moved
         assert np.max(np.abs(gap - np.round(gap))) <= 1e-9
 
     def test_search_finds_gradient_zero(self):
         field = lv.SinusoidalField(amplitude=0.1, frequency=(1, 0))
         cfg = make_config(points=[[0.3, 0.5]], h_fields=(field,))
-        best, resid = lv.location_search(cfg, 0, "general")
+        best, resid = lv.location_search(cfg, 0)
         assert np.max(np.abs(resid)) < 1e-6
         assert min(abs(best[0] - 0.25), abs(best[0] - 0.75)) < 1e-4
 
 
-def two_point_config():
-    """Two regular points and a field with a nondegenerate location zero."""
-    return lv.BlowupConfiguration(
+def two_point_config(**overrides):
+    """Two regular points and a field with a nondegenerate location zero, at
+    the symmetric point unless ``overrides`` move rho."""
+    base = dict(
         points=[[0.2, 0.3], [0.75, 0.7]],
         strengths=(lv.SingularityProfile(0.0),) * 2,
         matrix=lv.CoefficientMatrix.from_entries([[1.0]]),
@@ -467,6 +512,8 @@ def two_point_config():
         D=[0.0],
         alpha=[0.0],
     )
+    base.update(overrides)
+    return lv.BlowupConfiguration(**base)
 
 
 def random_two_point_configs(shift, count=150, seed=5):
@@ -494,7 +541,7 @@ def random_two_point_configs(shift, count=150, seed=5):
         )
 
 
-def lockstep_roots(cfg, t, regime, starts, tol=1e-10):
+def lockstep_roots(cfg, t, starts, tol=1e-10):
     """Roots of point t's location residual, one damped Newton per start.
 
     The searches run in lockstep on the batched location terms, with the
@@ -513,13 +560,13 @@ def lockstep_roots(cfg, t, regime, starts, tol=1e-10):
         w = blowup._displacements(cfg, t, p)
         r = np.full(p.shape, np.nan)
         inside = np.all(green._length(w) >= 1e-4, axis=-1)
-        r[inside] = blowup._location_terms(cfg, t, regime, p[inside], w[inside], 1)
+        r[inside] = blowup._location_terms(cfg, t, p[inside], w[inside], 1)
         return p, w, r
 
     x, w, r = place(starts)
     roots = []
     for steps in range(newton.MAX_STEPS + 1):
-        jac = blowup._location_terms(cfg, t, regime, x, w, 2)
+        jac = blowup._location_terms(cfg, t, x, w, 2)
         keep = np.linalg.matrix_rank(jac) == 2
         x, w, r, jac = x[keep], w[keep], r[keep], jac[keep]
         step = np.linalg.solve(jac, -r[..., None])[..., 0]
@@ -545,7 +592,7 @@ def lockstep_roots(cfg, t, regime, starts, tol=1e-10):
     return np.concatenate(roots)
 
 
-def certified_roots(cfg, t=0, regime="general", m=16):
+def certified_roots(cfg, t=0, m=16):
     """Distinct roots of point t's location residual on a two-point
     configuration, from an m x m grid of starts placed relative to the other
     (fixed) point, and their count sum (-1)^(Morse index): #min - #saddle
@@ -555,12 +602,10 @@ def certified_roots(cfg, t=0, regime="general", m=16):
     geom = cfg.geometry
     grid = (np.arange(m) + 0.5) / m
     offsets = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    found = lockstep_roots(cfg, t, regime, cfg.points[1 - t] + offsets * [geom.lx, geom.ly])
+    found = lockstep_roots(cfg, t, cfg.points[1 - t] + offsets * [geom.lx, geom.ly])
     close = lv.torus_distance(geom, found[:, None], found[None]) <= 1e-7
     roots = found[np.argmax(close, axis=1) == np.arange(len(found))]
-    hess = blowup._location_terms(
-        cfg, t, regime, roots, blowup._displacements(cfg, t, roots), 2
-    )
+    hess = blowup._location_terms(cfg, t, roots, blowup._displacements(cfg, t, roots), 2)
     index = np.count_nonzero(np.linalg.eigvalsh(hess) < 0.0, axis=-1)
     return roots, int(np.sum((-1) ** index))
 
@@ -568,7 +613,9 @@ def certified_roots(cfg, t=0, regime="general", m=16):
 class TestLocationSearch:
     @pytest.mark.parametrize("regime", ["general", "Q"])
     def test_jacobian_matches_central_difference(self, regime):
-        cfg = two_point_config()
+        # m = 3 away from the symmetric point, m = 4 at it
+        cfg = two_point_config(rho=[(12.0 if regime == "general" else 16.0) * math.pi])
+        assert cfg.regime == regime
         eps = 1e-6
         columns = []
         for axis in range(2):
@@ -580,7 +627,7 @@ class TestLocationSearch:
                 sides.append(lv.location_residual(moved, 0, regime))
             columns.append((sides[0] - sides[1]) / (2.0 * eps))
         p = cfg.points[0]
-        jac = blowup._location_terms(cfg, 0, regime, p, blowup._displacements(cfg, 0, p), 2)
+        jac = blowup._location_terms(cfg, 0, p, blowup._displacements(cfg, 0, p), 2)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-6 * np.abs(jac).max())
 
     def test_two_points_converge_in_six_steps(self, monkeypatch):
@@ -591,7 +638,7 @@ class TestLocationSearch:
         monkeypatch.setattr(
             blowup, "_location_terms", lambda *a: orders.append(a[-1]) or terms(*a)
         )
-        best, resid = lv.location_search(two_point_config(), 0, "general")
+        best, resid = lv.location_search(two_point_config(), 0)
         assert orders.count(2) == 6
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(best, [0.32141282, 0.27141282], atol=1e-8)
@@ -603,7 +650,7 @@ class TestLocationSearch:
         for shift in [(0.0, 0.0), (0.3, 0.6)]:
             for k, cfg in enumerate(random_two_point_configs(shift)):
                 try:
-                    lv.location_search(cfg, 0, "general")
+                    lv.location_search(cfg, 0)
                 except NonConvergenceError:
                     failing.add(k)
         assert k == 124
@@ -620,7 +667,7 @@ class TestLocationSearch:
         for shift in [(0.0, 0.0), (0.3, 0.6)]:
             for k, cfg in enumerate(random_two_point_configs(shift)):
                 try:
-                    lv.location_search(cfg, 0, "general")
+                    lv.location_search(cfg, 0)
                 except NonConvergenceError:
                     failing.add((shift, k))
         assert failing == {((0.0, 0.0), 77), ((0.0, 0.0), 117), ((0.3, 0.6), 77)}
@@ -636,7 +683,7 @@ class TestLocationSearch:
             roots, count = certified_roots(cfg)
             assert count == -1, k
             try:
-                best, _ = lv.location_search(cfg, 0, "general")
+                best, _ = lv.location_search(cfg, 0)
             except NonConvergenceError:
                 continue
             assert lv.torus_distance(cfg.geometry, roots, best).min() <= 1e-7, k
@@ -646,12 +693,17 @@ class TestLocationSearch:
         # 16 trial points in one pass; the order-1 kernel reduces over the
         # images on another shape, so it may differ in the last bit
         cfg = three_source_config()
+        if regime == "Q":  # the same points and fields, all regular, at Q
+            cfg = dataclasses.replace(
+                cfg, strengths=(lv.SingularityProfile(0.0),) * 3, rho=lv.q_point(cfg.matrix, 3.0)
+            )
+        assert cfg.regime == regime
         p = np.random.default_rng(0).uniform(0.0, 1.0, (16, 2))
         w = blowup._displacements(cfg, 0, p)
         for order in (1, 2):
-            batch = blowup._location_terms(cfg, 0, regime, p, w, order)
+            batch = blowup._location_terms(cfg, 0, p, w, order)
             single = np.array([
-                blowup._location_terms(cfg, 0, regime, q, blowup._displacements(cfg, 0, q), order)
+                blowup._location_terms(cfg, 0, q, blowup._displacements(cfg, 0, q), order)
                 for q in p
             ])
             assert batch.shape == (16,) + (2,) * order
@@ -675,7 +727,7 @@ class TestLocationSearch:
             wraps.clear()
             trials.clear()
             try:
-                lv.location_search(cfg, 0, "general")
+                lv.location_search(cfg, 0)
             except NonConvergenceError:
                 assert len(wraps) == len(trials)
             else:
@@ -685,13 +737,13 @@ class TestLocationSearch:
 
     def test_step_budget_carries_best_iterate(self, monkeypatch):
         cfg = two_point_config()
-        start = np.max(np.abs(lv.location_residual(cfg, 0, "general")))
+        start = np.max(np.abs(lv.location_residual(cfg, 0, "Q")))
         monkeypatch.setattr(newton, "MAX_STEPS", 2)
         with pytest.raises(NonConvergenceError, match="2 steps") as info:
-            lv.location_search(cfg, 0, "general")
+            lv.location_search(cfg, 0)
         pts = cfg.points.copy()
         pts[0] = info.value.best
-        resid = lv.location_residual(dataclasses.replace(cfg, points=pts), 0, "general")
+        resid = lv.location_residual(dataclasses.replace(cfg, points=pts), 0, "Q")
         assert info.value.best_residual == np.max(np.abs(resid))
         assert info.value.best_residual < start
         # per iterate: sup-norm residual, step length and halvings
@@ -706,24 +758,24 @@ class TestLocationSearch:
         # trial is a GeometryError, halved without a residual
         cfg = two_point_config()
         aim = cfg.points[1] - cfg.points[0]
-        r0 = lv.location_residual(cfg, 0, "general")
+        r0 = lv.location_residual(cfg, 0, "Q")
         terms = blowup._location_terms
         calls, seen = [], []
 
-        def first_aims_at_the_other_point(config, t, regime, p, w, order):
+        def first_aims_at_the_other_point(config, t, p, w, order):
             if order == 1:  # the residual at each trial that is in the domain
                 seen.append(p.copy())
-                return terms(config, t, regime, p, w, order)
+                return terms(config, t, p, w, order)
             calls.append(1)
-            return np.diag(-r0 / aim) if len(calls) == 1 else terms(config, t, regime, p, w, order)
+            return np.diag(-r0 / aim) if len(calls) == 1 else terms(config, t, p, w, order)
 
         monkeypatch.setattr(blowup, "_location_terms", first_aims_at_the_other_point)
-        best, resid = lv.location_search(cfg, 0, "general")
+        best, resid = lv.location_search(cfg, 0)
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(seen[1], cfg.points[0] + 0.5 * aim, rtol=0, atol=1e-15)
         monkeypatch.undo()
         moved = dataclasses.replace(cfg, points=np.array([best, cfg.points[1]]))
-        assert np.max(np.abs(lv.location_residual(moved, 0, "general"))) <= 1e-10
+        assert np.max(np.abs(lv.location_residual(moved, 0, "Q"))) <= 1e-10
 
     def test_trial_where_a_field_is_not_positive_raises(self):
         # h = x - 1/4 alone: the Newton steps double the distance to 1/4,
@@ -739,7 +791,7 @@ class TestLocationSearch:
                 return np.array([[-1.0 / self.value(x) ** 2, 0.0], [0.0, 0.0]])
 
         with pytest.raises(InputError, match="coefficient field 0 is not positive"):
-            lv.location_search(make_config(h_fields=(Ramp(),)), 0, "general")
+            lv.location_search(make_config(h_fields=(Ramp(),)), 0)
 
     def test_root_next_to_another_point_is_rejected(self, monkeypatch):
         # the last Newton step is unchecked by the driver; the search checks it
@@ -747,7 +799,7 @@ class TestLocationSearch:
         near = cfg.points[1] + [5e-5, 0.0]
         monkeypatch.setattr(blowup, "damped_newton", lambda *args: (near, ()))
         with pytest.raises(GeometryError, match="1e-4"):
-            lv.location_search(cfg, 0, "general")
+            lv.location_search(cfg, 0)
 
     def test_singular_jacobian_with_residual_raises(self, monkeypatch):
         cfg = two_point_config()
@@ -757,18 +809,13 @@ class TestLocationSearch:
             lambda *a: terms(*a) if a[-1] == 1 else np.zeros((2, 2)),
         )
         with pytest.raises(NonConvergenceError, match="singular") as info:
-            lv.location_search(cfg, 0, "general")
+            lv.location_search(cfg, 0)
         np.testing.assert_array_equal(info.value.best, cfg.points[0])
 
     def test_zero_residual_with_zero_jacobian_returns(self, single_point_config):
-        best, resid = lv.location_search(single_point_config, 0, "Q")
+        best, resid = lv.location_search(single_point_config, 0)
         np.testing.assert_array_equal(best, [0.5, 0.5])
         assert np.max(np.abs(resid)) == 0.0
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10, 1.0, "1e-10"])
-    def test_rejects_bad_tol(self, single_point_config, tol):
-        with pytest.raises(InputError, match="tol"):
-            lv.location_search(single_point_config, 0, "Q", tol=tol)
 
 
 class TestHRelation:
@@ -834,7 +881,7 @@ INDEX_PROBES = [
     ("residual-t-float", lv.location_residual, "single_point_config", (0.0, "Q"), "t"),
     ("residual-t-past", lv.location_residual, "single_point_config", (5, "Q"), "t"),
     ("residual-t-neg", lv.location_residual, "single_point_config", (-1, "Q"), "t"),
-    ("search-t-past", lv.location_search, "single_point_config", (1, "Q"), "t"),
+    ("search-t-past", lv.location_search, "single_point_config", (1,), "t"),
     ("b-i-neg", lv.b_coefficient, "single_point_config", (-1, 0), "i"),
     ("b-i-past", lv.b_coefficient, "single_point_config", (1, 0), "i"),
     ("b-t-past", lv.b_coefficient, "single_point_config", (0, 1), "t"),

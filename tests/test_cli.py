@@ -594,6 +594,8 @@ PROBES = [
     ("rho-length-3", "surface", "surface.rho", [1.0, 2.0, 3.0], "rho"),
     # rho.A.rho overflows: no "lambda": -Infinity in the JSON
     ("rho-form-overflow", "surface", "surface.rho", [1e200, 1e200], "rho is out of range"),
+    # rho = 0 lies in no region: a config error, not a solver error
+    ("rho-zero", "surface", "surface.rho", [0, 0], "rho = [0.0, 0.0] has no region"),
     ("field-no-type", "leading-Q", "blowup.h_fields", [{"value": 1.0}], "'type'"),
     ("field-unknown-type", "leading-Q", "blowup.h_fields", [{"type": "gauss"}], "field type"),
 ]

@@ -166,6 +166,33 @@ class TestInvertSigma:
         recovered = lv.invert_sigma(matrix12, sing, target, r_max=1e4, tol=tol)
         assert abs(recovered[0] + 2.98611107) < 1e-8
 
+    def test_trial_with_an_extraction_error_is_halved(self, monkeypatch):
+        # A = [[2, 1], [1, 3]], gamma = -0.99, r_max 1e4: the first trial
+        # from 0, alpha = -1.9035, has tail_error 1.14e-5, above the bound
+        # 1e-5; it lies outside the domain like a trial past the alpha
+        # bound, so its step is halved and the target is made. At the
+        # start the same error ends the inversion: there is nothing to halve
+        matrix = lv.CoefficientMatrix.from_entries([[2.0, 1.0], [1.0, 3.0]])
+        sing = lv.SingularityProfile(-0.99)
+        target = lv.alpha_to_sigma(matrix, sing, [-1.75]).reduced_sigma
+        assert target[0] == 0.005760874855510574
+        refused = []
+        alpha_to_sigma = shooting.alpha_to_sigma
+
+        def recording(matrix, singularity, alpha, *args, **kwargs):
+            try:
+                return alpha_to_sigma(matrix, singularity, alpha, *args, **kwargs)
+            except ExtractionError:
+                refused.append(alpha[0])
+                raise
+
+        monkeypatch.setattr(shooting, "alpha_to_sigma", recording)
+        recovered = lv.invert_sigma(matrix, sing, target)
+        assert abs(recovered[0] + 1.75) < 1e-12
+        assert len(refused) == 1 and abs(refused[0] + 1.9035) < 1e-4
+        with pytest.raises(ExtractionError, match="tail_error = 1.14e-05"):
+            lv.invert_sigma(matrix, sing, target, guess=[-1.9035])
+
     def test_rejects_out_of_bound_guess(self, matrix12):
         # named as the guess at the boundary, not as an iterate of the map
         with pytest.raises(InputError, match="guess"):
