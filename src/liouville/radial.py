@@ -38,9 +38,13 @@ S = dY/d alpha0, (4n, n), which obey the variational equations
     S_U' = S_V,  S_V' = -A diag(w) S_U,  S_mass' = diag(w) S_U,
     S_logmass' = s diag(w) S_U,
 
-seeded by the alpha0-derivative of the origin series. They never steer the
-step size, so the step loop is the same with or without them: it only
-keeps each accepted step's size and stage weights. After the solve, one
+seeded by the alpha0-derivative of the origin series. Its coefficients'
+derivatives come after the values, two matrix products per order
+(``_series_terms``): dc_k = (W_k / k)(de_(k-1) + diag e_(k-1)) with d_k =
+W_k e_(k-1), and de_k = sum_l dc_l e_(k-l), since exp(U_j - alpha0_j) is
+the exponential of the series. The sensitivities never steer the step
+size, so the step loop is the same with or without them: it only keeps
+each accepted step's size and stage weights. After the solve, one
 batched pass over the accepted steps builds every step's variational step
 matrix (the Runge-Kutta map differentiated at frozen weights, "internal
 differentiation") from the same basis, and pairwise products chain them
@@ -171,7 +175,8 @@ def origin_series(spec: ProblemSpec, r: float):
 
     U_i(r) = alpha0_i + sum_k c_ik r^(2 mu k), rows 0 and 1 of ``_series``;
     rejected past the series' start radius, where its last terms are no
-    longer below the doubles. At r = 0, alpha0 and the slope's limit.
+    longer below the doubles. At r = 0, alpha0 and the slope's limit. A
+    slope past the floats (2 mu < 1 and r tiny) reads -inf, as that limit.
     """
     r = as_number(r, "r")
     if r < 0.0:
@@ -205,9 +210,16 @@ def _series_terms(spec: ProblemSpec, derivative: bool = False):
     the coefficients, so it also holds where the radius of convergence is
     small. The recursion runs in y = |c_1| x, so that neither the
     coefficients (about e^(k alpha0)) nor the powers of x leave the
-    doubles. Its alpha0-derivative (``derivative``) runs beside it by the
-    product rule, with the scale |c_1| held constant, and apart, so that the
-    values are bitwise the same with or without it.
+    doubles. With W_k = -a_ij e^(alpha0_j) / (|c_1| (2 mu)^2 k), an order
+    is d_k = k c_k = W_k e_(k-1), then the sum over l as one product per
+    component.
+
+    The alpha0-derivative (``derivative``) holds the scale |c_1| constant
+    and runs after the values, which are bitwise the same with or without
+    it. Column m of W_k carries e^(alpha0_m), so dc_k = (W_k / k)(de_(k-1)
+    + diag e_(k-1)), one product of [W_k / k, (W_k / k) diag e_(k-1)] with
+    [de_(k-1); I]; and exp(U_j - alpha0_j) = exp(sum_l c_jl y^l) gives
+    de_k = sum_{l=1..k} dc_l e_(k-l), one product per component.
 
     Returns (coef, dcoef, log |c_1|, log start radius): coef[0, k] = k c_k
     and coef[1, k] = e_k in y, (2, K + 1, n), and dcoef their
@@ -221,19 +233,25 @@ def _series_terms(spec: ProblemSpec, derivative: bool = False):
     coef = np.zeros((2, terms + 1, n))
     d, e = coef
     e[0] = 1.0
-    dcoef = np.zeros((2, terms + 1, n, n)) if derivative else None
+    d_rows, e_cols = d.T[:, None], e.T[:, :, None]  # d_l at [j, 0, l], e_k at [j, k, 0]
     for k in range(1, terms + 1):
         np.dot(weights[k - 1], e[k - 1], out=d[k])
         # k e_k = sum_l d_l e_(k-l)
-        np.einsum("lj,lj->j", d[1 : k + 1], e[k - 1 :: -1], out=e[k])
+        np.matmul(d_rows[:, :, 1 : k + 1], e_cols[:, k - 1 :: -1], out=e_cols[:, k : k + 1])
         e[k] /= k
-        if derivative:
-            dd, de = dcoef
-            np.dot(weights[k - 1], de[k - 1], out=dd[k])
-            dd[k] += weights[k - 1] * e[k - 1]
-            np.einsum("lj,ljm->jm", d[1 : k + 1], de[k - 1 :: -1], out=de[k])
-            de[k] += np.einsum("ljm,lj->jm", dd[1 : k + 1], e[k - 1 :: -1])
-            de[k] /= k
+    dcoef = None
+    if derivative:
+        w = weights / _ORDERS[1:, None, None]  # W_k / k
+        # [W_k / k, (W_k / k) diag e_(k-1)], which times [de_(k-1); I] is dc_k
+        steps = np.concatenate([w, w * e[:-1, None, :]], axis=2)
+        de = np.zeros((terms + 1, 2 * n, n))  # de_k over I
+        de[:, n:] = np.eye(n)
+        dc = np.zeros((n, terms + 1, n))  # dc_l at [j, l]
+        e_rows = e.T[:, None]  # e_k at [j, 0, k]
+        for k in range(1, terms + 1):
+            np.matmul(steps[k - 1], de[k - 1], out=dc[:, k])
+            np.matmul(e_rows[:, :, k - 1 :: -1], dc[:, 1 : k + 1], out=de[k, :n, None])
+        dcoef = np.stack([dc.transpose(1, 0, 2) * _ORDERS[:, None, None], de[:, :n]])
     # log y where the last terms reach 2^-52: c_K y^(K-1) (c_1 is 1 in y)
     # and e_K y^K; inf where they vanish
     tops = np.max(np.abs(coef[:, terms]), axis=1) / (terms, 1.0)
@@ -250,8 +268,9 @@ def _series(spec: ProblemSpec, r: float, derivative: bool = False, terms=None):
 
     Sums the ``_series_terms`` (made here unless given); mass and logmass
     integrate t^(2 mu - 1) e^U and log(t) t^(2 mu - 1) e^U over [0, r] term
-    by term. With ``derivative`` the second value is the alpha0-derivative
-    of the solver's seed (row 1 times r), (4n, n), else None.
+    by term; dU/dr is -inf where r^(2 mu - 1) passes the floats. With
+    ``derivative`` the second value is the alpha0-derivative of the
+    solver's seed (row 1 times r), (4n, n), else None.
     """
     n, b2 = spec.n, 2.0 * spec.singularity.mu
     coef, dcoef, log_scale, _ = terms or _series_terms(spec, derivative)
@@ -268,7 +287,10 @@ def _series(spec: ProblemSpec, r: float, derivative: bool = False, terms=None):
     on[3, 1] = on[2, 1] * (log_r - inv_p)
     on = on.reshape(4, -1)
     # not dU/ds over r: at 2 mu = 2 and r = 1e-200 that underflows
-    slope = math.exp(log_scale) * r ** (b2 - 1.0)
+    try:
+        slope = math.exp(log_scale) * r ** (b2 - 1.0)
+    except OverflowError:  # 2 mu < 1 at a tiny r: U' is past the floats, -inf
+        slope = math.inf
     mass = np.exp(spec.alpha0 + b2 * log_r)  # e^alpha0 x
     rows = on @ coef.reshape(-1, n)
     rows[0] += spec.alpha0
@@ -706,7 +728,8 @@ def _rows_at(profile: RadialProfile, r) -> np.ndarray:
         step = _Step(profile.spec, s_k, rows)
         step.take(s_k, s - s_k)
         rows = step.new[:4]
-    rows[1] /= r
+    with np.errstate(over="ignore"):  # dU/ds over a tiny r may pass the floats: -inf
+        rows[1] /= r
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import py_compile
 from pathlib import Path
 
 import pytest
@@ -214,3 +215,38 @@ def test_machine_records_bytecode_caching(monkeypatch, value, cached):
     machine = bench_pair.machine()
     assert machine["bytecode_cached"] is cached
     assert set(machine) == {"nproc", "platform", "python", "numpy", "bytecode_cached"}
+
+
+def test_stale_bytecode_stops_the_pair(tmp_path, monkeypatch, capsys):
+    # a module edited after its .pyc was written compiles again in every run
+    # when bytecode is not written; one with no .pyc, or a current one, does not
+    for side in ("parent", "change"):
+        pkg = tmp_path / side / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        for name in ("a.py", "b.py"):
+            (pkg / name).write_text("x = 1\n")
+            py_compile.compile(str(pkg / name),
+                               invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+        (pkg / "uncached.py").write_text("y = 2\n")
+    (tmp_path / "change" / "src" / "pkg" / "b.py").write_text("x = 12\n")
+    assert bench_pair.stale_bytecode(tmp_path / "parent") == []
+    assert bench_pair.stale_bytecode(tmp_path / "change") == ["src/pkg/b.py"]
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1",
+            "--out", str(tmp_path / "bench.json")]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pair.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "stale bytecode" in err and "change src/pkg/b.py" in err and "parent src/" not in err
+    assert not (tmp_path / "bench.json").exists()
+    # where bytecode is written, the first run refreshes it: recorded, not fatal
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    runs = _runs(PARENT[:1], PARENT[:1])[0]
+    calls = iter([runs["parent"], runs["change"]])
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
+    assert bench_pair.main(argv) == 0
+    record = json.loads((tmp_path / "bench.json").read_text())
+    assert record["machine"]["stale_bytecode"] == {"parent": [], "change": ["src/pkg/b.py"]}

@@ -105,6 +105,28 @@ class TestOriginSeries:
         expected = 1.5 * c1 * r**0.5 + 3.0 * c2 * r**2
         np.testing.assert_allclose(derivs, expected, rtol=1e-15, atol=0.0)
 
+    def test_slope_past_the_floats(self, matrix12):
+        # gamma = -0.99 at r = 1e-320: r^(2 mu - 1) = r^-0.98 is past the
+        # floats, so dU/dr is -inf, as at r = 0 for 2 mu < 1, with no
+        # warning; U and the masses are finite. Against the leading terms in
+        # x = r^(2 mu), with c_1 = -S / (2 mu)^2 and c_1 x about -1.5e-3:
+        # U - alpha0 = c_1 x (1 + O(c_1 x)) and mass = e^alpha0 x / (2 mu)
+        # (1 + c_1 x / 2 + O((c_1 x)^2))
+        spec = lv.ProblemSpec(matrix12, lv.SingularityProfile(-0.99), np.array([0.3, -0.2]))
+        r, b2 = 1e-320, 2.0 * spec.singularity.mu
+        x = r**b2
+        c1 = -(matrix12.entries @ np.exp(spec.alpha0)) / b2**2
+        vals, derivs = lv.origin_series(spec, r)
+        np.testing.assert_allclose(vals - spec.alpha0, c1 * x, rtol=1e-2)
+        np.testing.assert_array_equal(derivs, -np.inf)
+        profile = lv.integrate(spec)
+        assert r < profile.r_first
+        u, du = lv.evaluate(profile, r)
+        np.testing.assert_array_equal(u, vals)
+        np.testing.assert_array_equal(du, -np.inf)
+        mass = np.exp(spec.alpha0) * x / b2 * (1.0 + c1 * x / 2.0)
+        np.testing.assert_allclose(lv.truncated_sigma(profile, r), mass, rtol=1e-5)
+
     @pytest.mark.parametrize("r", [0.2, 0.1, 0.05, 0.025])
     def test_energy_rows_against_f1(self, matrix1, r):
         # e^U = 1 / (1 + R)^2 with R = r^2 / 8: the mass is 4 R / (1 + R) and
@@ -211,6 +233,25 @@ class TestSeriesOracle:
                 ends.append(rows.reshape(-1))
             fd = (ends[0] - ends[1]) / (2.0 * eps)
             np.testing.assert_allclose(seed[:, j], fd, rtol=1e-8, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, -0.9])
+    @pytest.mark.parametrize("alpha0", ["zero", "seeded", "large"])
+    def test_derivative_terms_are_homogeneous(self, n, gamma, alpha0):
+        # with the scale |c_1| held, c_k and e_k are homogeneous of degree k
+        # in e^alpha0, so the alpha0-derivative columns of each sum to k
+        # times it (Euler's identity); the values and the start radius are
+        # the same with or without the derivative
+        spec = _seeded_spec(n, gamma)
+        if alpha0 != "seeded":
+            start = np.zeros(n) if alpha0 == "zero" else np.array([50.0, 49.0, 48.0][:n])
+            spec = lv.ProblemSpec(spec.matrix, spec.singularity, start)
+        coef, dcoef, log_scale, log_start = radial._series_terms(spec, derivative=True)
+        plain = radial._series_terms(spec)
+        np.testing.assert_array_equal(plain[0], coef)
+        assert plain[1] is None and plain[2:] == (log_scale, log_start)
+        k = np.arange(radial._SERIES_TERMS + 1.0)[:, None]
+        np.testing.assert_allclose(dcoef.sum(axis=-1), k * coef, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name", [
         "F1", "F2", "F3", *(f"n{n}-g{g}" for n in (2, 3) for g in (0.0, -0.5, -0.9)),
@@ -718,6 +759,11 @@ class TestNearMinusOne:
         assert profile.r_first == 0.0 and profile.stats["s_start"] < -1000.0
         assert lv.evaluate(profile, 0.0)[0][0] == 0.0
         assert lv.truncated_sigma(profile, 0.0)[0] == 0.0
+        # at r = 1e-320, one step from a node: U' = (dU/ds) / r is past the
+        # floats, -inf with no warning, while U and the mass are finite
+        u, du = lv.evaluate(profile, 1e-320)
+        assert math.isfinite(u[0]) and du[0] == -math.inf
+        assert 0.0 < lv.truncated_sigma(profile, 1e-320)[0] < 1.0
         # the closed form U = -2 log(1 + r^(2 mu) / (8 mu^2)), at r = 1
         u, _ = lv.evaluate(profile, 1.0)
         exact = -2.0 * math.log1p(1.0 / (8.0 * spec.singularity.mu**2))

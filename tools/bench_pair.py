@@ -11,7 +11,10 @@ holds every run's metrics, the per-side medians and quartiles, how many
 seeds the change won on each metric, a verdict per metric (see
 ``verdicts``), the machine (CPU count, Python and numpy versions, and
 ``bytecode_cached``: false when PYTHONDONTWRITEBYTECODE is set, so every
-fresh process compiles ``src/`` again), each side's ``src_lines``, the
+fresh process compiles ``src/`` again; ``stale_bytecode``, per side, the
+``src/**/*.py`` whose cached bytecode no longer matches them, which then
+recompile in every process: with bytecode not written, any such file stops
+the pair before it runs), each side's ``src_lines``, the
 line count of its ``src/**/*.py``, and ``src_lines_net``, change minus parent;
 ``src_code_lines`` and ``src_code_lines_net`` count only the lines that hold
 code, so moved code and docstring edits do not read as a change in size;
@@ -27,11 +30,13 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import io
 import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 import tokenize
@@ -142,6 +147,29 @@ def machine() -> dict:
             "bytecode_cached": not os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
+def stale_bytecode(checkout: Path) -> list[str]:
+    """The checkout's src/**/*.py whose cached .pyc no longer matches them.
+
+    A timestamp .pyc is current while its header holds the source's mtime
+    and size (a hash-based one, the source's hash); Python compiles a stale
+    module again on import. Paths relative to the checkout.
+    """
+    stale = []
+    for path in sorted((checkout / "src").rglob("*.py")):
+        cached = Path(importlib.util.cache_from_source(str(path)))
+        if not cached.is_file():
+            continue
+        header = cached.read_bytes()[:16]
+        if header[4:8] == bytes(4):
+            st = path.stat()
+            source = struct.pack("<II", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        else:
+            source = importlib.util.source_hash(path.read_bytes())
+        if header[:4] != importlib.util.MAGIC_NUMBER or header[8:16] != source:
+            stale.append(path.relative_to(checkout).as_posix())
+    return stale
+
+
 def src_lines(checkout: Path) -> int:
     """Lines in the checkout's src/**/*.py, as wc -l counts them."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
@@ -197,12 +225,21 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
+    host = machine()
+    stale = {side: stale_bytecode(getattr(args, side)) for side in SIDES}
+    if not host["bytecode_cached"] and any(stale.values()):
+        parser.error(
+            "stale bytecode, compiled again by every run since PYTHONDONTWRITEBYTECODE "
+            "is set: " + "; ".join(f"{side} {', '.join(files)}"
+                                   for side, files in stale.items() if files)
+            + "; delete these modules' __pycache__ files or unset PYTHONDONTWRITEBYTECODE"
+        )
     lines = {side: src_lines(getattr(args, side)) for side in SIDES}
     modules = {side: module_code_lines(getattr(args, side)) for side in SIDES}
     code = {side: sum(modules[side].values()) for side in SIDES}
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
-        "machine": machine(),
+        "machine": {**host, "stale_bytecode": stale},
         "revisions": {side: revision(getattr(args, side)) for side in SIDES},
         "src_lines": lines,
         "src_lines_net": lines["change"] - lines["parent"],
