@@ -405,7 +405,7 @@ def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
         x = p_t + r[..., None] * ray[:, None]
         # all nodes and sources at once; within the cell the wrapped distance
         # to p_t is r itself, so the log term leaves the regular part there
-        acc = _green(geom, wrap_displacement(geom, x[..., None, :] - points)) @ mus
+        acc = _green(geom, x[..., None, :] - points) @ mus
         acc += mu_t * np.log(r) / _TWO_PI
         ratio = field.value(x) / h_ref
         return v_span[:, None] * ratio * np.exp(_TWO_PI * fm * (acc - gstar_t))

@@ -25,16 +25,17 @@ follows from beta alone. The expm1 form keeps the log singularity
 -(1/2 pi) log|d|, which sits in the m = 0 image, free of cancellation.
 The gradient and the Hessian of G come from the same image sum.
 
-One kernel, ``_green``, evaluates all three. Each public entry point wraps
-the displacements once, checks their length on the wrapped values, and
-hands those to the kernel, which does not wrap again. The kernel lays each
-block of points out image-major, (images, points), so the sum or product
-over the dozen images combines whole contiguous rows of points. Only the
-images m = -1, 0, 1 of a point take an exponential, and m = 0 alone expm1:
-since |u| <= 1/2, e^x of image m >= 1 is that of image 1 times
-e^(-2 pi beta (m - 1)), and alike for m <= -1, with the factors in a table
-cached per beta. Off m = 0, e^x <= e^(-pi), so expm1(x) = e^x - 1 there
-loses nothing.
+One kernel, ``_green``, evaluates all three. It takes raw displacements
+and wraps each block of points where it divides them by the periods
+anyway; the public entry points hand it x - p and the 1e-8 floor, which it
+checks in the same block on a row it has already computed. It lays each
+block out image-major, (images, points), in one work array per call, so
+the sum or product over the dozen images combines whole contiguous rows of
+points. Only the images m = -1, 0, 1 of a point take an exponential, and
+m = 0 alone expm1: since |u| <= 1/2, e^x of image m >= 1 is that of image
+1 times e^(-2 pi beta (m - 1)), and alike for m <= -1, with the factors in
+a table cached per beta. Off m = 0, e^x <= e^(-pi), so expm1(x) = e^x - 1
+there loses nothing.
 
 Letting d -> 0 gives the diagonal regular part
 gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
@@ -84,6 +85,9 @@ class TorusGreen:
         if lx <= 0.0:
             raise InputError(f"lx must be positive, got {lx}")
         object.__setattr__(self, "lx", lx)
+        # (lx, ly), read by every wrap and every kernel block; not a field
+        object.__setattr__(self, "_periods", np.array([lx, 1.0 / lx]))
+        self._periods.setflags(write=False)
         l1, l2, _ = _sides(self)
         if not math.isfinite(_TWO_PI * (l1 / l2) * 1.5):
             raise InputError(f"lx = {lx} is out of range: 3 pi max(lx, 1/lx)^2 overflows")
@@ -99,7 +103,7 @@ def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
     The shift runs in Fortran order, so numpy's inner loop goes along the
     points of each coordinate and not along the last axis of length 2.
     """
-    periods = np.array([geom.lx, geom.ly])
+    periods = geom._periods
     d = np.asarray(d, dtype=float)
     shift = np.divide(d, periods, order="F")
     np.rint(shift, out=shift)
@@ -124,6 +128,12 @@ def _points(x, p):
     return x, p
 
 
+def _displacement(x, p) -> np.ndarray:
+    """x - p for checked points (see ``_points``), not wrapped."""
+    x, p = _points(x, p)
+    return x - p
+
+
 def _length(w) -> np.ndarray:
     """Length of wrapped displacements w (last axis 2)."""
     return np.hypot(w[..., 0], w[..., 1])
@@ -131,8 +141,7 @@ def _length(w) -> np.ndarray:
 
 def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
     """Distance from x to p on the torus; broadcasts like green_eval."""
-    x, p = _points(x, p)
-    return _length(wrap_displacement(geom, x - p))
+    return _length(wrap_displacement(geom, _displacement(x, p)))
 
 
 def _sides(geom: TorusGreen):
@@ -166,20 +175,25 @@ def _image_table(beta: float):
     return weights, signs
 
 
-def _image_rows(u, s2, beta: float):
+def _image_rows(rows, u, s2, beta: float):
     """e^x, expm1(x) and |1 - e^(x + 2 pi i b)|^2 at x = -2 pi beta |u + m|.
 
-    Rows m = -M..M, with the points u in [-1/2, 1/2] and s2 = sin^2(pi b)
-    in columns; the third set of rows is expm1(x)^2 + 4 e^x s2. exp runs on
-    the images m = -1, 0, 1 and expm1 on m = 0 alone (see the module
-    docstring); the weights make every other row with one product per
-    entry, as a matrix product whose other terms are exact zeros.
+    Written into rows, a (3, images, points) slice of the kernel's work
+    array, and returned as its three sets: rows m = -M..M of each, with the
+    points u in [-1/2, 1/2] and s2 = sin^2(pi b) in columns; the third set
+    is expm1(x)^2 + 4 e^x s2. exp runs on the images m = -1, 0, 1 and expm1
+    on m = 0 alone (see the module docstring); the weights make every other
+    row with one product per entry, as a matrix product whose other terms
+    are exact zeros.
     """
+    ex, em1, f = rows[0], rows[1], rows[2]
     x = (-_TWO_PI * beta) * np.abs(u + _NEAREST)
-    ex = _image_table(beta)[0] @ np.exp(x)
-    em1 = ex - 1.0
-    em1[len(em1) // 2] = np.expm1(x[1])
-    return ex, em1, em1 * em1 + ex * (4.0 * s2)
+    np.matmul(_image_table(beta)[0], np.exp(x), out=ex)
+    np.subtract(ex, 1.0, out=em1)
+    np.expm1(x[1], out=em1[len(em1) // 2])
+    np.multiply(em1, em1, out=f)
+    f += ex * (4.0 * s2)
+    return ex, em1, f
 
 
 def _signed_sum(rows, sign_u, signs) -> np.ndarray:
@@ -192,38 +206,59 @@ def _signed_sum(rows, sign_u, signs) -> np.ndarray:
 
 
 # Points per broadcast over the images: enough for numpy to do the work,
-# few enough to keep the (images x points) temporaries small.
+# few enough to keep the (images x points) work array and temporaries small.
 _BLOCK = 2048
 
 
-def _green(geom: TorusGreen, w, order: int = 0) -> np.ndarray:
-    """G at wrapped displacements w (last axis 2), or its derivatives of one order.
+def _green(geom: TorusGreen, d, order: int = 0, floor: float | None = None) -> np.ndarray:
+    """G at displacements d (last axis 2), or its derivatives of one order.
 
-    w must already be wrapped into the periods (``wrap_displacement``);
-    the kernel does not wrap it again. Order 0 gives G, order 1 the
-    gradient on a last axis of 2, order 2 the Hessian on two last axes of
-    2. u and b are taken as contiguous rows, and the points go through in
-    blocks of ``_BLOCK``. All three orders take their image rows,
-    (images, block) with m = -M..M, from ``_image_rows``, so a sum or
-    product over the images combines whole rows; the sign of u + m is that
-    of m, except on the m = 0 row (``_signed_sum``). Each image term is
-    Re F with F(z) = -(1/2 pi) log(1 - e^z), z = x + 2 pi i b, holomorphic,
-    and z is d scaled by 2 pi / L2 (up to the sign along L1). So the image
-    terms add (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the
-    Hessian, with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to
-    the long-side entry: off the pole the trace is exactly 1.
+    d need not be wrapped: the kernel divides each block by the periods and
+    wraps it there, u - rint(u) and b - rint(b), so any number of whole
+    periods is dropped. Given ``floor``, it raises SingularityError when a
+    point lies closer than floor to a pole on the torus. The test is cheap
+    and exact: for Re z <= 0, |1 - e^z| <= |z| = 2 pi |d| / L2, so a block
+    whose m = 0 row of f = |1 - e^z|^2 is at least (2 pi floor / L2)^2
+    everywhere, with a relative margin above rounding, holds no such point;
+    only a block that fails it computes the wrapped lengths. Without
+    ``floor`` (the internal callers) nothing is checked.
+
+    Order 0 gives G, order 1 the gradient on a last axis of 2, order 2 the
+    Hessian on two last axes of 2. u and b are taken as contiguous rows,
+    and the points go through in blocks of ``_BLOCK``. All three orders
+    take their image rows, (images, block) with m = -M..M, from
+    ``_image_rows``, which writes them into one work array allocated per
+    call, so a sum or product over the images combines whole rows; the
+    sign of u + m is that of m, except on the m = 0 row (``_signed_sum``).
+    Each image term is Re F with F(z) = -(1/2 pi) log(1 - e^z),
+    z = x + 2 pi i b, holomorphic, and z is d scaled by 2 pi / L2 (up to
+    the sign along L1). So the image terms add
+    (2 pi / L2^2) [[Re q, sign Im q], [sign Im q, -Re q]] to the Hessian,
+    with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to the
+    long-side entry: off the pole the trace is exactly 1.
     """
     l1, l2, swap = _sides(geom)
     beta = l1 / l2
     signs = _image_table(beta)[1]
-    shape = w.shape[:-1]
-    w = w.reshape(-1, 2)
-    out = np.empty((2**order, len(w)))
-    for lo in range(0, len(w), _BLOCK):
+    if floor is not None:  # (2 pi floor / L2)^2, inf past the floats
+        reach = _TWO_PI * floor / l2
+        bound = reach * reach * (1.0 + 1e-12)
+    shape = d.shape[:-1]
+    d = d.reshape(-1, 2)
+    out = np.empty((2**order, len(d)))
+    work = np.empty((3, len(signs), min(len(d), _BLOCK)))
+    for lo in range(0, len(d), _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        u, b = w[block, int(swap)] / l1, w[block, 1 - int(swap)] / l2
+        # Fortran order: the divide's inner loop runs along the points, and
+        # u and b come out as contiguous columns
+        ub = np.divide(d[block], geom._periods, order="F")
+        ub -= np.rint(ub)
+        u, b = ub[:, int(swap)], ub[:, 1 - int(swap)]
         s2 = np.sin(math.pi * b) ** 2
-        ex, em1, f = _image_rows(u, s2, beta)
+        ex, em1, f = _image_rows(work[:, :, : len(ub)], u, s2, beta)
+        if floor is not None and not (f[len(f) // 2] >= bound).all():
+            if np.any(np.hypot(l1 * u, l2 * b) < floor):
+                raise SingularityError("Green function evaluated on the diagonal")
         if order == 2:
             # 1 - e^z = (2 e^x s2 - expm1(x)) - i e^x sin(2 pi b): no cancellation
             one_minus = (2.0 * ex * s2 - em1) - 1j * ex * np.sin(_TWO_PI * b)
@@ -242,20 +277,15 @@ def _green(geom: TorusGreen, w, order: int = 0) -> np.ndarray:
         else:
             out[0, block] = (l1 * l1 / 2.0) * (
                 u * u - np.abs(u) + 1.0 / 6.0
-            ) - np.log(np.prod(f, axis=0)) / (2.0 * _TWO_PI)
-    out = out.T.reshape((-1,) + (2,) * order)
+            ) - np.log(f.prod(axis=0)) / (2.0 * _TWO_PI)
+    out = out.T.reshape(shape + (2,) * order)
     if swap:  # every derivative axis back from (long, short) to (x, y)
-        out = out[(slice(None),) + (slice(None, None, -1),) * order]
-    return out.reshape(shape + (2,) * order)
+        out = out[(Ellipsis,) + (slice(None, None, -1),) * order]
+    return out
 
 
-def _displacement(geom: TorusGreen, x, p) -> np.ndarray:
-    """Wrapped x - p for checked points (see ``_points``), off the diagonal."""
-    x, p = _points(x, p)
-    w = wrap_displacement(geom, x - p)
-    if np.any(_length(w) < 1e-8):
-        raise SingularityError("Green function evaluated on the diagonal")
-    return w
+# The distance to a pole below which the entry points refuse a point.
+_FLOOR = 1e-8
 
 
 def green_eval(geom: TorusGreen, x, p):
@@ -263,20 +293,21 @@ def green_eval(geom: TorusGreen, x, p):
 
     Raises SingularityError when any pair is closer than 1e-8 on the torus.
     """
-    out = _green(geom, _displacement(geom, x, p))
+    out = _green(geom, _displacement(x, p), floor=_FLOOR)
     return float(out) if out.ndim == 0 else out
 
 
 def green_gradient(geom: TorusGreen, x, p):
     """Gradient of G in the first argument; broadcasts like green_eval."""
-    return _green(geom, _displacement(geom, x, p), order=1)
+    return _green(geom, _displacement(x, p), order=1, floor=_FLOOR)
 
 
 def _diagonal_gamma(geom: TorusGreen) -> float:
     """gamma(p, p), the same for every p on the torus (closed form above)."""
     l1, l2, _ = _sides(geom)
     beta = l1 / l2
-    ex = _image_rows(np.zeros(1), np.zeros(1), beta)[0][:, 0]  # at d = 0
+    rows = np.empty((3, len(_image_table(beta)[1]), 1))
+    ex = _image_rows(rows, np.zeros(1), np.zeros(1), beta)[0][:, 0]  # at d = 0
     images = np.delete(ex, len(ex) // 2)  # e^(-2 pi beta |m|), m != 0
     return float(
         l1 * l1 / 12.0
@@ -314,7 +345,7 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     pts = np.atleast_2d(as_array(points, "points"))
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InputError(f"points must be an (N, 2) array, got {pts.shape}")
-    pts = np.mod(pts, (geom.lx, geom.ly))
+    pts = np.mod(pts, geom._periods)
     t, s = np.triu_indices(pts.shape[0], k=1)
     w = wrap_displacement(geom, pts[t] - pts[s])
     close = _length(w) < 1e-4

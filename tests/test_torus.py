@@ -158,8 +158,8 @@ class TestGreenGradient:
 
 
 def hessian(geom, d):
-    """Hess G at displacement d; the kernel takes wrapped displacements."""
-    return green._green(geom, green.wrap_displacement(geom, d), order=2)
+    """Hess G at displacement d; the kernel wraps d in its blocks itself."""
+    return green._green(geom, np.asarray(d, dtype=float), order=2)
 
 
 def green_derivatives(geom, x, p):
@@ -279,6 +279,90 @@ class TestKernelOracle:
             scale = np.maximum(1.0, np.abs(want).max(axis=axes, initial=0.0))
             err = np.abs(got - want).max(axis=axes, initial=0.0)
             assert np.all(err <= 1e-14 * scale), (order, float(np.max(err / scale)))
+
+
+# the kernel wraps raw displacements and checks the floor in its blocks
+WRAP_TORI = [1.0, 0.4, 3.0]  # square, long side along y, and beta = 9
+
+
+class TestKernelWrap:
+    @staticmethod
+    def _ring(n, radius):
+        angles = np.random.default_rng(29).uniform(0.0, 2.0 * math.pi, n)
+        return radius * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+    @pytest.mark.parametrize("lx", WRAP_TORI)
+    def test_raw_matches_wrapped(self, lx):
+        # up to 3 whole periods on either axis
+        geom = lv.TorusGreen(lx)
+        periods = np.array([lx, 1.0 / lx])
+        rng = np.random.default_rng(31)
+        w = rng.uniform(-0.5, 0.5, (400, 2)) * periods
+        w = w[lv.torus_distance(geom, w, np.zeros(2)) > 0.05 * min(periods)]
+        d = w + rng.integers(-3, 4, w.shape) * periods
+        for order in (0, 1, 2):
+            got = green._green(geom, d, order)
+            want = green._green(geom, green.wrap_displacement(geom, d), order)
+            # per point, relative to its largest entry (G itself crosses 0).
+            # Both wraps round d/L - k, which is up to 3 whole periods, so
+            # they differ by an ulp of 3 periods; near the pole the
+            # derivatives see that relative to |d| (2.8e-14 at lx = 0.4 and
+            # 3.4e-14 at lx = 3 for the Hessian), while a wrong wrap is off
+            # by O(1).
+            axes = tuple(range(1, order + 1))
+            scale = np.maximum(1.0, np.abs(want).max(axis=axes, initial=0.0))
+            err = np.abs(got - want).max(axis=axes, initial=0.0)
+            assert np.all(err <= 1e-13 * scale), (order, float(np.max(err / scale)))
+
+    @pytest.mark.parametrize("lx", WRAP_TORI)
+    @pytest.mark.parametrize("fn", [lv.green_eval, lv.green_gradient])
+    def test_pole_images_rejected(self, lx, fn):
+        geom = lv.TorusGreen(lx)
+        p = np.array([0.3 * lx, 0.7 / lx])
+        for k in range(-3, 4):
+            for j in range(-3, 4):
+                image = p + [k * lx, j / lx]
+                for step in ([1e-10, 0.0], [0.0, -1e-10], [-1e-10, 1e-10]):
+                    with pytest.raises(SingularityError):
+                        fn(geom, image + step, p)
+
+    @pytest.mark.parametrize("lx", WRAP_TORI)
+    @pytest.mark.parametrize("fn", [lv.green_eval, lv.green_gradient])
+    def test_pole_in_the_last_block_rejected(self, lx, fn):
+        # two full blocks pass the test, and the one point of the third
+        # block sits 0.99e-8 from the pole, two periods away
+        geom = lv.TorusGreen(lx)
+        periods = np.array([lx, 1.0 / lx])
+        p = np.array([0.1 * lx, 0.4 / lx])
+        rng = np.random.default_rng(37)
+        x = p + (rng.uniform(0.1, 0.4, (2 * green._BLOCK + 1, 2)) * periods)
+        x[-1] = p + 2.0 * periods + self._ring(1, 0.99e-8)[0]
+        fn(geom, x[:-1], p)
+        with pytest.raises(SingularityError):
+            fn(geom, x, p)
+
+    @pytest.mark.parametrize("lx", WRAP_TORI)
+    @pytest.mark.parametrize("fn", [lv.green_eval, lv.green_gradient])
+    def test_ring_outside_the_floor_accepted(self, lx, fn):
+        # the 1.0001e-8 ring of TestKernelOracle, around a pole at 0 and
+        # around its image a period away on each axis
+        geom = lv.TorusGreen(lx)
+        ring = self._ring(16, 1.0001e-8)
+        for p in ([0.0, 0.0], [lx, -1.0 / lx]):
+            assert np.all(np.isfinite(fn(geom, ring, np.array(p))))
+        # two points inside the block test's rounding margin, where the
+        # wrapped length decides (x - p exact: the pole at 0)
+        edge = 1e-8 * (1.0 + 1e-13)
+        assert np.all(np.isfinite(fn(geom, np.array([[edge, 0.0], [0.0, -edge]]), np.zeros(2))))
+
+    def test_results_share_no_memory(self, geometry):
+        # a work array kept between calls would alias one result to the next
+        x = np.random.default_rng(41).random((300, 2))
+        first = lv.green_eval(geometry, x, np.array([0.5, 0.5]))
+        kept = first.copy()
+        second = lv.green_gradient(geometry, x, np.array([0.1, 0.9]))
+        np.testing.assert_array_equal(first, kept)
+        assert not np.shares_memory(first, second)
 
 
 # square, narrow (beta = 4) with the long side along x and along y, and beta = 9
