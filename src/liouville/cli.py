@@ -10,7 +10,9 @@ Values pass to the package unconverted: the API checks each one once and
 rejects a wrong type, a non-finite or an out-of-range value with an
 InputError that names it, so such a config exits 2 before any solve.
 
-Commands: solve | invert | surface | compare | leading | green.
+Commands: solve | invert | surface | compare | leading | green. Each command
+imports the package modules it runs when it starts, so a cold process loads
+only those, and a config rejected by the schema loads none.
 Exit codes, set by ``main`` alone: 0 ok, 2 config error, 3 solver error, 4
 non-convergence. A result with a NaN or an infinity is a solver error that
 names the artifact; no artifact holds one.
@@ -23,28 +25,11 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .algebra import (
-    CoefficientMatrix,
-    SingularityProfile,
-    as_level,
-    as_rho,
-    classify_region,
-    critical_values,
-    frak_m,
-    lambda_L,
-    q_point,
-)
-from .blowup import (
-    BlowupConfiguration,
-    b_coefficient,
-    leading_term_Q,
-    leading_term_general,
-)
-from .energy import extract_summary, pohozaev_residual, pohozaev_tail_table
 from .errors import (
     InputError,
     LiouvilleError,
@@ -53,11 +38,10 @@ from .errors import (
     as_count,
     as_number,
 )
-from .fields import field_from_config
-from .green import TorusGreen, green_eval, gstar_matrix, regular_part
-from .radial import ProblemSpec, integrate
-from .scaling import bubble_distance, d_relation_residual, height_match, mu_transform
-from .shooting import alpha_to_sigma, invert_sigma
+
+if TYPE_CHECKING:
+    from .algebra import CoefficientMatrix, SingularityProfile
+    from .blowup import BlowupConfiguration
 
 
 class ConfigError(LiouvilleError):
@@ -128,10 +112,14 @@ def _require(cfg: dict, key: str):
 
 
 def _get_matrix(cfg: dict) -> CoefficientMatrix:
+    from .algebra import CoefficientMatrix
+
     return CoefficientMatrix.from_entries(_require(cfg, "matrix"))
 
 
 def _get_gamma(cfg: dict) -> SingularityProfile:
+    from .algebra import SingularityProfile
+
     return SingularityProfile(_require(cfg, "gamma"))
 
 
@@ -192,6 +180,9 @@ class _Out:
 
 
 def cmd_solve(cfg: dict, out: _Out) -> int:
+    from .energy import extract_summary, pohozaev_residual, pohozaev_tail_table
+    from .radial import ProblemSpec, integrate
+
     matrix = _get_matrix(cfg)
     spec = ProblemSpec(matrix, _get_gamma(cfg), _require(cfg, "alpha0"))
     profile = integrate(spec, **_solver_params(cfg))
@@ -220,6 +211,8 @@ def cmd_solve(cfg: dict, out: _Out) -> int:
 
 
 def cmd_invert(cfg: dict, out: _Out) -> int:
+    from .shooting import alpha_to_sigma, invert_sigma
+
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
     params = _solver_params(cfg)
@@ -255,6 +248,17 @@ def cmd_invert(cfg: dict, out: _Out) -> int:
 
 
 def cmd_surface(cfg: dict, out: _Out) -> int:
+    from .algebra import (
+        SingularityProfile,
+        as_level,
+        as_rho,
+        classify_region,
+        critical_values,
+        frak_m,
+        lambda_L,
+        q_point,
+    )
+
     matrix = _get_matrix(cfg)
     sub = _require(cfg, "surface")
     strengths = [SingularityProfile(g) for g in sub.get("gammas", [])]
@@ -301,6 +305,10 @@ def cmd_surface(cfg: dict, out: _Out) -> int:
 
 
 def cmd_compare(cfg: dict, out: _Out) -> int:
+    from .energy import extract_summary
+    from .radial import ProblemSpec, integrate
+    from .scaling import bubble_distance, d_relation_residual, height_match, mu_transform
+
     matrix = _get_matrix(cfg)
     sing = _get_gamma(cfg)
     sub = _require(cfg, "compare")
@@ -343,6 +351,10 @@ def cmd_compare(cfg: dict, out: _Out) -> int:
 
 
 def _blowup_from(cfg: dict) -> tuple[BlowupConfiguration, dict]:
+    from .algebra import SingularityProfile
+    from .blowup import BlowupConfiguration
+    from .fields import field_from_config
+
     matrix = _get_matrix(cfg)
     sub = _require(cfg, "blowup")
     strengths = tuple(SingularityProfile(g) for g in _require(sub, "gammas"))
@@ -360,6 +372,8 @@ def _blowup_from(cfg: dict) -> tuple[BlowupConfiguration, dict]:
 
 
 def cmd_leading(cfg: dict, out: _Out) -> int:
+    from .blowup import b_coefficient, leading_term_Q, leading_term_general
+
     config, sub = _blowup_from(cfg)
     # echoed as given: the leading-term functions reject all but floats in (0, 1)
     eps_k = sub.get("eps_k", 1e-3)
@@ -410,6 +424,8 @@ def cmd_leading(cfg: dict, out: _Out) -> int:
 
 
 def cmd_green(cfg: dict, out: _Out) -> int:
+    from .green import TorusGreen, green_eval, gstar_matrix, regular_part
+
     sub = _require(cfg, "green")
     geometry = TorusGreen()
     gamma_diag, grad_diag = regular_part(geometry, np.zeros(2))

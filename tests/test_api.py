@@ -7,7 +7,11 @@ made on purpose, rather than a side effect of an import.
 
 import ast
 import dataclasses
+import importlib
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -83,14 +87,51 @@ PUBLIC = {
 }
 
 
-def test_public_names_are_pinned():
-    names = {
+def public_names() -> set[str]:
+    """The names ``dir(lv)`` lists that are neither private nor a module."""
+    return {
         name
-        for name, value in vars(lv).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(lv)
+        if not name.startswith("_") and not isinstance(getattr(lv, name), types.ModuleType)
     }
+
+
+def test_public_names_are_pinned():
+    names = public_names()
     assert sorted(names - PUBLIC) == [], "new public names"
     assert sorted(PUBLIC - names) == [], "public names gone"
+
+
+def test_public_names_resolve_to_their_home_module():
+    for name in PUBLIC:
+        value = getattr(lv, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        lv.no_such_name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from liouville import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC
+
+
+def test_import_loads_no_submodule():
+    # each public name loads its module on first use, so a bare import loads none
+    code = "import liouville, sys; print(sorted(m for m in sys.modules if m.startswith('liouville.')))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # The package's modules, each checked for imports it never reads; the
@@ -127,7 +168,7 @@ def test_array_records_compare_by_identity():
     # "truth value ... is ambiguous" ValueError; hashing would raise TypeError
     records = [
         value
-        for value in vars(lv).values()
+        for value in (getattr(lv, name) for name in public_names())
         if dataclasses.is_dataclass(value)
         and any("ndarray" in str(f.type) for f in dataclasses.fields(value))
     ]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import liouville as lv
-from liouville import cli
+from liouville import cli, radial
 from liouville.errors import NonConvergenceError
 
 
@@ -764,23 +764,53 @@ def test_wrong_container_at_every_level(tmp_path, capsys, where, base, keys, kin
     assert where in err and "must be" in err and kind in err
 
 
-def test_cold_start_imports_no_scipy():
-    # scipy is a test dependency only; at run time its import would cost
-    # every command a cold start several times that of numpy
-    code = (
-        "import liouville, liouville.cli, sys; "
-        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
-    )
+# The package modules each command loads, on top of liouville and
+# liouville.errors; a config the schema or an input check rejects loads what
+# its command loads up to that point.
+SOLVE_MODULES = {"algebra", "radial", "energy"}
+COMMAND_MODULES = {
+    "green": ({"green": {"points": [[0.1, 0.2], [0.6, 0.7]]}}, {"green"}),
+    "surface": (BASES["surface"], {"algebra"}),
+    "solve": (BASES["solve"], SOLVE_MODULES),
+    "compare": (BASES["compare"], SOLVE_MODULES | {"scaling"}),
+    "invert": (BASES["invert"], SOLVE_MODULES | {"shooting", "newton"}),
+    "leading": (BASES["leading-Q"], {"algebra", "blowup", "fields", "green", "newton"}),
+    "unknown-key": ({**BASES["solve"], "tolerance": 1e-8}, set()),
+    "tol-range": ({**BASES["solve"], "tol": 1e-3}, SOLVE_MODULES),
+    "nonfinite-r_max": ({**BASES["solve"], "r_max": math.inf}, SOLVE_MODULES),
+}
+
+# ``python -m liouville.cli``, then the liouville and scipy modules loaded at
+# exit; -m runs cli.py as __main__, so liouville.cli itself is not listed
+RUN_AND_LIST = """
+import runpy, sys
+try:
+    runpy.run_module("liouville.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(m for m in sys.modules if m.partition(".")[0] in ("liouville", "scipy")))
+"""
+
+
+@pytest.mark.parametrize("case", COMMAND_MODULES)
+def test_cold_command_loads_only_its_modules(tmp_path, case):
+    # a cold process imports only the modules its command runs; scipy, a
+    # test dependency only, never: it would cost a cold start several times numpy's
+    config, modules = COMMAND_MODULES[case]
+    command = case if case in cli._COMMANDS else "solve"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", RUN_AND_LIST, *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        check=True,
-        timeout=60,
+        timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == (0 if case in cli._COMMANDS else 2), out.stderr
+    loaded = set(out.stdout.split())
+    assert loaded == {"liouville", "liouville.errors"} | {f"liouville.{m}" for m in modules}
 
 
 class TestStrictOutput:
@@ -866,7 +896,7 @@ class TestOutputPaths:
 )
 def test_compare_heights_out_of_range_exit_2(tmp_path, capsys, monkeypatch, heights, said):
     # rejected before the solve: no traceback, no zero eta
-    monkeypatch.setattr(cli, "integrate", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(radial, "integrate", lambda *a, **k: pytest.fail("solved"))
     cfg = copy.deepcopy(BASES["compare"])
     cfg["compare"].update(heights)
     code, _ = run(tmp_path, "compare", cfg)
