@@ -134,9 +134,8 @@ def test_import_loads_no_submodule():
     assert out.stdout.strip() == "[]"
 
 
-# The package's modules, each checked for imports it never reads; the
-# package namespace re-exports what it imports, so it is left out.
-MODULES = sorted(p.name for p in Path(lv.__file__).parent.glob("*.py") if p.name != "__init__.py")
+# The package's modules, each checked for imports it never reads.
+MODULES = sorted(p.name for p in Path(lv.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -765,11 +765,11 @@ def test_wrong_container_at_every_level(tmp_path, capsys, where, base, keys, kin
 
 
 # The package modules each command loads, on top of liouville and
-# liouville.errors; a config the schema or an input check rejects loads what
-# its command loads up to that point.
+# liouville.errors. A config the schema rejects loads none; one that an input
+# check rejects loads what its command imports before the check.
 SOLVE_MODULES = {"algebra", "radial", "energy"}
 COMMAND_MODULES = {
-    "green": ({"green": {"points": [[0.1, 0.2], [0.6, 0.7]]}}, {"green"}),
+    "green": (BASES["green"], {"green"}),
     "surface": (BASES["surface"], {"algebra"}),
     "solve": (BASES["solve"], SOLVE_MODULES),
     "compare": (BASES["compare"], SOLVE_MODULES | {"scaling"}),
