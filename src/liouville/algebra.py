@@ -250,7 +250,8 @@ def critical_values(
 ) -> np.ndarray:
     """All levels 8 m pi + sum of 8 pi mu over point subsets, 0 excluded.
 
-    Sorted ascending, deduplicated to relative tolerance 1e-12; m_max <= 20.
+    Sorted ascending, deduplicated to relative tolerance 1e-12; m_max <= 20,
+    at most N = 20 points, and at most 2^20 levels (m_max + 1) 2^N to build.
     """
     m_max = as_count(m_max, "m_max", 0, 20)
     if not isinstance(strengths, (list, tuple)) or not all(
@@ -260,6 +261,9 @@ def critical_values(
     mus = [s.mu for s in strengths]
     if len(mus) > 20:
         raise InputError(f"strengths must hold at most 20 points, got {len(mus)}")
+    if (m_max + 1) * 2 ** len(mus) > 2**20:
+        raise InputError(f"strengths of {len(mus)} points and m_max = {m_max} give "
+                         f"(m_max + 1) 2^N = {(m_max + 1) * 2 ** len(mus)} levels, over 2^20")
     subset_sums = set()
     for k in range(len(mus) + 1):
         for combo in itertools.combinations(mus, k):

@@ -60,7 +60,8 @@ from .errors import (
     as_number,
 )
 from .fields import CoefficientField
-from .green import GStarMatrix, TorusGreen, _green, _length, gstar_matrix, wrap_displacement
+from .green import (_COINCIDENT, GStarMatrix, TorusGreen, _green, _length, gstar_matrix,
+                    wrap_displacement)
 from .newton import damped_newton
 
 _TWO_PI = 2.0 * math.pi
@@ -317,7 +318,7 @@ def _cubature(f, box):
 
 def _cell_geometry(geom: TorusGreen, points: np.ndarray, t: int):
     """Half-plane data of the Voronoi cell of points[t] among all images."""
-    shifts = np.array([(a * geom.lx, b * geom.ly) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    shifts = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]) * geom._periods
     vecs = (points[:, None, :] + shifts - points[t]).reshape(-1, 2)
     vecs = np.delete(vecs, 9 * t + 4, axis=0)  # p_t itself, with no shift
     dists = 0.5 * np.hypot(vecs[:, 0], vecs[:, 1])
@@ -473,7 +474,10 @@ def leading_term_general(
     D sums B_it times the delta0 -> 0 limit of the cell-domain integrals
     A_it over the minimizing components and all points, each cell
     integrated once and extrapolated as the module docstring describes.
-    The prediction is D eps_k^(m - 2) / n_L.
+    The prediction is D eps_k^(m - 2) / n_L. D drifts, silently, as delta0
+    shrinks: on the CLI tests' ``leading-general`` config it is 7.633245264
+    at delta0 1e-3 and 1e-4, 7.6332457958 at 1e-7 and 7.6332547674 at 2e-8
+    (ROADMAP item 4 replaces the extrapolation by the limit).
     """
     eps_k = as_fraction(eps_k, "eps_k")
     fm = config.frak.minimum
@@ -591,15 +595,14 @@ def location_search(config: BlowupConfiguration, t: int):
     NonConvergenceError carries the best point, wrapped too.
     """
     t = _regular_index(config, t)
-    geom = config.geometry
-    periods = np.array([geom.lx, geom.ly])
+    periods = config.geometry._periods
 
     def place(p):
         """p wrapped into the periods and its displacements from the other
         points, or None within 1e-4 of another point."""
         p = np.mod(p, periods)
         w = _displacements(config, t, p)
-        if np.any(_length(w) < 1e-4):
+        if np.any(_length(w) < _COINCIDENT):
             return None
         _require_positive(config.h_fields, p)
         return p, w

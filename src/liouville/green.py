@@ -34,8 +34,8 @@ the sum or product over the dozen images combines whole contiguous rows of
 points. Only the images m = -1, 0, 1 of a point take an exponential, and
 m = 0 alone expm1: since |u| <= 1/2, e^x of image m >= 1 is that of image
 1 times e^(-2 pi beta (m - 1)), and alike for m <= -1, with the factors in
-a table cached per beta. Off m = 0, e^x <= e^(-pi), so expm1(x) = e^x - 1
-there loses nothing.
+a table computed once per torus. Off m = 0, e^x <= e^(-pi), so
+expm1(x) = e^x - 1 there loses nothing.
 
 Letting d -> 0 gives the diagonal regular part
 gamma = lim (G(d) + (1/2 pi) log|d|) in closed form:
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,9 +72,14 @@ _TWO_PI = 2.0 * math.pi
 class TorusGreen:
     """Flat rectangular torus of unit area, sides lx along x and ly = 1/lx.
 
-    The kernel takes x = -2 pi beta |u + m| with beta = max(lx, ly)^2 and
-    |u + m| up to 3/2 on the nearest images, so lx must keep 3 pi beta
-    finite: about 2.29e-154 < lx < 4.37e153.
+    Construction computes, once, what the geometry fixes: the period vector
+    ``_periods`` = (lx, ly), the long and short sides ``_l1`` and ``_l2``,
+    ``_swap`` (the long side is y), ``_beta`` = l1 / l2, the image weights
+    and signs ``_weights`` and ``_signs`` (``_image_table``) and the
+    diagonal regular part ``_gamma``. None is a dataclass field, so a torus
+    compares and hashes by lx alone. The kernel takes x = -2 pi beta |u + m|
+    with beta = max(lx, ly)^2 and |u + m| up to 3/2 on the nearest images,
+    so lx must keep 3 pi beta finite: about 2.29e-154 < lx < 4.37e153.
     """
 
     lx: float = 1.0
@@ -84,13 +88,19 @@ class TorusGreen:
         lx = as_number(self.lx, "lx")
         if lx <= 0.0:
             raise InputError(f"lx must be positive, got {lx}")
-        object.__setattr__(self, "lx", lx)
-        # (lx, ly), read by every wrap and every kernel block; not a field
-        object.__setattr__(self, "_periods", np.array([lx, 1.0 / lx]))
-        self._periods.setflags(write=False)
-        l1, l2, _ = _sides(self)
-        if not math.isfinite(_TWO_PI * (l1 / l2) * 1.5):
+        ly = 1.0 / lx
+        swap = lx < ly
+        l1, l2 = (ly, lx) if swap else (lx, ly)
+        beta = l1 / l2
+        if not math.isfinite(_TWO_PI * beta * 1.5):
             raise InputError(f"lx = {lx} is out of range: 3 pi max(lx, 1/lx)^2 overflows")
+        derived = dict(lx=lx, _periods=np.array([lx, ly]), _l1=l1, _l2=l2, _swap=swap, _beta=beta)
+        derived["_weights"], derived["_signs"] = _image_table(beta)
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):  # every array the torus holds is read-only
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_gamma", _diagonal_gamma(self))  # reads the above
 
     @property
     def ly(self) -> float:
@@ -111,27 +121,17 @@ def wrap_displacement(geom: TorusGreen, d) -> np.ndarray:
     return np.subtract(d, shift, order="C")
 
 
-def _points(x, p):
-    """x and p as finite arrays with a last axis of 2 that broadcast."""
+def _displacement(x, p) -> np.ndarray:
+    """x - p, not wrapped, for finite arrays with a last axis of 2 that broadcast."""
     x, p = as_array(x, "x"), as_array(p, "p")
     for name, arr in (("x", x), ("p", p)):
         if arr.shape[-1:] != (2,):
-            raise InputError(
-                f"{name} must have a last axis of length 2, got shape {arr.shape}"
-            )
+            raise InputError(f"{name} must have a last axis of length 2, got shape {arr.shape}")
     try:
-        np.broadcast_shapes(x.shape, p.shape)
+        return x - p
     except ValueError:
-        raise InputError(
-            f"x of shape {x.shape} and p of shape {p.shape} do not broadcast"
-        ) from None
-    return x, p
-
-
-def _displacement(x, p) -> np.ndarray:
-    """x - p for checked points (see ``_points``), not wrapped."""
-    x, p = _points(x, p)
-    return x - p
+        shapes = f"x of shape {x.shape} and p of shape {p.shape}"
+        raise InputError(f"{shapes} do not broadcast") from None
 
 
 def _length(w) -> np.ndarray:
@@ -144,18 +144,10 @@ def torus_distance(geom: TorusGreen, x, p) -> np.ndarray:
     return _length(wrap_displacement(geom, _displacement(x, p)))
 
 
-def _sides(geom: TorusGreen):
-    """Long period, short period, and whether the long side is the y side."""
-    if geom.lx >= geom.ly:
-        return geom.lx, geom.ly, False
-    return geom.ly, geom.lx, True
-
-
 # The images m = -1, 0, 1 of a point, as offsets of u.
 _NEAREST = np.array([[-1.0], [0.0], [1.0]])
 
 
-@lru_cache(maxsize=64)
 def _image_table(beta: float):
     """Weights from the images m = -1, 0, 1 to m = -M..M, and sign(m).
 
@@ -169,13 +161,10 @@ def _image_table(beta: float):
     weights[np.arange(len(m)), np.sign(m) + 1] = np.exp(
         -_TWO_PI * beta * np.maximum(np.abs(m) - 1.0, 0.0)
     )
-    signs = np.where(m < 0, -1.0, 1.0)
-    for arr in (weights, signs):
-        arr.setflags(write=False)
-    return weights, signs
+    return weights, np.where(m < 0, -1.0, 1.0)
 
 
-def _image_rows(rows, u, s2, beta: float):
+def _image_rows(rows, u, s2, geom: TorusGreen):
     """e^x, expm1(x) and |1 - e^(x + 2 pi i b)|^2 at x = -2 pi beta |u + m|.
 
     Written into rows, a (3, images, points) slice of the kernel's work
@@ -187,8 +176,8 @@ def _image_rows(rows, u, s2, beta: float):
     are exact zeros.
     """
     ex, em1, f = rows[0], rows[1], rows[2]
-    x = (-_TWO_PI * beta) * np.abs(u + _NEAREST)
-    np.matmul(_image_table(beta)[0], np.exp(x), out=ex)
+    x = (-_TWO_PI * geom._beta) * np.abs(u + _NEAREST)
+    np.matmul(geom._weights, np.exp(x), out=ex)
     np.subtract(ex, 1.0, out=em1)
     np.expm1(x[1], out=em1[len(em1) // 2])
     np.multiply(em1, em1, out=f)
@@ -237,9 +226,7 @@ def _green(geom: TorusGreen, d, order: int = 0, floor: float | None = None) -> n
     with q = e^z / (1 - e^z)^2, and the quadratic term adds 1 to the
     long-side entry: off the pole the trace is exactly 1.
     """
-    l1, l2, swap = _sides(geom)
-    beta = l1 / l2
-    signs = _image_table(beta)[1]
+    l1, l2, swap, signs = geom._l1, geom._l2, geom._swap, geom._signs
     if floor is not None:  # (2 pi floor / L2)^2, inf past the floats
         reach = _TWO_PI * floor / l2
         bound = reach * reach * (1.0 + 1e-12)
@@ -255,7 +242,7 @@ def _green(geom: TorusGreen, d, order: int = 0, floor: float | None = None) -> n
         ub -= np.rint(ub)
         u, b = ub[:, int(swap)], ub[:, 1 - int(swap)]
         s2 = np.sin(math.pi * b) ** 2
-        ex, em1, f = _image_rows(work[:, :, : len(ub)], u, s2, beta)
+        ex, em1, f = _image_rows(work[:, :, : len(ub)], u, s2, geom)
         if floor is not None and not (f[len(f) // 2] >= bound).all():
             if np.any(np.hypot(l1 * u, l2 * b) < floor):
                 raise SingularityError("Green function evaluated on the diagonal")
@@ -286,6 +273,9 @@ def _green(geom: TorusGreen, d, order: int = 0, floor: float | None = None) -> n
 
 # The distance to a pole below which the entry points refuse a point.
 _FLOOR = 1e-8
+# Points closer than this on the torus coincide for gstar_matrix and for
+# blowup's location search.
+_COINCIDENT = 1e-4
 
 
 def green_eval(geom: TorusGreen, x, p):
@@ -304,14 +294,12 @@ def green_gradient(geom: TorusGreen, x, p):
 
 def _diagonal_gamma(geom: TorusGreen) -> float:
     """gamma(p, p), the same for every p on the torus (closed form above)."""
-    l1, l2, _ = _sides(geom)
-    beta = l1 / l2
-    rows = np.empty((3, len(_image_table(beta)[1]), 1))
-    ex = _image_rows(rows, np.zeros(1), np.zeros(1), beta)[0][:, 0]  # at d = 0
+    rows = np.empty((3, len(geom._signs), 1))
+    ex = _image_rows(rows, np.zeros(1), np.zeros(1), geom)[0][:, 0]  # at d = 0
     images = np.delete(ex, len(ex) // 2)  # e^(-2 pi beta |m|), m != 0
     return float(
-        l1 * l1 / 12.0
-        - math.log(_TWO_PI / l2) / _TWO_PI
+        geom._l1 * geom._l1 / 12.0
+        - math.log(_TWO_PI / geom._l2) / _TWO_PI
         - np.log1p(-images).sum() / _TWO_PI
     )
 
@@ -324,7 +312,7 @@ def regular_part(geom: TorusGreen, p):
     and the gradient is zero because G is even.
     """
     as_array(p, "p", (2,))
-    return _diagonal_gamma(geom), np.zeros(2)
+    return geom._gamma, np.zeros(2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +336,11 @@ def gstar_matrix(geom: TorusGreen, points) -> GStarMatrix:
     pts = np.mod(pts, geom._periods)
     t, s = np.triu_indices(pts.shape[0], k=1)
     w = wrap_displacement(geom, pts[t] - pts[s])
-    close = _length(w) < 1e-4
+    close = _length(w) < _COINCIDENT
     if close.any():
         k = np.argmax(close)
         raise GeometryError(f"points {t[k]} and {s[k]} are closer than 1e-4 on the torus")
-    values = np.full((pts.shape[0],) * 2, _diagonal_gamma(geom))
+    values = np.full((pts.shape[0],) * 2, geom._gamma)
     values[t, s] = values[s, t] = _green(geom, w)
     for arr in (pts, values):
         arr.setflags(write=False)

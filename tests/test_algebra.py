@@ -107,6 +107,12 @@ class TestCriticalValues:
         with pytest.raises(InputError, match="m_max"):
             lv.critical_values([], m_max)
 
+    @pytest.mark.parametrize("n, m_max", [(17, 8), (18, 4), (20, 1)])
+    def test_rejects_more_than_2_to_20_levels(self, n, m_max):
+        # one step past (m_max + 1) 2^N = 2^20 on each count; refused before any work
+        with pytest.raises(InputError, match=f"{n} points and m_max = {m_max} give"):
+            lv.critical_values([lv.SingularityProfile(-0.5)] * n, m_max)
+
 
 class TestLambdaAndQ:
     def test_direct_value(self, matrix12):

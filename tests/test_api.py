@@ -162,6 +162,39 @@ def test_no_unused_imports(module):
     assert unused_imports((Path(lv.__file__).parent / module).read_text()) == []
 
 
+# What ROADMAP item 6 keeps out of src/, by module: caches keyed on inputs
+# and settings read from the environment.
+BANNED = {"functools": {"cache", "cached_property", "lru_cache"}, "os": {"environ", "getenv"}}
+
+
+def caches_and_environment(source: str) -> list[str]:
+    """The names of BANNED that a module imports or reads, as module.name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in BANNED:
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name in BANNED[node.module]]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in BANNED.get(node.value.id, ()):
+                found.append(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_cache_and_environment_are_found():
+    source = (
+        "import functools, os\nfrom functools import lru_cache as lc, reduce\n"
+        "from os import getenv\n@functools.cache\ndef f(): return os.environ.get('X')\n"
+        "os.path.join('a')\n"
+    )
+    assert caches_and_environment(source) == [
+        "functools.cache", "functools.lru_cache", "os.environ", "os.getenv"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_cache_and_no_environment(module):
+    assert caches_and_environment((Path(lv.__file__).parent / module).read_text()) == []
+
+
 def test_array_records_compare_by_identity():
     # a generated __eq__ would compare the arrays and raise numpy's
     # "truth value ... is ambiguous" ValueError; hashing would raise TypeError
@@ -211,6 +244,10 @@ INPUT_CHECKS = [
     ("critical-values-21-strengths",
      lambda get: lv.critical_values([lv.SingularityProfile(0.0)] * 21, 1),
      InputError, "strengths must hold at most 20 points, got 21"),
+    ("critical-values-20-strengths-m-max-20",
+     lambda get: lv.critical_values([lv.SingularityProfile(0.0)] * 20, 20),
+     InputError, "strengths of 20 points and m_max = 20 give (m_max + 1) 2^N = 22020096 "
+     "levels, over 2^20"),
     ("strength-count",
      lambda get: _two_regular_points(strengths=(lv.SingularityProfile(0.0),)),
      InputError, "strengths must have one entry per point, got 1"),

@@ -252,8 +252,9 @@ class TestSurface:
 
     @pytest.mark.parametrize("past", [0, 1])
     def test_caps(self, tmp_path, capsys, past):
-        # m_max <= 20 and count <= 10,000: critical_values builds
-        # (m_max + 1) 2^N levels and linspace count points before any output
+        # m_max <= 20, (m_max + 1) 2^N <= 2^20 and count <= 10,000:
+        # critical_values builds (m_max + 1) 2^N levels and linspace count
+        # points before any output
         cfg = copy.deepcopy(BASES["surface"])
         cfg["surface"]["m_max"] = 20 + past
         cfg["surface"]["sweep"]["count"] = 10_000 + past
@@ -264,6 +265,12 @@ class TestSurface:
             cfg["surface"]["m_max"] = 20
             assert run(tmp_path, "surface", cfg)[0] == 2
             assert "count must be in [0, 10000], got 10001" in capsys.readouterr().err
+            # each argument in range, but (20 + 1) 2^20 levels: refused before any output
+            cfg["surface"]["sweep"]["count"] = 10_000
+            cfg["surface"]["gammas"] = [-0.5] * 20
+            code, out = run(tmp_path, "surface", cfg)
+            assert code == 2 and not any(out.iterdir())
+            assert "20 points and m_max = 20 give" in capsys.readouterr().err
         else:
             assert code == 0
             # 8 pi m + {0, 4 pi}: the 42 levels 4 pi k, k = 1..41

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -526,6 +527,46 @@ class TestGeometryValidation:
         assert np.all(np.isfinite(lv.green_eval(geom, x, np.zeros(2))))
         assert math.isfinite(lv.regular_part(geom, np.zeros(2))[0])
         assert np.all(np.isfinite(lv.gstar_matrix(geom, x[:4]).values))
+
+
+class TestGeometryOnce:
+    """TorusGreen computes what the geometry fixes at construction, as plain
+    attributes beside its one field lx."""
+
+    DERIVED = ("_periods", "_l1", "_l2", "_swap", "_beta", "_weights", "_signs", "_gamma")
+
+    def test_holds_exactly_the_derived_values(self):
+        assert set(vars(lv.TorusGreen(2.0))) == {"lx", *self.DERIVED}
+
+    def test_replace_recomputes_every_derived_value(self):
+        geom = lv.TorusGreen(2.0)
+        for lx in (0.4, 0.25):  # each value differs from lx = 2's
+            moved, fresh = dataclasses.replace(geom, lx=lx), lv.TorusGreen(lx)
+            for name in self.DERIVED:
+                assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+                assert not np.array_equal(getattr(moved, name), getattr(geom, name)), name
+
+    def test_compares_and_hashes_by_lx(self):
+        a, b = lv.TorusGreen(2.0), lv.TorusGreen(2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != lv.TorusGreen(0.5)  # the same torus turned, another lx
+        assert [f.name for f in dataclasses.fields(lv.TorusGreen)] == ["lx"]
+
+    def test_entry_points_read_the_stored_geometry(self, monkeypatch):
+        calls = []
+        for name in ("_image_table", "_diagonal_gamma"):
+            fn = getattr(green, name)
+            monkeypatch.setattr(green, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        geom = lv.TorusGreen(0.4)
+        assert calls == ["_image_table", "_diagonal_gamma"]
+        pts = np.random.default_rng(7).random((5, 2)) * geom._periods
+        lv.gstar_matrix(geom, pts)
+        lv.regular_part(geom, pts[0])
+        lv.green_eval(geom, pts[1:], pts[0])
+        lv.green_gradient(geom, pts[1:], pts[0])
+        for order in (0, 1, 2):
+            green._green(geom, pts[1:] - pts[0], order)
+        assert calls == ["_image_table", "_diagonal_gamma"]
 
 
 class TestGStarMatrix:
