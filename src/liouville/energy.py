@@ -100,7 +100,7 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     logw_r = profile.logmass[-1].copy()
     flux = -profile.dvalues[-1]
 
-    if np.any(flux <= 2.0 * mu):
+    if (flux <= 2.0 * mu).any():
         raise ExtractionError(
             f"flux -r U' at r_max = {profile.r_max:.3g} is {flux}, at or below 2 mu = "
             f"{2 * mu}: r_max is too small for the flux to settle; increase r_max"
@@ -111,7 +111,7 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     for sweeps in range(1, _TAIL_MAX_ITER + 1):
         gap = m - 2.0 * mu
         tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
-        if np.any(tail == np.inf):
+        if (tail == np.inf).any():
             i = int(np.argmax(d_vec - alpha - gap * log_r))
             raise ExtractionError(
                 f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
@@ -120,9 +120,9 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         sigma_new = sigma_r + tail / gap
         m_new = a_mat @ sigma_new
         d_new = a_mat @ (logw_r + logw_tail)
-        delta = float(np.max(np.abs(sigma_new - sigma)))
+        delta = float(abs(sigma_new - sigma).max())
         sigma, m, d_vec = sigma_new, m_new, d_new
-        if np.any(m <= 2.0 * mu):
+        if (m <= 2.0 * mu).any():
             raise ExtractionError(
                 f"mass exponent at or below the integrability threshold "
                 f"2 mu = {2 * mu}: m = {m}"
@@ -139,8 +139,8 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     # the first omitted term of sigma, c_j sum_k a_jk c_k / (g_k^2 (g_j + g_k));
     # a NaN or an infinity here fails the test below
     with np.errstate(all="ignore"):
-        omitted = tail * np.sum(a_mat * (tail / gap**2) / np.add.outer(gap, gap), axis=1)
-        tail_error = float(np.max(np.abs(omitted) / sigma))
+        omitted = tail * (a_mat * (tail / gap**2) / (gap[:, None] + gap)).sum(axis=1)
+        tail_error = float((abs(omitted) / sigma).max())
     if not tail_error <= _TAIL_ERROR_MAX:
         raise ExtractionError(
             f"sigma's estimated relative error tail_error = {tail_error:.2e} is above "
@@ -161,7 +161,7 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         mu=mu,
         m_min=float(m.min()),
         sweeps=sweeps,
-        flux_gap=float(np.max(np.abs(m - flux))),
+        flux_gap=float(abs(m - flux).max()),
         tail_error=tail_error,
         profile=profile,
         dsigma=dsigma,
@@ -184,24 +184,29 @@ def _tail_sensitivity(profile, gap, tail, lw_tail) -> np.ndarray:
     sigma = sigma_R + t/g and D = A (logw_R + t (L/g + 1/g^2)) with
     t = exp(D - alpha - g L), g = m - 2 mu, L = log r_max and m = A sigma;
     sigma_R, logw_R move with alpha0 through the profile's sensitivities and
-    alpha = -alpha0.
+    alpha = -alpha0. The system (I - dF/dz) dz = dF/dp dp is assembled in
+    place: its four blocks are A times the partials, negated.
     """
     n = profile.n
     a_mat = profile.spec.matrix.entries
     log_r = float(profile.grid[-1])
-    # partials of sigma and of the log-weighted tail in m and in D
+    # partials of sigma and of the log-weighted tail in m and in D: sig_m,
+    # t/g, lw_m and lw_tail; minus each of them
     sig_m = -lw_tail
-    lw_m = -log_r * lw_tail - tail * (log_r / gap**2 + 2.0 / gap**3)
-    jac_z = np.block([
-        [a_mat * sig_m, a_mat * (tail / gap)],
-        [a_mat * lw_m, a_mat * lw_tail],
-    ])
-    sens = profile.sensitivity
+    t_g = tail / gap
+    neg_lw_m = log_r * lw_tail + tail * (log_r / gap**2 + 2.0 / gap**3)
+    lhs = np.empty((2, n, 2, n))
+    np.multiply(a_mat, lw_tail, out=lhs[0, :, 0])
+    np.multiply(a_mat, -t_g, out=lhs[0, :, 1])
+    np.multiply(a_mat, neg_lw_m, out=lhs[1, :, 0])
+    np.multiply(a_mat, sig_m, out=lhs[1, :, 1])
+    lhs = lhs.reshape(2 * n, 2 * n)
+    lhs.flat[:: 2 * n + 1] += 1.0
     # alpha0 enters t as e^(alpha0), so d/d alpha0 of t-terms is the term
-    dsig_p = sens[2 * n : 3 * n] + np.diag(tail / gap)
-    dlw_p = sens[3 * n :] + np.diag(lw_tail)
-    dz = np.linalg.solve(np.eye(2 * n) - jac_z, np.vstack([a_mat @ dsig_p, a_mat @ dlw_p]))
-    return sig_m[:, None] * dz[:n] + (tail / gap)[:, None] * dz[n:] + dsig_p
+    dp = profile.sensitivity[2 * n :].copy()  # d sigma_R, d logw_R over t/g and lw_tail
+    dp.reshape(2, n * n)[:, :: n + 1] += (t_g, lw_tail)
+    dz = np.linalg.solve(lhs, (a_mat @ dp.reshape(2, n, n)).reshape(2 * n, n))
+    return t_g[:, None] * dz[n:] - lw_tail[:, None] * dz[:n] + dp[:n]
 
 
 def pohozaev_residual(summary: SolutionSummary) -> float:

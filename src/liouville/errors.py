@@ -5,6 +5,8 @@ Public entry points check their input with ``as_number``, ``as_fraction``,
 shape is an ``InputError`` that names the offending parameter.
 """
 
+import math
+
 import numpy as np
 
 # e^x is a finite float exactly for x <= this (709.78...): it overflows from
@@ -84,13 +86,15 @@ def as_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
         raise InputError(f"{name} must be numeric, got {value!r}")
     if shape is not None and arr.shape != shape:
         raise InputError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite, got {value!r}")
     return arr.astype(float, copy=False)
 
 
 def as_number(value, name: str) -> float:
     """A finite float: ``as_array`` of shape ()."""
+    if type(value) is float and math.isfinite(value):  # already what as_array returns
+        return value
     return float(as_array(value, name, ()))
 
 

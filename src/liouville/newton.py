@@ -43,7 +43,7 @@ def damped_newton(f, x, tol: float, what: str):
     """
     x = np.array(x, dtype=float)
     r, jacobian = f(x, math.inf)
-    norm = float(np.max(np.abs(r)))
+    norm = float(abs(r).max())
     best, best_norm = x, norm
     trace = [(norm, 0.0, 0)]
     for steps in range(MAX_STEPS + 1):
@@ -51,7 +51,7 @@ def damped_newton(f, x, tol: float, what: str):
         step, _, rank, _ = np.linalg.lstsq(jac, -r, rcond=None)
         if norm < tol:
             return x + step, tuple(trace)
-        if rank < min(jac.shape) and np.max(np.abs(r + jac @ step)) > tol:
+        if rank < min(jac.shape) and abs(r + jac @ step).max() > tol:
             problem = f"singular Jacobian with the residual above {tol}"
             break
         if steps == MAX_STEPS:
@@ -60,14 +60,14 @@ def damped_newton(f, x, tol: float, what: str):
         lam = 1.0
         for halvings in range(MAX_HALVINGS + 1):
             trial = f(x + lam * step, norm)
-            if trial is not None and np.max(np.abs(trial[0])) < norm * (1.0 - 1e-4 * lam):
+            if trial is not None and abs(trial[0]).max() < norm * (1.0 - 1e-4 * lam):
                 break
             lam *= 0.5
         else:
             problem = f"no descent in {MAX_HALVINGS} halvings"
             break
         x, (r, jacobian) = x + lam * step, trial
-        norm = float(np.max(np.abs(r)))
+        norm = float(abs(r).max())
         trace.append((norm, lam, halvings))
         if norm < best_norm:
             best, best_norm = x, norm

@@ -39,23 +39,24 @@ S = dY/d alpha0, (4n, n), which obey the variational equations
     S_logmass' = s diag(w) S_U,
 
 seeded by the alpha0-derivative of the origin series. Its coefficients'
-derivatives come after the values, two matrix products per order
+derivatives come after the values, one matrix product per order
 (``_series_terms``): dc_k = (W_k / k)(de_(k-1) + diag e_(k-1)) with d_k =
-W_k e_(k-1), and de_k = sum_l dc_l e_(k-l), since exp(U_j - alpha0_j) is
-the exponential of the series. The sensitivities never steer the step
-size, so the step loop is the same with or without them: it only keeps
-each accepted step's size and stage weights. After the solve, one
+W_k e_(k-1), and de_k = sum_l diag(e_(k-l)) dc_l, since exp(U_j -
+alpha0_j) is the exponential of the series. The sensitivities never steer
+the step size, so the step loop is the same with or without them: it only
+keeps each accepted step's size and stage weights. After the solve, one
 batched pass over the accepted steps builds every step's variational step
 matrix (the Runge-Kutta map differentiated at frozen weights, "internal
-differentiation") from the same basis, and pairwise products chain them
-onto the series seed. Grid and state are bitwise those of a run without
-sensitivities.
+differentiation") from the same basis, three numpy calls per stage, and
+pairwise products chain them onto the series seed. Grid and state are
+bitwise those of a run without sensitivities.
 
 One strength is solved: ``integrate`` steps the mu = 1 system from
 alpha0 - 2 log mu out to mu log r_max and maps that solution U to
-V(s) = U(mu s) + 2 log mu (``_rescale``, also behind ``scaling.mu_transform``
+V(s) = U(mu s) + 2 log mu (``_mapped``, also behind ``scaling.mu_transform``
 and ``scaling.eta_rescale``), so gamma near -1 needs no tiny start radius.
-``RadialProfile.stats`` counts, in the caller's s: ``accepted`` and
+The solve builds one ``RadialProfile``, from the mapped arrays and its
+counters. ``RadialProfile.stats`` counts, in the caller's s: ``accepted`` and
 ``rejected`` steps, weight ``evaluations`` (one, then twelve per attempt),
 the accepted step range ``h_min``, ``h_max``, and the first node ``s_start``.
 
@@ -68,7 +69,7 @@ profiles of any strength, those made by ``scaling`` too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -90,6 +91,11 @@ from .errors import (
 _SERIES_TERMS = 16
 _ORDERS = np.arange(_SERIES_TERMS + 1.0)  # k = 0..K
 _LOG_EPS = -52.0 * math.log(2.0)
+# k - l at [k, l], clipped at 0, and whether 1 <= l <= k: the lower
+# triangular Toeplitz matrix of a series is series[_LAGS] * _LAGGED
+_LAGS = np.subtract.outer(_ORDERS, _ORDERS).astype(int)
+_LAGGED = ((_LAGS >= 0) & (_ORDERS >= 1.0))[:, :, None].astype(float)
+_LAGS = np.maximum(_LAGS, 0)
 # The largest alpha0 entry integrate takes (e^U overflows long after this).
 U_OVERFLOW = 50.0
 
@@ -99,6 +105,8 @@ MAX_STEPS = 100_000
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-4
 # The r_max and tol of integrate, alpha_to_sigma and invert_sigma when not given.
 DEFAULT_R_MAX, DEFAULT_TOL = 1e4, 1e-10
+# The strength every solve runs at (the module docstring's mu = 1 system).
+_MU_ONE = SingularityProfile(0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,9 +225,11 @@ def _series_terms(spec: ProblemSpec, derivative: bool = False):
     The alpha0-derivative (``derivative``) holds the scale |c_1| constant
     and runs after the values, which are bitwise the same with or without
     it. Column m of W_k carries e^(alpha0_m), so dc_k = (W_k / k)(de_(k-1)
-    + diag e_(k-1)), one product of [W_k / k, (W_k / k) diag e_(k-1)] with
-    [de_(k-1); I]; and exp(U_j - alpha0_j) = exp(sum_l c_jl y^l) gives
-    de_k = sum_{l=1..k} dc_l e_(k-l), one product per component.
+    + diag e_(k-1)); and exp(U_j - alpha0_j) = exp(sum_l c_jl y^l) gives
+    de_k = sum_{l=1..k} diag(e_(k-l)) dc_l. Together, with dc_0 = I,
+    dc_k = sum_{i<k} (W_k / k) diag(e_i) dc_(k-1-i): one product per order
+    of a row of blocks, all made at once, with dc_0 .. dc_(k-1). The de_k
+    follow in one product per component with e's Toeplitz matrix.
 
     Returns (coef, dcoef, log |c_1|, log start radius): coef[0, k] = k c_k
     and coef[1, k] = e_k in y, (2, K + 1, n), and dcoef their
@@ -227,7 +237,7 @@ def _series_terms(spec: ProblemSpec, derivative: bool = False):
     """
     n, b2, terms = spec.n, 2.0 * spec.singularity.mu, _SERIES_TERMS
     weights = spec.matrix.entries * np.exp(spec.alpha0)  # a_ij e^(alpha0_j)
-    scale = float(np.max(np.abs(weights.sum(axis=1)))) / b2**2 or 1.0
+    scale = float(abs(weights.sum(axis=1)).max()) / b2**2 or 1.0
     # row k - 1: -a_ij e^(alpha0_j) / (scale b2^2 k)
     weights = weights / (-scale * b2**2 * _ORDERS[1:, None, None])
     coef = np.zeros((2, terms + 1, n))
@@ -241,20 +251,21 @@ def _series_terms(spec: ProblemSpec, derivative: bool = False):
         e[k] /= k
     dcoef = None
     if derivative:
-        w = weights / _ORDERS[1:, None, None]  # W_k / k
-        # [W_k / k, (W_k / k) diag e_(k-1)], which times [de_(k-1); I] is dc_k
-        steps = np.concatenate([w, w * e[:-1, None, :]], axis=2)
-        de = np.zeros((terms + 1, 2 * n, n))  # de_k over I
-        de[:, n:] = np.eye(n)
-        dc = np.zeros((n, terms + 1, n))  # dc_l at [j, l]
-        e_rows = e.T[:, None]  # e_k at [j, 0, k]
+        # row k - 1: the blocks (W_k / k) diag e_i, i = K-1 .. 0, side by side
+        rows = np.einsum("krc,ic->kric", weights / _ORDERS[1:, None, None], e[terms - 1 :: -1])
+        rows = rows.reshape(terms, n, terms * n)
+        dc = np.zeros((terms + 1, n, n))  # dc_k at [k]
+        dc[0].flat[:: n + 1] = 1.0
         for k in range(1, terms + 1):
-            np.matmul(steps[k - 1], de[k - 1], out=dc[:, k])
-            np.matmul(e_rows[:, :, k - 1 :: -1], dc[:, 1 : k + 1], out=de[k, :n, None])
-        dcoef = np.stack([dc.transpose(1, 0, 2) * _ORDERS[:, None, None], de[:, :n]])
+            np.dot(rows[k - 1, :, (terms - k) * n :], dc[:k].reshape(k * n, n), out=dc[k])
+        dcoef = np.empty((2, terms + 1, n, n))
+        np.multiply(dc, _ORDERS[:, None, None], out=dcoef[0])
+        # e[_LAGS] * _LAGGED is e_(k-l) at [k, l, j] for 1 <= l <= k, else 0
+        np.matmul((e[_LAGS] * _LAGGED).transpose(2, 0, 1), dc.transpose(1, 0, 2),
+                  out=dcoef[1].transpose(1, 0, 2))
     # log y where the last terms reach 2^-52: c_K y^(K-1) (c_1 is 1 in y)
     # and e_K y^K; inf where they vanish
-    tops = np.max(np.abs(coef[:, terms]), axis=1) / (terms, 1.0)
+    tops = abs(coef[:, terms]).max(axis=1) / (terms, 1.0)
     log_y = min(
         (_LOG_EPS - math.log(top)) / power if top > 0.0 else math.inf
         for top, power in zip(tops.tolist(), (terms - 1, terms))
@@ -299,10 +310,11 @@ def _series(spec: ProblemSpec, r: float, derivative: bool = False, terms=None):
     if not derivative:
         return rows, None
     seed = (on @ dcoef.reshape(-1, n * n)).reshape(4, n, n)
-    seed[0] += np.eye(n)
+    diagonals = seed.reshape(4, n * n)[:, :: n + 1]
+    diagonals[0] += 1.0
     seed[1] *= slope * r  # the solver's seed: dU/ds
     seed[2:] *= mass[:, None]
-    seed[2:] += rows[2:, :, None] * np.eye(n)
+    diagonals[2:] += rows[2:]
     return rows, seed.reshape(4 * n, n)
 
 
@@ -452,6 +464,8 @@ class _Step:
              self.f[j], self.f[18 + j])
             for j in range(1, 13)
         ]
+        # accept's copies: the new state, and stage 12's W and G as stage 0's
+        self.copies = ((self.f[14:18], self.new[:4]), (self.f[0::18], self.f[12::18]))
         np.exp(self.f[13] * s + self.f[14], out=self.f[0])
         np.dot(self.neg_a, self.f[0], out=self.f[18])
 
@@ -465,8 +479,31 @@ class _Step:
         np.dot(self.end, self.f, out=self.new)
 
     def accept(self) -> None:
-        self.f[14:18] = self.new[:4]
-        self.f[0::18] = self.f[12::18]  # FSAL: W_0, G_0 <- W_12, G_12
+        for current, new in self.copies:  # FSAL: W_0, G_0 <- W_12, G_12
+            current[...] = new
+
+
+def _variational_rows():
+    """The rows of the unit variational step (``_carried_sensitivity``).
+
+    Read off ``_STEP_BASIS`` at (1, h, h^2, hs, s) = (1, 1, 1, 0, 0), where
+    M, mass and logmass drop out. Per stage j (row j), over the rows [W_0
+    .. W_11, U, V]: its G coefficients (A^2)_j, and those of U + c_j V;
+    with [-A, I] these give stage j's S_U in two products. Row 13 gives
+    the new V = V + b.G alike. Then the W coefficients of the new mass
+    and logmass, b and (b c). (14, 2, 14) and (2, 12).
+    """
+    unit = np.dot((1.0, 1.0, 1.0, 0.0, 0.0), _STEP_BASIS)
+    stage, end = unit[: 13 * 18].reshape(13, 18), unit[13 * 18 :].reshape(12, 31)
+    rows = np.zeros((14, 2, 14))
+    rows[:13, 0, :12] = stage[:, 5:17]
+    rows[:13, 1, 12:] = stage[:, 1:3]
+    rows[13, 0, :12] = end[1, 18:30]
+    rows[13, 1, 13] = end[1, 15]
+    return rows, end[2:4, :12].copy()
+
+
+_STAGE_ROWS, _MASS_ROWS = _variational_rows()
 
 
 def _carried_sensitivity(spec: ProblemSpec, seed, s, h, weights) -> np.ndarray:
@@ -478,62 +515,62 @@ def _carried_sensitivity(spec: ProblemSpec, seed, s, h, weights) -> np.ndarray:
     W_l = w_l S_U and G_l = -A W_l, and the end rows are those of the step.
     In the step's own units, h S_V and h^2 W (``weights`` holds h^2 w_l for
     l < 12), every step is one of size 1 from s = 0: its rows are those of
-    ``_STEP_BASIS`` at (1, h, h^2, hs, s) = (1, 1, 1, 0, 0), the same for
-    all steps. The new V and mass are then the unit step's divided by h,
-    and logmass gains s times the new mass (its h s b.W term).
+    ``_variational_rows``, the same for all steps. The new V and mass are
+    then the unit step's divided by h, and logmass gains s times the new
+    mass (its h s b.W term).
 
     Mass and logmass feed no stage, so with X the U, V rows of S and Y the
     mass, logmass rows, step k is the 4n x 4n block [[P_k, 0], [Q_k, I]].
     The pass applies all steps at once to the 2n unit columns of X, on the
-    rows [W_0 .. W_11, U, V] of F (stage 12's weights feed no end row,
-    b_12 = 0), each (n, 2n, K): the component axis first and the steps
-    last, so that a combination of G rows is one dot over the W rows, the
-    same for every step, and one with -A. The blocks' left halves
-    L_k = [P_k; Q_k] are then chained by pairwise products,
+    rows [W_0 .. W_11, U, V] (stage 12's weights feed no end row, b_12 =
+    0), each (n, 2n, K): the component axis first and the steps last, so
+    that a stage is one product of its two rows with all rows, the same
+    for every step, one with [-A, I] and one with its weights. The blocks'
+    left halves L_k = [P_k; Q_k] are then chained by pairwise products,
     L_b o L_a = L_b P_a + [0; Q_a], onto the series sensitivity ``seed``.
+
+    The products stay small on purpose. Folding [-A, I] into the stage
+    rows, one (n, 14n) by (14n, 2n K) product per stage, was faster alone
+    but kept OpenBLAS in its 512-bit kernels long enough that the next
+    solve ran about 10 % slower on a host with AVX-512.
     """
     n, k = spec.n, len(h)
     m = 2 * n
-    unit = np.dot((1.0, 1.0, 1.0, 0.0, 0.0), _STEP_BASIS)
-    stage = unit[: 13 * 18].reshape(13, 18)
-    end = unit[13 * 18 :].reshape(12, 31)
-    neg_a = -spec.matrix.entries
+    eye = np.eye(n)
+    neg_a_eye = np.hstack([-spec.matrix.entries, eye])  # [-A, I]
     f = np.zeros((14, n, m, k))
-    f[12, :, :n] = np.eye(n)[:, :, None]
-    f[13, :, n:] = np.eye(n)[:, :, None] * h
+    f[12, :, :n] = eye[:, :, None]
+    f[13, :, n:] = eye[:, :, None] * h
     flat = f.reshape(14, -1)
-    y = np.empty_like(flat[0])
+    pair = np.empty((2, n, m * k))  # (A^2)_j . W and U + c_j V
     out = np.empty((4, n, m, k))
+    weights = weights.transpose(1, 2, 0)[:, :, None]  # w_l at [l, j, 0, k]
 
     def stage_u(j, u):
-        """U_j = U + c_j V - A ((A^2)_j . W) into u, flat (n, 2n K)."""
-        np.dot(stage[j, 5 : 5 + j], flat[:j], out=y)
-        np.dot(neg_a, y.reshape(n, -1), out=u)
-        np.dot(stage[j, 1:3], flat[12:14], out=y)
-        u += y.reshape(n, -1)
+        """U_j = -A ((A^2)_j . W) + U + c_j V (row 13: the new V) into u."""
+        np.dot(_STAGE_ROWS[j], flat, out=pair.reshape(2, -1))
+        np.dot(neg_a_eye, pair.reshape(m, -1), out=u.reshape(n, -1))
 
-    np.multiply(f[12], weights[:, 0].T[:, None, :], out=f[0])
+    np.multiply(f[12], weights[0], out=f[0])
     for j in range(1, 12):
-        stage_u(j, flat[j].reshape(n, -1))
-        f[j] *= weights[:, j].T[:, None, :]
-    stage_u(12, out[0].reshape(n, -1))
-    # V + b.G = V - A (b.W); mass and logmass: b.W and (b c).W
-    np.dot(np.stack([end[1, 18:30], end[2, :12], end[3, :12]]), flat[:12],
-           out=out[1:].reshape(3, -1))
-    np.dot(neg_a, out[1].reshape(n, -1), out=y.reshape(n, -1))
-    np.add(flat[13], y, out=out[1].reshape(-1))
+        stage_u(j, f[j])
+        f[j] *= weights[j]
+    stage_u(12, out[0])
+    stage_u(13, out[1])
+    np.dot(_MASS_ROWS, flat[:12], out=out[2:].reshape(2, -1))
     del f, flat  # the rows are read off; the chain needs no more than out
     # back from the step's units: V and mass over h, logmass + s mass
     out[1:3] /= h
-    np.multiply(out[2], s, out=y.reshape(n, m, k))
-    out[3] += y.reshape(n, m, k)
+    out[3] += out[2] * s
     steps = out.transpose(3, 0, 1, 2).reshape(k, 4 * n, m)
     while len(steps) > 1:
         if len(steps) % 2:
             steps[-2] = _compose(steps[-1:], steps[-2:-1])[0]
             steps = steps[:-1]
         steps = _compose(steps[1::2], steps[0::2])
-    return np.vstack([steps[0, :m] @ seed[:m], seed[m:] + steps[0, m:] @ seed[:m]])
+    carried = steps[0] @ seed[:m]
+    carried[m:] += seed[m:]
+    return carried
 
 
 def _compose(later, earlier):
@@ -548,23 +585,31 @@ def _compose(later, earlier):
 def _rescale(profile: RadialProfile, spec: ProblemSpec, log_eta: float = 0.0) -> RadialProfile:
     """A profile of strength mu_q as the solution of ``spec``, strength mu_p.
 
-    The strength map then the dilation by eta at mu_p: with c = mu_p / mu_q,
-    V(r) = U((eta r)^c) + 2 log c + 2 mu_p log eta, whose initial value
-    ``spec`` must carry. On the grid: s -> s / c - log eta, values + 2 log c
-    + 2 mu_p log eta, dU/ds and mass times c, logmass - log eta * (new
-    mass), and the sensitivity rows alike. With log eta = 0 or c = 1 the
-    other half is exact arithmetic on the unchanged arrays.
+    The strength map then the dilation by eta at mu_p (``_mapped``), with
+    c = mu_p / mu_q; ``spec`` must carry the new initial value.
     """
-    c = spec.singularity.mu / profile.spec.singularity.mu
-    shift = 2.0 * math.log(c) + 2.0 * spec.singularity.mu * log_eta
-    mass = profile.mass * c
-    sens = profile.sensitivity
+    mu = spec.singularity.mu
+    return RadialProfile(spec, *_mapped(
+        mu, mu / profile.spec.singularity.mu, log_eta, profile.grid, profile.values,
+        profile.dvalues, profile.mass, profile.logmass, profile.sensitivity,
+    ))
+
+
+def _mapped(mu_p, c, log_eta, grid, values, dvalues, mass, logmass, sens):
+    """The arrays of V(r) = U((eta r)^c) + 2 log c + 2 mu_p log eta from U's.
+
+    On the grid: s -> s / c - log eta, values + 2 log c + 2 mu_p log eta,
+    dU/ds and mass times c, logmass - log eta * (new mass), and the
+    sensitivity rows (or None) alike. With log eta = 0 or c = 1 the other
+    half is exact arithmetic on the unchanged arrays.
+    """
+    shift = 2.0 * math.log(c) + 2.0 * mu_p * log_eta
+    mass = mass * c
     if sens is not None:
-        n = profile.n
-        sens = sens * np.repeat([1.0, c, c, 1.0], n)[:, None]
+        n = values.shape[1]
+        sens = (sens.reshape(4, n, n) * np.array([1.0, c, c, 1.0])[:, None, None]).reshape(4 * n, n)
         sens[3 * n :] -= log_eta * sens[2 * n : 3 * n]
-    return RadialProfile(spec, profile.grid / c - log_eta, profile.values + shift,
-                         profile.dvalues * c, mass, profile.logmass - log_eta * mass, sens)
+    return grid / c - log_eta, values + shift, dvalues * c, mass, logmass - log_eta * mass, sens
 
 
 def _solver_inputs(r_max, tol) -> tuple[float, float]:
@@ -603,16 +648,14 @@ def integrate(
         the last good radius.
     """
     r_max, tol = _solver_inputs(r_max, tol)
+    # with A >= 0 each U_i decreases from alpha0_i, so the guard is checked here only
+    if spec.alpha0.max() > U_OVERFLOW:
+        raise InputError(f"alpha0 = {spec.alpha0.tolist()} exceeds the overflow guard {U_OVERFLOW}")
     n = spec.n
     mu = spec.singularity.mu
-    # with A >= 0 each U_i decreases from alpha0_i, so the guard is checked here only
-    if float(np.max(spec.alpha0)) > U_OVERFLOW:
-        raise InputError(f"alpha0 = {spec.alpha0.tolist()} exceeds the overflow guard {U_OVERFLOW}")
     # the mu = 1 system: U is the caller's less 2 log mu, s is mu times the caller's
-    shift = 2.0 * math.log(mu)
-    unit = replace(spec, singularity=SingularityProfile(0.0), alpha0=spec.alpha0 - shift)
-
-    if not np.any(np.exp(unit.alpha0)):
+    unit = ProblemSpec(spec.matrix, _MU_ONE, spec.alpha0 - 2.0 * math.log(mu))
+    if not np.exp(unit.alpha0).any():
         raise InputError(f"alpha0 = {spec.alpha0.tolist()} is too small: e^alpha0 underflows to 0")
     # from the series' start radius, capped one e-fold below r_max
     s_end = mu * math.log(r_max)
@@ -622,8 +665,8 @@ def integrate(
     seed, seed_sens = _series(unit, r_start, sensitivity, terms)
     seed[1] *= r_start
     step = _Step(unit, s0, seed)
-    state, new = step.state, step.new
-    err_rows = new[4:].reshape(2, 4, n)
+    state, new, stage_weights = step.state, step.new[:4], step.f[:12]
+    err_rows = step.new[4:].reshape(2, 4, n)
     # the error norm's buffers: |state| before and after the step, the
     # scale atol + tol max(...) and the error rows over it
     size, size_new, scale = np.abs(state), np.empty((4, n)), np.empty((4, n))
@@ -631,6 +674,8 @@ def integrate(
     r5, r3 = ratio.reshape(2, -1)
 
     atol = tol * 1e-3
+    # tolerance-based endpoint: the last accepted step may land one ulp short
+    s_last = 1e-13 * max(1.0, abs(s_end))
     s = s0
     h = _FIRST_STEP * tol**0.125
     err_prev = 1.0
@@ -641,8 +686,7 @@ def integrate(
     # the sensitivities
     sizes, weights = [], []
 
-    # tolerance-based endpoint: the last accepted step may land one ulp short
-    while s_end - s > 1e-13 * max(1.0, abs(s_end)):
+    while s_end - s > s_last:
         if attempts == MAX_STEPS:
             raise IntegrationError(
                 f"no arrival at r_max after {MAX_STEPS} steps (s = {s / mu:.6f})",
@@ -655,7 +699,7 @@ def integrate(
                 f"step size underflow at s = {s / mu:.6f}", last_radius=math.exp(s / mu)
             )
         step.take(s, h)
-        np.abs(new[:4], out=size_new)
+        np.abs(new, out=size_new)
         np.maximum(size, size_new, out=scale)
         np.multiply(scale, tol, out=scale)
         np.add(scale, atol, out=scale)
@@ -668,7 +712,7 @@ def integrate(
         if err <= 1.0:
             if sensitivity:
                 sizes.append(h)
-                weights.append(step.f[:12] * (h * h))
+                weights.append(stage_weights * (h * h))
             s += h
             step.accept()
             size, size_new = size_new, size
@@ -680,23 +724,22 @@ def integrate(
         else:
             h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
 
-    values, dvalues, mass, logmass = np.array(states).transpose(1, 0, 2)
     sens = _carried_sensitivity(
         unit, seed_sens, np.array(nodes[:-1]), np.array(sizes), np.array(weights)
     ) if sensitivity else None
-    profile = _rescale(
-        RadialProfile(unit, np.array(nodes), values, dvalues, mass, logmass, sens), spec
-    )
-    steps = np.diff(profile.grid)
+    # the one profile of the solve, in the caller's s
+    arrays = _mapped(mu, mu, 0.0, np.array(nodes), *np.array(states).transpose(1, 0, 2), sens)
+    grid = arrays[0]
+    steps = grid[1:] - grid[:-1]
     stats = {
         "accepted": len(steps),
         "rejected": attempts - len(steps),
         "evaluations": 1 + 12 * attempts,
         "h_min": float(steps.min()),
         "h_max": float(steps.max()),
-        "s_start": float(profile.grid[0]),
+        "s_start": float(grid[0]),
     }
-    return replace(profile, stats=MappingProxyType(stats))
+    return RadialProfile(spec, *arrays, MappingProxyType(stats))
 
 
 def _radius(profile: RadialProfile, r) -> float:

@@ -79,7 +79,8 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     is s -> s/c with c = mu_p/mu_q, values shifted by 2 log c, derivatives
     scaled by c, masses scaled by c and log-masses unchanged. Every grid node
     maps exactly, so no resampling error is introduced. The map is
-    ``radial._rescale``, the one ``integrate`` uses.
+    ``radial._mapped`` (through ``radial._rescale``), the one ``integrate``
+    uses.
     """
     mu_p = as_number(mu_p, "mu_p")
     if not (0.0 < mu_p <= 1.0):

@@ -51,7 +51,7 @@ class ShootingPoint:
 def _reduced_alpha(values, name: str, dim: int) -> np.ndarray:
     """values as reduced initial values: finite, of length dim, within the bound."""
     reduced = as_array(values, name, (dim,))
-    if reduced.size and float(np.max(np.abs(reduced))) > _ALPHA_BOUND:
+    if reduced.size and abs(reduced).max() > _ALPHA_BOUND:
         raise InputError(f"{name} must lie in [-{_ALPHA_BOUND}, {_ALPHA_BOUND}]")
     return reduced
 
@@ -125,12 +125,12 @@ def invert_sigma(
         return point.reduced_sigma - target, lambda: point.jacobian
 
     def f(alpha, norm):
-        if float(np.max(np.abs(alpha))) > _ALPHA_BOUND:
+        if abs(alpha).max() > _ALPHA_BOUND:
             return None
         loose = max(tol, min(_FORCING * norm * norm, _LOOSEST_TOL))
         try:
             r, jac = residual(alpha, loose)
-            if loose > tol and float(np.max(np.abs(r))) < _SIGMA_TOL:
+            if loose > tol and abs(r).max() < _SIGMA_TOL:
                 return residual(alpha, tol)
         except ExtractionError:
             if math.isinf(norm):  # the start

@@ -165,18 +165,52 @@ def test_no_unused_imports(module):
 # What ROADMAP item 6 keeps out of src/, by module: caches keyed on inputs
 # and settings read from the environment.
 BANNED = {"functools": {"cache", "cached_property", "lru_cache"}, "os": {"environ", "getenv"}}
+# A memo cache by hand: a function that stores into a module-level dict, list
+# or set, by a subscript assignment or one of these methods.
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+STORES = {"setdefault", "update", "append", "add"}
+
+
+def _module_containers(tree) -> set[str]:
+    """The module-level names bound to a dict, list or set display or call."""
+    names = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(value, CONTAINERS)
+            or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in {"dict", "list", "set"})
+        ):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
 
 
 def caches_and_environment(source: str) -> list[str]:
-    """The names of BANNED that a module imports or reads, as module.name."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
+    """The names of BANNED that a module imports or reads, as module.name,
+    and each function that stores into a module-level container, as
+    "function stores into name"."""
+    tree = ast.parse(source)
+    containers = _module_containers(tree)
+    found = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module in BANNED:
-            found += [f"{node.module}.{a.name}" for a in node.names
-                      if a.name in BANNED[node.module]]
+            found.update(f"{node.module}.{a.name}" for a in node.names
+                         if a.name in BANNED[node.module])
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.attr in BANNED.get(node.value.id, ()):
-                found.append(f"{node.value.id}.{node.attr}")
+                found.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = getattr(inner, "targets", None) or [inner.target]
+                    stored = [t.value for t in targets if isinstance(t, ast.Subscript)]
+                elif isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
+                    stored = [inner.func.value] if inner.func.attr in STORES else []
+                else:
+                    continue
+                found.update(f"{node.name} stores into {t.id}" for t in stored
+                             if isinstance(t, ast.Name) and t.id in containers)
     return sorted(found)
 
 
@@ -188,6 +222,24 @@ def test_cache_and_environment_are_found():
     )
     assert caches_and_environment(source) == [
         "functools.cache", "functools.lru_cache", "os.environ", "os.getenv"]
+
+
+def test_hand_made_memo_caches_are_found():
+    # stores into module-level containers, by subscript or by method; a
+    # local container, a read, a constant and globals()[...] are not stores
+    source = (
+        "_SEEN = {}\n_ORDER: list = []\nKEYS = set()\nTABLE = {'a': 1}\nLIMIT = 3\n"
+        "def solve(alpha0):\n"
+        "    if alpha0 in _SEEN:\n        return _SEEN[alpha0]\n"
+        "    _SEEN[alpha0] = out = TABLE['a'] + LIMIT\n    return out\n"
+        "def log(x):\n    _ORDER.append(x)\n    KEYS.add(x)\n"
+        "def merge(d):\n    TABLE.update(d)\n    TABLE.setdefault('b', 2)\n"
+        "def fine(name, value):\n    local = {}\n    local[name] = value\n"
+        "    globals()[name] = value\n    return local\n"
+    )
+    assert caches_and_environment(source) == [
+        "log stores into KEYS", "log stores into _ORDER", "merge stores into TABLE",
+        "solve stores into _SEEN"]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -250,3 +250,34 @@ def test_stale_bytecode_stops_the_pair(tmp_path, monkeypatch, capsys):
     assert bench_pair.main(argv) == 0
     record = json.loads((tmp_path / "bench.json").read_text())
     assert record["machine"]["stale_bytecode"] == {"parent": [], "change": ["src/pkg/b.py"]}
+
+
+def test_layers_run_at_every_seed(tmp_path, monkeypatch):
+    # one traced run per seed and side, alternating which side goes first as
+    # the untraced runs do; the layers get medians, quartiles and wins
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS,
+         "per_layer": [{"name": "radial.integrate.self_ms", "better": "lower"}]}))
+    calls = []
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        ms = {"parent": 10.0, "change": 8.0}[checkout.name] + seed
+        metrics = {"radial.integrate.self_ms": ms} if trace else PARENT[seed - 1]
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pair, "run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                            "--seeds", "1-3", "--layers", "--out", str(out)]) == 0
+    assert [c for c in calls if c[2] == 1] == [
+        ("parent", 1, 1), ("change", 1, 1), ("change", 2, 1), ("parent", 2, 1),
+        ("parent", 3, 1), ("change", 3, 1)]
+    layers = json.loads(out.read_text())["workloads"]["w"]["layers"]
+    assert [(run["seed"], run["first"]) for run in layers["runs"]] == [
+        (1, "parent"), (2, "change"), (3, "parent")]
+    assert layers["parent"]["radial.integrate.self_ms"] == {"median": 12.0, "q1": 11.5, "q3": 12.5}
+    assert layers["change"]["radial.integrate.self_ms"]["median"] == 10.0
+    assert layers["change_wins"] == {"radial.integrate.self_ms": 3}

@@ -696,6 +696,18 @@ class TestStats:
         with pytest.raises(TypeError):
             stats["accepted"] = 0
 
+    def test_one_profile_per_solve(self, monkeypatch, f3_profile):
+        # the solve maps its arrays and builds the caller's profile once,
+        # stats included; no unit-strength or intermediate profile
+        made = []
+        post_init = lv.RadialProfile.__post_init__
+        monkeypatch.setattr(lv.RadialProfile, "__post_init__",
+                            lambda self: made.append(self) or post_init(self))
+        spec = lv.ProblemSpec(f3_profile.spec.matrix, lv.SingularityProfile(-0.5),
+                              f3_profile.spec.alpha0)
+        profile = lv.integrate(spec, 1e4, 1e-8, sensitivity=True)
+        assert made == [profile] and profile.stats["accepted"] > 0
+
     def test_rejected_steps_counted(self, matrix1):
         # at tol 1e-8 the controller overshoots once leaving the core
         spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))

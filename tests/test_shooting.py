@@ -319,3 +319,129 @@ def test_solver_defaults_named_once():
         params = signature(fn).parameters
         assert params["r_max"].default is radial.DEFAULT_R_MAX
         assert params["tol"].default is radial.DEFAULT_TOL
+
+
+# A Jacobian solve through alpha_to_sigma at r_max 1e4, frozen: per case
+# (n, gamma, tol, nodes, last node s), the stats, the last state's rows U,
+# dU/ds, mass and logmass, sigma, all as float.hex, and dsigma's rows, which
+# may move by 1e-14 relative. n = 2 takes A = [[1, 2], [2, 1]] and alpha =
+# -1.3; n = 3 the matrix of TestInexactNewton and alpha = (-1.3, -0.7).
+FROZEN_SOLVES = [
+    (2, 0.0, 1e-06, 14, "0x1.26bb1bbb55516p+3",
+     {"accepted": 13, "rejected": 0, "evaluations": 157,
+      "h_min": 0.4448471455001697, "h_max": 1.3491724449619333,
+      "s_start": -0.4894271348744848},
+     ("-0x1.f0c4394e1bbedp+4 -0x1.ad0dc24bc2f7fp+5",
+      "-0x1.db50aaf7f2e38p+1 -0x1.94d10b856360ep+2",
+      "0x1.7d512bb488dfbp+1 0x1.77fdfd0da80ecp-2",
+      "0x1.7321784347013p+1 0x1.0468db1cf3abdp-3"),
+     "0x1.7d513bc554190p+1 0x1.77fdfd0da80eep-2",
+     ("0x1.de8024417bfb9p-1 -0x1.de80240216be9p-1",
+      "-0x1.7b1ac3dca716bp-2 0x1.7b1ac33b86e8ep-2")),
+    (2, 0.0, 1e-10, 39, "0x1.26bb1bbb55516p+3",
+     {"accepted": 38, "rejected": 0, "evaluations": 457,
+      "h_min": 0.11916391921351122, "h_max": 0.6955781498308866,
+      "s_start": -0.4894271348744848},
+     ("-0x1.f0c43988f5020p+4 -0x1.ad0dc27f26418p+5",
+      "-0x1.db50ab2bd48f6p+1 -0x1.94d10bafdfbd8p+2",
+      "0x1.7d512bdbe3777p+1 0x1.77fdfd3fc4609p-2",
+      "0x1.7321782688664p+1 0x1.0468dc3b5d72bp-3"),
+     "0x1.7d513becae71ep+1 0x1.77fdfd3fc460bp-2",
+     ("0x1.de802461aced1p-1 -0x1.de802461b29c8p-1",
+      "-0x1.7b1ac3e312d8dp-2 0x1.7b1ac3e3129aap-2")),
+    (2, -0.5, 1e-06, 11, "0x1.26bb1bbb55516p+3",
+     {"accepted": 10, "rejected": 0, "evaluations": 121,
+      "h_min": 0.9624902768988628, "h_max": 1.682023972938322,
+      "s_start": -2.3651486308688603},
+     ("-0x1.0859b88488ca4p+4 -0x1.ce3930e5876a2p+4",
+      "-0x1.db1d9f8341400p+0 -0x1.949e00315aca2p+1",
+      "0x1.7d1e206b634dap+0 0x1.77fdfc5f77c91p-3",
+      "0x1.a72726820f826p-1 -0x1.04d384a47dc05p-3"),
+     "0x1.7d5141a715b08p+0 0x1.77fdfc8cb5b84p-3",
+     ("0x1.de7fec47e62c0p-2 -0x1.de80193a1ba9bp-2",
+      "-0x1.7b1ac35e83f08p-3 0x1.7b1ac28815d58p-3")),
+    (2, -0.5, 1e-10, 31, "0x1.26bb1bbb55516p+3",
+     {"accepted": 30, "rejected": 0, "evaluations": 361,
+      "h_min": 0.2842203925525792, "h_max": 0.7653905201323079,
+      "s_start": -2.3651486308688603},
+     ("-0x1.0859b8ce4701ap+4 -0x1.ce3931607e9dap+4",
+      "-0x1.db1d9feb0686bp+0 -0x1.949e00778aa83p+1",
+      "0x1.7d1e20a6615dap+0 0x1.77fdfd1294a3fp-3",
+      "0x1.a72723941128ep-1 -0x1.04d3824901fe7p-3"),
+     "0x1.7d5141e10fe23p+0 0x1.77fdfd3fd291bp-3",
+     ("0x1.de7fefd4941c3p-2 -0x1.de80189f542d0p-2",
+      "-0x1.7b1ac3e3ac778p-3 0x1.7b1ac3e37e2e5p-3")),
+    (3, 0.0, 1e-06, 14, "0x1.26bb1bbb55516p+3",
+     {"accepted": 13, "rejected": 0, "evaluations": 157,
+      "h_min": 0.43836810016820105, "h_max": 1.3991979619745756,
+      "s_start": -0.5346408563846266},
+     ("-0x1.00bf32a0f3ed9p+5 -0x1.4b46f6fa3f8f5p+5 -0x1.23b2b9c99395fp+5",
+      "-0x1.e578e3bbfd0b5p+1 -0x1.2e928bbc6f0b3p+2 -0x1.0da3be08744c0p+2",
+      "0x1.37fe17aa30732p+1 0x1.ae74c2a75c687p-2 0x1.deb0cef3842cfp-1",
+      "0x1.05504ab636199p+1 0x1.9f5dc8752bb30p-3 0x1.308fe8b4e2b37p-1"),
+     "0x1.37fe1d0ffa150p+1 0x1.ae74c2a803b3dp-2 0x1.deb0cf2c38b71p-1",
+     ("0x1.b4e3c4423a462p-1 -0x1.efce395088e8bp-3 -0x1.38f034f11cdc4p-1",
+      "-0x1.6242e0b282ef6p-3 0x1.9a651dacbc8a6p-2 -0x1.d2875be3c4a43p-3",
+      "-0x1.e97ed0e0aa919p-2 -0x1.31004c05cfb57p-2 0x1.8d3f8e3f06ca3p-1")),
+    (3, 0.0, 1e-10, 38, "0x1.26bb1bbb55516p+3",
+     {"accepted": 37, "rejected": 0, "evaluations": 445,
+      "h_min": 0.11888378866453597, "h_max": 0.6766443543928959,
+      "s_start": -0.5346408563846266},
+     ("-0x1.00bf32cfe6b78p+5 -0x1.4b46f73836e11p+5 -0x1.23b2b9ff939c0p+5",
+      "-0x1.e578e41193ac0p+1 -0x1.2e928bf5cfe1bp+2 -0x1.0da3be3a7b5cfp+2",
+      "0x1.37fe17d424867p+1 0x1.ae74c31b186fdp-2 0x1.deb0cf68305d3p-1",
+      "0x1.05504aaa8d7fap+1 0x1.9f5dc9bbd7edcp-3 0x1.308fe92658ef6p-1"),
+     "0x1.37fe1d39ee06ap+1 0x1.ae74c31bbfbb2p-2 0x1.deb0cfa0e4e5cp-1",
+     ("0x1.b4e3c46684f2bp-1 -0x1.efce3b5260d22p-3 -0x1.38f03591ee382p-1",
+      "-0x1.6242e07705822p-3 0x1.9a651e3b34f30p-2 -0x1.d2875bff6714ap-3",
+      "-0x1.e97ed121ed592p-2 -0x1.31004c1d8e3bep-2 0x1.8d3f8e9fbc9f3p-1")),
+    (3, -0.5, 1e-06, 11, "0x1.26bb1bbb55516p+3",
+     {"accepted": 10, "rejected": 0, "evaluations": 121,
+      "h_min": 0.9362734312815997, "h_max": 1.6704365401116927,
+      "s_start": -2.455576073889144},
+     ("-0x1.141a607ecb589p+4 -0x1.6ea4ca38cf39fp+4 -0x1.3fb19e5d25a06p+4",
+      "-0x1.e5602f85555f0p+0 -0x1.2e85924ea10a2p+1 -0x1.0d975d05e7abfp+1",
+      "0x1.37e6afe6eeb1ep+0 0x1.ae745433cfc36p-3 0x1.deabd45fb2d37p-2",
+      "0x1.64ae704d6e614p-2 -0x1.6ac74642b8195p-4 -0x1.b56d89523a9b5p-5"),
+     "0x1.37fe1e4822abap+0 0x1.ae74c22c1838cp-3 0x1.deb0cf125173bp-2",
+     ("0x1.b4e3b5ef81ad3p-2 -0x1.efce2be566d4cp-4 -0x1.38f037a681c2cp-2",
+      "-0x1.6242e1613581fp-4 0x1.9a651d1a4420ap-3 -0x1.d2875ca0c8903p-4",
+      "-0x1.e97ed3c389538p-3 -0x1.31004d8e609a3p-3 0x1.8d3f8df2075abp-2")),
+    (3, -0.5, 1e-10, 32, "0x1.26bb1bbb55516p+3",
+     {"accepted": 31, "rejected": 0, "evaluations": 373,
+      "h_min": 0.2840791536566758, "h_max": 0.6614561437712592,
+      "s_start": -2.455576073889144},
+     ("-0x1.141a60dc990a8p+4 -0x1.6ea4cab5d3b58p+4 -0x1.3fb19eca1cdc1p+4",
+      "-0x1.e560300b41e4ap+0 -0x1.2e8592acc9cf6p+1 -0x1.0d975d584da41p+1",
+      "0x1.37e6b01796c7ap+0 0x1.ae74552acb1ddp-3 0x1.deabd53946e64p-2",
+      "0x1.64ae6b72a9efcp-2 -0x1.6ac743a6af315p-4 -0x1.b56d892009174p-5"),
+     "0x1.37fe1e7833b49p+0 0x1.ae74c3230ffc8p-3 0x1.deb0cfebc0b6ep-2",
+     ("0x1.b4e3b8de6955fp-2 -0x1.efce2b4db21b7p-4 -0x1.38f036ff6c5dfp-2",
+      "-0x1.6242e088bd8e9p-4 0x1.9a651e51005d6p-3 -0x1.d2875c3a919bap-4",
+      "-0x1.e97ed2997e5e0p-3 -0x1.31004cd4c11dbp-3 0x1.8d3f8f2089155p-2")),
+]
+
+
+def _hex_floats(text):
+    return [float.fromhex(v) for v in text.split()]
+
+
+@pytest.mark.parametrize(
+    "n, gamma, tol, nodes, last, stats, state, sigma, dsigma", FROZEN_SOLVES,
+    ids=[f"n{c[0]}-gamma{c[1]}-tol{c[2]:g}" for c in FROZEN_SOLVES],
+)
+def test_jacobian_solve_is_frozen(n, gamma, tol, nodes, last, stats, state, sigma, dsigma):
+    entries = [[1.0, 2.0], [2.0, 1.0]] if n == 2 else TestInexactNewton.MATRIX3
+    alpha = [-1.3, -0.7][: n - 1]
+    point = lv.alpha_to_sigma(lv.CoefficientMatrix.from_entries(entries),
+                              lv.SingularityProfile(gamma), alpha, r_max=1e4, tol=tol,
+                              jacobian=True)
+    profile = point.summary.profile
+    assert len(profile.grid) == nodes
+    assert profile.grid[-1].hex() == last
+    assert dict(profile.stats) == stats
+    rows = (profile.values[-1], profile.dvalues[-1], profile.mass[-1], profile.logmass[-1])
+    assert [[v.hex() for v in row] for row in rows] == [row.split() for row in state]
+    assert [v.hex() for v in point.full_sigma] == sigma.split()
+    np.testing.assert_allclose(point.summary.dsigma, [_hex_floats(row) for row in dsigma],
+                               rtol=1e-14, atol=0.0)

@@ -5,8 +5,11 @@
 
 Each seed runs ``bench/run.py --trace 0`` once in each checkout, one run at
 a time and for the ``run_seconds`` that BENCHMARK.json sets; the checkout that goes first alternates from seed to seed, so a
-drift in host speed hits both sides alike. ``--layers`` adds one traced run
-(``--trace 1``) per side and workload for the per-layer metrics. The output
+drift in host speed hits both sides alike. ``--layers`` adds, per seed, one
+traced run (``--trace 1``) in each checkout in the same alternating order,
+and records the per-layer metrics under ``layers``: every traced run, and
+their per-side medians and quartiles and the change's wins, as for the
+untraced runs (directions from BENCHMARK.json's ``per_layer``). The output
 holds every run's metrics, the per-side medians and quartiles, how many
 seeds the change won on each metric, a verdict per metric (see
 ``verdicts``), the machine (CPU count, Python and numpy versions, and
@@ -74,6 +77,22 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def run_pairs(args, workload: str, seconds: float, trace: int) -> list[dict]:
+    """One run per seed in each checkout, the side that goes first alternating."""
+    runs = []
+    for k, seed in enumerate(args.seeds):
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            run[side] = run_bench(getattr(args, side), workload, seed, seconds, trace)
+            print(f"{workload} seed {seed} {side}{' traced' if trace else ''}: "
+                  + ", ".join(f"{name}={value:.4g}"
+                              for name, value in run[side]["metrics"].items()),
+                  file=sys.stderr)
+        runs.append(run)
+    return runs
 
 
 def summarize(runs: list[dict], better: dict) -> dict:
@@ -212,7 +231,7 @@ def main(argv=None) -> int:
                         help="repeatable; default: every workload in BENCHMARK.json")
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-5"))
     parser.add_argument("--layers", action="store_true",
-                        help="add one traced run per side and workload")
+                        help="add one traced run per seed, side and workload")
     parser.add_argument("--claim", metavar="METRIC",
                         help="end-to-end metric on which the change claims a gain")
     parser.add_argument("--out", type=Path, required=True)
@@ -222,6 +241,7 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layer_better = {m["name"]: m["better"] for m in spec.get("per_layer", [])}
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim {args.claim}: not an end-to-end metric of BENCHMARK.json")
 
@@ -253,30 +273,19 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in workloads:
-        runs = []
-        for k, seed in enumerate(args.seeds):
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            run = {"seed": seed, "first": order[0]}
-            for side in order:
-                run[side] = run_bench(getattr(args, side), workload, seed, seconds, 0)
-                print(f"{workload} seed {seed} {side}: "
-                      + ", ".join(f"{name}={value:.4g}"
-                                  for name, value in run[side]["metrics"].items()),
-                      file=sys.stderr)
-            runs.append(run)
+        runs = run_pairs(args, workload, seconds, 0)
         summary = summarize(runs, better)
         entry = {"runs": runs, **summary,
                  "verdict": verdicts(summary, len(runs), spec["end_to_end"], args.claim)}
         if args.layers:
-            entry["layers"] = {
-                side: run_bench(getattr(args, side), workload, args.seeds[0], seconds, 1)
-                for side in SIDES
-            }
+            traced = run_pairs(args, workload, seconds, 1)
+            entry["layers"] = {"runs": traced, **summarize(traced, layer_better)}
         record["workloads"][workload] = entry
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     wrong = [f"{workload} seed {run['seed']} {side}"
              for workload, entry in record["workloads"].items()
-             for run in entry["runs"] for side in SIDES if not run[side]["correct"]]
+             for run in entry["runs"] + entry.get("layers", {}).get("runs", [])
+             for side in SIDES if not run[side]["correct"]]
     if wrong:
         print("runs with correct: false: " + ", ".join(wrong), file=sys.stderr)
     return 1 if wrong else 0
