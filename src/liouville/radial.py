@@ -532,7 +532,7 @@ def _carried_sensitivity(spec: ProblemSpec, seed, s, h, weights) -> np.ndarray:
     The products stay small on purpose. Folding [-A, I] into the stage
     rows, one (n, 14n) by (14n, 2n K) product per stage, was faster alone
     but kept OpenBLAS in its 512-bit kernels long enough that the next
-    solve ran about 10 % slower on a host with AVX-512.
+    solve ran about 15 % slower on a host with AVX-512.
     """
     n, k = spec.n, len(h)
     m = 2 * n
