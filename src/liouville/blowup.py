@@ -80,6 +80,10 @@ class BlowupConfiguration:
     them, and each e^(D_i - alpha_i) must be a finite float. ``curvature``
     holds K(p_t) per point (0 on the flat torus). ``points`` are stored
     reduced modulo the periods (``gstar_matrix``) before anything reads them.
+
+    Construction stores, read-only: ``mus``, ``n_L`` = sum_t mu_t, ``regular_set``,
+    ``frak``, ``gstar``, ``regime`` (from ``is_at_q``), ``_gstar_rows`` = sum_l mu_l
+    Gstar(p_t, p_l) and ``_h_values`` = h_i(p_t), of shape (n, N).
     """
 
     points: np.ndarray
@@ -108,13 +112,22 @@ class BlowupConfiguration:
             object.__setattr__(self, name, as_array(getattr(self, name), name, shape))
         if np.any(self.D - self.alpha > _LOG_FLOAT_MAX):
             raise InputError(f"D = {self.D.tolist()}: e^(D_i - alpha_i) overflows")
-        _require_positive(self.h_fields, pts)
-        for name in ("rho", "curvature", "D", "alpha"):
+        h_values = _require_positive(self.h_fields, pts)
+        strengths = tuple(self.strengths)
+        mus = np.array([s.mu for s in strengths])
+        n_L = float(sum(s.mu for s in strengths))
+        derived = dict(
+            strengths=strengths, h_fields=tuple(self.h_fields), mus=mus, n_L=n_L,
+            regular_set=tuple(t for t, s in enumerate(strengths) if s.is_regular),
+            frak=frak_m(self.rho, self.matrix, n_L), gstar=gstar,
+            _gstar_rows=gstar.values @ mus, _h_values=h_values,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for name in ("rho", "curvature", "D", "alpha", "mus", "_gstar_rows", "_h_values"):
             getattr(self, name).setflags(write=False)
-        object.__setattr__(self, "strengths", tuple(self.strengths))
-        object.__setattr__(self, "h_fields", tuple(self.h_fields))
-        object.__setattr__(self, "frak", frak_m(self.rho, self.matrix, self.n_L))
-        object.__setattr__(self, "gstar", gstar)
+        regime = "Q" if self.is_at_q() and self.regular_set else "general"
+        object.__setattr__(self, "regime", regime)
 
     @property
     def n(self) -> int:
@@ -124,29 +137,9 @@ class BlowupConfiguration:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def mus(self) -> np.ndarray:
-        return np.array([s.mu for s in self.strengths])
-
-    @property
-    def n_L(self) -> float:
-        """Critical level carried by the configuration: sum of strengths."""
-        return float(sum(s.mu for s in self.strengths))
-
-    @property
-    def regular_set(self) -> tuple[int, ...]:
-        """Indices of regular blowup points (strength 1)."""
-        return tuple(t for t, s in enumerate(self.strengths) if s.is_regular)
-
     def is_at_q(self) -> bool:
         """Whether rho sits at the symmetric point (all masses equal 4)."""
         return bool(np.max(np.abs(self.frak.values - 4.0)) <= 4.0 * _Q_RTOL)
-
-    @property
-    def regime(self) -> str:
-        """The expansion that applies: "Q" at the symmetric point with a
-        regular blowup point, "general" otherwise."""
-        return "Q" if self.is_at_q() and self.regular_set else "general"
 
     def gstar_gradient(self, t: int) -> np.ndarray:
         """sum_l mu_l grad_1 Gstar(p_t, p_l); the diagonal term grad gamma is 0."""
@@ -154,10 +147,13 @@ class BlowupConfiguration:
         return _point_green(self, t, _displacements(self, t, self.points[t]), 1)
 
 
-def _require_positive(h_fields, points) -> None:
-    for i, f in enumerate(h_fields):
-        if np.any(f.value(points) <= 0.0):
+def _require_positive(h_fields, points) -> np.ndarray:
+    """h_i at the points, shape (n,) + points.shape[:-1], each checked positive."""
+    values = np.array([f.value(points) for f in h_fields])
+    for i, v in enumerate(values):
+        if np.any(v <= 0.0):
             raise InputError(f"coefficient field {i} is not positive")
+    return values
 
 
 def _displacements(config: BlowupConfiguration, t: int, p) -> np.ndarray:
@@ -383,16 +379,14 @@ def _cell_integral(config, i: int, t: int, planes, r_lo: float, r_hi=None):
     tau from r_lo^P / P to R(theta)^P / P, R the cell boundary or r_hi.
     """
     dists, phis = planes
-    geom = config.geometry
-    points = config.points
-    mus = config.mus
+    geom, points, mus = config.geometry, config.points, config.mus
     fm = config.frak.minimum
     mu_t = float(mus[t])
     power = (2.0 - fm) * mu_t  # radial exponent after absorbing the log
-    gstar_t = float(mus @ config.gstar.values[t])
+    gstar_t = float(config._gstar_rows[t])
     field = config.h_fields[i]
     p_t = points[t]
-    h_ref = float(field.value(p_t))
+    h_ref = float(config._h_values[i, t])
     v_lo = r_lo**power / power
 
     def integrand(theta, tau):
@@ -490,13 +484,12 @@ def leading_term_general(
             "use leading_term_Q"
         )
     cells = [cell_fit(config, t, delta0) for t in range(config.n_points)]
-    mus = config.mus
-    gstar_rows = config.gstar.values @ mus
+    mus, gstar_rows = config.mus, config._gstar_rows
     rows = []
     total = 0.0
     panels = 0
     for i in sorted(config.frak.minimizers):
-        h_values = config.h_fields[i].value(config.points)
+        h_values = config._h_values[i]
         coeff_ref = math.exp(float(config.D[i] - config.alpha[i]))
         for t, (delta0, *planes) in enumerate(cells):
             b_it = (
@@ -645,8 +638,6 @@ def h_relation_residual(
     s = as_count(s, "s", 0, config.n_points - 1)
     if t == s:
         raise InputError("compatibility residual needs two distinct points")
-    mus = config.mus
-    gstar_rows = config.gstar.values @ mus
 
     def h_term(comp: int, pt: int) -> float:
         fm_i = float(config.frak.values[comp])
@@ -654,10 +645,9 @@ def h_relation_residual(
             raise DomainError(
                 f"normalized mass of component {comp} must exceed 2, got {fm_i}"
             )
-        h_val = float(config.h_fields[comp].value(config.points[pt]))
         return (
-            _TWO_PI * fm_i / (fm_i - 2.0) * float(gstar_rows[pt])
-            + math.log(h_val / mus[pt] ** fm_i) / (fm_i - 2.0)
+            _TWO_PI * fm_i / (fm_i - 2.0) * float(config._gstar_rows[pt])
+            + math.log(float(config._h_values[comp, pt]) / config.mus[pt] ** fm_i) / (fm_i - 2.0)
         )
 
     return (h_term(i, t) - h_term(i, s)) - (h_term(j, t) - h_term(j, s))

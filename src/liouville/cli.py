@@ -1,7 +1,7 @@
 """Configuration-driven command line for reproducible experiments.
 
-One JSON config file drives every command; unknown keys are rejected with
-the offending path so configs stay in sync with the code. All outputs embed
+One JSON config file drives every command; a key the command does not read
+is rejected with its path, so configs stay in sync with the code. All outputs embed
 the config as loaded, without the defaults of the keys it leaves out, and
 the package version; they contain no timestamps and are byte-identical
 across reruns of the same config (diagnostics go to stderr).
@@ -70,6 +70,13 @@ _SCHEMA = {
     "green": {"points": None, "pairs": [None]},
     "output": {"prefix": None},
 }
+# The top-level keys each command reads; every command also takes ``output``.
+_SOLVER_KEYS = ["matrix", "gamma", "r_max", "tol"]
+_COMMAND_KEYS = {
+    "solve": [*_SOLVER_KEYS, "alpha0"], "invert": [*_SOLVER_KEYS, "target_sigma", "guess"],
+    "compare": [*_SOLVER_KEYS, "alpha0", "compare"],
+    "surface": ["matrix", "surface"], "leading": ["matrix", "blowup"], "green": ["green"],
+}
 
 
 def _check(value, schema, path: str) -> None:
@@ -89,7 +96,7 @@ def _check(value, schema, path: str) -> None:
             _check(item, schema[0], f"{path}[{j}]")
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -101,7 +108,7 @@ def load_config(path: str) -> dict:
             f"{path}: JSON syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    _check(cfg, _SCHEMA, "")
+    _check(cfg, {key: _SCHEMA[key] for key in [*_COMMAND_KEYS[command], "output"]}, "")
     return cfg
 
 
@@ -477,7 +484,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         out = _Out(args.out, cfg, args.quiet)
         return _COMMANDS[args.command](cfg, out)
     except (ConfigError, InputError) as exc:

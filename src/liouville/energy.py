@@ -108,34 +108,35 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     m = flux.copy()
     d_vec = a_mat @ logw_r
     sigma = sigma_r.copy()
-    for sweeps in range(1, _TAIL_MAX_ITER + 1):
+    with np.errstate(over="ignore"):
+        for sweeps in range(1, _TAIL_MAX_ITER + 1):
+            gap = m - 2.0 * mu
+            tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
+            if (tail == np.inf).any():
+                i = int(np.argmax(d_vec - alpha - gap * log_r))
+                raise ExtractionError(
+                    f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
+                    f"overflows; its flux -r U' is {flux[i] - 2 * mu:.4g} above 2 mu = {2 * mu}"
+                )
+            sigma_new = sigma_r + tail / gap
+            m_new = a_mat @ sigma_new
+            d_new = a_mat @ (logw_r + logw_tail)
+            delta = float(abs(sigma_new - sigma).max())
+            sigma, m, d_vec = sigma_new, m_new, d_new
+            if (m <= 2.0 * mu).any():
+                raise ExtractionError(
+                    f"mass exponent at or below the integrability threshold "
+                    f"2 mu = {2 * mu}: m = {m}"
+                )
+            if delta < _TAIL_ATOL:
+                break
+        else:
+            raise ExtractionError(
+                f"tail fixed point did not converge in {_TAIL_MAX_ITER} sweeps"
+            )
+
         gap = m - 2.0 * mu
         tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
-        if (tail == np.inf).any():
-            i = int(np.argmax(d_vec - alpha - gap * log_r))
-            raise ExtractionError(
-                f"tail closure diverges at sweep {sweeps}: component {i + 1}'s tail "
-                f"overflows; its flux -r U' is {flux[i] - 2 * mu:.4g} above 2 mu = {2 * mu}"
-            )
-        sigma_new = sigma_r + tail / gap
-        m_new = a_mat @ sigma_new
-        d_new = a_mat @ (logw_r + logw_tail)
-        delta = float(abs(sigma_new - sigma).max())
-        sigma, m, d_vec = sigma_new, m_new, d_new
-        if (m <= 2.0 * mu).any():
-            raise ExtractionError(
-                f"mass exponent at or below the integrability threshold "
-                f"2 mu = {2 * mu}: m = {m}"
-            )
-        if delta < _TAIL_ATOL:
-            break
-    else:
-        raise ExtractionError(
-            f"tail fixed point did not converge in {_TAIL_MAX_ITER} sweeps"
-        )
-
-    gap = m - 2.0 * mu
-    tail, logw_tail = _tail(d_vec, alpha, gap, log_r)
     # the first omitted term of sigma, c_j sum_k a_jk c_k / (g_k^2 (g_j + g_k));
     # a NaN or an infinity here fails the test below
     with np.errstate(all="ignore"):
@@ -170,12 +171,11 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
 
 def _tail(d_vec, alpha, gap, log_r):
     """The tail model past r_max = e^L, e^(U_j) = t_j (r / r_max)^(-m_j):
-    t = e^(D - alpha - g L) with g = m - 2 mu, whose weighted mass is t / g,
-    and the log-weighted mass t (L/g + 1/g^2). A t past the floats is inf."""
+    t = e^(D - alpha - g L), g = m - 2 mu, weighted mass t / g and log-weighted
+    mass t (L/g + 1/g^2). A t past the floats is inf; callers ignore its overflow."""
     # single exp of the combined exponent: avoids inf * 0 for extreme data
-    with np.errstate(over="ignore"):
-        tail = np.exp(d_vec - alpha - gap * log_r)
-        return tail, tail * (log_r / gap + 1.0 / gap**2)
+    tail = np.exp(d_vec - alpha - gap * log_r)
+    return tail, tail * (log_r / gap + 1.0 / gap**2)
 
 
 def _tail_sensitivity(profile, gap, tail, lw_tail) -> np.ndarray:
@@ -239,7 +239,8 @@ def pohozaev_tail_table(summary: SolutionSummary, radii):
             raise InputError(f"radius {big_r} outside [10, r_max]")
         s_r = truncated_sigma(profile, big_r) / mu
         linear, quadratic = 4.0 * float(s_r.sum()), float(s_r @ a_mat @ s_r)
-        tail = _tail(summary.D, summary.alpha, gap, math.log(big_r))[0]
+        with np.errstate(over="ignore"):
+            tail = _tail(summary.D, summary.alpha, gap, math.log(big_r))[0]
         predicted = float(2.0 / mu**2 * np.sum(tail))
         # the defect is a difference: below its terms' rounding the ratio
         # says nothing (predicted underflows to 0 with A = [[1e300]])
@@ -266,7 +267,8 @@ def asymptotic_fit_error(summary: SolutionSummary, r: float) -> np.ndarray:
         raise InputError(f"fit error is only meaningful for r >= 5, got {r}")
     a_mat = summary.profile.spec.matrix.entries
     gap = summary.m - 2.0 * summary.mu
-    correction = a_mat @ (_tail(summary.D, summary.alpha, gap, math.log(r))[0] / gap**2)
+    with np.errstate(over="ignore"):
+        correction = a_mat @ (_tail(summary.D, summary.alpha, gap, math.log(r))[0] / gap**2)
     prediction = -summary.m * math.log(r) + summary.D - summary.alpha - correction
     u, _ = evaluate(summary.profile, r)
     return u - prediction

@@ -82,10 +82,10 @@ def mu_transform(profile: RadialProfile, mu_p: float) -> RadialProfile:
     ``radial._mapped`` (through ``radial._rescale``), the one ``integrate``
     uses.
     """
-    mu_p = as_number(mu_p, "mu_p")
-    if not (0.0 < mu_p <= 1.0):
-        raise DomainError(f"target strength must lie in (0, 1], got {mu_p}")
-    singularity = SingularityProfile(gamma=mu_p - 1.0)
+    gamma = as_number(mu_p, "mu_p") - 1.0  # below about 1.1e-16 mu_p rounds gamma to -1
+    if not -1.0 < gamma <= 0.0:  # the range SingularityProfile checks
+        raise DomainError(f"mu_p - 1 must lie in (-1, 0], got mu_p = {mu_p}")
+    singularity = SingularityProfile(gamma=gamma)
     shift = 2.0 * math.log(singularity.mu / profile.spec.singularity.mu)
     spec = replace(profile.spec, singularity=singularity, alpha0=profile.spec.alpha0 + shift)
     return _rescale(profile, spec)

@@ -34,6 +34,19 @@ def make_config(**overrides):
     return lv.BlowupConfiguration(**base)
 
 
+class Ramp(lv.CoefficientField):
+    """h = x - 1/4: positive at x = 1/2, not positive from x = 1/4 down."""
+
+    def value(self, x):
+        return np.asarray(x, dtype=float)[..., 0] - 0.25
+
+    def grad_log(self, x):
+        return np.array([1.0 / self.value(x), 0.0])
+
+    def hess_log(self, x):
+        return np.array([[-1.0 / self.value(x) ** 2, 0.0], [0.0, 0.0]])
+
+
 def three_source_config():
     """Three gamma = -5/6 sources splitting n_L = 1/2, masses (3, 9)."""
     return lv.BlowupConfiguration(
@@ -78,6 +91,49 @@ class TestConfiguration:
             lv.leading_term_Q(off_q, 1e-3)
         with pytest.raises(WrongRegimeError, match="use leading_term_Q"):
             lv.leading_term_general(make_config(), 0.01, 1e-3)
+
+    def test_fields_are_pinned(self):
+        # the derived data are plain attributes; only frak and gstar are fields
+        assert [f.name for f in dataclasses.fields(lv.BlowupConfiguration)] == [
+            "points", "strengths", "matrix", "rho", "h_fields", "curvature", "D", "alpha",
+            "geometry", "frak", "gstar",
+        ]
+
+    def test_derived_data_are_read_only(self):
+        cfg = three_source_config()
+        np.testing.assert_array_equal(cfg.mus, [s.mu for s in cfg.strengths])
+        np.testing.assert_array_equal(cfg._gstar_rows, cfg.gstar.values @ cfg.mus)
+        assert cfg._h_values.shape == (2, 3)
+        for i, fld in enumerate(cfg.h_fields):
+            np.testing.assert_array_equal(cfg._h_values[i], fld.value(cfg.points))
+        for name in ("mus", "_gstar_rows", "_h_values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 1.0
+        for name in ("mus", "n_L", "regular_set", "regime", "_gstar_rows", "_h_values"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, getattr(cfg, name))
+
+    def test_replace_computes_the_derived_data_again(self, singular_point_config):
+        cfg = make_config()
+        off_q = dataclasses.replace(cfg, rho=[7.0 * math.pi])
+        assert (cfg.regime, off_q.regime) == ("Q", "general")
+        assert off_q.regular_set == (0,) and not off_q.is_at_q()
+        three = three_source_config()
+        moved = dataclasses.replace(three, points=[[0.2, 0.2], *three.points[1:].tolist()])
+        assert not np.array_equal(moved._gstar_rows, three._gstar_rows)
+        np.testing.assert_array_equal(moved._gstar_rows, moved.gstar.values @ moved.mus)
+        np.testing.assert_array_equal(moved._h_values[0], moved.h_fields[0].value(moved.points))
+        assert not np.array_equal(moved._h_values[0], three._h_values[0])
+        regular = dataclasses.replace(
+            singular_point_config, strengths=(lv.SingularityProfile(0.0),)
+        )
+        assert (regular.n_L, regular.regular_set) == (1.0, (0,))
+        np.testing.assert_array_equal(regular.mus, [1.0])
+
+    def test_field_not_positive_at_a_point_rejected(self):
+        with pytest.raises(InputError, match="coefficient field 0 is not positive"):
+            make_config(points=[[0.2, 0.5]], h_fields=(Ramp(),))
+        make_config(h_fields=(Ramp(),))  # h = 1/4 at (1/2, 1/2)
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -780,16 +836,6 @@ class TestLocationSearch:
     def test_trial_where_a_field_is_not_positive_raises(self):
         # h = x - 1/4 alone: the Newton steps double the distance to 1/4,
         # from 0.5 to 0.75 and on to 1.25, which wraps onto the zero of h
-        class Ramp(lv.CoefficientField):
-            def value(self, x):
-                return np.asarray(x, dtype=float)[..., 0] - 0.25
-
-            def grad_log(self, x):
-                return np.array([1.0 / self.value(x), 0.0])
-
-            def hess_log(self, x):
-                return np.array([[-1.0 / self.value(x) ** 2, 0.0], [0.0, 0.0]])
-
         with pytest.raises(InputError, match="coefficient field 0 is not positive"):
             lv.location_search(make_config(h_fields=(Ramp(),)), 0)
 

@@ -756,6 +756,26 @@ def test_unknown_key_at_every_level(tmp_path, capsys, where, base, keys):
 
 
 @pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("invert", "alpha0", [0.0]),
+        ("invert", "compare", {"mu_p": 0.5}),
+        ("surface", "r_max", 1e6),
+        ("surface", "tol", 1e-8),
+        ("green", "matrix", [[1.0]]),
+        ("solve", "target_sigma", [1.0]),
+    ],
+)
+def test_key_of_another_command_rejected(tmp_path, capsys, command, key, value):
+    # a key the command does not read would ride along in every artifact's
+    # embedded config as if the run had used it
+    code, out_dir = run(tmp_path, command, {**BASES[command], key: value})
+    assert code == 2
+    assert f"unknown key {key!r} at top level" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "where, base, keys, kind", LEVELS, ids=[level[0] for level in LEVELS]
 )
 def test_wrong_container_at_every_level(tmp_path, capsys, where, base, keys, kind):

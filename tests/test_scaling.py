@@ -150,6 +150,14 @@ class TestMuTransform:
         with pytest.raises(DomainError):
             lv.mu_transform(f2_profile, 1.5)
 
+    def test_strength_that_rounds_gamma_to_minus_one(self, f2_profile):
+        # below about 1.1e-16, mu_p - 1 rounds to -1: the error names mu_p,
+        # not a gamma the caller never passed
+        for mu_p in (1e-17, 5e-17):
+            with pytest.raises(DomainError, match=f"got mu_p = {mu_p}"):
+                lv.mu_transform(f2_profile, mu_p)
+        assert lv.mu_transform(f2_profile, 1e-16).spec.singularity.mu == 1.0 + (1e-16 - 1.0)
+
 
 class TestOneMap:
     """mu_transform and eta_rescale are one map, radial._rescale; each still
