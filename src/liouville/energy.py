@@ -29,13 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ExtractionError, InputError, as_array, as_number
-from .radial import RadialProfile, evaluate, truncated_sigma
+from .radial import _TAIL_ERROR_MAX, RadialProfile, evaluate, truncated_sigma
 
 # Fixed-point iteration control for the tail closure.
 _TAIL_ATOL = 1e-11
 _TAIL_MAX_ITER = 100
-# Largest accepted tail_error, the estimated relative error of sigma.
-_TAIL_ERROR_MAX = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +87,8 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         exponent to or below the integrability threshold 2 mu or a tail
         e^(D - alpha - (m - 2 mu) log r_max) past the floats, the fixed
         point does not converge, or ``tail_error`` exceeds 1e-5: in the
-        first and the last case r_max is too small for the profile.
+        first and the last case the profile ends too soon. The message names
+        r_max when the solve was given one, else the last log r.
     """
     mu = profile.spec.singularity.mu
     a_mat = profile.spec.matrix.entries
@@ -101,10 +100,12 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
     flux = -profile.dvalues[-1]
 
     if (flux <= 2.0 * mu).any():
-        raise ExtractionError(
-            f"flux -r U' at r_max = {profile.r_max:.3g} is {flux}, at or below 2 mu = "
-            f"{2 * mu}: r_max is too small for the flux to settle; increase r_max"
-        )
+        if profile.stats.get("end") == "r_max":
+            where = f"r_max = {profile.r_max:.3g}"
+            why = "r_max is too small for the flux to settle; increase r_max"
+        else:
+            where, why = f"the last node, log r = {log_r:.6g},", "the profile ends before the flux settles"
+        raise ExtractionError(f"flux -r U' at {where} is {flux}, at or below 2 mu = {2 * mu}: {why}")
     m = flux.copy()
     d_vec = a_mat @ logw_r
     sigma = sigma_r.copy()
@@ -143,9 +144,15 @@ def extract_summary(profile: RadialProfile) -> SolutionSummary:
         omitted = tail * (a_mat * (tail / gap**2) / (gap[:, None] + gap)).sum(axis=1)
         tail_error = float((abs(omitted) / sigma).max())
     if not tail_error <= _TAIL_ERROR_MAX:
+        if profile.stats.get("end") == "r_max":
+            why = f"r_max = {profile.r_max:.3g} is too small; increase r_max"
+        else:
+            why = f"the profile ends too soon, at log r = {log_r:.6g}"
+            if profile.stats.get("tail_estimate") is not None:
+                why += f", where the solve's own estimate read {profile.stats['tail_estimate']:.2e}"
         raise ExtractionError(
             f"sigma's estimated relative error tail_error = {tail_error:.2e} is above "
-            f"{_TAIL_ERROR_MAX:.0e}: r_max = {profile.r_max:.3g} is too small; increase r_max"
+            f"{_TAIL_ERROR_MAX:.0e}: {why}"
         )
 
     dsigma = None if profile.sensitivity is None else _tail_sensitivity(

@@ -12,7 +12,7 @@ with a smooth right-hand side even though the weight r^(2 gamma) is singular
 at the origin. The solve (at mu = 1, below) starts from the origin series,
 K = 16 terms in x = r^(2 mu), at its start radius: the largest r at which
 its last terms are below 2^-52 of its first (``_series_terms``), and at
-least one e-fold below r_max. ``_series`` alone sums it: the start state,
+least one e-fold below r_max if one is given. ``_series`` alone sums it: the start state,
 its alpha0-derivative and the values below the first node. The first step
 is the one at which the pair's error estimate on the weights' growth
 e^(2s) there reads 1/40 (``_FIRST_STEP``), 0.15 at tol 1e-10. Besides
@@ -51,14 +51,27 @@ differentiation") from the same basis, three numpy calls per stage, and
 pairwise products chain them onto the series seed. Grid and state are
 bitwise those of a run without sensitivities.
 
+The data choose the end as they choose the start. Given no r_max, the
+solve ends at the first node with r >= 10 where every gap -dU_j/ds - 2 mu
+is positive and the tail model's first omitted term of sigma, estimated
+from the node's state alone, is at most min(tol / 10, 1e-5) of sigma
+(``_TailEnd``; ``energy`` closes the tail there). That node may lie past
+the float radii, out to log r = 1e9; a solve that reaches that bound
+first, or whose weights overflow, is an IntegrationError. A bound on how
+fast the estimate can fall skips the nodes that cannot pass, so it is
+evaluated at a few nodes per solve. Given an r_max, the solve ends there.
+
 One strength is solved: ``integrate`` steps the mu = 1 system from
-alpha0 - 2 log mu out to mu log r_max and maps that solution U to
-V(s) = U(mu s) + 2 log mu (``_mapped``, also behind ``scaling.mu_transform``
-and ``scaling.eta_rescale``), so gamma near -1 needs no tiny start radius.
-The solve builds one ``RadialProfile``, from the mapped arrays and its
-counters. ``RadialProfile.stats`` counts, in the caller's s: ``accepted`` and
-``rejected`` steps, weight ``evaluations`` (one, then twelve per attempt),
-the accepted step range ``h_min``, ``h_max``, and the first node ``s_start``.
+alpha0 - 2 log mu out to mu log r_max (or to the tail end) and maps that
+solution U to V(s) = U(mu s) + 2 log mu (``_mapped``, also behind
+``scaling.mu_transform`` and ``scaling.eta_rescale``), so gamma near -1
+needs no tiny start radius. The solve builds one ``RadialProfile``, from
+the mapped arrays and its counters. ``RadialProfile.stats`` counts, in the
+caller's s: ``accepted`` and ``rejected`` steps, weight ``evaluations``
+(one, then twelve per attempt), the accepted step range ``h_min``,
+``h_max``, and the first node ``s_start``; and it records the end: ``end``,
+"r_max" or "tail", the last estimate ``tail_estimate`` (None given an
+r_max) and ``tail_evaluations``, the nodes at which it was evaluated.
 
 Between nodes, ``evaluate`` and ``truncated_sigma`` take one step of the same
 pair from the node at or below r, so they carry the solver's own accuracy
@@ -68,6 +81,7 @@ profiles of any strength, those made by ``scaling`` too.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -103,8 +117,13 @@ U_OVERFLOW = 50.0
 MAX_STEPS = 100_000
 
 _TOL_MIN, _TOL_MAX = 1e-13, 1e-4
-# The r_max and tol of integrate, alpha_to_sigma and invert_sigma when not given.
-DEFAULT_R_MAX, DEFAULT_TOL = 1e4, 1e-10
+# The tol of integrate, alpha_to_sigma and invert_sigma when not given; with
+# no r_max they end where the tail model is exact (``_TailEnd``).
+DEFAULT_TOL = 1e-10
+# Largest accepted estimate of sigma's relative error in the tail model.
+_TAIL_ERROR_MAX = 1e-5
+# The last log radius a solve with no r_max may reach, and the first it may end at.
+_LOG_R_BOUND, _LOG_R_FIRST_END = 1e9, math.log(10.0)
 # The strength every solve runs at (the module docstring's mu = 1 system).
 _MU_ONE = SingularityProfile(0.0)
 
@@ -138,7 +157,7 @@ class RadialProfile:
     component) and read-only. ``dvalues`` is dU/ds; ``mass`` and
     ``logmass`` are the running energy integrals described in the module
     docstring. ``sensitivity`` is None unless requested from
-    ``integrate``; then it is d(state at r_max)/d alpha0, shape (4n, n),
+    ``integrate``; then it is d(state at the last node)/d alpha0, shape (4n, n),
     rows U, dU/ds, mass, logmass. ``stats`` holds the integration's
     counters (module docstring); it is empty for transformed profiles.
     """
@@ -150,7 +169,7 @@ class RadialProfile:
     mass: np.ndarray
     logmass: np.ndarray
     sensitivity: np.ndarray | None = None
-    stats: Mapping[str, float] = field(default_factory=lambda: MappingProxyType({}))
+    stats: Mapping[str, float | str | None] = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
         if not math.isfinite(self.grid[-1]):
@@ -612,31 +631,93 @@ def _mapped(mu_p, c, log_eta, grid, values, dvalues, mass, logmass, sens):
     return grid / c - log_eta, values + shift, dvalues * c, mass, logmass - log_eta * mass, sens
 
 
-def _solver_inputs(r_max, tol) -> tuple[float, float]:
-    """r_max and tol as floats, r_max at least 10 and tol in [_TOL_MIN, _TOL_MAX]."""
-    r_max = as_number(r_max, "r_max")
-    if r_max < 10.0:
-        raise InputError(f"r_max must be at least 10, got {r_max}")
+def _solver_inputs(r_max, tol) -> tuple[float | None, float]:
+    """r_max (None, the tail end, passes) and tol as floats, r_max at least
+    10 and tol in [_TOL_MIN, _TOL_MAX]."""
+    if r_max is not None:
+        r_max = as_number(r_max, "r_max")
+        if r_max < 10.0:
+            raise InputError(f"r_max must be at least 10, got {r_max}")
     tol = as_number(tol, "tol")
     if not (_TOL_MIN <= tol <= _TOL_MAX):
         raise InputError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}], got {tol}")
     return r_max, tol
 
 
+class _TailEnd:
+    """Where a solve of the mu = 1 system with no r_max ends.
+
+    At the first node with r >= 10 where every gap g_j = -dU_j/ds - 2 is
+    positive and the tail model's first omitted term, estimated from the
+    node's state and stage weights w alone,
+
+        max_j w_j sum_k a_jk w_k / (g_k^2 (g_j + g_k)) / mass_j,
+
+    is at most ``limit`` (``energy.extract_summary`` computes the same term
+    from the closed tail). Between evaluations ``check`` skips the nodes a
+    bound shows cannot pass. With A >= 0 each g only grows, towards a gap
+    below G = A (mass + w / g) - 2, and each w_k decays at least at rate
+    g_k, so the mass stays below mass + w / g. So at log radius s + d term
+    (j, k) of the estimate is at least e^(-(G_j + G_k) d) times its value
+    with G for g and mass + w / g for the mass. The next check is where
+    every such bound is below twice the limit, a margin for the solution's
+    own error.
+    """
+
+    def __init__(self, a: np.ndarray, limit: float):
+        self.a, self.limit = a.tolist(), limit
+        self.estimate, self.evaluations = None, 0
+
+    def check(self, s: float, state, w) -> float | None:
+        """None to end at the node at log radius s, else the s of the next
+        node to check."""
+        v = state[1].tolist()
+        if max(v) >= -2.0:  # a gap g = -v - 2 not yet positive
+            return s
+        self.evaluations += 1
+        g = [-2.0 - x for x in v]
+        w, mass = w.tolist(), state[2].tolist()
+        self.estimate = max(map(sum, _terms(self.a, w, g, mass)))
+        if self.estimate <= self.limit:
+            return None
+        ceiling = [mj + wj / gj for mj, wj, gj in zip(mass, w, g)]
+        big = [max(gj, sum([ajk * ck for ajk, ck in zip(row, ceiling)]) - 2.0)
+               for row, gj in zip(self.a, g)]
+        # the sum passes only where each of its terms does; a bound that
+        # overflows reads inf, and then the next node is checked
+        floor = 2.0 * self.limit
+        skip = max([math.log(low / floor) / (gj + gk)
+                    for row, gj in zip(_terms(self.a, w, big, ceiling), big)
+                    for low, gk in zip(row, big) if low > floor], default=0.0)
+        return s + skip if skip < math.inf else s
+
+
+def _terms(a, w, g, mass) -> list[list[float]]:
+    """The estimate's terms w_j a_jk w_k / (g_k^2 (g_j + g_k) mass_j), row j,
+    in Python floats: at n <= 3 these beat some thirty numpy calls."""
+    c = [wk / (gk * gk) for wk, gk in zip(w, g)]
+    return [[wj * ajk * ck / ((gj + gk) * mj) for ajk, ck, gk in zip(row, c, g)]
+            for row, wj, gj, mj in zip(a, w, g, mass)]
+
+
 def integrate(
     spec: ProblemSpec,
-    r_max: float = DEFAULT_R_MAX,
+    r_max: float | None = None,
     tol: float = DEFAULT_TOL,
     sensitivity: bool = False,
 ) -> RadialProfile:
-    """Integrate the system from the origin series out to r_max.
+    """Integrate the system from the origin series out to r_max, or, with
+    no r_max, out to where the tail model is exact.
 
     Solves at mu = 1 and maps (module docstring). ``tol`` controls the local
     error per step (mixed absolute/relative, absolute floor tol * 1e-3).
-    With ``sensitivity`` the profile also carries d(state at r_max)/d
-    alpha0, computed after the solve from the accepted steps' stage
-    weights; the step loop is the same, and the grid and state are bitwise
-    those of a run without.
+    With no r_max the solve ends at the first node with r >= 10 where the
+    tail model's relative error of sigma, estimated from the state, is at
+    most min(tol / 10, 1e-5) (``_TailEnd``); that node may lie past the
+    float radii. With ``sensitivity`` the profile also carries d(state at
+    the last node)/d alpha0, computed after the solve from the accepted
+    steps' stage weights; the step loop is the same, and the grid and state
+    are bitwise those of a run without.
 
     Raises
     ------
@@ -644,8 +725,9 @@ def integrate(
         On an out-of-range r_max or tol, an alpha0 above the overflow guard,
         or one whose e^alpha0 underflows to 0.
     IntegrationError
-        On step-size underflow or after MAX_STEPS attempted steps; carries
-        the last good radius.
+        On step-size underflow or after MAX_STEPS attempted steps, and with
+        no r_max on weights that overflow or on reaching log r = 1e9 before
+        the end; carries the last good radius.
     """
     r_max, tol = _solver_inputs(r_max, tol)
     # with A >= 0 each U_i decreases from alpha0_i, so the guard is checked here only
@@ -657,8 +739,13 @@ def integrate(
     unit = ProblemSpec(spec.matrix, _MU_ONE, spec.alpha0 - 2.0 * math.log(mu))
     if not np.exp(unit.alpha0).any():
         raise InputError(f"alpha0 = {spec.alpha0.tolist()} is too small: e^alpha0 underflows to 0")
+    # the last s, and the first node at which the tail end is checked
+    if r_max is None:
+        s_end, s_check = mu * _LOG_R_BOUND, mu * _LOG_R_FIRST_END
+        tail = _TailEnd(spec.matrix.entries, min(0.1 * tol, _TAIL_ERROR_MAX))
+    else:
+        s_end, s_check, tail = mu * math.log(r_max), math.inf, None
     # from the series' start radius, capped one e-fold below r_max
-    s_end = mu * math.log(r_max)
     terms = _series_terms(unit, sensitivity)
     s0 = min(terms[-1], s_end - 1.0)
     r_start = math.exp(s0)
@@ -666,6 +753,7 @@ def integrate(
     seed[1] *= r_start
     step = _Step(unit, s0, seed)
     state, new, stage_weights = step.state, step.new[:4], step.f[:12]
+    node_weights = step.f[0]  # after accept(), the weights at the new node
     err_rows = step.new[4:].reshape(2, 4, n)
     # the error norm's buffers: |state| before and after the step, the
     # scale atol + tol max(...) and the error rows over it
@@ -685,44 +773,72 @@ def integrate(
     # the accepted steps' sizes and h^2 times their stage weights 0-11, for
     # the sensitivities
     sizes, weights = [], []
+    end = "r_max"
 
-    while s_end - s > s_last:
-        if attempts == MAX_STEPS:
-            raise IntegrationError(
-                f"no arrival at r_max after {MAX_STEPS} steps (s = {s / mu:.6f})",
-                last_radius=math.exp(s / mu),
-            )
-        attempts += 1
-        h = min(h, s_end - s)
-        if h < 1e-14 * max(1.0, abs(s)):
-            raise IntegrationError(
-                f"step size underflow at s = {s / mu:.6f}", last_radius=math.exp(s / mu)
-            )
-        step.take(s, h)
-        np.abs(new, out=size_new)
-        np.maximum(size, size_new, out=scale)
-        np.multiply(scale, tol, out=scale)
-        np.add(scale, atol, out=scale)
-        np.divide(err_rows, scale, out=ratio)
-        norm5, norm3 = float(np.vdot(r5, r5)), float(np.vdot(r3, r3))
-        # DOP853's norm: the 5th-order estimate, damped where the 3rd is small
-        denom = norm5 + 0.01 * norm3
-        err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
+    # with no r_max a solve runs until its weights decay, and weights that
+    # pass the floats first are an IntegrationError, not a numpy warning; a
+    # solve given an r_max keeps numpy's default error state, under which
+    # small numpy calls ran about 1 % faster
+    guard = np.errstate(over="raise") if tail is not None else contextlib.nullcontext()
+    try:
+        with guard:
+            while s_end - s > s_last:
+                if attempts == MAX_STEPS:
+                    raise IntegrationError(
+                        f"no {'end' if tail else 'arrival at r_max'} after {MAX_STEPS} steps "
+                        f"(s = {s / mu:.6f})",
+                        last_radius=_radius_at(s / mu),
+                    )
+                attempts += 1
+                h = min(h, s_end - s)
+                if h < 1e-14 * max(1.0, abs(s)):
+                    raise IntegrationError(
+                        f"step size underflow at s = {s / mu:.6f}", last_radius=_radius_at(s / mu)
+                    )
+                step.take(s, h)
+                np.abs(new, out=size_new)
+                np.maximum(size, size_new, out=scale)
+                np.multiply(scale, tol, out=scale)
+                np.add(scale, atol, out=scale)
+                np.divide(err_rows, scale, out=ratio)
+                norm5, norm3 = float(np.vdot(r5, r5)), float(np.vdot(r3, r3))
+                # DOP853's norm: the 5th-order estimate, damped where the 3rd is small
+                denom = norm5 + 0.01 * norm3
+                err = norm5 / math.sqrt(denom * r5.size) if denom > 0.0 else 0.0
 
-        if err <= 1.0:
-            if sensitivity:
-                sizes.append(h)
-                weights.append(stage_weights * (h * h))
-            s += h
-            step.accept()
-            size, size_new = size_new, size
-            nodes.append(s)
-            states.append(state.copy())
-            fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0.0 else 5.0
-            err_prev = max(err, 1e-10)
-            h *= min(5.0, max(0.2, fac))
-        else:
-            h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
+                if err <= 1.0:
+                    if sensitivity:
+                        sizes.append(h)
+                        weights.append(stage_weights * (h * h))
+                    s += h
+                    step.accept()
+                    size, size_new = size_new, size
+                    nodes.append(s)
+                    states.append(state.copy())
+                    fac = 0.9 * err ** (-0.7 / 8.0) * err_prev ** (0.4 / 8.0) if err > 0.0 else 5.0
+                    err_prev = max(err, 1e-10)
+                    h *= min(5.0, max(0.2, fac))
+                    if s >= s_check:
+                        s_check = tail.check(s, state, node_weights)
+                        if s_check is None:
+                            end = "tail"
+                            break
+                else:
+                    h *= max(0.2, 0.9 * err ** (-1.0 / 8.0))
+    except FloatingPointError:
+        raise IntegrationError(
+            f"the weights, or A times them, overflow past s = log r = {s / mu:.6g}",
+            last_radius=_radius_at(s / mu),
+        ) from None
+    if tail is not None and end == "r_max":
+        raise IntegrationError(
+            f"no end before s = log r = {_LOG_R_BOUND:g}: " + (
+                "the gaps -dU/ds - 2 mu never all turned positive" if tail.estimate is None
+                else f"the tail model's estimated error of sigma is {tail.estimate:.2e}, "
+                     f"above {tail.limit:.0e}"
+            ),
+            last_radius=_radius_at(s / mu),
+        )
 
     sens = _carried_sensitivity(
         unit, seed_sens, np.array(nodes[:-1]), np.array(sizes), np.array(weights)
@@ -738,6 +854,9 @@ def integrate(
         "h_min": float(steps.min()),
         "h_max": float(steps.max()),
         "s_start": float(grid[0]),
+        "end": end,
+        "tail_estimate": None if tail is None else tail.estimate,
+        "tail_evaluations": 0 if tail is None else tail.evaluations,
     }
     return RadialProfile(spec, *arrays, MappingProxyType(stats))
 

@@ -20,16 +20,15 @@ import numpy as np
 
 from .algebra import CoefficientMatrix, SingularityProfile
 from .energy import SolutionSummary, extract_summary
-from .errors import ExtractionError, InputError, as_array
+from .errors import ExtractionError, InputError, IntegrationError, as_array
 from .newton import damped_newton
-from .radial import DEFAULT_R_MAX, DEFAULT_TOL, ProblemSpec, _solver_inputs, integrate
+from .radial import _TOL_MAX, DEFAULT_TOL, ProblemSpec, _solver_inputs, integrate
 
 _ALPHA_BOUND = 30.0
 _SIGMA_TOL = 1e-9
 # invert_sigma's forcing term: a trial from an iterate with residual sup
-# norm r integrates at max(tol, min(_FORCING r^2, _LOOSEST_TOL))
+# norm r integrates at max(tol, min(_FORCING r^2, _TOL_MAX))
 _FORCING = 1e-2
-_LOOSEST_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +59,15 @@ def alpha_to_sigma(
     matrix: CoefficientMatrix,
     singularity: SingularityProfile,
     reduced_alpha,
-    r_max: float = DEFAULT_R_MAX,
+    r_max: float | None = None,
     tol: float = DEFAULT_TOL,
     jacobian: bool = False,
 ) -> ShootingPoint:
     """Integrate with initial values (0, alpha_2, ..., alpha_n), return sigma.
 
-    With ``jacobian`` the same integration also yields the point's Jacobian.
+    With no r_max the solve ends where the tail model is exact
+    (``radial.integrate``). With ``jacobian`` the same integration also
+    yields the point's Jacobian.
     """
     reduced = _reduced_alpha(reduced_alpha, "reduced_alpha", matrix.n - 1)
     alpha0 = np.concatenate([[0.0], reduced])
@@ -90,25 +91,27 @@ def invert_sigma(
     singularity: SingularityProfile,
     target_reduced_sigma,
     guess=None,
-    r_max: float = DEFAULT_R_MAX,
+    r_max: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Recover reduced initial values whose energies hit the target.
 
     ``newton.damped_newton`` on sigma(alpha) - target down to a sup norm of
-    1e-9; a trial with an entry of alpha beyond 30, or whose summary is an
-    ``ExtractionError`` at either tolerance below, lies outside the domain
-    and is halved; at the start that error is raised.
-    Each trial's integration brings its exact Jacobian along, so the last
-    Newton step needs none.
+    1e-9; a trial with an entry of alpha beyond 30, or whose solve is an
+    ``ExtractionError`` or an ``IntegrationError`` at either tolerance
+    below, lies outside the domain and is halved; at the start that error
+    is raised. Each trial's integration brings its exact Jacobian along, so
+    the last Newton step needs none.
 
     The integrations are inexact Newton (Dembo, Eisenstat and Steihaug,
     1982): a trial from an iterate whose residual has sup norm r_k
-    integrates at tol_k = max(tol, min(1e-2 r_k^2, 1e-6)), so far from the
-    root it takes a looser, cheaper solve, and never one looser than
-    ``tol``. A trial whose residual reads below 1e-9 at a tol_k above
-    ``tol`` is integrated again at ``tol`` before the stop test and the
-    last step use it, so a converged inversion ends on a solve at ``tol``.
+    integrates at tol_k = max(tol, min(1e-2 r_k^2, 1e-4)), 1e-4 being the
+    solver's loosest tol, so far from the root it takes a looser, cheaper
+    solve, and never one looser than ``tol``. A trial at a tol_k above
+    ``tol`` whose residual reads below 1e-9, or below its own solve's
+    error, tol_k times the largest target entry, is integrated again at
+    ``tol`` before the descent test, the stop test and the last step use
+    it, so a converged inversion ends on a solve at ``tol``.
 
     A NonConvergenceError carries the best iterate, its residual and the
     trace; that residual may come from a solve at a tol_k above ``tol``.
@@ -124,15 +127,18 @@ def invert_sigma(
         point = alpha_to_sigma(matrix, singularity, alpha, r_max, solve_tol, jacobian=True)
         return point.reduced_sigma - target, lambda: point.jacobian
 
+    # a residual read at solve tol t below t times this is within that solve's error
+    scale = float(abs(target).max())
+
     def f(alpha, norm):
         if abs(alpha).max() > _ALPHA_BOUND:
             return None
-        loose = max(tol, min(_FORCING * norm * norm, _LOOSEST_TOL))
+        loose = max(tol, min(_FORCING * norm * norm, _TOL_MAX))
         try:
             r, jac = residual(alpha, loose)
-            if loose > tol and abs(r).max() < _SIGMA_TOL:
+            if loose > tol and abs(r).max() < max(_SIGMA_TOL, loose * scale):
                 return residual(alpha, tol)
-        except ExtractionError:
+        except (ExtractionError, IntegrationError):
             if math.isinf(norm):  # the start
                 raise
             return None

@@ -133,11 +133,12 @@ def test_criterion_07_round_trips(matrix12, monkeypatch):
     sing = lv.SingularityProfile(0.0)
     rng = np.random.default_rng(99)
     worst = 0.0
-    calls = []  # per integration, its attempted steps
+    calls, checks = [], []  # per integration, its attempted steps and end-rule estimates
 
     def counting(*args, **kwargs):
         profile = radial.integrate(*args, **kwargs)
         calls.append(profile.stats["accepted"] + profile.stats["rejected"])
+        checks.append(profile.stats["tail_evaluations"])
         return profile
 
     for matrix in (matrix12, matrix3):
@@ -158,8 +159,13 @@ def test_criterion_07_round_trips(matrix12, monkeypatch):
     # differences spent 836 on these inversions, and 836 / 2.5 = 334
     assert len(calls) <= 334
     # the attempted steps, pinned: loose solves far from the root, each
-    # from the series' start radius and first step
-    assert sum(calls) == 4841
+    # from the series' start radius and first step, and each ending where
+    # the tail model is exact (4,841 when they ran to r_max 1e4 and the
+    # loosest trial tol was 1e-6)
+    assert sum(calls) == 3500
+    # the end rule skips the nodes that cannot pass: at most 4 estimates per
+    # solve on average, where one at every node past r = 10 took 6.5
+    assert sum(checks) <= 4 * len(checks)
 
 
 def test_criterion_08_scaling_identities(f2_summary):

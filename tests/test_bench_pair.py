@@ -2,7 +2,9 @@
 
 import importlib.util
 import json
+import os
 import py_compile
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ METRICS = [
     {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
 ]
 BETTER = {m["name"]: m["better"] for m in METRICS}
+# the sides' commits: the hand-made checkouts below are no git work trees
+REVS = ["--parent-rev", "0" * 40, "--change-rev", "1" * 40]
 
 
 def _runs(parent, change, correct=True):
@@ -109,7 +113,7 @@ def test_incorrect_run_fails_the_pair(tmp_path, monkeypatch):
     calls = iter([pairs[0]["parent"], pairs[0]["change"], pairs[1]["change"], pairs[1]["parent"]])
     monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
     out = tmp_path / "bench.json"
-    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"), *REVS,
                             "--seeds", "1-2", "--claim", "ops_per_s", "--out", str(out)])
     assert code == 1
     record = json.loads(out.read_text())
@@ -133,7 +137,7 @@ def test_src_lines_per_side(tmp_path, monkeypatch):
     calls = iter([runs["parent"], runs["change"]])
     monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
     out = tmp_path / "bench.json"
-    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+    code = bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"), *REVS,
                             "--seeds", "1", "--out", str(out)])
     assert code == 0
     record = json.loads(out.read_text())
@@ -158,7 +162,7 @@ def test_code_lines_ignore_docstring_edits(tmp_path, monkeypatch):
     calls = iter([runs["parent"], runs["change"]])
     monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
     out = tmp_path / "bench.json"
-    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"), *REVS,
                      "--seeds", "1", "--out", str(out)])
     record = json.loads(out.read_text())
     assert record["src_lines"] == {"parent": 12, "change": 14}
@@ -185,7 +189,7 @@ def test_code_lines_per_module(tmp_path, monkeypatch):
     calls = iter([runs["parent"], runs["change"]])
     monkeypatch.setattr(bench_pair, "run_bench", lambda *args: next(calls))
     out = tmp_path / "bench.json"
-    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+    bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"), *REVS,
                      "--seeds", "1", "--out", str(out)])
     record = json.loads(out.read_text())
     assert record["src_code_lines_by_module"] == {
@@ -233,7 +237,7 @@ def test_stale_bytecode_stops_the_pair(tmp_path, monkeypatch, capsys):
     assert bench_pair.stale_bytecode(tmp_path / "change") == ["src/pkg/b.py"]
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
-    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seeds", "1",
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), *REVS, "--seeds", "1",
             "--out", str(tmp_path / "bench.json")]
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     with pytest.raises(SystemExit) as exit_info:
@@ -270,7 +274,7 @@ def test_layers_run_at_every_seed(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pair, "run_bench", run_bench)
     out = tmp_path / "bench.json"
-    assert bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+    assert bench_pair.main([str(tmp_path / "parent"), str(tmp_path / "change"), *REVS,
                             "--seeds", "1-3", "--layers", "--out", str(out)]) == 0
     assert [c for c in calls if c[2] == 1] == [
         ("parent", 1, 1), ("change", 1, 1), ("change", 2, 1), ("parent", 2, 1),
@@ -281,3 +285,39 @@ def test_layers_run_at_every_seed(tmp_path, monkeypatch):
     assert layers["parent"]["radial.integrate.self_ms"] == {"median": 12.0, "q1": 11.5, "q3": 12.5}
     assert layers["change"]["radial.integrate.self_ms"]["median"] == 10.0
     assert layers["change_wins"] == {"radial.integrate.self_ms": 3}
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                   env={**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+                        "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"})
+
+
+def test_revisions_from_work_trees_or_flags(tmp_path, monkeypatch, capsys):
+    # a checkout at the top of its own work tree gives its HEAD; an export
+    # inside another repository must not read that repository's HEAD, so it
+    # needs its flag, and without one the pair stops before it runs
+    repo = tmp_path / "repo"
+    (repo / "export").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}))
+    _git(repo, "add", "BENCHMARK.json")
+    _git(repo, "commit", "-q", "-m", "bench")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    (repo / "export" / "BENCHMARK.json").write_text((repo / "BENCHMARK.json").read_text())
+    assert bench_pair.revision(repo) == head
+    assert bench_pair.revision(repo / "export") is None
+    assert bench_pair.revision(tmp_path) is None  # no work tree at all
+    out = tmp_path / "bench.json"
+    argv = [str(repo), str(repo / "export"), "--seeds", "1", "--out", str(out)]
+    calls = []
+    monkeypatch.setattr(bench_pair, "run_bench", lambda *args: calls.append(args) or {
+        "correct": True, "attempted": 1, "failed": 0, "metrics": PARENT[0]})
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pair.main(argv)
+    assert exit_info.value.code == 2 and calls == [] and not out.exists()
+    assert "--change-rev" in capsys.readouterr().err
+    assert bench_pair.main([*argv, "--change-rev", "abc123"]) == 0
+    assert json.loads(out.read_text())["revisions"] == {"parent": head, "change": "abc123"}

@@ -666,6 +666,26 @@ def certified_roots(cfg, t=0, m=16):
     return roots, int(np.sum((-1) ** index))
 
 
+@pytest.fixture(scope="module")
+def random_scan():
+    """The location searches of the random configurations, where they are
+    and moved by (0.3, 0.6), run once for the tests that read them: the
+    failing runs by (shift, k), the configurations per shift, and the order
+    of every ``_location_terms`` call (1 a residual, 2 a Jacobian)."""
+    orders, failing, counts = [], set(), {}
+    terms = blowup._location_terms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blowup, "_location_terms", lambda *a: orders.append(a[-1]) or terms(*a))
+        for shift in [(0.0, 0.0), (0.3, 0.6)]:
+            for k, cfg in enumerate(random_two_point_configs(shift)):
+                try:
+                    lv.location_search(cfg, 0)
+                except NonConvergenceError:
+                    failing.add((shift, k))
+            counts[shift] = k + 1
+    return failing, counts, orders
+
+
 class TestLocationSearch:
     @pytest.mark.parametrize("regime", ["general", "Q"])
     def test_jacobian_matches_central_difference(self, regime):
@@ -699,33 +719,17 @@ class TestLocationSearch:
         assert np.max(np.abs(resid)) <= 1e-10
         np.testing.assert_allclose(best, [0.32141282, 0.27141282], atol=1e-8)
 
-    def test_random_configurations_mostly_converge(self):
+    def test_random_configurations_mostly_converge(self, random_scan):
         # 125 random configurations, searched where they are and moved by
         # (0.3, 0.6): 2 fail both ways; with 8 halvings in place of 30, 6 did
-        failing = set()
-        for shift in [(0.0, 0.0), (0.3, 0.6)]:
-            for k, cfg in enumerate(random_two_point_configs(shift)):
-                try:
-                    lv.location_search(cfg, 0)
-                except NonConvergenceError:
-                    failing.add(k)
-        assert k == 124
-        assert len(failing) <= 2
+        failing, counts, _ = random_scan
+        assert counts == {(0.0, 0.0): 125, (0.3, 0.6): 125}
+        assert len({k for _, k in failing}) <= 2
 
-    def test_scan_counters(self, monkeypatch):
+    def test_scan_counters(self, random_scan):
         # the scan above, pinned: its failing runs and the residuals (order 1)
         # and Jacobians (order 2) the searches evaluate
-        orders, failing = [], set()
-        terms = blowup._location_terms
-        monkeypatch.setattr(
-            blowup, "_location_terms", lambda *a: orders.append(a[-1]) or terms(*a)
-        )
-        for shift in [(0.0, 0.0), (0.3, 0.6)]:
-            for k, cfg in enumerate(random_two_point_configs(shift)):
-                try:
-                    lv.location_search(cfg, 0)
-                except NonConvergenceError:
-                    failing.add((shift, k))
+        failing, _, orders = random_scan
         assert failing == {((0.0, 0.0), 77), ((0.0, 0.0), 117), ((0.3, 0.6), 77)}
         assert (orders.count(1), orders.count(2)) == (3725, 1797)
 

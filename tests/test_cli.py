@@ -96,7 +96,8 @@ class TestSolve:
     def test_r_max_too_small_for_the_bubble(self, tmp_path, capsys):
         # bubble scale about e^350: at r_max = 1e4 the flux has not settled,
         # and the message says so instead of naming the threshold 2 mu
-        code, _ = run(tmp_path, "solve", {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [-700.0]})
+        code, _ = run(tmp_path, "solve",
+                      {"matrix": [[1.0]], "gamma": 0.0, "alpha0": [-700.0], "r_max": 1e4})
         assert code == 3
         err = capsys.readouterr().err
         assert "r_max is too small" in err and "increase r_max" in err

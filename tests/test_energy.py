@@ -87,6 +87,25 @@ class TestExtractSummary:
             lv.extract_summary(profile)
         assert "integrability threshold" not in str(info.value)
 
+    def test_messages_without_r_max_name_the_last_log_r(self, matrix1):
+        # a solve given no r_max ends where its own estimate passes; a
+        # closure that fails on such a profile (here altered as in
+        # ``test_closure_near_the_threshold``, and with a quarter of its
+        # flux) names that node's log r and the solve's estimate, never
+        # r_max, which past the float radii would read inf
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        profile = lv.integrate(spec)
+        altered = dataclasses.replace(profile, mass=profile.mass * 0.5005,
+                                      dvalues=profile.dvalues * 0.5005, logmass=profile.logmass - 18.0)
+        with pytest.raises(ExtractionError, match="tail_error = 2.2") as info:
+            lv.extract_summary(altered)
+        said = str(info.value)
+        assert f"at log r = {profile.grid[-1]:.6g}, where the solve's own estimate read" in said
+        assert "r_max" not in said
+        with pytest.raises(ExtractionError, match="the profile ends before the flux settles") as info:
+            lv.extract_summary(dataclasses.replace(profile, dvalues=profile.dvalues * 0.25))
+        assert f"log r = {profile.grid[-1]:.6g}" in str(info.value) and "r_max" not in str(info.value)
+
     def test_closure_below_threshold_names_it(self, f1_profile):
         # flux 4 > 2 mu, but masses a quarter of F1's (not a solution) make
         # the first sweep's m = sigma about 1: the closure, not r_max, fails

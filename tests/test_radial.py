@@ -749,6 +749,112 @@ class TestStats:
         assert dict(lv.eta_rescale(f1_profile, 2.0).stats) == {}
 
 
+def _random_spec(n, gamma, seed):
+    """A spec with A = (B + B^T) / 2 + diag, B in U[0, 1], and alpha0 <= 0
+    whose largest entry is 0."""
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 1.0, size=(n, n))
+    matrix = lv.CoefficientMatrix.from_entries((b + b.T) / 2.0 + np.diag(rng.uniform(0.5, 2.0, n)))
+    alpha0 = rng.uniform(-3.0, 0.0, size=n)
+    return lv.ProblemSpec(matrix, lv.SingularityProfile(gamma), alpha0 - alpha0.max())
+
+
+def _estimate(profile, k):
+    """The end rule's estimate at node k from the profile's arrays, in numpy:
+    w = e^(2 mu s + U) and g = -dU/ds - 2 mu (the rule is scale-free, so
+    the caller's units give the mu = 1 system's number)."""
+    mu = profile.spec.singularity.mu
+    w = np.exp(2.0 * mu * profile.grid[k] + profile.values[k])
+    g = -profile.dvalues[k] - 2.0 * mu
+    terms = profile.spec.matrix.entries * (w / g**2) / np.add.outer(g, g)
+    return float(np.max(w * terms.sum(axis=1) / profile.mass[k])), g
+
+
+TAIL_END_SPECS = [
+    *((n, gamma, None) for n in (1, 2, 3) for gamma in (0.0, -0.25, -0.5, -0.9)),
+    *((n, gamma, seed) for n in (5, 8) for gamma in (-0.5, -0.9) for seed in (1, 2)),
+]
+
+
+class TestTailEnd:
+    """With no r_max the solve ends at the first node with r >= 10 where
+    every gap is positive and the tail model's first omitted term, estimated
+    from the state, is at most min(tol / 10, 1e-5)."""
+
+    @staticmethod
+    def _spec(n, gamma, seed):
+        return _seeded_spec(n, gamma) if seed is None else _random_spec(n, gamma, seed)
+
+    @pytest.mark.parametrize("n, gamma, seed", TAIL_END_SPECS)
+    def test_same_node_as_a_check_at_every_node(self, monkeypatch, n, gamma, seed):
+        # the skipping bound never passes over a node that would end the solve
+        spec = self._spec(n, gamma, seed)
+        tols = (1e-4, 1e-6, 1e-8, 1e-10)
+        skipping = [lv.integrate(spec, tol=tol) for tol in tols]
+        check = radial._TailEnd.check
+        monkeypatch.setattr(radial._TailEnd, "check",
+                            lambda self, s, *a: None if check(self, s, *a) is None else s)
+        for tol, ours in zip(tols, skipping):
+            every = lv.integrate(spec, tol=tol)
+            np.testing.assert_array_equal(ours.grid, every.grid)
+            assert ours.stats["tail_estimate"] == every.stats["tail_estimate"]
+            assert ours.stats["tail_evaluations"] <= every.stats["tail_evaluations"]
+
+    @pytest.mark.parametrize("n, gamma, seed", TAIL_END_SPECS[::3])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_the_end_node_and_the_stats(self, n, gamma, seed, tol):
+        spec = self._spec(n, gamma, seed)
+        profile = lv.integrate(spec, tol=tol)
+        stats = profile.stats
+        limit = min(tol / 10.0, 1e-5)
+        assert stats["end"] == "tail" and 1 <= stats["tail_evaluations"] <= stats["accepted"]
+        assert stats["tail_estimate"] <= limit
+        # the estimate from the profile's own arrays, and no earlier node
+        # with r >= 10 that passes
+        estimate, gaps = _estimate(profile, -1)
+        assert profile.grid[-1] >= math.log(10.0) and gaps.min() > 0.0
+        assert estimate == pytest.approx(stats["tail_estimate"], rel=1e-9)
+        for k in np.flatnonzero(profile.grid[:-1] >= math.log(10.0)):
+            estimate, gaps = _estimate(profile, k)
+            assert gaps.min() <= 0.0 or estimate > limit * (1.0 + 1e-9)
+        # the closure's own estimate, from the closed tail, is no larger (to 5 %)
+        assert lv.extract_summary(profile).tail_error <= 1.05 * stats["tail_estimate"]
+
+    def test_explicit_r_max_keeps_its_end(self, f1_profile):
+        assert {key: f1_profile.stats[key] for key in ("end", "tail_estimate", "tail_evaluations")} == {
+            "end": "r_max", "tail_estimate": None, "tail_evaluations": 0}
+        assert f1_profile.grid[-1] == pytest.approx(math.log(1e4), rel=1e-15)
+
+    def test_last_log_radius_is_an_integration_error(self, monkeypatch, matrix1):
+        # past the bound with the estimate still above the limit: the
+        # message names log r and the estimate, not r_max
+        monkeypatch.setattr(radial, "_LOG_R_BOUND", 3.0)
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([0.0]))
+        with pytest.raises(IntegrationError, match="no end before s = log r = 3: the tail") as info:
+            lv.integrate(spec, tol=1e-10)
+        assert "r_max" not in str(info.value)
+        assert info.value.last_radius == pytest.approx(math.exp(3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.9])
+    def test_weights_that_do_not_decay_are_an_integration_error(self, gamma):
+        # a_11 = 0 and sigma_2 < 1: m_1 = 2 sigma_2 stays below 2 mu, so w_1
+        # grows until it passes the floats; the solve stops there with an
+        # IntegrationError, not a numpy warning (an error under this suite)
+        matrix = lv.CoefficientMatrix.from_entries([[0.0, 2.0], [2.0, 1.0]])
+        spec = lv.ProblemSpec(matrix, lv.SingularityProfile(gamma), np.array([0.0, -1.0]))
+        with pytest.raises(IntegrationError, match="overflow past s = log r = ") as info:
+            lv.integrate(spec)
+        assert info.value.last_radius == math.inf or info.value.last_radius > 1e100
+
+    def test_past_the_float_radii(self, matrix1):
+        # a bubble of scale about e^350 decays only past r = 1e4, where an
+        # explicit r_max fails (``test_flux_below_threshold_says_r_max``)
+        spec = lv.ProblemSpec(matrix1, lv.SingularityProfile(0.0), np.array([-700.0]))
+        summary = lv.extract_summary(lv.integrate(spec))
+        assert summary.sigma[0] == pytest.approx(4.0, rel=1e-9)
+        assert summary.profile.grid[-1] > 350.0
+
+
 class TestNearMinusOne:
     """gamma near -1, where a direct solve at mu would start below the doubles.
 

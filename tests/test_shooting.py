@@ -174,7 +174,7 @@ class TestInvertSigma:
         # start the same error ends the inversion: there is nothing to halve
         matrix = lv.CoefficientMatrix.from_entries([[2.0, 1.0], [1.0, 3.0]])
         sing = lv.SingularityProfile(-0.99)
-        target = lv.alpha_to_sigma(matrix, sing, [-1.75]).reduced_sigma
+        target = lv.alpha_to_sigma(matrix, sing, [-1.75], r_max=1e4).reduced_sigma
         assert target[0] == 0.005760874855510574
         refused = []
         alpha_to_sigma = shooting.alpha_to_sigma
@@ -187,11 +187,11 @@ class TestInvertSigma:
                 raise
 
         monkeypatch.setattr(shooting, "alpha_to_sigma", recording)
-        recovered = lv.invert_sigma(matrix, sing, target)
+        recovered = lv.invert_sigma(matrix, sing, target, r_max=1e4)
         assert abs(recovered[0] + 1.75) < 1e-12
         assert len(refused) == 1 and abs(refused[0] + 1.9035) < 1e-4
         with pytest.raises(ExtractionError, match="tail_error = 1.14e-05"):
-            lv.invert_sigma(matrix, sing, target, guess=[-1.9035])
+            lv.invert_sigma(matrix, sing, target, guess=[-1.9035], r_max=1e4)
 
     def test_rejects_out_of_bound_guess(self, matrix12):
         # named as the guess at the boundary, not as an iterate of the map
@@ -205,7 +205,7 @@ class TestInvertSigma:
 
 
 class TestInexactNewton:
-    """Each trial integrates at max(tol, min(1e-2 r^2, 1e-6)), r the sup norm
+    """Each trial integrates at max(tol, min(1e-2 r^2, 1e-4)), r the sup norm
     of the residual at the iterate it steps from."""
 
     MATRIX3 = [[1.0, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 2.0, 1.0]]
@@ -230,30 +230,44 @@ class TestInexactNewton:
         return runs
 
     def test_loose_caller_keeps_its_tol(self, matrix12, monkeypatch):
-        # 1e-5 is looser than the loosest scheduled solve, and wins
-        for tols in self.inversions(matrix12, 1e-5, monkeypatch):
-            assert tols and all(t == 1e-5 for t in tols)
+        # 1e-4 is the loosest scheduled solve, and every trial takes it
+        for tols in self.inversions(matrix12, 1e-4, monkeypatch):
+            assert tols and all(t == 1e-4 for t in tols)
 
     def test_default_tol_schedule(self, matrix12, monkeypatch):
         for tols in self.inversions(matrix12, 1e-10, monkeypatch):
-            assert all(1e-10 <= t <= 1e-6 for t in tols)
-            assert tols[0] == 1e-6
+            assert all(1e-10 <= t <= 1e-4 for t in tols)
+            assert tols[0] == 1e-4
             # the stop test and the last step read a solve at tol
             assert tols[-1] == 1e-10
 
     def test_loose_converged_reading_is_solved_again(self, matrix12, monkeypatch):
-        # a target made at 1e-6 reads a zero residual at its own alpha when
-        # solved at 1e-6; the stop test must not take that, so the start is
+        # a target made at 1e-4 reads a zero residual at its own alpha when
+        # solved at 1e-4; the stop test must not take that, so the start is
         # integrated again at tol, and Newton moves on from there
-        target = lv.alpha_to_sigma(matrix12, GAMMA0, [-0.7], tol=1e-6).reduced_sigma
+        target = lv.alpha_to_sigma(matrix12, GAMMA0, [-0.7], tol=1e-4).reduced_sigma
         tols = self.record_tols(monkeypatch)
         alpha = lv.invert_sigma(matrix12, GAMMA0, target, guess=[-0.7])
-        assert tols == [1e-6, 1e-10, 1e-10]
+        assert tols == [1e-4, 1e-10, 1e-10]
         assert 1e-9 < abs(alpha[0] + 0.7) < 1e-6
+
+    def test_loose_reading_below_its_own_error_is_solved_again(self, matrix12, monkeypatch):
+        # the target is a solve at 1e-4 plus 5e-9: from its own alpha a
+        # solve at 1e-4 reads 5e-9, above the stop test's 1e-9 but below
+        # that solve's own error (1e-4 times the target; here the two tols'
+        # sigma differ by 4.9e-7). Taken as the start's residual, it asks
+        # every trial for a descent below 5e-9 that the true residual,
+        # about 4.9e-7, cannot give: no descent in 30 halvings. So it is
+        # integrated again at tol first
+        target = lv.alpha_to_sigma(matrix12, GAMMA0, [-0.7], tol=1e-4).reduced_sigma + 5e-9
+        tols = self.record_tols(monkeypatch)
+        alpha = lv.invert_sigma(matrix12, GAMMA0, target, guess=[-0.7])
+        assert tols == [1e-4, 1e-10, 1e-10]
+        assert abs(lv.alpha_to_sigma(matrix12, GAMMA0, alpha).reduced_sigma[0] - target[0]) < 1e-9
 
     def test_best_residual_from_a_loose_solve(self, matrix12, monkeypatch):
         # two steps from 0 towards alpha = -2.5 leave the residual near 0.12,
-        # where trials integrate at 1e-6: best_residual is that solve's
+        # where trials integrate at 1e-4: best_residual is that solve's
         monkeypatch.setattr(newton, "MAX_STEPS", 2)
         target = lv.alpha_to_sigma(matrix12, GAMMA0, [-2.5]).reduced_sigma
         with pytest.raises(NonConvergenceError, match="in 2 steps") as info:
@@ -263,7 +277,7 @@ class TestInexactNewton:
         def residual(tol):
             return float(np.max(np.abs(lv.alpha_to_sigma(matrix12, GAMMA0, best, tol=tol).reduced_sigma - target)))
 
-        assert info.value.best_residual == residual(1e-6) > 0.1
+        assert info.value.best_residual == residual(1e-4) > 0.1
         assert 0.0 < abs(info.value.best_residual - residual(1e-10)) < 1e-6
 
     def test_sweep_converges(self):
@@ -292,6 +306,65 @@ class TestInexactNewton:
         assert worst < 1e-8
 
 
+class TestDefaultEnd:
+    """With no r_max every solve ends where the tail model is exact
+    (``radial.integrate``), over the whole alpha box and down to gamma near -1."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("entries, gamma, alpha, sigma", [
+        ([[1.0]], 0.0, [], 4.0),  # F1
+        ([[1.0]], -0.5, [], 2.0),  # F2
+        ([[1.0, 2.0], [2.0, 1.0]], 0.0, [0.0], 4.0 / 3.0),  # F3
+    ], ids=["F1", "F2", "F3"])
+    def test_closed_forms(self, entries, gamma, alpha, sigma, tol):
+        point = lv.alpha_to_sigma(lv.CoefficientMatrix.from_entries(entries),
+                                  lv.SingularityProfile(gamma), alpha, tol=tol)
+        assert point.summary.profile.stats["end"] == "tail"
+        assert np.max(np.abs(point.full_sigma - sigma)) <= 10.0 * tol * sigma
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, -0.9])
+    def test_alpha_box_corners(self, gamma):
+        # the small component's gap shrinks like e^alpha, so its tail is
+        # exact only past r = 1e7 or more at |alpha| = 29; r_max 1e4 failed
+        # from |alpha| = 5 on
+        sing = lv.SingularityProfile(gamma)
+        corners = [(lv.CoefficientMatrix.from_entries([[2.0, 1.0], [1.0, 2.0]]), [a])
+                   for a in (-30.0, -29.0, -5.0, 5.0, 29.0, 30.0)]
+        matrix3 = lv.CoefficientMatrix.from_entries(TestInexactNewton.MATRIX3)
+        corners += [(matrix3, [a, b]) for a in (-30.0, 30.0) for b in (-30.0, 30.0)]
+        for matrix, alpha in corners:
+            point = lv.alpha_to_sigma(matrix, sing, alpha)
+            stats = point.summary.profile.stats
+            assert stats["end"] == "tail" and stats["accepted"] <= 100, alpha
+            assert abs(lv.pohozaev_residual(point.summary)) < 1e-11, alpha
+
+    def test_round_trips_at_gamma_minus_0_9(self):
+        # A = (B + B^T) / 2 + diag, n = 2, 3, 5, 8, tol 1e-8: r_max 1e4 made
+        # none of these 32 round trips
+        sing = lv.SingularityProfile(-0.9)
+        worst, made = 0.0, 0
+        for n in (2, 3, 5, 8):
+            rng = np.random.default_rng(n)
+            for _ in range(8):
+                b = rng.uniform(0.0, 1.0, size=(n, n))
+                matrix = lv.CoefficientMatrix.from_entries((b + b.T) / 2.0 + np.diag(rng.uniform(0.5, 2.0, n)))
+                alpha = rng.uniform(-3.0, 0.0, size=n - 1)
+                target = lv.alpha_to_sigma(matrix, sing, alpha, tol=1e-8).reduced_sigma
+                recovered = lv.invert_sigma(matrix, sing, target, tol=1e-8)
+                worst = max(worst, float(np.max(np.abs(recovered - alpha))))
+                made += 1
+        assert made == 32 and worst < 1e-8
+
+    @pytest.mark.parametrize("gamma, target", [(0.0, 1e-3), (-0.9, 1e-6)])
+    def test_small_targets_invert(self, gamma, target):
+        # near the edge of the alpha box: alpha_2 about -15 and -24
+        matrix = lv.CoefficientMatrix.from_entries([[2.0, 1.0], [1.0, 2.0]])
+        sing = lv.SingularityProfile(gamma)
+        alpha = lv.invert_sigma(matrix, sing, [target])
+        assert alpha[0] < -10.0
+        assert abs(lv.alpha_to_sigma(matrix, sing, alpha).reduced_sigma[0] - target) < 1e-9
+
+
 class TestSwapEquivariance:
     def test_permutation_commutes(self):
         # matrix invariant under swapping the last two components
@@ -308,19 +381,22 @@ class TestSwapEquivariance:
 
 
 def test_solver_defaults_named_once():
-    # integrate, alpha_to_sigma and invert_sigma default to the same r_max
-    # and tol, named in radial
+    # integrate, alpha_to_sigma and invert_sigma default to the same tol,
+    # named in radial, and to no r_max: the solve ends where the tail model
+    # is exact
     from inspect import signature
 
     from liouville import radial
 
-    assert (radial.DEFAULT_R_MAX, radial.DEFAULT_TOL) == (1e4, 1e-10)
+    assert radial.DEFAULT_TOL == 1e-10
     for fn in (lv.integrate, lv.alpha_to_sigma, lv.invert_sigma):
         params = signature(fn).parameters
-        assert params["r_max"].default is radial.DEFAULT_R_MAX
+        assert params["r_max"].default is None
         assert params["tol"].default is radial.DEFAULT_TOL
 
 
+# The end keys of the stats of a solve given an r_max.
+AT_R_MAX = {"end": "r_max", "tail_estimate": None, "tail_evaluations": 0}
 # A Jacobian solve through alpha_to_sigma at r_max 1e4, frozen: per case
 # (n, gamma, tol, nodes, last node s), the stats, the last state's rows U,
 # dU/ds, mass and logmass, sigma, all as float.hex, and dsigma's rows, which
@@ -330,7 +406,7 @@ FROZEN_SOLVES = [
     (2, 0.0, 1e-06, 14, "0x1.26bb1bbb55516p+3",
      {"accepted": 13, "rejected": 0, "evaluations": 157,
       "h_min": 0.4448471455001697, "h_max": 1.3491724449619333,
-      "s_start": -0.4894271348744848},
+      "s_start": -0.4894271348744848, **AT_R_MAX},
      ("-0x1.f0c4394e1bbedp+4 -0x1.ad0dc24bc2f7fp+5",
       "-0x1.db50aaf7f2e38p+1 -0x1.94d10b856360ep+2",
       "0x1.7d512bb488dfbp+1 0x1.77fdfd0da80ecp-2",
@@ -341,7 +417,7 @@ FROZEN_SOLVES = [
     (2, 0.0, 1e-10, 39, "0x1.26bb1bbb55516p+3",
      {"accepted": 38, "rejected": 0, "evaluations": 457,
       "h_min": 0.11916391921351122, "h_max": 0.6955781498308866,
-      "s_start": -0.4894271348744848},
+      "s_start": -0.4894271348744848, **AT_R_MAX},
      ("-0x1.f0c43988f5020p+4 -0x1.ad0dc27f26418p+5",
       "-0x1.db50ab2bd48f6p+1 -0x1.94d10bafdfbd8p+2",
       "0x1.7d512bdbe3777p+1 0x1.77fdfd3fc4609p-2",
@@ -352,7 +428,7 @@ FROZEN_SOLVES = [
     (2, -0.5, 1e-06, 11, "0x1.26bb1bbb55516p+3",
      {"accepted": 10, "rejected": 0, "evaluations": 121,
       "h_min": 0.9624902768988628, "h_max": 1.682023972938322,
-      "s_start": -2.3651486308688603},
+      "s_start": -2.3651486308688603, **AT_R_MAX},
      ("-0x1.0859b88488ca4p+4 -0x1.ce3930e5876a2p+4",
       "-0x1.db1d9f8341400p+0 -0x1.949e00315aca2p+1",
       "0x1.7d1e206b634dap+0 0x1.77fdfc5f77c91p-3",
@@ -363,7 +439,7 @@ FROZEN_SOLVES = [
     (2, -0.5, 1e-10, 31, "0x1.26bb1bbb55516p+3",
      {"accepted": 30, "rejected": 0, "evaluations": 361,
       "h_min": 0.2842203925525792, "h_max": 0.7653905201323079,
-      "s_start": -2.3651486308688603},
+      "s_start": -2.3651486308688603, **AT_R_MAX},
      ("-0x1.0859b8ce4701ap+4 -0x1.ce3931607e9dap+4",
       "-0x1.db1d9feb0686bp+0 -0x1.949e00778aa83p+1",
       "0x1.7d1e20a6615dap+0 0x1.77fdfd1294a3fp-3",
@@ -374,7 +450,7 @@ FROZEN_SOLVES = [
     (3, 0.0, 1e-06, 14, "0x1.26bb1bbb55516p+3",
      {"accepted": 13, "rejected": 0, "evaluations": 157,
       "h_min": 0.43836810016820105, "h_max": 1.3991979619745756,
-      "s_start": -0.5346408563846266},
+      "s_start": -0.5346408563846266, **AT_R_MAX},
      ("-0x1.00bf32a0f3ed9p+5 -0x1.4b46f6fa3f8f5p+5 -0x1.23b2b9c99395fp+5",
       "-0x1.e578e3bbfd0b5p+1 -0x1.2e928bbc6f0b3p+2 -0x1.0da3be08744c0p+2",
       "0x1.37fe17aa30732p+1 0x1.ae74c2a75c687p-2 0x1.deb0cef3842cfp-1",
@@ -386,7 +462,7 @@ FROZEN_SOLVES = [
     (3, 0.0, 1e-10, 38, "0x1.26bb1bbb55516p+3",
      {"accepted": 37, "rejected": 0, "evaluations": 445,
       "h_min": 0.11888378866453597, "h_max": 0.6766443543928959,
-      "s_start": -0.5346408563846266},
+      "s_start": -0.5346408563846266, **AT_R_MAX},
      ("-0x1.00bf32cfe6b78p+5 -0x1.4b46f73836e11p+5 -0x1.23b2b9ff939c0p+5",
       "-0x1.e578e41193ac0p+1 -0x1.2e928bf5cfe1bp+2 -0x1.0da3be3a7b5cfp+2",
       "0x1.37fe17d424867p+1 0x1.ae74c31b186fdp-2 0x1.deb0cf68305d3p-1",
@@ -398,7 +474,7 @@ FROZEN_SOLVES = [
     (3, -0.5, 1e-06, 11, "0x1.26bb1bbb55516p+3",
      {"accepted": 10, "rejected": 0, "evaluations": 121,
       "h_min": 0.9362734312815997, "h_max": 1.6704365401116927,
-      "s_start": -2.455576073889144},
+      "s_start": -2.455576073889144, **AT_R_MAX},
      ("-0x1.141a607ecb589p+4 -0x1.6ea4ca38cf39fp+4 -0x1.3fb19e5d25a06p+4",
       "-0x1.e5602f85555f0p+0 -0x1.2e85924ea10a2p+1 -0x1.0d975d05e7abfp+1",
       "0x1.37e6afe6eeb1ep+0 0x1.ae745433cfc36p-3 0x1.deabd45fb2d37p-2",
@@ -410,7 +486,7 @@ FROZEN_SOLVES = [
     (3, -0.5, 1e-10, 32, "0x1.26bb1bbb55516p+3",
      {"accepted": 31, "rejected": 0, "evaluations": 373,
       "h_min": 0.2840791536566758, "h_max": 0.6614561437712592,
-      "s_start": -2.455576073889144},
+      "s_start": -2.455576073889144, **AT_R_MAX},
      ("-0x1.141a60dc990a8p+4 -0x1.6ea4cab5d3b58p+4 -0x1.3fb19eca1cdc1p+4",
       "-0x1.e560300b41e4ap+0 -0x1.2e8592acc9cf6p+1 -0x1.0d975d584da41p+1",
       "0x1.37e6b01796c7ap+0 0x1.ae74552acb1ddp-3 0x1.deabd53946e64p-2",

@@ -24,7 +24,11 @@ code, so moved code and docstring edits do not read as a change in size;
 ``src_code_lines_by_module`` holds that count per module and side (keyed by
 the path under ``src/``) and ``src_code_lines_net_by_module`` change minus
 parent per module, a module missing on one side counting 0 there.
-``--claim METRIC`` also judges a claimed gain on that metric. The exit
+``revisions`` holds each side's commit: its HEAD when the checkout is the
+top of its own git work tree, else the commit ``--parent-rev`` or
+``--change-rev`` names, which such a side requires (a ``git archive``
+export carries no HEAD of its own). ``--claim METRIC`` also judges a
+claimed gain on that metric. The exit
 status is 1 if any run reports ``correct: false``. Uses the standard
 library only.
 """
@@ -218,9 +222,17 @@ def module_code_lines(checkout: Path) -> dict[str, int]:
 
 
 def revision(checkout: Path) -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True, check=False)
-    return proc.stdout.strip() or None
+    """The checkout's HEAD if the checkout is the top of its own git work
+    tree, else None: an export made by ``git archive`` inside another
+    repository would read that repository's HEAD."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True, check=False).stdout.strip()
+
+    top = git("rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != checkout.resolve():
+        return None
+    return git("rev-parse", "HEAD") or None
 
 
 def main(argv=None) -> int:
@@ -235,7 +247,17 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", metavar="METRIC",
                         help="end-to-end metric on which the change claims a gain")
     parser.add_argument("--out", type=Path, required=True)
+    for side in SIDES:
+        parser.add_argument(f"--{side}-rev", metavar="REV",
+                            help=f"the {side}'s commit, required when the {side} checkout "
+                                 "is not the top of its own git work tree")
     args = parser.parse_args(argv)
+    revisions = {side: getattr(args, f"{side}_rev") or revision(getattr(args, side))
+                 for side in SIDES}
+    missing = [side for side in SIDES if revisions[side] is None]
+    if missing:
+        parser.error(", ".join(f"--{side}-rev" for side in missing) + ": "
+                     + " and ".join(missing) + " not the top of a git work tree; name the commit")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -260,7 +282,7 @@ def main(argv=None) -> int:
     record = {
         "command": ["bench/run.py", "--seconds", seconds, "--trace", 0],
         "machine": {**host, "stale_bytecode": stale},
-        "revisions": {side: revision(getattr(args, side)) for side in SIDES},
+        "revisions": revisions,
         "src_lines": lines,
         "src_lines_net": lines["change"] - lines["parent"],
         "src_code_lines": code,
